@@ -6,11 +6,15 @@ and expectation values decode simultaneous proportional angle commands
 for every degree of freedom at once.
 """
 
+import types
+
 from .control import (
     DecodedAction,
+    DecodedBatch,
     DecodeDiagnostics,
     DofDecision,
     decode,
+    decode_batch,
     decode_dof,
     decode_features,
     expectation,
@@ -92,7 +96,7 @@ from .operators import (
     train,
     with_decode_config,
 )
-from .state import QuantumState, encode, inner_product
+from .state import QuantumState, encode, encode_rows, inner_product
 from .synthetic import (
     MixingModel,
     ScenarioBlock,
@@ -109,91 +113,9 @@ from .synthetic import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Block",
-    "BlockErrorReport",
-    "ConfigurationError",
-    "ControllerModel",
-    "DataError",
-    "DatasetParseError",
-    "DatasetSchemaError",
-    "DecodeConfig",
-    "DecodeDiagnostics",
-    "DecodedAction",
-    "DegenerateOperatorsError",
-    "DegeneratePrototypeError",
-    "DimensionError",
-    "Direction",
-    "Dof",
-    "DofDecision",
-    "DofOperators",
-    "EmgRecording",
-    "EmptyInputError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FeatureDataset",
-    "FeatureKind",
-    "FeatureVector",
-    "InsufficientSamplesError",
-    "InsufficientTrainingError",
-    "MalformedBlockError",
-    "MixingModel",
-    "ModelError",
-    "MovementPhase",
-    "Operator",
-    "QmyoError",
-    "QuantumState",
-    "ScenarioBlock",
-    "SizeResult",
-    "SyntheticScenario",
-    "TestSet",
-    "TrainingSample",
-    "TrajectoryPair",
-    "UndefinedDenominatorError",
-    "ZeroSignalError",
-    "block_errors",
-    "build_completeness_operator",
-    "build_direction_operator",
-    "build_prototype",
-    "decode",
-    "decode_dof",
-    "decode_features",
-    "default_mixing_model",
-    "default_scenario",
-    "encode",
-    "evaluate_model",
-    "expectation",
-    "from_test_set",
-    "from_training_samples",
-    "generate_features",
-    "generate_raw_emg",
-    "generate_test_scenario",
-    "generate_training_set",
-    "inner_product",
-    "load_feature_dataset",
-    "load_model",
-    "load_recording",
-    "mav",
-    "orthogonal_mixing_model",
-    "overlap_curve",
-    "r_squared_dof",
-    "r_squared_global",
-    "render_report_csv",
-    "render_report_text",
-    "report_for_model",
-    "residual_activations",
-    "rest_threshold_from_rest_windows",
-    "run_experiment",
-    "save_decode_csv",
-    "save_feature_dataset",
-    "save_model",
-    "save_recording",
-    "segment_windows",
-    "slope_sign_changes",
-    "to_blocks",
-    "to_training_samples",
-    "train",
-    "waveform_length",
-    "with_decode_config",
-    "zero_crossings",
-]
+# The public names are everything imported above, submodules aside.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import datasets, experiment, features, operators, synthetic
-from .control import decode_features
+from .control import decode_batch
 from .errors import DataError, ModelError
 from .operators import DecodeConfig, Dof
 
@@ -55,21 +55,9 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
+# Config-file values parse with the type of their default.
 _FILE_CASTS = {
-    "window_ms": float,
-    "sample_rate": float,
-    "rest_threshold": float,
-    "overlap_epsilon": float,
-    "block_vote": str,
-    "seed": int,
-    "channels": int,
-    "noise_sigma": float,
-    "per_action": int,
-    "angle_min": float,
-    "angle_max": float,
-    "blocks": int,
-    "windows": int,
-    "geometry": str,
+    **{key: type(value) for key, value in _DEFAULTS.items()},
     "sizes": _parse_sizes,
     "dofs": _parse_dofs,
 }
@@ -132,6 +120,15 @@ def _add_config_options(sub: _Parser):
     sub.add_argument("--block-vote", dest="block_vote", choices=["majority", "any", "all"])
 
 
+def _load_model(parser: _Parser, args, settings: _Settings):
+    """The model file, with any decode thresholds given on the command line."""
+    _require_file(parser, args.model)
+    model = operators.load_model(args.model)
+    if args.rest_threshold is not None or args.overlap_epsilon is not None or args.block_vote:
+        model = operators.with_decode_config(model, settings.decode_config())
+    return model
+
+
 def _cmd_synth(parser: _Parser, args) -> int:
     settings = _Settings(args)
     dofs = tuple(args.dofs) if args.dofs else tuple(settings.get("dofs"))
@@ -188,27 +185,23 @@ def _cmd_train(parser: _Parser, args) -> int:
     return 0
 
 
-def _feature_windows(parser: _Parser, args, settings: _Settings):
+def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
+    """(N, C) feature rows from a dataset CSV or the MAV windows of a recording."""
     if args.data:
         _require_file(parser, args.data)
-        ds = datasets.load_feature_dataset(args.data)
-        return ds.feature_vectors()
+        return datasets.load_feature_dataset(args.data).features
     _require_file(parser, args.raw)
     rec = features.load_recording(args.raw, sample_rate=settings.get("sample_rate"))
     windows = features.segment_windows(rec, settings.get("window_ms"))
-    return [features.mav(w) for w in windows]
+    return np.stack([features.mav(w).values for w in windows])
 
 
 def _cmd_decode(parser: _Parser, args) -> int:
-    _require_file(parser, args.model)
     settings = _Settings(args)
-    model = operators.load_model(args.model)
-    if args.rest_threshold is not None or args.overlap_epsilon is not None or args.block_vote:
-        model = operators.with_decode_config(model, settings.decode_config())
-    windows = _feature_windows(parser, args, settings)
-    actions = [decode_features(fv, model) for fv in windows]
-    datasets.save_decode_csv(actions, model.sorted_dofs(), args.out)
-    print(f"decoded {len(actions)} windows -> {args.out}")
+    model = _load_model(parser, args, settings)
+    decoded = decode_batch(_feature_windows(parser, args, settings), model)
+    datasets.save_decode_csv(decoded, model.sorted_dofs(), args.out)
+    print(f"decoded {len(decoded)} windows -> {args.out}")
     return 0
 
 
@@ -217,11 +210,7 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
     settings = _Settings(args)
     test_ds = datasets.load_feature_dataset(args.test)
     if args.model:
-        _require_file(parser, args.model)
-        model = operators.load_model(args.model)
-        if args.rest_threshold is not None or args.overlap_epsilon is not None or args.block_vote:
-            model = operators.with_decode_config(model, settings.decode_config())
-        report = experiment.report_for_model(model, test_ds)
+        report = experiment.report_for_model(_load_model(parser, args, settings), test_ds)
     else:
         _require_file(parser, args.train_data)
         train_ds = datasets.load_feature_dataset(args.train_data)
@@ -245,9 +234,7 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         with open(args.csv_out, "w") as fh:
             fh.write(experiment.render_report_csv(report))
     if args.decode_out:
-        datasets.save_decode_csv(
-            report.results[-1].actions, report.dofs, args.decode_out
-        )
+        datasets.save_decode_csv(report.results[-1].decoded, report.dofs, args.decode_out)
     return 0
 
 

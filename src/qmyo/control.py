@@ -1,28 +1,34 @@
-"""Decoding: from an encoded window to simultaneous proportional angles.
+"""Decoding: from feature windows to simultaneous proportional angles.
 
-Each DOF's perceptron computes the three expectation values of its
-operator triple. The winning direction's expectation margin, scaled by
-the maximal training angle and corrected for prototype overlap, gives
-the proportional angle command. With three trained DOFs the three
-completion expectations additionally yield residual activations through
-a fixed 3x3 linear system.
+Each DOF's perceptron measures a window's state against its two
+direction prototypes: the expectation values are e± = (ψ·p±)² and the
+completion expectation is e₀ = 1 − e₊ − e₋. The winning direction's
+expectation margin, scaled by the maximal training angle and corrected
+for prototype overlap, gives the proportional angle command. With three
+trained DOFs the three completion expectations additionally yield
+residual activations through a fixed 3x3 linear system.
+
+:func:`decode_batch` decodes an (N, C) feature array in one pass; the
+per-window functions are one-row calls of the same kernel.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateOperatorsError,
-    DimensionError,
-    ModelError,
-    ZeroSignalError,
-)
+from .errors import DegenerateOperatorsError, DimensionError
 from .features import FeatureVector
-from .operators import ControllerModel, DecodeConfig, Dof, DofOperators, Direction, Operator
-from .state import QuantumState, encode
-
-EXPECTATION_BUDGET_TOL = 1e-10
+from .operators import (
+    ControllerModel,
+    DecodeConfig,
+    DecodeTables,
+    Direction,
+    Dof,
+    DofOperators,
+    Operator,
+    SIGN_DIRECTIONS,
+)
+from .state import QuantumState, encode_rows
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,11 @@ class DecodedAction:
 
 
 def expectation(state: QuantumState, op: Operator) -> float:
-    """Quadratic form of the state under the operator."""
+    """Quadratic form of the state under the operator.
+
+    The decoder uses the rank-1 shortcut (ψ·p)²; this is the operator
+    form that shortcut must agree with.
+    """
     if state.dim != op.dim:
         raise DimensionError(
             f"state dimension {state.dim} does not match operator dimension {op.dim}"
@@ -71,65 +81,14 @@ def expectation(state: QuantumState, op: Operator) -> float:
     return float(psi @ op.matrix @ psi)
 
 
-def decode_dof(state: QuantumState, ops: DofOperators, cfg: DecodeConfig) -> DofDecision:
-    """Decide direction and proportional angle for one DOF.
-
-    The margin between the two direction expectations picks the winner;
-    within ``cfg.rest_threshold`` of a tie the DOF is at rest. The angle
-    is the margin times the winner's maximal training angle over
-    (1 - overlap), clamped to the physical range with a diagnostic flag.
-    """
-    if ops.overlap >= 1.0 - cfg.overlap_epsilon:
-        raise DegenerateOperatorsError(
-            f"prototype overlap {ops.overlap!r} leaves no margin; "
-            "the direction pair is unlearnable"
-        )
-    e_pos = expectation(state, ops.p_pos)
-    e_neg = expectation(state, ops.p_neg)
-    e_zero = expectation(state, ops.p_zero)
-    budget = e_pos + e_neg + e_zero
-    if abs(budget - 1.0) > EXPECTATION_BUDGET_TOL:
-        raise ModelError(
-            f"expectation values sum to {budget!r}, not 1; operator triple is corrupt"
-        )
-    zero_negative = e_zero < 0.0
-
-    margin = e_pos - e_neg
-    if abs(margin) <= cfg.rest_threshold:
-        return DofDecision(
-            expectation_pos=e_pos,
-            expectation_neg=e_neg,
-            expectation_zero=e_zero,
-            direction=Direction.REST,
-            angle=0.0,
-            raw_angle=0.0,
-            angle_clamped=False,
-            zero_negative=zero_negative,
-        )
-    direction = Direction.POSITIVE if margin > 0 else Direction.NEGATIVE
-    theta_max = ops.theta_pos_max if direction is Direction.POSITIVE else ops.theta_neg_max
-    raw_angle = abs(margin) * theta_max / (1.0 - ops.overlap)
-    clamped = raw_angle > theta_max
-    return DofDecision(
-        expectation_pos=e_pos,
-        expectation_neg=e_neg,
-        expectation_zero=e_zero,
-        direction=direction,
-        angle=min(raw_angle, theta_max),
-        raw_angle=raw_angle,
-        angle_clamped=clamped,
-        zero_negative=zero_negative,
-    )
-
-
-def residual_activations(z1: float, z2: float, z3: float) -> tuple[float, float, float]:
+def residual_activations(z1, z2, z3):
     """Solve the residual-activation system for three DOFs.
 
     Each completion expectation is read as the summed activation of the
     other two DOFs, giving three equations in three unknowns with the
     closed-form solution below (the coefficient matrix is fixed and
-    invertible). Exact numeric types such as Fraction pass through
-    without rounding.
+    invertible). Works elementwise on arrays; exact numeric types such
+    as Fraction pass through without rounding.
     """
     d1 = (-z1 + z2 + z3) / 2
     d2 = (z1 - z2 + z3) / 2
@@ -140,17 +99,144 @@ def residual_activations(z1: float, z2: float, z3: float) -> tuple[float, float,
 _THREE_DOFS = (Dof.FLEXION_EXTENSION, Dof.RADIAL_ULNAR, Dof.PRONATION_SUPINATION)
 
 
-def _rest_decision() -> DofDecision:
-    return DofDecision(
-        expectation_pos=0.0,
-        expectation_neg=0.0,
-        expectation_zero=1.0,
-        direction=Direction.REST,
-        angle=0.0,
-        raw_angle=0.0,
-        angle_clamped=False,
-        zero_negative=False,
+@dataclass(frozen=True)
+class DecodedBatch:
+    """Decoded outcomes of N windows, one column per DOF in ``dofs`` order.
+
+    Per-DOF arrays are (N, D). ``direction`` holds int8 sign codes (1
+    positive, -1 negative, 0 rest), ``angle`` the signed, clamped angle
+    and ``raw_angle`` the unsigned angle before clamping.
+    """
+
+    dofs: tuple[Dof, ...]
+    expectation_pos: np.ndarray
+    expectation_neg: np.ndarray
+    expectation_zero: np.ndarray
+    direction: np.ndarray
+    angle: np.ndarray
+    raw_angle: np.ndarray
+    angle_clamped: np.ndarray
+    zero_negative: np.ndarray
+    zero_signal: np.ndarray
+
+    def __len__(self) -> int:
+        return self.zero_signal.shape[0]
+
+    def residuals(self) -> np.ndarray | None:
+        """(N, 3) residual activations, or None unless all three DOFs are trained.
+
+        Negative completion expectations (the ``zero_negative`` mask) are
+        clamped to 0 first; zero-signal rows are NaN.
+        """
+        if self.dofs != _THREE_DOFS:
+            return None
+        z = np.maximum(self.expectation_zero, 0.0)
+        residuals = np.stack(residual_activations(*z.T), axis=1)
+        residuals[self.zero_signal] = np.nan
+        return residuals
+
+    def action(self, i: int) -> DecodedAction:
+        """Row ``i`` as a :class:`DecodedAction`."""
+        e_pos, e_neg, e_zero, codes, angles, raw, clamped, negative = (
+            a[i].tolist()
+            for a in (self.expectation_pos, self.expectation_neg, self.expectation_zero,
+                      self.direction, self.angle, self.raw_angle, self.angle_clamped,
+                      self.zero_negative)
+        )
+        rows = zip(self.dofs, e_pos, e_neg, e_zero, codes, angles, raw, clamped, negative)
+        per_dof = {
+            dof: DofDecision(p, n, z, SIGN_DIRECTIONS[c], abs(a), r, cl, neg)
+            for dof, p, n, z, c, a, r, cl, neg in rows
+        }
+        if self.zero_signal[i]:
+            note = "zero-signal window: no state to measure"
+            return DecodedAction(per_dof, None, DecodeDiagnostics(True, note))
+        if self.dofs != _THREE_DOFS:
+            note = f"residual activations need all three DOFs trained; model has {len(self.dofs)}"
+            return DecodedAction(per_dof, None, DecodeDiagnostics(residuals_note=note))
+        residuals = residual_activations(*(max(z, 0.0) for z in e_zero))
+        inputs_clamped = tuple(dof for dof, neg in zip(self.dofs, negative) if neg)
+        diagnostics = DecodeDiagnostics(False, None, inputs_clamped)
+        return DecodedAction(per_dof, dict(zip(self.dofs, residuals)), diagnostics)
+
+
+def _expectations(states: np.ndarray, prototypes: np.ndarray):
+    """Direction expectations e± = (ψ·p±)², each (N, D).
+
+    One vector-matrix product per row against the (C, 2D) prototype
+    matrix, so a window gets the same bits alone or in a batch.
+    """
+    amplitudes = (np.ascontiguousarray(states)[:, None, :] @ prototypes)[:, 0, :]
+    squared = amplitudes * amplitudes
+    return squared[:, 0::2], squared[:, 1::2]
+
+
+def _decide(
+    states: np.ndarray, zero_signal: np.ndarray, tables: DecodeTables, cfg: DecodeConfig
+) -> DecodedBatch:
+    """Expectations, directions and angles for (N, C) unit states.
+
+    Zero-signal rows are all-zero states, so they measure e± = 0 and
+    e₀ = 1 and land at rest without a special case. Within
+    ``cfg.rest_threshold`` of a tie a DOF is at rest; otherwise the
+    angle is the margin times the winner's maximal training angle over
+    (1 - overlap), clamped to that maximum.
+    """
+    if tables.max_overlap >= 1.0 - cfg.overlap_epsilon:
+        raise DegenerateOperatorsError(
+            f"prototype overlap {tables.max_overlap!r} leaves no margin; "
+            "the direction pair is unlearnable"
+        )
+    e_pos, e_neg = _expectations(states, tables.prototypes)
+    e_zero = 1.0 - e_pos - e_neg
+    margin = e_pos - e_neg
+    size = np.abs(margin)
+    moving = size > cfg.rest_threshold
+    direction = (np.sign(margin) * moving).astype(np.int8)  # no -0.0 at rest
+    theta_max = np.where(margin > 0, tables.theta_pos_max, tables.theta_neg_max)
+    raw_angle = size * theta_max / tables.span * moving  # 0 at rest
+    return DecodedBatch(
+        dofs=tables.dofs,
+        expectation_pos=e_pos,
+        expectation_neg=e_neg,
+        expectation_zero=e_zero,
+        direction=direction,
+        angle=direction * np.minimum(raw_angle, theta_max),
+        raw_angle=raw_angle,
+        angle_clamped=raw_angle > theta_max,
+        zero_negative=e_zero < 0.0,
+        zero_signal=zero_signal,
     )
+
+
+def _decode_rows(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
+    if features.shape[1] != model.n_channels:
+        raise DimensionError(
+            f"{features.shape[1]} feature channels do not match the "
+            f"{model.n_channels}-channel model"
+        )
+    states, zero_signal = encode_rows(features)
+    return _decide(states, zero_signal, model.decode_tables, model.decode_config)
+
+
+def decode_batch(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
+    """Encode and decode an (N, C) array of feature windows in one pass.
+
+    Feature values must be finite and non-negative. All-zero rows cannot
+    be normalized; they decode as every DOF at rest with the zero-signal
+    flag set and no residual activations.
+    """
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise DimensionError(f"features must be 2-D (windows x channels), got {features.shape}")
+    if features.size and not (features.min() >= 0.0 and features.max() < np.inf):
+        raise ValueError("feature values must be finite and non-negative")
+    return _decode_rows(features, model)
+
+
+def decode_features(fv: FeatureVector, model: ControllerModel) -> DecodedAction:
+    """Encode and decode one feature window (validated when it was built)."""
+    return _decode_rows(fv.values[None, :], model).action(0)
 
 
 def decode(state: QuantumState, model: ControllerModel) -> DecodedAction:
@@ -160,58 +246,22 @@ def decode(state: QuantumState, model: ControllerModel) -> DecodedAction:
             f"state dimension {state.dim} does not match the "
             f"{model.n_channels}-channel model"
         )
-    cfg = model.decode_config
-    per_dof = {dof: decode_dof(state, ops, cfg) for dof, ops in sorted(model.dofs.items())}
+    zero_signal = np.zeros(1, dtype=bool)
+    tables, cfg = model.decode_tables, model.decode_config
+    return _decide(state.amplitudes[None, :], zero_signal, tables, cfg).action(0)
 
-    residuals: dict[Dof, float] | None = None
-    note: str | None = None
-    clamped_inputs: tuple[Dof, ...] = ()
-    if set(per_dof) == set(_THREE_DOFS):
-        zeros = []
-        clamped = []
-        for dof in _THREE_DOFS:
-            z = per_dof[dof].expectation_zero
-            if z < 0.0:
-                clamped.append(dof)
-                z = 0.0
-            zeros.append(z)
-        values = residual_activations(*zeros)
-        residuals = dict(zip(_THREE_DOFS, values))
-        clamped_inputs = tuple(clamped)
-    else:
-        note = (
-            "residual activations need all three DOFs trained; "
-            f"model has {len(per_dof)}"
+
+def decode_dof(state: QuantumState, ops: DofOperators, cfg: DecodeConfig) -> DofDecision:
+    """Decide direction and proportional angle for one DOF on one state."""
+    if state.dim != ops.dim:
+        raise DimensionError(
+            f"state dimension {state.dim} does not match operator dimension {ops.dim}"
         )
-    return DecodedAction(
-        per_dof=per_dof,
-        residual_activations=residuals,
-        diagnostics=DecodeDiagnostics(
-            residuals_note=note, residual_inputs_clamped=clamped_inputs
-        ),
-    )
-
-
-def decode_features(fv: FeatureVector, model: ControllerModel) -> DecodedAction:
-    """Encode and decode one feature window, mapping zero signal to rest.
-
-    An all-zero feature vector cannot be normalized; it is reported as
-    every DOF at rest with the zero-signal diagnostic set, and no
-    residual activations are computed for it.
-    """
-    try:
-        state = encode(fv)
-    except ZeroSignalError:
-        per_dof = {dof: _rest_decision() for dof in model.sorted_dofs()}
-        return DecodedAction(
-            per_dof=per_dof,
-            residual_activations=None,
-            diagnostics=DecodeDiagnostics(
-                zero_signal=True,
-                residuals_note="zero-signal window: no state to measure",
-            ),
-        )
-    return decode(state, model)
+    # Any label serves: a single DOF never gets residual activations.
+    label = Dof.FLEXION_EXTENSION
+    tables = DecodeTables.of({label: ops})
+    batch = _decide(state.amplitudes[None, :], np.zeros(1, dtype=bool), tables, cfg)
+    return batch.action(0).per_dof[label]
 
 
 def rest_threshold_from_rest_windows(
@@ -226,13 +276,8 @@ def rest_threshold_from_rest_windows(
     """
     if margin <= 0:
         raise ValueError(f"margin must be > 0, got {margin}")
-    worst = 0.0
-    for fv in rest_features:
-        try:
-            state = encode(fv)
-        except ZeroSignalError:
-            continue
-        for ops in model.dofs.values():
-            gap = abs(expectation(state, ops.p_pos) - expectation(state, ops.p_neg))
-            worst = max(worst, gap)
-    return margin * worst
+    if not rest_features:
+        return 0.0
+    states, _ = encode_rows(np.stack([fv.values for fv in rest_features]))
+    e_pos, e_neg = _expectations(states, model.decode_tables.prototypes)
+    return margin * float(np.max(np.abs(e_pos - e_neg)))

@@ -4,11 +4,13 @@ One row per window: ``ch1..chN, d1_angle, d2_angle, d3_angle, phase,
 block``. Angles are signed ground truth in degrees (0 for inactive
 DOFs), phase is ``direct`` or ``return``, and block ids group windows
 into contiguous evaluation blocks. Floats are written with ``repr`` so a
-round trip reproduces values exactly.
+round trip reproduces values exactly. Rows are numbered as CSV lines,
+the header being line 1, so errors name ``source:line``.
 """
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import DatasetParseError, DatasetSchemaError
 from .evaluation import Block
 from .features import FeatureKind, FeatureVector
-from .operators import Direction, Dof, MovementPhase, TrainingSample
+from .operators import SIGN_DIRECTIONS, Direction, Dof, MovementPhase, TrainingSample
 from .synthetic import TestSet
 
 logger = logging.getLogger(__name__)
@@ -51,6 +53,16 @@ class FeatureDataset:
                     f"{dof.value} angle column has {column.shape[0]} rows, expected {n}"
                 )
             angles[dof] = column
+        bad = ~np.isfinite(features)
+        if self.feature_kind in (FeatureKind.MAV, FeatureKind.WL):
+            bad |= features < 0
+        if bad.any():
+            row, column = np.argwhere(bad)[0]
+            raise DatasetSchemaError(
+                f"{self.source or '<dataset>'}:{row + 2}: ch{column + 1} value "
+                f"{float(features[row, column])!r} is not a finite, non-negative "
+                f"{self.feature_kind.value} feature"
+            )
         block_ids = np.asarray(self.block_ids, dtype=int)
         if block_ids.shape != (n,) or len(self.phases) != n:
             raise DatasetSchemaError("phase and block columns must match the row count")
@@ -73,11 +85,6 @@ class FeatureDataset:
     @property
     def n_channels(self) -> int:
         return self.features.shape[1]
-
-    def feature_vectors(self) -> list[FeatureVector]:
-        return [
-            FeatureVector(row.copy(), self.feature_kind) for row in self.features
-        ]
 
 
 def to_training_samples(ds: FeatureDataset) -> list[TrainingSample]:
@@ -252,39 +259,30 @@ def load_feature_dataset(path) -> FeatureDataset:
 _DECODE_FIELDS = ("exp_pos", "exp_neg", "exp_zero", "direction", "angle", "clamped")
 
 
-def decode_csv_header(dofs: list[Dof]) -> list[str]:
+def save_decode_csv(decoded, dofs: list[Dof], path) -> None:
+    """Write one row per decoded window: expectations, decisions, residuals.
+
+    ``decoded`` is a :class:`~qmyo.control.DecodedBatch` over ``dofs``.
+    """
     header = ["window"]
-    for dof in dofs:
+    columns = [[str(i) for i in range(len(decoded))]]
+    for k, dof in enumerate(dofs):
         header += [f"{dof.value}_{name}" for name in _DECODE_FIELDS]
-    header += [f"residual_{dof.value}" for dof in Dof]
-    return header
-
-
-def decode_csv_row(index: int, action, dofs: list[Dof]) -> list[str]:
-    row = [str(index)]
-    for dof in dofs:
-        d = action.per_dof[dof]
-        signed = d.signed_angle()
-        row += [
-            repr(d.expectation_pos),
-            repr(d.expectation_neg),
-            repr(d.expectation_zero),
-            d.direction.value,
-            repr(signed),
-            "1" if d.angle_clamped else "0",
+        columns += [
+            [repr(v) for v in decoded.expectation_pos[:, k].tolist()],
+            [repr(v) for v in decoded.expectation_neg[:, k].tolist()],
+            [repr(v) for v in decoded.expectation_zero[:, k].tolist()],
+            [SIGN_DIRECTIONS[v].value for v in decoded.direction[:, k].tolist()],
+            [repr(v) for v in decoded.angle[:, k].tolist()],
+            ["1" if v else "0" for v in decoded.angle_clamped[:, k].tolist()],
         ]
-    for dof in Dof:
-        if action.residual_activations is not None and dof in action.residual_activations:
-            row.append(repr(action.residual_activations[dof]))
-        else:
-            row.append("")
-    return row
-
-
-def save_decode_csv(actions, dofs: list[Dof], path) -> None:
-    """Write one row per decoded window: expectations, decisions, residuals."""
+    header += [f"residual_{dof.value}" for dof in Dof]
+    residuals = decoded.residuals()
+    if residuals is None:
+        residuals = np.full((len(decoded), len(Dof)), np.nan)
+    # NaN, for a zero-signal window or a model without three DOFs, is an empty cell
+    columns += [["" if math.isnan(v) else repr(v) for v in col] for col in residuals.T.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(decode_csv_header(dofs))
-        for i, action in enumerate(actions):
-            writer.writerow(decode_csv_row(i, action, dofs))
+        writer.writerow(header)
+        writer.writerows(zip(*columns))

@@ -143,51 +143,43 @@ class BlockErrorReport:
         return len(self.misclassified_blocks)
 
 
-def _window_direction(value: float) -> Direction:
-    if value > 0:
-        return Direction.POSITIVE
-    if value < 0:
-        return Direction.NEGATIVE
-    return Direction.REST
-
-
-_VOTE_ORDER = (Direction.POSITIVE, Direction.NEGATIVE, Direction.REST)
-
-
-def _block_direction_wrong(
-    estimates: np.ndarray, intended: Direction, vote: str
-) -> bool:
-    directions = [_window_direction(v) for v in estimates]
-    if vote == "any":
-        return any(d is not intended for d in directions)
-    if vote == "all":
-        return all(d is not intended for d in directions)
-    counts = {d: 0 for d in _VOTE_ORDER}
-    for d in directions:
-        counts[d] += 1
-    winner = max(_VOTE_ORDER, key=lambda d: counts[d])
-    return winner is not intended
+# Vote columns in tie-break order: positive, negative, rest.
+_VOTE_COLUMN = {Direction.POSITIVE: 0, Direction.NEGATIVE: 1, Direction.REST: 2}
 
 
 def block_errors(pair: TrajectoryPair, cfg: DecodeConfig) -> BlockErrorReport:
     """Count per-DOF direction mistakes block by block.
 
-    Under the default majority vote, a block errs on a DOF when the most
-    common decoded direction across its windows differs from the
-    intended one (ties break in favor of positive, then negative, then
-    rest). A block with at least one erring DOF is misclassified.
+    Each window votes with the sign of its estimate. Under the default
+    majority vote, a block errs on a DOF when the most common decoded
+    direction across its windows differs from the intended one (ties
+    break in favor of positive, then negative, then rest); under "any"
+    when some window misses the intended direction, under "all" when
+    every window does. A block with at least one erring DOF is
+    misclassified.
     """
-    counts = {dof: 0 for dof in pair.dofs()}
-    misclassified = []
-    for index, block in enumerate(pair.blocks):
-        block_wrong = False
-        for dof in pair.dofs():
-            estimates = pair.estimate[dof][block.start : block.stop]
-            if _block_direction_wrong(
-                estimates, block.intended_direction(dof), cfg.block_vote
-            ):
-                counts[dof] += 1
-                block_wrong = True
-        if block_wrong:
-            misclassified.append(index)
-    return BlockErrorReport(error_counts=counts, misclassified_blocks=misclassified)
+    starts = np.array([block.start for block in pair.blocks], dtype=int)
+    sizes = np.array([block.stop - block.start for block in pair.blocks], dtype=int)
+    counts = {}
+    misclassified = np.zeros(len(pair.blocks), dtype=bool)
+    for dof in pair.dofs():
+        estimate = pair.estimate[dof]
+        positive, negative = estimate > 0, estimate < 0
+        votes = np.stack([positive, negative, ~(positive | negative)], axis=1)
+        # (blocks, 3) window counts per direction column
+        tally = np.add.reduceat(votes, starts, axis=0, dtype=int) if len(starts) else votes
+        intended = np.array(
+            [_VOTE_COLUMN[block.intended_direction(dof)] for block in pair.blocks], dtype=int
+        )
+        hits = tally[np.arange(len(intended)), intended]
+        if cfg.block_vote == "any":
+            wrong = hits < sizes
+        elif cfg.block_vote == "all":
+            wrong = hits == 0
+        else:
+            wrong = tally.argmax(axis=1) != intended
+        counts[dof] = int(wrong.sum())
+        misclassified |= wrong
+    return BlockErrorReport(
+        error_counts=counts, misclassified_blocks=np.flatnonzero(misclassified).tolist()
+    )

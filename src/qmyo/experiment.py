@@ -10,9 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
-from .control import DecodedAction, decode_features
+from .control import DecodedBatch, decode_batch
 from .datasets import FeatureDataset, to_blocks, to_training_samples
 from .errors import ConfigurationError, DimensionError
 from .evaluation import (
@@ -77,9 +75,16 @@ class SizeResult:
     r2_per_dof: dict[Dof, float]
     r2_global: float
     blocks: BlockErrorReport
-    actions: list[DecodedAction]
-    n_zero_signal: int
-    n_clamped: int
+    decoded: DecodedBatch
+
+    @property
+    def n_zero_signal(self) -> int:
+        return int(self.decoded.zero_signal.sum())
+
+    @property
+    def n_clamped(self) -> int:
+        """Windows with at least one DOF's angle clamped."""
+        return int(self.decoded.angle_clamped.any(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,8 @@ def evaluate_model(
             f"{model.n_channels}"
         )
     dofs = model.sorted_dofs()
-    actions = [decode_features(fv, model) for fv in test.feature_vectors()]
-    estimate = {
-        dof: np.array([a.per_dof[dof].signed_angle() for a in actions]) for dof in dofs
-    }
+    decoded = decode_batch(test.features, model)
+    estimate = {dof: decoded.angle[:, k] for k, dof in enumerate(dofs)}
     truth = {dof: test.angles[dof] for dof in dofs}
     pair = TrajectoryPair(truth=truth, estimate=estimate, blocks=to_blocks(test, dofs))
     return SizeResult(
@@ -139,11 +142,7 @@ def evaluate_model(
         r2_per_dof={dof: r_squared_dof(truth[dof], estimate[dof]) for dof in dofs},
         r2_global=r_squared_global(truth, estimate),
         blocks=block_errors(pair, model.decode_config),
-        actions=actions,
-        n_zero_signal=sum(1 for a in actions if a.diagnostics.zero_signal),
-        n_clamped=sum(
-            1 for a in actions if any(d.angle_clamped for d in a.per_dof.values())
-        ),
+        decoded=decoded,
     )
 
 

@@ -13,6 +13,8 @@ import enum
 import json
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +22,10 @@ from .errors import (
     DegeneratePrototypeError,
     DimensionError,
     InsufficientTrainingError,
+    ZeroSignalError,
 )
 from .features import FeatureVector
-from .state import QuantumState, encode, inner_product
+from .state import QuantumState, encode_rows, inner_product
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +57,10 @@ class Direction(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     REST = "rest"
+
+
+# Directions by the sign codes the batch decoder stores.
+SIGN_DIRECTIONS = {1: Direction.POSITIVE, -1: Direction.NEGATIVE, 0: Direction.REST}
 
 
 class MovementPhase(enum.Enum):
@@ -199,6 +206,41 @@ class ControllerModel:
     def sorted_dofs(self) -> list[Dof]:
         return sorted(self.dofs)
 
+    @cached_property
+    def decode_tables(self) -> "DecodeTables":
+        return DecodeTables.of(self.dofs)
+
+
+class DecodeTables(NamedTuple):
+    """What the decoder reads of a set of DOF operators, as arrays.
+
+    DOFs are in sorted order; ``prototypes`` is (C, 2D) with each DOF's
+    positive then negative prototype as columns, the other arrays (D,);
+    ``span`` is 1 - overlap, the denominator of the angle formula.
+    """
+
+    dofs: tuple[Dof, ...]
+    prototypes: np.ndarray
+    theta_pos_max: np.ndarray
+    theta_neg_max: np.ndarray
+    span: np.ndarray
+    max_overlap: float
+
+    @classmethod
+    def of(cls, dofs: dict[Dof, DofOperators]) -> "DecodeTables":
+        order = tuple(sorted(dofs))
+        ops = [dofs[d] for d in order]
+        return cls(
+            dofs=order,
+            prototypes=np.stack(
+                [p.amplitudes for o in ops for p in (o.proto_pos, o.proto_neg)], axis=1
+            ),
+            theta_pos_max=np.array([o.theta_pos_max for o in ops]),
+            theta_neg_max=np.array([o.theta_neg_max for o in ops]),
+            span=1.0 - np.array([o.overlap for o in ops]),
+            max_overlap=max(o.overlap for o in ops),
+        )
+
 
 def build_prototype(samples: list[TrainingSample]) -> QuantumState:
     """Angle-weighted superposition of encoded training states.
@@ -216,7 +258,9 @@ def build_prototype(samples: list[TrainingSample]) -> QuantumState:
             f"prototype samples must share one DOF and direction, got "
             f"{sorted(d.value for d in dofs)} / {sorted(d.value for d in directions)}"
         )
-    states = np.stack([encode(s.features).amplitudes for s in samples])
+    states, zero = encode_rows(np.stack([s.features.values for s in samples]))
+    if zero.any():
+        raise ZeroSignalError("all-zero feature vector has no direction to encode")
     angles = np.array([s.angle for s in samples], dtype=float)
     weights = angles / angles.sum()
     combined = weights @ states

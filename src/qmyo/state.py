@@ -38,20 +38,33 @@ class QuantumState:
         return self.amplitudes.shape[0]
 
 
-def encode(fv: FeatureVector) -> QuantumState:
-    """Normalize a feature vector into a unit-norm state.
+def encode_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize each row of an (N, C) array into a unit-norm state.
 
-    Raises :class:`ZeroSignalError` for an all-zero vector; the caller
-    decides what "no signal at all" means (typically rest). Scaling by
-    the largest magnitude first keeps the norm from under- or
-    overflowing for extreme feature values.
+    Returns the states and the (N,) mask of all-zero rows, left all zero
+    for the caller to read as "no signal" (typically rest). Scaling by
+    each row's peak magnitude first keeps the norm from under- or
+    overflowing; each row's norm is its own dot product, so a row
+    encodes to the same bits alone or in a batch.
     """
-    values = fv.values
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
+    values = np.asarray(values, dtype=float)
+    peak = np.abs(values).max(axis=1)
+    zero = peak == 0.0
+    # Adding the mask makes the divisor 1 on all-zero rows, exact elsewhere.
+    scaled = values / (peak + zero)[:, None]
+    norm = np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
+    return scaled / (norm + zero)[:, None], zero
+
+
+def encode(fv: FeatureVector) -> QuantumState:
+    """Normalize one feature vector into a unit-norm state.
+
+    Raises :class:`ZeroSignalError` for an all-zero vector.
+    """
+    states, zero = encode_rows(fv.values[None, :])
+    if zero[0]:
         raise ZeroSignalError("all-zero feature vector has no direction to encode")
-    scaled = values / peak
-    return QuantumState(scaled / float(np.linalg.norm(scaled)))
+    return QuantumState(states[0])
 
 
 def inner_product(a: QuantumState, b: QuantumState) -> float:

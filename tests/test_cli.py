@@ -167,6 +167,27 @@ class TestExitCodes:
         assert code == 3
         assert "model error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.25"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "decode"])
+    def test_bad_feature_value_is_data_error(self, tmp_path, synth_files, capsys, command, value):
+        train_csv, test_csv = synth_files
+        model_json = tmp_path / "model.json"
+        assert run("train", "--data", train_csv, "--out", model_json) == 0
+        lines = test_csv.read_text().splitlines()
+        lines[5] = ",".join([value] + lines[5].split(",")[1:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = {
+            "train": ["train", "--data", bad, "--out", tmp_path / "m.json"],
+            "evaluate": ["evaluate", "--test", bad, "--model", model_json],
+            "decode": ["decode", "--model", model_json, "--data", bad, "--out", tmp_path / "d.csv"],
+        }[command]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("qmyo: data error: ")
+        assert f"bad.csv:6: ch1 value {float(value)!r}" in err[0]
+
     def test_insufficient_training_is_data_error(self, tmp_path, capsys):
         mixing = orthogonal_mixing_model(seed=1)
         ds = from_training_samples(

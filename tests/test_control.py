@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmyo.control import (
     decode,
+    decode_batch,
     decode_dof,
     decode_features,
     expectation,
@@ -25,8 +28,9 @@ from qmyo.operators import (
     build_completeness_operator,
     build_direction_operator,
     train,
+    with_decode_config,
 )
-from qmyo.state import QuantumState
+from qmyo.state import QuantumState, encode
 
 D1 = Dof.FLEXION_EXTENSION
 D2 = Dof.RADIAL_ULNAR
@@ -286,8 +290,6 @@ class TestDecode:
 
 
 def train_with_config(model, cfg):
-    from qmyo.operators import with_decode_config
-
     return with_decode_config(model, cfg)
 
 
@@ -338,3 +340,177 @@ class TestRestThresholdCalibration:
         model = orthogonal_model(n_dofs=2)
         rest = [FeatureVector(np.zeros(4), FeatureKind.MAV)]
         assert rest_threshold_from_rest_windows(model, rest) == 0.0
+
+
+def random_model(n_dofs, n_channels, seed):
+    """Model trained on random non-negative samples: its prototypes overlap,
+    so completion expectations go negative on some windows."""
+    rng = np.random.default_rng(seed)
+    samples = [
+        simple_sample(rng.uniform(0.0, 1.0, n_channels), dof, direction, rng.uniform(5, 40))
+        for dof in (D1, D2, D3)[:n_dofs]
+        for direction in (Direction.POSITIVE, Direction.NEGATIVE)
+        for _ in range(3)
+    ]
+    return train(samples, n_channels, config=DecodeConfig(rest_threshold=0.01))
+
+
+MODELS = {"2dof": random_model(2, 5, seed=11), "3dof": random_model(3, 6, seed=12)}
+
+
+def plain_decode(features, model):
+    """Row-by-row reference in Python floats: e± = (ψ·p±)², deadzone, clamp,
+    residuals from max(e₀, 0). Returns per row None (zero signal) or
+    (per-DOF (e₊, e₋, e₀, sign, signed angle, raw angle, clamped), residuals)."""
+    cfg = model.decode_config
+    rows = []
+    for row in features.tolist():
+        peak = max(row)
+        if peak == 0.0:
+            rows.append(None)
+            continue
+        scaled = [v / peak for v in row]
+        norm = math.sqrt(math.fsum(v * v for v in scaled))
+        psi = [v / norm for v in scaled]
+        per_dof = []
+        for dof in model.sorted_dofs():
+            ops = model.dofs[dof]
+            e_pos = math.fsum(a * b for a, b in zip(psi, ops.proto_pos.amplitudes)) ** 2
+            e_neg = math.fsum(a * b for a, b in zip(psi, ops.proto_neg.amplitudes)) ** 2
+            margin = e_pos - e_neg
+            sign, angle, raw, clamped = 0, 0.0, 0.0, False
+            if abs(margin) > cfg.rest_threshold:
+                sign = 1 if margin > 0 else -1
+                theta = ops.theta_pos_max if sign > 0 else ops.theta_neg_max
+                raw = abs(margin) * theta / (1.0 - ops.overlap)
+                angle = sign * min(raw, theta)
+                clamped = raw > theta
+            per_dof.append((e_pos, e_neg, 1.0 - e_pos - e_neg, sign, angle, raw, clamped))
+        residuals = None
+        if len(per_dof) == 3:
+            residuals = residual_activations(*(max(d[2], 0.0) for d in per_dof))
+        rows.append((per_dof, residuals))
+    return rows
+
+
+@st.composite
+def feature_batches(draw, n_channels):
+    """(N, C) non-negative rows: some all zero, some scaled by 1e±300."""
+    n = draw(st.integers(1, 8))
+    value = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    rows = draw(st.lists(st.lists(value, min_size=n_channels, max_size=n_channels),
+                         min_size=n, max_size=n))
+    scales = draw(st.lists(st.sampled_from([1.0, 1e300, 1e-300, 0.0]), min_size=n, max_size=n))
+    return np.array(rows) * np.array(scales)[:, None]
+
+
+class TestDecodeBatch:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_formula(self, name, data):
+        model = MODELS[name]
+        features = data.draw(feature_batches(model.n_channels))
+        if data.draw(st.booleans(), label="threshold at a margin"):
+            # put the deadzone edge exactly on one decoded margin
+            probe = decode_batch(features, model)
+            margin = abs(probe.expectation_pos[0, 0] - probe.expectation_neg[0, 0])
+            model = with_decode_config(model, DecodeConfig(rest_threshold=float(margin)))
+            assert decode_batch(features, model).direction[0, 0] == 0.0
+        batch = decode_batch(features, model)
+        threshold = model.decode_config.rest_threshold
+        residuals = batch.residuals()
+        for i, expected in enumerate(plain_decode(features, model)):
+            if expected is None:
+                assert batch.zero_signal[i]
+                assert (batch.direction[i] == 0).all() and (batch.angle[i] == 0).all()
+                assert (batch.expectation_zero[i] == 1.0).all()
+                assert residuals is None or np.isnan(residuals[i]).all()
+                continue
+            assert not batch.zero_signal[i]
+            assert not np.signbit(batch.angle[i][batch.direction[i] == 0]).any()
+            per_dof, expected_residuals = expected
+            for k, (e_pos, e_neg, e_zero, sign, angle, raw, clamped) in enumerate(per_dof):
+                assert batch.expectation_pos[i, k] == pytest.approx(e_pos, rel=0, abs=1e-12)
+                assert batch.expectation_neg[i, k] == pytest.approx(e_neg, rel=0, abs=1e-12)
+                assert batch.expectation_zero[i, k] == pytest.approx(e_zero, rel=0, abs=1e-12)
+                assert batch.zero_negative[i, k] == (batch.expectation_zero[i, k] < 0)
+                if abs(abs(e_pos - e_neg) - threshold) < 1e-12:
+                    continue  # either side of the deadzone edge is right
+                assert batch.direction[i, k] == sign
+                assert batch.angle[i, k] == pytest.approx(angle, rel=0, abs=1e-12)
+                assert batch.raw_angle[i, k] == pytest.approx(raw, rel=0, abs=1e-12)
+                assert batch.angle_clamped[i, k] == clamped
+            if expected_residuals is None:
+                assert residuals is None
+            else:
+                np.testing.assert_allclose(residuals[i], expected_residuals, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_row_calls_equal_batch_rows_exactly(self, name, data):
+        model = MODELS[name]
+        features = data.draw(feature_batches(model.n_channels))
+        batch = decode_batch(features, model)
+        for i, row in enumerate(features):
+            fv = FeatureVector(row.copy(), FeatureKind.MAV)
+            assert decode_features(fv, model) == batch.action(i)
+            if not batch.zero_signal[i]:
+                state = encode(fv)
+                assert decode(state, model) == batch.action(i)
+                for k, dof in enumerate(batch.dofs):
+                    # a one-DOF prototype matrix rounds differently, so
+                    # decode_dof agrees to rounding, not to the bit
+                    ops = model.dofs[dof]
+                    decision = decode_dof(state, ops, model.decode_config)
+                    assert decision.expectation_pos == pytest.approx(
+                        batch.expectation_pos[i, k], rel=0, abs=1e-15
+                    )
+                    # the rank-1 shortcut agrees with the operator form
+                    assert expectation(state, ops.p_zero) == pytest.approx(
+                        batch.expectation_zero[i, k], rel=0, abs=1e-12
+                    )
+
+    def test_margin_exactly_at_threshold_is_rest(self):
+        model = MODELS["2dof"]
+        features = np.array([[0.9, 0.1, 0.3, 0.0, 0.2]])
+        probe = decode_batch(features, model)
+        margin = float(abs(probe.expectation_pos[0, 0] - probe.expectation_neg[0, 0]))
+        at = with_decode_config(model, DecodeConfig(rest_threshold=margin))
+        below = with_decode_config(model, DecodeConfig(rest_threshold=np.nextafter(margin, 0)))
+        assert decode_batch(features, at).direction[0, 0] == 0.0
+        assert decode_batch(features, below).direction[0, 0] != 0.0
+
+    def test_budget_holds_by_construction(self):
+        model = MODELS["3dof"]
+        features = np.random.default_rng(4).uniform(0.0, 1.0, (200, 6))
+        batch = decode_batch(features, model)
+        total = batch.expectation_pos + batch.expectation_neg + batch.expectation_zero
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
+        assert batch.zero_negative.any()
+
+    def test_empty_batch(self):
+        batch = decode_batch(np.zeros((0, 5)), MODELS["2dof"])
+        assert len(batch) == 0 and batch.angle.shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_rejects_non_finite_or_negative_values(self, bad):
+        features = np.ones((3, 5))
+        features[1, 2] = bad
+        with pytest.raises(ValueError):
+            decode_batch(features, MODELS["2dof"])
+
+    def test_channel_mismatch(self):
+        with pytest.raises(DimensionError):
+            decode_batch(np.ones((2, 4)), MODELS["2dof"])
+
+    def test_degenerate_overlap_rejected(self):
+        nearly = QuantumState(np.array([1.0, 1e-9]) / np.linalg.norm([1.0, 1e-9]))
+        model = train(
+            [simple_sample([1.0, 0.0], D1, Direction.POSITIVE),
+             simple_sample(nearly.amplitudes, D1, Direction.NEGATIVE)],
+            2,
+        )
+        with pytest.raises(DegenerateOperatorsError):
+            decode_batch(np.ones((1, 2)), model)

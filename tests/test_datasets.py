@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from qmyo.control import decode_features
+from qmyo.control import decode_batch, decode_features
 from qmyo.datasets import (
     FeatureDataset,
     from_test_set,
@@ -17,8 +17,10 @@ from qmyo.datasets import (
     to_training_samples,
 )
 from qmyo.errors import DatasetParseError, DatasetSchemaError
+from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import Direction, Dof, MovementPhase, train
 from qmyo.synthetic import (
+    default_mixing_model,
     default_scenario,
     generate_test_scenario,
     generate_training_set,
@@ -69,7 +71,7 @@ class TestCsvRoundTrip:
     def test_values_survive_exactly(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = FeatureDataset(
-            features=rng.normal(size=(20, 5)) ** 3,
+            features=np.abs(rng.normal(size=(20, 5))) ** 3,
             angles={D1: rng.normal(size=20), D3: rng.normal(size=20)},
             phases=[MovementPhase.DIRECT] * 10 + [MovementPhase.RETURN] * 10,
             block_ids=np.repeat([0, 1, 2, 3], 5),
@@ -119,6 +121,27 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(DatasetParseError, match=":2"):
             load_feature_dataset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_bad_feature_value_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "ch1,ch2,d1_angle,d2_angle,d3_angle,phase,block\n"
+            "1.0,2.0,0,0,0,direct,0\n"
+            f"1.0,{value},0,0,0,direct,0\n"
+        )
+        with pytest.raises(DatasetSchemaError, match=r"bad\.csv:3: ch2 value"):
+            load_feature_dataset(path)
+
+    def test_negative_values_allowed_for_signed_kinds(self):
+        ds = FeatureDataset(
+            features=np.array([[-1.0, 2.0]]),
+            angles={},
+            phases=[MovementPhase.DIRECT],
+            block_ids=np.zeros(1, dtype=int),
+            feature_kind=FeatureKind.ZC,
+        )
+        assert ds.features[0, 0] == -1.0
 
     def test_empty_body_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.csv"
@@ -211,9 +234,8 @@ class TestDecodeCsv:
         samples = generate_training_set(model_mixing, 5)
         model = train(samples, model_mixing.n_channels)
         ds = from_training_samples(samples[:6], model_mixing.n_channels)
-        actions = [decode_features(fv, model) for fv in ds.feature_vectors()]
         path = tmp_path / "decoded.csv"
-        save_decode_csv(actions, model.sorted_dofs(), path)
+        save_decode_csv(decode_batch(ds.features, model), model.sorted_dofs(), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 7
         header = lines[0].split(",")
@@ -222,3 +244,31 @@ class TestDecodeCsv:
         assert header[-3:] == ["residual_d1", "residual_d2", "residual_d3"]
         # two trained DOFs: residual cells stay empty
         assert lines[1].endswith(",,,")
+
+    def test_cells_match_the_per_window_decisions(self, tmp_path):
+        mixing = default_mixing_model(n_channels=12, dofs=(D1, D2, D3), noise_sigma=0.1, seed=4)
+        samples = generate_training_set(mixing, 5)
+        model = train(samples, mixing.n_channels)
+        features = np.stack([s.features.values for s in samples] + [np.zeros(12)])
+        path = tmp_path / "decoded.csv"
+        save_decode_csv(decode_batch(features, model), model.sorted_dofs(), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        for i, (row, values) in enumerate(zip(rows, features)):
+            action = decode_features(FeatureVector(values, FeatureKind.MAV), model)
+            expected = [str(i)]
+            for dof in (D1, D2, D3):
+                d = action.per_dof[dof]
+                expected += [
+                    repr(d.expectation_pos),
+                    repr(d.expectation_neg),
+                    repr(d.expectation_zero),
+                    d.direction.value,
+                    repr(d.signed_angle()),
+                    "1" if d.angle_clamped else "0",
+                ]
+            residuals = action.residual_activations
+            expected += ["", "", ""] if residuals is None else [
+                repr(residuals[dof]) for dof in (D1, D2, D3)
+            ]
+            assert row == expected
+        assert rows[-1][-3:] == ["", "", ""]  # zero-signal window

@@ -235,6 +235,75 @@ class TestBlockErrors:
         assert report.n_misclassified == 1
 
 
+def per_window_vote(pair, cfg):
+    """Block errors counted one window and one block at a time."""
+    order = (POS, NEG, Direction.REST)
+
+    def direction(value):
+        return POS if value > 0 else NEG if value < 0 else Direction.REST
+
+    counts = {dof: 0 for dof in pair.dofs()}
+    misclassified = []
+    for index, block in enumerate(pair.blocks):
+        block_wrong = False
+        for dof in pair.dofs():
+            intended = block.intended_direction(dof)
+            votes = [direction(v) for v in pair.estimate[dof][block.start : block.stop]]
+            if cfg.block_vote == "any":
+                wrong = any(d is not intended for d in votes)
+            elif cfg.block_vote == "all":
+                wrong = all(d is not intended for d in votes)
+            else:
+                tally = {d: votes.count(d) for d in order}
+                wrong = max(order, key=lambda d: tally[d]) is not intended
+            if wrong:
+                counts[dof] += 1
+                block_wrong = True
+        if block_wrong:
+            misclassified.append(index)
+    return counts, misclassified
+
+
+class TestVectorisedVote:
+    @pytest.mark.parametrize("vote", ["majority", "any", "all"])
+    def test_matches_per_window_vote(self, vote):
+        rng = np.random.default_rng(6)
+        directions = [POS, NEG, Direction.REST]
+        for _ in range(200):
+            sizes = rng.integers(1, 7, size=rng.integers(1, 8))
+            stops = np.cumsum(sizes)
+            blocks = [
+                Block(int(stop - size), int(stop), {
+                    dof: directions[rng.integers(3)] for dof in (D1, D3) if rng.random() < 0.7
+                })
+                for size, stop in zip(sizes, stops)
+            ]
+            n = int(stops[-1])
+            # few distinct values, so ties between directions are common
+            estimate = {dof: rng.choice([-5.0, -0.0, 0.0, 5.0], size=n) for dof in (D1, D3)}
+            p = pair({dof: np.zeros(n) for dof in (D1, D3)}, estimate, blocks)
+            report = block_errors(p, DecodeConfig(block_vote=vote))
+            assert (report.error_counts, report.misclassified_blocks) == per_window_vote(
+                p, DecodeConfig(block_vote=vote)
+            )
+
+    @pytest.mark.parametrize(
+        "estimates, intended, wrong",
+        [
+            ([5.0, -5.0], POS, False),  # positive beats negative on a tie
+            ([5.0, -5.0], NEG, True),
+            ([-5.0, 0.0], NEG, False),  # negative beats rest
+            ([-5.0, 0.0], Direction.REST, True),
+            ([5.0, -5.0, 0.0], POS, False),  # three-way tie goes to positive
+        ],
+    )
+    def test_majority_tie_order(self, estimates, intended, wrong):
+        n = len(estimates)
+        blocks = [Block(0, n, {} if intended is Direction.REST else {D1: intended})]
+        p = pair({D1: np.zeros(n)}, {D1: np.array(estimates)}, blocks)
+        assert block_errors(p, DecodeConfig()).error_counts[D1] == int(wrong)
+
+
 class TestStructureValidation:
     def test_empty_block_rejected(self):
         with pytest.raises(MalformedBlockError):

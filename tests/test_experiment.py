@@ -46,7 +46,7 @@ class TestRunExperiment:
         for result in report.results:
             assert set(result.r2_per_dof) == {D1, D3}
             assert set(result.overlaps) == {D1, D3}
-            assert len(result.actions) == 110
+            assert len(result.decoded) == 110
 
     def test_training_size_exceeding_data(self):
         train_ds, test_ds = make_data(per_action=20)

@@ -163,7 +163,13 @@ finite_windows = st.lists(
 
 
 class TestScaleCovariance:
-    @given(window=finite_windows, scale=st.floats(-100.0, 100.0, allow_nan=False))
+    # scale stays normal, like the window values: a subnormal scale makes mav underflow
+    @given(
+        window=finite_windows,
+        scale=st.floats(-100.0, 100.0, allow_nan=False).filter(
+            lambda x: x == 0.0 or abs(x) > 1e-20
+        ),
+    )
     @settings(max_examples=200)
     def test_mav_and_wl_scale_with_magnitude(self, window, scale):
         np.testing.assert_allclose(
