@@ -44,6 +44,7 @@ from .errors import (
     InsufficientTrainingError,
     MalformedBlockError,
     ModelError,
+    ModelFileError,
     QmyoError,
     UndefinedDenominatorError,
     ZeroSignalError,

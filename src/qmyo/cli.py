@@ -9,14 +9,16 @@ the config file is flat ``key = value`` lines with ``#`` comments.
 """
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import datasets, experiment, features, operators, synthetic
 from .control import decode_batch
-from .errors import DataError, ModelError
+from .errors import ConfigurationError, DataError, ModelError
 from .operators import DecodeConfig, Dof
 
 _DEFAULTS = {
@@ -47,20 +49,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive(cast):
+    """Flag type and config-file cast that accepts finite values > 0 only."""
+    def parse(raw):
+        if not 0 < (value := cast(raw)) < math.inf:
+            raise ValueError(f"must be finite and > 0, got {raw.strip()}")
+        return value
+    parse.__name__ = f"positive {cast.__name__}"  # argparse names it in errors
+    return parse
+
+
+_positive_int, _positive_float = _positive(int), _positive(float)
+_POSITIVE = {"window_ms", "sample_rate", "channels", "per_action", "blocks", "windows"}
+
+
 def _parse_dofs(raw: str) -> tuple[Dof, ...]:
     return tuple(Dof(part.strip()) for part in raw.split(",") if part.strip())
 
 
 def _parse_sizes(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
+    return tuple(_positive_int(part) for part in raw.split(",") if part.strip())
 
 
-# Config-file values parse with the type of their default.
-_FILE_CASTS = {
-    **{key: type(value) for key, value in _DEFAULTS.items()},
-    "sizes": _parse_sizes,
-    "dofs": _parse_dofs,
-}
+# Config-file values parse with the type of their default, > 0 where the flag must be.
+_FILE_CASTS = {k: _positive(type(v)) if k in _POSITIVE else type(v) for k, v in _DEFAULTS.items()}
+_FILE_CASTS.update(sizes=_parse_sizes, dofs=_parse_dofs)
 
 
 def load_config_file(path) -> dict:
@@ -191,8 +204,11 @@ def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
         _require_file(parser, args.data)
         return datasets.load_feature_dataset(args.data).features
     _require_file(parser, args.raw)
-    rec = features.load_recording(args.raw, sample_rate=settings.get("sample_rate"))
-    windows = features.segment_windows(rec, settings.get("window_ms"))
+    rate, window_ms = settings.get("sample_rate"), settings.get("window_ms")
+    if window_ms * rate / 1000.0 < 2:
+        raise ConfigurationError(f"a {window_ms} ms window spans under 2 samples at {rate} Hz")
+    rec = features.load_recording(args.raw, sample_rate=rate)
+    windows = features.segment_windows(rec, window_ms)
     return np.stack([features.mav(w).values for w in windows])
 
 
@@ -215,11 +231,7 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         _require_file(parser, args.train_data)
         train_ds = datasets.load_feature_dataset(args.train_data)
         cfg = experiment.ExperimentConfig(
-            window_ms=settings.get("window_ms"),
-            sample_rate=settings.get("sample_rate"),
-            rest_threshold=settings.get("rest_threshold"),
-            overlap_epsilon=settings.get("overlap_epsilon"),
-            block_vote=settings.get("block_vote"),
+            **asdict(settings.decode_config()),
             training_sizes=tuple(args.sizes) if args.sizes else tuple(settings.get("sizes")),
             seed=settings.get("seed"),
             dofs=tuple(args.dofs) if args.dofs else None,
@@ -288,15 +300,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic train/test datasets")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
-    p.add_argument("--channels", type=int)
+    p.add_argument("--channels", type=_positive_int)
     p.add_argument("--dofs", nargs="+", type=Dof)
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--per-action", dest="per_action", type=int)
+    p.add_argument("--per-action", dest="per_action", type=_positive_int)
     p.add_argument("--angle-min", dest="angle_min", type=float)
     p.add_argument("--angle-max", dest="angle_max", type=float)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--windows", type=int)
+    p.add_argument("--blocks", type=_positive_int)
+    p.add_argument("--windows", type=_positive_int)
     p.add_argument("--geometry", choices=["masking", "orthogonal"])
     p.add_argument("--config")
     p.set_defaults(func=_cmd_synth)
@@ -305,7 +317,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dofs", nargs="+", type=Dof)
-    p.add_argument("--size", type=int, help="samples per action (default: all)")
+    p.add_argument("--size", type=_positive_int, help="samples per action (default: all)")
     _add_config_options(p)
     p.set_defaults(func=_cmd_train)
 
@@ -315,8 +327,8 @@ def build_parser() -> _Parser:
     group.add_argument("--data", help="feature dataset CSV")
     group.add_argument("--raw", help="raw recording CSV (ch1..chN)")
     p.add_argument("--out", required=True)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float)
-    p.add_argument("--window-ms", dest="window_ms", type=float)
+    p.add_argument("--sample-rate", dest="sample_rate", type=_positive_float)
+    p.add_argument("--window-ms", dest="window_ms", type=_positive_float)
     _add_config_options(p)
     p.set_defaults(func=_cmd_decode)
 
@@ -325,7 +337,7 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model")
     group.add_argument("--train-data", dest="train_data")
-    p.add_argument("--sizes", nargs="+", type=int)
+    p.add_argument("--sizes", nargs="+", type=_positive_int)
     p.add_argument("--dofs", nargs="+", type=Dof)
     p.add_argument("--seed", type=int)
     p.add_argument("--report-out", dest="report_out")
@@ -336,7 +348,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("learning-curve", help="prototype overlap vs training size")
     p.add_argument("--data", required=True)
-    p.add_argument("--sizes", nargs="+", type=int, required=True)
+    p.add_argument("--sizes", nargs="+", type=_positive_int, required=True)
     p.add_argument("--dofs", nargs="+", type=Dof)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_learning_curve)

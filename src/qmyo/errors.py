@@ -38,6 +38,10 @@ class MalformedBlockError(DataError):
     """A trajectory block is empty or blocks do not partition the samples."""
 
 
+class ModelFileError(DataError):
+    """A model file is unreadable, malformed or inconsistent; the message names the path."""
+
+
 class ConfigurationError(DataError):
     """An experiment configuration is inconsistent with the available data."""
 

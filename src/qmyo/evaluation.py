@@ -52,16 +52,9 @@ class TrajectoryPair:
         if len(lengths) != 1:
             raise ValueError(f"trajectory lengths differ: {sorted(lengths)}")
         n = lengths.pop()
-        object.__setattr__(
-            self,
-            "truth",
-            {d: np.asarray(v, dtype=float) for d, v in self.truth.items()},
-        )
-        object.__setattr__(
-            self,
-            "estimate",
-            {d: np.asarray(v, dtype=float) for d, v in self.estimate.items()},
-        )
+        for name in ("truth", "estimate"):
+            arrays = {d: np.asarray(v, dtype=float) for d, v in getattr(self, name).items()}
+            object.__setattr__(self, name, arrays)
         cursor = 0
         for block in self.blocks:
             if block.start != cursor:

@@ -8,7 +8,7 @@ identical output.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .control import DecodedBatch, decode_batch
 from .datasets import FeatureDataset, to_blocks, to_training_samples
@@ -25,8 +25,6 @@ from .operators import ControllerModel, DecodeConfig, Dof, TrainingSample, train
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    window_ms: float = 100.0
-    sample_rate: float = 1024.0
     rest_threshold: float = 0.05
     overlap_epsilon: float = 1e-6
     block_vote: str = "majority"
@@ -35,10 +33,6 @@ class ExperimentConfig:
     dofs: tuple[Dof, ...] | None = None
 
     def __post_init__(self):
-        if not self.window_ms > 0:
-            raise ValueError(f"window_ms must be > 0, got {self.window_ms}")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
         if not self.training_sizes or any(s < 1 for s in self.training_sizes):
             raise ValueError(f"training sizes must be positive, got {self.training_sizes}")
         DecodeConfig(self.rest_threshold, self.overlap_epsilon, self.block_vote)
@@ -51,16 +45,8 @@ class ExperimentConfig:
         )
 
     def hash(self) -> str:
-        doc = {
-            "window_ms": self.window_ms,
-            "sample_rate": self.sample_rate,
-            "rest_threshold": self.rest_threshold,
-            "overlap_epsilon": self.overlap_epsilon,
-            "block_vote": self.block_vote,
-            "training_sizes": list(self.training_sizes),
-            "seed": self.seed,
-            "dofs": None if self.dofs is None else [d.value for d in self.dofs],
-        }
+        """Digest of every field."""
+        doc = asdict(self) | {"dofs": None if self.dofs is None else [d.value for d in self.dofs]}
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
         return digest.hexdigest()[:16]
 

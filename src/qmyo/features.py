@@ -8,6 +8,7 @@ return one value per channel wrapped in a :class:`FeatureVector`.
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,9 +200,12 @@ def load_recording(path, sample_rate: float = 1024.0) -> EmgRecording:
                     f"{path}:{lineno}: expected {n_channels} values, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise DatasetParseError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DatasetParseError(f"{path}:{lineno}: samples must be finite, got {row}")
+            rows.append(values)
     if not rows:
         raise EmptyInputError(f"{path}: no samples after header")
     return EmgRecording(np.array(rows, dtype=float), sample_rate)

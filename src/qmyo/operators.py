@@ -1,8 +1,9 @@
 """Learning of per-DOF measurement operators from single-DOF training data.
 
 For each degree of freedom and movement direction, the encoded training
-states are combined into an angle-weighted prototype; its outer product
-is the rank-1 measurement operator for that direction. A third operator
+states are combined into an angle-weighted prototype; a trained DOF is
+its two prototypes and maximal angles. A prototype's outer product is
+the rank-1 measurement operator for its direction, and a third operator
 completes the set: identity minus the two direction operators. The
 completion is not guaranteed positive when the direction prototypes
 overlap; that defect is kept as-is and reported by the diagnostics
@@ -12,7 +13,7 @@ rather than clipped away, since clipping would change decoding.
 import enum
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,6 +23,8 @@ from .errors import (
     DegeneratePrototypeError,
     DimensionError,
     InsufficientTrainingError,
+    ModelFileError,
+    QmyoError,
     ZeroSignalError,
 )
 from .features import FeatureVector
@@ -33,7 +36,7 @@ SYMMETRY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 OVERLAP_TOL = 1e-12
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class Dof(enum.Enum):
@@ -126,7 +129,7 @@ class DecodeConfig:
     block_vote: str = "majority"
 
     def __post_init__(self):
-        if self.rest_threshold < 0:
+        if not self.rest_threshold >= 0:
             raise ValueError(f"rest_threshold must be >= 0, got {self.rest_threshold}")
         if not 0 < self.overlap_epsilon < 1:
             raise ValueError(
@@ -138,43 +141,43 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class DofOperators:
-    """Learned operator triple for one DOF plus decoding constants."""
+    """One trained DOF: two unit direction prototypes and their maximal
+    training angles. The overlap and the operator triple are derived on
+    first use, so the triple sums to the identity by construction."""
 
     proto_pos: QuantumState
     proto_neg: QuantumState
-    p_pos: Operator
-    p_neg: Operator
-    p_zero: Operator
     theta_pos_max: float
     theta_neg_max: float
-    overlap: float
 
     def __post_init__(self):
-        dims = {
-            self.proto_pos.dim,
-            self.proto_neg.dim,
-            self.p_pos.dim,
-            self.p_neg.dim,
-            self.p_zero.dim,
-        }
-        if len(dims) != 1:
-            raise DimensionError(f"inconsistent operator dimensions: {sorted(dims)}")
-        if not (self.theta_pos_max > 0 and self.theta_neg_max > 0):
-            raise ValueError("maximal training angles must be > 0")
-        total = self.p_pos.matrix + self.p_neg.matrix + self.p_zero.matrix
-        dev = float(np.max(np.abs(total - np.eye(self.p_pos.dim))))
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(f"operator triple does not sum to identity: max dev {dev!r}")
-        trace_overlap = float(np.sum(self.p_pos.matrix * self.p_neg.matrix))
-        if abs(self.overlap - trace_overlap) > OVERLAP_TOL:
-            raise ValueError(
-                f"cached overlap {self.overlap!r} disagrees with "
-                f"Tr(p_pos p_neg) = {trace_overlap!r}"
+        if self.proto_pos.dim != self.proto_neg.dim:
+            raise DimensionError(
+                f"prototype dimensions differ: {self.proto_pos.dim} vs {self.proto_neg.dim}"
             )
+        if not (0 < self.theta_pos_max < np.inf and 0 < self.theta_neg_max < np.inf):
+            raise ValueError("maximal training angles must be finite and > 0")
 
     @property
     def dim(self) -> int:
-        return self.p_pos.dim
+        return self.proto_pos.dim
+
+    @cached_property
+    def overlap(self) -> float:
+        """Squared prototype inner product, equal to Tr(p_pos p_neg)."""
+        return inner_product(self.proto_pos, self.proto_neg) ** 2
+
+    @cached_property
+    def p_pos(self) -> Operator:
+        return build_direction_operator(self.proto_pos)
+
+    @cached_property
+    def p_neg(self) -> Operator:
+        return build_direction_operator(self.proto_neg)
+
+    @cached_property
+    def p_zero(self) -> Operator:
+        return build_completeness_operator(self.p_pos, self.p_neg)
 
     def min_zero_eigenvalue(self) -> float:
         """Smallest eigenvalue of the completion operator.
@@ -245,9 +248,10 @@ class DecodeTables(NamedTuple):
 def build_prototype(samples: list[TrainingSample]) -> QuantumState:
     """Angle-weighted superposition of encoded training states.
 
-    Each sample is encoded to a unit state, weighted by its share of the
-    total training angle, summed, and the sum is renormalized so the
-    resulting prototype is again a unit state.
+    Each sample is encoded to a unit state, weighted by its training
+    angle, summed, and the sum is renormalized so the resulting
+    prototype is again a unit state. (Weighting by each sample's share
+    of the total angle gives the same prototype: the scale cancels.)
     """
     if not samples:
         raise InsufficientTrainingError("cannot build a prototype from no samples")
@@ -262,10 +266,9 @@ def build_prototype(samples: list[TrainingSample]) -> QuantumState:
     if zero.any():
         raise ZeroSignalError("all-zero feature vector has no direction to encode")
     angles = np.array([s.angle for s in samples], dtype=float)
-    weights = angles / angles.sum()
-    combined = weights @ states
+    combined = angles @ states
     norm = float(np.linalg.norm(combined))
-    if norm < 1e-12:
+    if norm < 1e-12 * angles.sum():
         dof, direction = samples[0].dof, samples[0].direction
         raise DegeneratePrototypeError(
             f"{dof.value} {direction.value}: weighted state sum cancelled to norm {norm!r}"
@@ -286,33 +289,13 @@ def build_completeness_operator(p_pos: Operator, p_neg: Operator) -> Operator:
     return Operator(np.eye(p_pos.dim) - p_pos.matrix - p_neg.matrix)
 
 
-def _build_dof_operators(
-    pos_samples: list[TrainingSample], neg_samples: list[TrainingSample]
-) -> DofOperators:
-    proto_pos = build_prototype(pos_samples)
-    proto_neg = build_prototype(neg_samples)
-    p_pos = build_direction_operator(proto_pos)
-    p_neg = build_direction_operator(proto_neg)
-    p_zero = build_completeness_operator(p_pos, p_neg)
-    return DofOperators(
-        proto_pos=proto_pos,
-        proto_neg=proto_neg,
-        p_pos=p_pos,
-        p_neg=p_neg,
-        p_zero=p_zero,
-        theta_pos_max=max(s.angle for s in pos_samples),
-        theta_neg_max=max(s.angle for s in neg_samples),
-        overlap=inner_product(proto_pos, proto_neg) ** 2,
-    )
-
-
 def train(
     samples: list[TrainingSample],
     n_channels: int,
     dofs: list[Dof] | None = None,
     config: DecodeConfig | None = None,
 ) -> ControllerModel:
-    """Train one operator triple per requested DOF.
+    """Train two prototypes and two maximal angles per requested DOF.
 
     Only direct-phase samples are used; return-phase samples are dropped
     with a logged count. ``dofs`` defaults to every DOF present in the
@@ -349,8 +332,12 @@ def train(
                 raise InsufficientTrainingError(
                     f"no {direction.value} training samples for {dof.value}"
                 )
-        trained[dof] = _build_dof_operators(
-            by_group[(dof, Direction.POSITIVE)], by_group[(dof, Direction.NEGATIVE)]
+        pos, neg = by_group[(dof, Direction.POSITIVE)], by_group[(dof, Direction.NEGATIVE)]
+        trained[dof] = DofOperators(
+            proto_pos=build_prototype(pos),
+            proto_neg=build_prototype(neg),
+            theta_pos_max=max(s.angle for s in pos),
+            theta_neg_max=max(s.angle for s in neg),
         )
     return ControllerModel(
         dofs=trained,
@@ -391,31 +378,17 @@ def overlap_curve(
     return curves
 
 
-def _state_to_list(state: QuantumState) -> list[float]:
-    return [float(v) for v in state.amplitudes]
-
-
-def _matrix_to_lists(op: Operator) -> list[list[float]]:
-    return [[float(v) for v in row] for row in op.matrix]
-
-
 def model_to_dict(model: ControllerModel) -> dict:
-    """Plain-JSON representation of a model, full float precision."""
+    """Plain-JSON model (format 2) at full float precision; the overlap is
+    stored for readers that do not derive it."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "n_channels": model.n_channels,
-        "decode_config": {
-            "rest_threshold": model.decode_config.rest_threshold,
-            "overlap_epsilon": model.decode_config.overlap_epsilon,
-            "block_vote": model.decode_config.block_vote,
-        },
+        "decode_config": asdict(model.decode_config),
         "dofs": {
             dof.value: {
-                "prototype_positive": _state_to_list(ops.proto_pos),
-                "prototype_negative": _state_to_list(ops.proto_neg),
-                "p_positive": _matrix_to_lists(ops.p_pos),
-                "p_negative": _matrix_to_lists(ops.p_neg),
-                "p_zero": _matrix_to_lists(ops.p_zero),
+                "prototype_positive": ops.proto_pos.amplitudes.tolist(),
+                "prototype_negative": ops.proto_neg.amplitudes.tolist(),
                 "theta_positive_max": ops.theta_pos_max,
                 "theta_negative_max": ops.theta_neg_max,
                 "overlap": ops.overlap,
@@ -425,26 +398,40 @@ def model_to_dict(model: ControllerModel) -> dict:
     }
 
 
+# Format 1 also stored the operator triple, which format 2 derives.
+_V1_MATRICES = {"p_positive": "p_pos", "p_negative": "p_neg", "p_zero": "p_zero"}
+
+
+def _check_stored(key: str, name: str, stored, derived, tol: float) -> None:
+    """Reject a stored derived quantity that the prototypes do not reproduce."""
+    stored, derived = np.asarray(stored, dtype=float), np.asarray(derived, dtype=float)
+    dev = float(np.max(np.abs(stored - derived))) if stored.shape == derived.shape else np.inf
+    if not dev <= tol:
+        raise ValueError(f"{key}: stored {name} deviates from the prototypes by {dev!r}")
+
+
 def model_from_dict(doc: dict) -> ControllerModel:
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    """Model from a format 2 or 1 document. The stored overlap, and in format
+    1 the operator matrices, must match the prototypes; then they are dropped."""
+    version = doc["format_version"]
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version: {version!r}")
     cfg = DecodeConfig(**doc["decode_config"])
     dofs: dict[Dof, DofOperators] = {}
     for key, entry in doc["dofs"].items():
-        dofs[Dof(key)] = DofOperators(
+        ops = DofOperators(
             proto_pos=QuantumState(np.array(entry["prototype_positive"], dtype=float)),
             proto_neg=QuantumState(np.array(entry["prototype_negative"], dtype=float)),
-            p_pos=Operator(np.array(entry["p_positive"], dtype=float)),
-            p_neg=Operator(np.array(entry["p_negative"], dtype=float)),
-            p_zero=Operator(np.array(entry["p_zero"], dtype=float)),
             theta_pos_max=float(entry["theta_positive_max"]),
             theta_neg_max=float(entry["theta_negative_max"]),
-            overlap=float(entry["overlap"]),
         )
-    return ControllerModel(
-        dofs=dofs, n_channels=int(doc["n_channels"]), decode_config=cfg
-    )
+        _check_stored(key, "overlap", entry["overlap"], ops.overlap, OVERLAP_TOL)
+        if version == 1:
+            for name, attr in _V1_MATRICES.items():
+                derived = getattr(ops, attr).matrix
+                _check_stored(key, name, entry[name], derived, COMPLETENESS_TOL)
+        dofs[Dof(key)] = ops
+    return ControllerModel(dofs=dofs, n_channels=int(doc["n_channels"]), decode_config=cfg)
 
 
 def save_model(model: ControllerModel, path) -> None:
@@ -454,8 +441,14 @@ def save_model(model: ControllerModel, path) -> None:
 
 
 def load_model(path) -> ControllerModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    """Read a model file; anything wrong with its contents raises
+    :class:`ModelFileError` naming the path."""
+    try:
+        with open(path) as fh:
+            return model_from_dict(json.load(fh))
+    except (ValueError, LookupError, TypeError, AttributeError, QmyoError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ModelFileError(f"{path}: {reason}") from exc
 
 
 def with_decode_config(model: ControllerModel, config: DecodeConfig) -> ControllerModel:

@@ -319,7 +319,9 @@ def default_scenario(
 
     Cycles single-DOF ramps, the four combined sign quadrants, mixed
     ramp-over-constant blocks and rest across five intensity scales.
-    Window counts split the total as evenly as possible.
+    Each cycle of patterns moves one pair of DOFs; with more than two,
+    successive cycles pair each DOF with the next (the last with the
+    first). Window counts split the total as evenly as possible.
     """
     if len(dofs) < 2:
         raise ValueError("the default scenario needs at least two DOFs")
@@ -327,27 +329,30 @@ def default_scenario(
         raise ValueError(
             f"cannot spread {total_windows} windows over {n_blocks} blocks"
         )
-    a, b = dofs[0], dofs[1]
+    # Patterns name the DOFs of a pair by position: 0 is the first, 1 the second.
     patterns = [
-        {a: (0.5, 1.0)},
-        {b: (0.5, 1.0)},
-        {a: (-0.5, -1.0)},
-        {b: (-0.5, -1.0)},
-        {a: (0.6, 0.6), b: (0.6, 0.6)},
-        {a: (0.4, 0.9), b: (-0.7, -0.7)},
-        {a: (-0.7, -0.7), b: (0.4, 0.9)},
-        {a: (-0.5, -1.0), b: (-0.5, -1.0)},
-        {a: (0.8, 0.8), b: (0.3, 0.8)},
-        {a: (0.3, 0.8), b: (0.8, 0.8)},
+        {0: (0.5, 1.0)},
+        {1: (0.5, 1.0)},
+        {0: (-0.5, -1.0)},
+        {1: (-0.5, -1.0)},
+        {0: (0.6, 0.6), 1: (0.6, 0.6)},
+        {0: (0.4, 0.9), 1: (-0.7, -0.7)},
+        {0: (-0.7, -0.7), 1: (0.4, 0.9)},
+        {0: (-0.5, -1.0), 1: (-0.5, -1.0)},
+        {0: (0.8, 0.8), 1: (0.3, 0.8)},
+        {0: (0.3, 0.8), 1: (0.8, 0.8)},
         {},
     ]
+    pairs = list(zip(dofs, dofs[1:] + dofs[:1])) if len(dofs) > 2 else [dofs[:2]]
     base, extra = divmod(total_windows, n_blocks)
     blocks = []
     for i in range(n_blocks):
-        scale = (0.2 + 0.8 * ((i // len(patterns)) % 5) / 4.0) * angle_max
-        pattern = patterns[i % len(patterns)]
+        cycle = i // len(patterns)
+        scale = (0.2 + 0.8 * (cycle % 5) / 4.0) * angle_max
+        pair = pairs[cycle % len(pairs)]
         angles = {
-            dof: (start * scale, end * scale) for dof, (start, end) in pattern.items()
+            pair[k]: (start * scale, end * scale)
+            for k, (start, end) in patterns[i % len(patterns)].items()
         }
         blocks.append(
             ScenarioBlock(angles=angles, n_windows=base + (1 if i < extra else 0))

@@ -1,5 +1,12 @@
 """Command-line interface behavior and exit codes."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,15 +16,19 @@ from qmyo.operators import (
     Direction,
     Dof,
     load_model,
+    model_to_dict,
     save_model,
     train,
 )
 from qmyo.synthetic import generate_raw_emg, generate_training_set, orthogonal_mixing_model
-from qmyo.datasets import from_training_samples, save_feature_dataset
+from qmyo.datasets import from_training_samples, load_feature_dataset, save_feature_dataset
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import TrainingSample
 
 D1 = Dof.FLEXION_EXTENSION
+DATA = Path(__file__).parent / "data"
+V1_MODEL = DATA / "model_v1.json"  # format 1, 4 channels, d1 and d3
+V1_TRAIN = DATA / "model_v1_train.csv"  # the 4-channel rows it was trained on
 
 
 def run(*argv):
@@ -188,6 +199,59 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("qmyo: data error: ")
         assert f"bad.csv:6: ch1 value {float(value)!r}" in err[0]
 
+    def test_zero_window_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("decode", "--model", V1_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
+                "--window-ms", 0)
+        assert exc.value.code == 1
+        assert "argument --window-ms: invalid positive float value: '0'" in capsys.readouterr().err
+
+    def test_window_under_two_samples_is_data_error(self, tmp_path, capsys):
+        raw_csv = tmp_path / "raw.csv"
+        save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
+        code = run("decode", "--model", V1_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
+                   "--window-ms", 1)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["qmyo: data error: a 1.0 ms window spans under 2 samples at 1024.0 Hz"]
+
+    def test_zero_size_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--data", V1_TRAIN, "--out", tmp_path / "m.json", "--size", 0)
+        assert exc.value.code == 1
+        assert "argument --size: invalid positive int value: '0'" in capsys.readouterr().err
+
+    def test_zero_sizes_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--test", V1_TRAIN, "--train-data", V1_TRAIN, "--sizes", 2, 0)
+        assert exc.value.code == 1
+        assert "argument --sizes: invalid positive int value: '0'" in capsys.readouterr().err
+
+    def test_non_positive_config_value_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("window_ms = -5\n")
+        code = run("decode", "--model", V1_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
+                   "--config", cfg)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"qmyo: data error: {cfg}:1: must be finite and > 0, got -5"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_raw_sample_is_data_error(self, tmp_path, capsys, value):
+        mixing = orthogonal_mixing_model(seed=2)
+        model_json = tmp_path / "model.json"
+        save_model(train(generate_training_set(mixing, 10), mixing.n_channels), model_json)
+        raw_csv = tmp_path / "raw.csv"
+        save_recording(generate_raw_emg(mixing, {D1: 25.0}, duration_s=0.5), raw_csv)
+        lines = raw_csv.read_text().splitlines()
+        lines[40] = ",".join(lines[40].split(",")[:-1] + [value])
+        raw_csv.write_text("\n".join(lines) + "\n")
+        code = run("decode", "--model", model_json, "--raw", raw_csv, "--out", tmp_path / "d.csv")
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"qmyo: data error: {raw_csv}:41: samples must be finite")
+
     def test_insufficient_training_is_data_error(self, tmp_path, capsys):
         mixing = orthogonal_mixing_model(seed=1)
         ds = from_training_samples(
@@ -271,3 +335,135 @@ class TestDeterministicArtifacts:
             )
         assert outputs[0] == outputs[1]
         capsys.readouterr()
+
+
+def _v2_doc():
+    """The format-1 fixture's model, as format 2 writes it."""
+    return json.loads(json.dumps(model_to_dict(load_model(V1_MODEL))))
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+# Each mutation edits the JSON document, or the text for "malformed"/"truncated".
+MODEL_MUTATIONS = {
+    "malformed": lambda text: text.replace(":", "=", 1),
+    "truncated": lambda text: text[: len(text) // 2],
+    "not-an-object": lambda text: "[1, 2]",
+    "missing-key": _drop("dofs", "d1", "theta_positive_max"),
+    "missing-prototype": _drop("dofs", "d3", "prototype_negative"),
+    "wrong-type-dofs": _set(("dofs",), ["d1", "d3"]),
+    "wrong-type-config": _set(("decode_config",), 0.05),
+    "wrong-type-angle": _set(("dofs", "d1", "theta_negative_max"), [1.0]),
+    "unknown-dof": lambda doc: doc["dofs"].update(d9=doc["dofs"].pop("d1")),
+    "nan-prototype": _set(("dofs", "d1", "prototype_positive", 0), math.nan),
+    "non-unit-prototype": _set(("dofs", "d1", "prototype_positive", 0), lambda v: 1.5 * v),
+    "wrong-length-prototype": lambda doc: [
+        entry[key].append(0.0)
+        for entry in doc["dofs"].values()
+        for key in ("prototype_positive", "prototype_negative")
+    ],
+    "zero-angle": _set(("dofs", "d3", "theta_positive_max"), 0.0),
+    "nan-threshold": _set(("decode_config", "rest_threshold"), math.nan),
+    "unknown-version": _set(("format_version",), 3),
+    "missing-version": _drop("format_version"),
+    "overlap": _set(("dofs", "d1", "overlap"), lambda v: v + 1e-6),
+    "p_zero": _set(("dofs", "d3", "p_zero", 2, 1), lambda v: v + 1e-6),
+    "p_positive-shape": _set(("dofs", "d3", "p_positive"), lambda m: m[:3]),
+}
+
+
+def _model_cases():
+    for version in (1, 2):
+        for name in MODEL_MUTATIONS:
+            if version == 2 and name.startswith("p_"):
+                continue  # format 2 stores no operator matrices
+            yield version, name
+
+
+class TestModelFileErrors:
+    """Whatever is wrong with a model file, every command reading it exits 2."""
+
+    @staticmethod
+    def write_model(tmp_path, version, mutation=None):
+        doc = json.loads(V1_MODEL.read_text()) if version == 1 else _v2_doc()
+        mutate = MODEL_MUTATIONS.get(mutation)
+        if mutation in ("malformed", "truncated", "not-an-object"):
+            text = mutate(json.dumps(doc, indent=1))
+        else:
+            if mutate is not None:
+                mutate(doc)
+            text = json.dumps(doc, indent=1)
+        path = tmp_path / f"model_v{version}.json"
+        path.write_text(text)
+        return path
+
+    @staticmethod
+    def argv(command, model, tmp_path):
+        return {
+            "inspect-model": ["inspect-model", "--model", model],
+            "decode": ["decode", "--model", model, "--data", V1_TRAIN, "--out", tmp_path / "d.csv"],
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", model],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["inspect-model", "decode", "evaluate"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_valid_files_load(self, tmp_path, capsys, version, command):
+        model = self.write_model(tmp_path, version)
+        assert run(*self.argv(command, model, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["inspect-model", "decode", "evaluate"])
+    @pytest.mark.parametrize("version,mutation", list(_model_cases()))
+    def test_bad_file_is_data_error(self, tmp_path, capsys, version, mutation, command):
+        model = self.write_model(tmp_path, version, mutation)
+        capsys.readouterr()
+        assert run(*self.argv(command, model, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"qmyo: data error: {model}: ")
+
+    def test_tampered_p_zero_from_the_shell(self, tmp_path):
+        model = self.write_model(tmp_path, 1, "p_zero")
+        src = str(Path(__file__).parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmyo.cli", "inspect-model", "--model", str(model)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"qmyo: data error: {model}: d3: stored p_zero deviates from")
+
+
+def test_three_dof_synth_train_evaluate(tmp_path, capsys):
+    train_csv, test_csv, model_json = (tmp_path / n for n in ("train.csv", "test.csv", "m.json"))
+    assert run(
+        "synth", "--train-out", train_csv, "--test-out", test_csv, "--channels", 12,
+        "--dofs", "d1", "d2", "d3", "--noise-sigma", 0.05, "--seed", 2,
+        "--per-action", 40, "--blocks", 33, "--windows", 330,
+    ) == 0
+    test = load_feature_dataset(test_csv)
+    for dof in Dof:
+        assert np.ptp(test.angles[dof]) > 0, dof
+    assert run("train", "--data", train_csv, "--out", model_json) == 0
+    assert run("evaluate", "--test", test_csv, "--model", model_json) == 0
+    out = capsys.readouterr().out
+    assert "dofs: d1,d2,d3" in out

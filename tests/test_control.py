@@ -25,7 +25,6 @@ from qmyo.operators import (
     DofOperators,
     Operator,
     TrainingSample,
-    build_completeness_operator,
     build_direction_operator,
     train,
     with_decode_config,
@@ -43,17 +42,11 @@ def unit(*values):
 
 
 def triple(proto_pos, proto_neg, theta_pos=40.0, theta_neg=40.0):
-    p_pos = build_direction_operator(proto_pos)
-    p_neg = build_direction_operator(proto_neg)
     return DofOperators(
         proto_pos=proto_pos,
         proto_neg=proto_neg,
-        p_pos=p_pos,
-        p_neg=p_neg,
-        p_zero=build_completeness_operator(p_pos, p_neg),
         theta_pos_max=theta_pos,
         theta_neg_max=theta_neg,
-        overlap=float(np.dot(proto_pos.amplitudes, proto_neg.amplitudes)) ** 2,
     )
 
 

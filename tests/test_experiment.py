@@ -169,6 +169,4 @@ class TestReportRendering:
         with pytest.raises(ValueError):
             ExperimentConfig(training_sizes=())
         with pytest.raises(ValueError):
-            ExperimentConfig(window_ms=0.0)
-        with pytest.raises(ValueError):
             ExperimentConfig(training_sizes=(0,))

@@ -1,14 +1,20 @@
 """Prototype construction, operator triples, training and persistence."""
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qmyo.control import decode_batch
+from qmyo.datasets import load_feature_dataset, to_training_samples
 from qmyo.errors import (
     DegeneratePrototypeError,
     DimensionError,
     InsufficientTrainingError,
+    ModelFileError,
 )
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
@@ -34,6 +40,18 @@ from qmyo.state import QuantumState, encode, inner_product
 D1 = Dof.FLEXION_EXTENSION
 D2 = Dof.RADIAL_ULNAR
 D3 = Dof.PRONATION_SUPINATION
+
+# A 4-channel d1/d3 model in format 1 (prototypes plus the three operator
+# matrices), written by `qmyo train --data model_v1_train.csv
+# --rest-threshold 0.02` before format 2 existed.
+DATA = Path(__file__).parent / "data"
+V1_MODEL = DATA / "model_v1.json"
+V1_TRAIN = DATA / "model_v1_train.csv"
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def sample(values, dof=D1, direction=Direction.POSITIVE, angle=30.0, phase=MovementPhase.DIRECT, kind=FeatureKind.MAV):
@@ -354,40 +372,33 @@ class TestOverlapCurve:
 
 
 class TestModelValidation:
-    def test_mismatched_overlap_rejected(self):
-        ops = train(
-            [
-                sample([1.0, 0.0]),
-                sample([0.0, 1.0], direction=Direction.NEGATIVE),
-            ],
-            2,
-        ).dofs[D1]
-        with pytest.raises(ValueError):
-            DofOperators(
-                proto_pos=ops.proto_pos,
-                proto_neg=ops.proto_neg,
-                p_pos=ops.p_pos,
-                p_neg=ops.p_neg,
-                p_zero=ops.p_zero,
-                theta_pos_max=ops.theta_pos_max,
-                theta_neg_max=ops.theta_neg_max,
-                overlap=0.5,
-            )
+    def test_v1_mismatched_overlap_rejected(self, tmp_path):
+        doc = json.loads(V1_MODEL.read_text())
+        doc["dofs"]["d1"]["overlap"] = 0.5
+        with pytest.raises(ModelFileError, match="d1: stored overlap"):
+            load_model(write_json(tmp_path / "model.json", doc))
 
-    def test_incomplete_triple_rejected(self):
-        proto = QuantumState(np.array([1.0, 0.0]))
-        p = build_direction_operator(proto)
-        with pytest.raises(ValueError):
-            DofOperators(
-                proto_pos=proto,
-                proto_neg=proto,
-                p_pos=p,
-                p_neg=p,
-                p_zero=p,
-                theta_pos_max=1.0,
-                theta_neg_max=1.0,
-                overlap=1.0,
-            )
+    @pytest.mark.parametrize("name", ["p_positive", "p_negative", "p_zero"])
+    def test_v1_tampered_operator_rejected(self, tmp_path, name):
+        doc = json.loads(V1_MODEL.read_text())
+        doc["dofs"]["d3"][name][1][2] += 1e-9
+        with pytest.raises(ModelFileError, match=f"d3: stored {name}"):
+            load_model(write_json(tmp_path / "model.json", doc))
+
+    def test_v1_operator_within_tolerance_accepted(self, tmp_path):
+        doc = json.loads(V1_MODEL.read_text())
+        doc["dofs"]["d3"]["p_zero"][1][2] += 1e-11
+        model = load_model(write_json(tmp_path / "model.json", doc))
+        assert model.dofs[D3].p_zero.matrix[1][2] != doc["dofs"]["d3"]["p_zero"][1][2]
+
+    def test_dof_holds_only_primary_quantities(self):
+        names = [f.name for f in dataclasses.fields(DofOperators)]
+        assert names == ["proto_pos", "proto_neg", "theta_pos_max", "theta_neg_max"]
+        with pytest.raises(DimensionError):
+            DofOperators(QuantumState(np.ones(1)), QuantumState(np.array([0.6, 0.8])), 1.0, 1.0)
+        for theta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                DofOperators(QuantumState(np.ones(1)), QuantumState(np.ones(1)), theta, 1.0)
 
     def test_asymmetric_operator_rejected(self):
         with pytest.raises(ValueError):
@@ -431,13 +442,62 @@ class TestPersistence:
         model = random_model(np.random.default_rng(8))
         doc = model_to_dict(model)
         doc["format_version"] = 99
-        import json
-
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
+        path = write_json(tmp_path / "model.json", doc)
+        with pytest.raises(ModelFileError, match="model.json: .*version: 99"):
             load_model(path)
 
     def test_document_carries_version_field(self):
         model = random_model(np.random.default_rng(8))
-        assert model_to_dict(model)["format_version"] == 1
+        doc = model_to_dict(model)
+        assert doc["format_version"] == 2
+        assert sorted(doc["dofs"]["d1"]) == [
+            "overlap",
+            "prototype_negative",
+            "prototype_positive",
+            "theta_negative_max",
+            "theta_positive_max",
+        ]
+
+
+class TestFormatV1:
+    """Format-1 files still load: their stored operators are checked, then dropped."""
+
+    def test_loads_stored_prototypes_angles_and_overlap(self):
+        doc = json.loads(V1_MODEL.read_text())
+        model = load_model(V1_MODEL)
+        assert model.n_channels == 4 and sorted(model.dofs) == [D1, D3]
+        assert model.decode_config == DecodeConfig(rest_threshold=0.02)
+        for key, entry in doc["dofs"].items():
+            ops = model.dofs[Dof(key)]
+            assert ops.proto_pos.amplitudes.tolist() == entry["prototype_positive"]
+            assert ops.proto_neg.amplitudes.tolist() == entry["prototype_negative"]
+            assert ops.theta_pos_max == entry["theta_positive_max"]
+            assert ops.theta_neg_max == entry["theta_negative_max"]
+            assert ops.overlap == entry["overlap"]
+            for name, op in (("p_positive", ops.p_pos), ("p_negative", ops.p_neg), ("p_zero", ops.p_zero)):
+                np.testing.assert_array_equal(op.matrix, entry[name])
+
+    def test_decodes_like_its_v2_copy(self, tmp_path):
+        v1 = load_model(V1_MODEL)
+        save_model(v1, tmp_path / "model.json")
+        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 2
+        v2 = load_model(tmp_path / "model.json")
+        features = np.random.default_rng(21).uniform(0.0, 1.0, size=(64, 4))
+        features[7] = 0.0
+        a, b = decode_batch(features, v1), decode_batch(features, v2)
+        for name in ("expectation_pos", "expectation_neg", "expectation_zero", "direction",
+                     "angle", "raw_angle", "angle_clamped", "zero_negative", "zero_signal"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_retraining_reproduces_the_stored_model(self):
+        # prototypes are now normalize(sum of angle * state), without first
+        # dividing the angles by their total; the results agree to rounding
+        v1 = load_model(V1_MODEL)
+        samples = to_training_samples(load_feature_dataset(V1_TRAIN))
+        model = train(samples, 4, config=DecodeConfig(rest_threshold=0.02))
+        for dof, ops in model.dofs.items():
+            stored = v1.dofs[dof]
+            for mine, theirs in ((ops.proto_pos, stored.proto_pos), (ops.proto_neg, stored.proto_neg)):
+                np.testing.assert_allclose(mine.amplitudes, theirs.amplitudes, rtol=0, atol=1e-15)
+            assert (ops.theta_pos_max, ops.theta_neg_max) == (stored.theta_pos_max, stored.theta_neg_max)
+            assert ops.overlap == pytest.approx(stored.overlap, rel=0, abs=1e-15)

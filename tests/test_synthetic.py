@@ -206,6 +206,18 @@ class TestGenerateTestScenario:
         scenario = default_scenario(dofs=(D1, D3), n_blocks=6, total_windows=60)
         assert generate_test_scenario(model, scenario).n_clipped == 0
 
+    def test_three_dof_cycles_pair_each_dof_with_the_next(self):
+        scenario = default_scenario(dofs=(D1, D2, D3), n_blocks=44, total_windows=440)
+        moved = [set().union(*(b.angles for b in scenario.blocks[c * 11:(c + 1) * 11]))
+                 for c in range(4)]
+        assert moved == [{D1, D2}, {D2, D3}, {D3, D1}, {D1, D2}]
+
+    def test_two_dof_cycles_keep_one_pair(self):
+        scenario = default_scenario(dofs=(D3, D1), n_blocks=22, total_windows=220)
+        assert scenario.blocks[0].angles.keys() == {D3}
+        assert scenario.blocks[11 + 1].angles.keys() == {D1}
+        assert all(b.angles.keys() <= {D1, D3} for b in scenario.blocks)
+
 
 class TestDefaultModels:
     def test_default_masking_geometry(self):
