@@ -21,26 +21,6 @@ from .control import decode_batch
 from .errors import ConfigurationError, DataError, ModelError
 from .operators import DecodeConfig, Dof
 
-_DEFAULTS = {
-    "window_ms": 100.0,
-    "sample_rate": 1024.0,
-    "rest_threshold": 0.05,
-    "overlap_epsilon": 1e-6,
-    "block_vote": "majority",
-    "seed": 0,
-    "channels": 8,
-    "noise_sigma": 0.0,
-    "per_action": 500,
-    "angle_min": 5.0,
-    "angle_max": 40.0,
-    "blocks": 55,
-    "windows": 8216,
-    "geometry": "masking",
-    "sizes": (500, 2000),
-    "dofs": (Dof.FLEXION_EXTENSION, Dof.PRONATION_SUPINATION),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with status 1 on usage errors."""
 
@@ -49,18 +29,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive(cast):
-    """Flag type and config-file cast that accepts finite values > 0 only."""
+def _checked(cast, name, rule, test):
+    """Flag type and config-file cast that accepts only values passing ``test``."""
     def parse(raw):
-        if not 0 < (value := cast(raw)) < math.inf:
-            raise ValueError(f"must be finite and > 0, got {raw.strip()}")
+        if not test(value := cast(raw)):
+            raise ValueError(f"must be {rule}, got {raw.strip()}")
         return value
-    parse.__name__ = f"positive {cast.__name__}"  # argparse names it in errors
+    parse.__name__ = name  # argparse names it in errors
     return parse
 
 
-_positive_int, _positive_float = _positive(int), _positive(float)
-_POSITIVE = {"window_ms", "sample_rate", "channels", "per_action", "blocks", "windows"}
+_positive_int = _checked(int, "positive int", "> 0", lambda v: v > 0)
+_positive_float = _checked(float, "positive float", "finite and > 0", lambda v: 0 < v < math.inf)
+_non_negative_int = _checked(int, "non-negative int", ">= 0", lambda v: v >= 0)
+_non_negative_float = _checked(float, "non-negative float", "finite and >= 0",
+                               lambda v: 0 <= v < math.inf)
+_fraction = _checked(float, "(0, 1) float", "in (0, 1)", lambda v: 0 < v < 1)
+_VOTES, _GEOMETRIES = ("majority", "any", "all"), ("masking", "orthogonal")
+
+
+def _one_of(choices):
+    return _checked(str, "choice", f"one of {', '.join(choices)}", choices.__contains__)
 
 
 def _parse_dofs(raw: str) -> tuple[Dof, ...]:
@@ -71,14 +60,31 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
     return tuple(_positive_int(part) for part in raw.split(",") if part.strip())
 
 
-# Config-file values parse with the type of their default, > 0 where the flag must be.
-_FILE_CASTS = {k: _positive(type(v)) if k in _POSITIVE else type(v) for k, v in _DEFAULTS.items()}
-_FILE_CASTS.update(sizes=_parse_sizes, dofs=_parse_dofs)
+# Each setting's built-in default, and the cast that parses and checks its
+# config-file value as the flag's type does on the command line.
+_SETTINGS = {
+    "window_ms": (100.0, _positive_float),
+    "sample_rate": (1024.0, _positive_float),
+    "rest_threshold": (0.05, _non_negative_float),
+    "overlap_epsilon": (1e-6, _fraction),
+    "block_vote": ("majority", _one_of(_VOTES)),
+    "seed": (0, _non_negative_int),
+    "channels": (8, _positive_int),
+    "noise_sigma": (0.0, _non_negative_float),
+    "per_action": (500, _positive_int),
+    "angle_min": (5.0, _positive_float),
+    "angle_max": (40.0, _positive_float),
+    "blocks": (55, _positive_int),
+    "windows": (8216, _positive_int),
+    "geometry": ("masking", _one_of(_GEOMETRIES)),
+    "sizes": ((500, 2000), _parse_sizes),
+    "dofs": ((Dof.FLEXION_EXTENSION, Dof.PRONATION_SUPINATION), _parse_dofs),
+}
 
 
-def load_config_file(path) -> dict:
-    """Parse flat ``key = value`` lines into typed settings."""
-    settings = {}
+def _read_config(path) -> tuple[dict, dict]:
+    """Typed settings of a flat ``key = value`` file, and the line of each."""
+    settings, lines = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -88,13 +94,19 @@ def load_config_file(path) -> dict:
                 raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _FILE_CASTS:
+            if key not in _SETTINGS:
                 raise DataError(f"{path}:{lineno}: unknown setting {key!r}")
             try:
-                settings[key] = _FILE_CASTS[key](raw.strip())
+                settings[key] = _SETTINGS[key][1](raw.strip())
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-    return settings
+            lines[key] = lineno
+    return settings, lines
+
+
+def load_config_file(path) -> dict:
+    """Parse flat ``key = value`` lines into typed settings."""
+    return _read_config(path)[0]
 
 
 class _Settings:
@@ -102,15 +114,22 @@ class _Settings:
 
     def __init__(self, args):
         self.args = args
-        self.file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
+        config = getattr(args, "config", None)
+        self.file_cfg, self.file_lines = _read_config(config) if config else ({}, {})
 
     def get(self, name):
         value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.file_cfg:
-            return self.file_cfg[name]
-        return _DEFAULTS[name]
+        return value if value is not None else self.file_cfg.get(name, _SETTINGS[name][0])
+
+    def require(self, parser: _Parser, ok: bool, message: str, *names):
+        """Unless ``ok``: usage error for a flag in ``names``, else data error at its file line."""
+        if ok:
+            return
+        for name in names:
+            if getattr(self.args, name, None) is not None:
+                parser.error(f"argument --{name.replace('_', '-')}: {message}")
+        line = next(self.file_lines[name] for name in names if name in self.file_lines)
+        raise ConfigurationError(f"{self.args.config}:{line}: {message}")
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(
@@ -128,9 +147,9 @@ def _require_file(parser: _Parser, path):
 
 def _add_config_options(sub: _Parser):
     sub.add_argument("--config", metavar="FILE", help="flat key=value settings file")
-    sub.add_argument("--rest-threshold", dest="rest_threshold", type=float)
-    sub.add_argument("--overlap-epsilon", dest="overlap_epsilon", type=float)
-    sub.add_argument("--block-vote", dest="block_vote", choices=["majority", "any", "all"])
+    sub.add_argument("--rest-threshold", dest="rest_threshold", type=_non_negative_float)
+    sub.add_argument("--overlap-epsilon", dest="overlap_epsilon", type=_fraction)
+    sub.add_argument("--block-vote", dest="block_vote", choices=_VOTES)
 
 
 def _load_model(parser: _Parser, args, settings: _Settings):
@@ -144,39 +163,36 @@ def _load_model(parser: _Parser, args, settings: _Settings):
 
 def _cmd_synth(parser: _Parser, args) -> int:
     settings = _Settings(args)
-    dofs = tuple(args.dofs) if args.dofs else tuple(settings.get("dofs"))
-    builder = (
-        synthetic.orthogonal_mixing_model
-        if settings.get("geometry") == "orthogonal"
-        else synthetic.default_mixing_model
-    )
-    model = builder(
-        n_channels=settings.get("channels"),
-        dofs=dofs,
-        noise_sigma=settings.get("noise_sigma"),
-        seed=settings.get("seed"),
-    )
-    angle_range = (settings.get("angle_min"), settings.get("angle_max"))
-    samples = synthetic.generate_training_set(
-        model, settings.get("per_action"), angle_range
-    )
+    dofs, channels = tuple(settings.get("dofs")), settings.get("channels")
+    low, high = settings.get("angle_min"), settings.get("angle_max")
+    blocks, windows = settings.get("blocks"), settings.get("windows")
+    for ok, message, *names in [
+        (len(set(dofs)) == len(dofs) > 1, "needs two or more distinct DOFs", "dofs"),
+        (channels >= 4 * len(dofs),
+         f"{channels} channels cannot host {2 * len(dofs)} disjoint dominant pairs",
+         "channels", "dofs"),
+        (low < high, f"angle_min {low!r} is not below angle_max {high!r}",
+         "angle_min", "angle_max"),
+        (blocks <= windows, f"cannot spread {windows} windows over {blocks} blocks",
+         "blocks", "windows"),
+    ]:
+        settings.require(parser, ok, message, *names)
+    build = {"masking": synthetic.default_mixing_model,
+             "orthogonal": synthetic.orthogonal_mixing_model}[settings.get("geometry")]
+    model = build(n_channels=channels, dofs=dofs, noise_sigma=settings.get("noise_sigma"),
+                  seed=settings.get("seed"))
+    samples = synthetic.generate_training_set(model, settings.get("per_action"), (low, high))
     train_ds = datasets.from_training_samples(samples, model.n_channels, source="synthetic")
     datasets.save_feature_dataset(train_ds, args.train_out)
     print(f"wrote {train_ds.n_rows} training rows to {args.train_out}")
 
     scenario = synthetic.default_scenario(
-        dofs=dofs,
-        n_blocks=settings.get("blocks"),
-        total_windows=settings.get("windows"),
-        angle_max=settings.get("angle_max"),
+        dofs=dofs, n_blocks=blocks, total_windows=windows, angle_max=high
     )
     test_set = synthetic.generate_test_scenario(model, scenario)
     test_ds = datasets.from_test_set(test_set, source="synthetic")
     datasets.save_feature_dataset(test_ds, args.test_out)
-    print(
-        f"wrote {test_ds.n_rows} test windows in {len(test_set.blocks)} blocks "
-        f"to {args.test_out}"
-    )
+    print(f"wrote {test_ds.n_rows} test windows in {blocks} blocks to {args.test_out}")
     return 0
 
 
@@ -252,8 +268,13 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
 
 def _cmd_learning_curve(parser: _Parser, args) -> int:
     _require_file(parser, args.data)
+    if args.sizes != sorted(set(args.sizes)):
+        sizes = " ".join(map(str, args.sizes))
+        parser.error(f"argument --sizes: must be strictly increasing, got {sizes}")
     ds = datasets.load_feature_dataset(args.data)
     samples = datasets.to_training_samples(ds)
+    if (largest := args.sizes[-1]) > len(samples):
+        raise ConfigurationError(f"{args.data}: size {largest} exceeds its {len(samples)} samples")
     dofs = list(args.dofs) if args.dofs else None
     curves = operators.overlap_curve(samples, list(args.sizes), ds.n_channels, dofs=dofs)
     ordered = sorted(curves)
@@ -302,14 +323,14 @@ def build_parser() -> _Parser:
     p.add_argument("--test-out", required=True)
     p.add_argument("--channels", type=_positive_int)
     p.add_argument("--dofs", nargs="+", type=Dof)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--noise-sigma", dest="noise_sigma", type=_non_negative_float)
+    p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("--per-action", dest="per_action", type=_positive_int)
-    p.add_argument("--angle-min", dest="angle_min", type=float)
-    p.add_argument("--angle-max", dest="angle_max", type=float)
+    p.add_argument("--angle-min", dest="angle_min", type=_positive_float)
+    p.add_argument("--angle-max", dest="angle_max", type=_positive_float)
     p.add_argument("--blocks", type=_positive_int)
     p.add_argument("--windows", type=_positive_int)
-    p.add_argument("--geometry", choices=["masking", "orthogonal"])
+    p.add_argument("--geometry", choices=_GEOMETRIES)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_synth)
 
@@ -339,7 +360,7 @@ def build_parser() -> _Parser:
     group.add_argument("--train-data", dest="train_data")
     p.add_argument("--sizes", nargs="+", type=_positive_int)
     p.add_argument("--dofs", nargs="+", type=Dof)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("--report-out", dest="report_out")
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--decode-out", dest="decode_out")

@@ -25,6 +25,12 @@ logger = logging.getLogger(__name__)
 
 _ANGLE_COLUMNS = [f"{dof.value}_angle" for dof in Dof]
 _TAIL_COLUMNS = _ANGLE_COLUMNS + ["phase", "block"]
+_PHASES = {phase.value: phase for phase in MovementPhase}
+
+
+def _run_starts(block_ids: np.ndarray) -> np.ndarray:
+    """Rows that start a run of equal block ids."""
+    return np.flatnonzero(np.diff(block_ids, prepend=block_ids[:1] + 1))
 
 
 @dataclass(frozen=True)
@@ -66,14 +72,13 @@ class FeatureDataset:
         block_ids = np.asarray(self.block_ids, dtype=int)
         if block_ids.shape != (n,) or len(self.phases) != n:
             raise DatasetSchemaError("phase and block columns must match the row count")
-        seen_runs = set()
-        for i, bid in enumerate(block_ids):
-            if i == 0 or bid != block_ids[i - 1]:
-                if int(bid) in seen_runs:
-                    raise DatasetSchemaError(
-                        f"block id {bid} appears in non-contiguous runs"
-                    )
-                seen_runs.add(int(bid))
+        starts = _run_starts(block_ids)
+        later = np.ones(len(starts), dtype=bool)  # runs that are not the first of their id
+        later[np.unique(block_ids[starts], return_index=True)[1]] = False
+        if later.any():
+            row = starts[later.argmax()]
+            raise DatasetSchemaError(f"{self.source or '<dataset>'}:{row + 2}: block id "
+                                     f"{block_ids[row]} appears in non-contiguous runs")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "block_ids", block_ids)
@@ -94,28 +99,28 @@ def to_training_samples(ds: FeatureDataset) -> list[TrainingSample]:
     a logged count; rows activating more than one DOF are rejected, since
     operator learning is defined on single-DOF data only.
     """
-    samples = []
-    n_rest = 0
-    for i in range(ds.n_rows):
-        active = [(dof, ds.angles[dof][i]) for dof in Dof if ds.angles[dof][i] != 0.0]
-        if not active:
-            n_rest += 1
-            continue
-        if len(active) > 1:
-            names = ", ".join(dof.value for dof, _ in active)
-            raise DatasetSchemaError(
-                f"row {i}: training rows must activate exactly one DOF, got {names}"
-            )
-        dof, signed = active[0]
-        samples.append(
-            TrainingSample(
-                features=FeatureVector(ds.features[i].copy(), ds.feature_kind),
-                dof=dof,
-                direction=Direction.POSITIVE if signed > 0 else Direction.NEGATIVE,
-                angle=abs(float(signed)),
-                movement_phase=ds.phases[i],
-            )
+    table = np.column_stack([ds.angles[dof] for dof in Dof])
+    active = table != 0.0
+    if (multi := np.flatnonzero(active.sum(axis=1) > 1)).size:
+        names = ", ".join(dof.value for dof, on in zip(Dof, active[multi[0]]) if on)
+        raise DatasetSchemaError(
+            f"row {multi[0]}: training rows must activate exactly one DOF, got {names}"
         )
+    rows, columns = np.nonzero(active)  # rows ascend, one column each
+    n_rest = ds.n_rows - len(rows)
+    dofs = list(Dof)
+    samples = [
+        TrainingSample(
+            features=FeatureVector(values, ds.feature_kind),
+            dof=dofs[k],
+            direction=Direction.POSITIVE if signed > 0 else Direction.NEGATIVE,
+            angle=abs(signed),
+            movement_phase=ds.phases[i],
+        )
+        for i, k, signed, values in zip(
+            rows.tolist(), columns.tolist(), table[rows, columns].tolist(), ds.features[rows]
+        )
+    ]
     if n_rest:
         logger.info("skipped %d rest rows while collecting training samples", n_rest)
     return samples
@@ -134,17 +139,12 @@ def to_blocks(ds: FeatureDataset, dofs: list[Dof]) -> list[Block]:
     The intended direction of a DOF in a block is the sign of its summed
     true angles over the block (zero sum means rest).
     """
+    starts = _run_starts(ds.block_ids).tolist()
     blocks = []
-    start = 0
-    for i in range(1, ds.n_rows + 1):
-        if i == ds.n_rows or ds.block_ids[i] != ds.block_ids[start]:
-            intended = {}
-            for dof in dofs:
-                direction = _intended_direction(ds.angles[dof][start:i])
-                if direction is not Direction.REST:
-                    intended[dof] = direction
-            blocks.append(Block(start=start, stop=i, intended=intended))
-            start = i
+    for start, stop in zip(starts, starts[1:] + [ds.n_rows]):
+        directions = {dof: _intended_direction(ds.angles[dof][start:stop]) for dof in dofs}
+        intended = {dof: d for dof, d in directions.items() if d is not Direction.REST}
+        blocks.append(Block(start=start, stop=stop, intended=intended))
     return blocks
 
 
@@ -153,18 +153,11 @@ def from_training_samples(
 ) -> FeatureDataset:
     """Pack training samples into a dataset (all rows in block 0)."""
     n = len(samples)
-    features = np.zeros((n, n_channels))
-    angles = {dof: np.zeros(n) for dof in Dof}
-    phases = []
-    for i, s in enumerate(samples):
-        features[i] = s.features.values
-        sign = 1.0 if s.direction is Direction.POSITIVE else -1.0
-        angles[s.dof][i] = sign * s.angle
-        phases.append(s.movement_phase)
+    signed = [s.angle if s.direction is Direction.POSITIVE else -s.angle for s in samples]
     return FeatureDataset(
-        features=features,
-        angles=angles,
-        phases=phases,
+        features=np.array([s.features.values for s in samples]).reshape(n, n_channels),
+        angles={dof: np.where([s.dof is dof for s in samples], signed, 0.0) for dof in Dof},
+        phases=[s.movement_phase for s in samples],
         block_ids=np.zeros(n, dtype=int),
         source=source,
     )
@@ -175,12 +168,10 @@ def from_test_set(ts: TestSet, source: str = "") -> FeatureDataset:
     n = len(ts.features)
     if n == 0:
         raise DatasetSchemaError("test set has no windows")
-    features = np.stack([fv.values for fv in ts.features])
-    block_ids = np.zeros(n, dtype=int)
-    for i, block in enumerate(ts.blocks):
-        block_ids[block.start : block.stop] = i
+    sizes = [block.stop - block.start for block in ts.blocks]  # blocks partition the windows
+    block_ids = np.repeat(np.arange(len(sizes)), sizes)
     return FeatureDataset(
-        features=features,
+        features=np.stack([fv.values for fv in ts.features]),
         angles={dof: values.copy() for dof, values in ts.truth.items()},
         phases=[MovementPhase.DIRECT] * n,
         block_ids=block_ids,
@@ -193,12 +184,10 @@ def save_feature_dataset(ds: FeatureDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"ch{i + 1}" for i in range(ds.n_channels)] + _TAIL_COLUMNS)
-        for i in range(ds.n_rows):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row += [repr(float(ds.angles[dof][i])) for dof in Dof]
-            row.append(ds.phases[i].value)
-            row.append(str(int(ds.block_ids[i])))
-            writer.writerow(row)
+        table = np.column_stack([ds.features] + [ds.angles[dof] for dof in Dof])
+        rows = zip(table, ds.phases, ds.block_ids.tolist())
+        # csv writes a Python float as its repr and an int as its str
+        writer.writerows(row.tolist() + [phase.value, block] for row, phase, block in rows)
 
 
 def load_feature_dataset(path) -> FeatureDataset:
@@ -210,49 +199,40 @@ def load_feature_dataset(path) -> FeatureDataset:
         except StopIteration:
             raise DatasetSchemaError(f"{path}: missing header row") from None
         if len(header) < len(_TAIL_COLUMNS) + 1 or header[-len(_TAIL_COLUMNS):] != _TAIL_COLUMNS:
-            raise DatasetSchemaError(
-                f"{path}: header must end with {', '.join(_TAIL_COLUMNS)}"
-            )
+            raise DatasetSchemaError(f"{path}: header must end with {', '.join(_TAIL_COLUMNS)}")
         n_channels = len(header) - len(_TAIL_COLUMNS)
         expected = [f"ch{i + 1}" for i in range(n_channels)]
         if header[:n_channels] != expected:
             raise DatasetSchemaError(f"{path}: channel columns must be ch1..ch{n_channels}")
 
-        features, phases, block_rows = [], [], []
-        angle_rows = {dof: [] for dof in Dof}
-        n_columns = len(header)
+        # channels then angles are floats, parsed per row into one table
+        n_floats = n_channels + len(Dof)
+        table, phases, block_rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_columns:
+            if len(row) != len(header):
                 raise DatasetSchemaError(
-                    f"{path}:{lineno}: expected {n_columns} values, got {len(row)}"
+                    f"{path}:{lineno}: expected {len(header)} values, got {len(row)}"
                 )
             try:
-                features.append([float(v) for v in row[:n_channels]])
-                for k, dof in enumerate(Dof):
-                    angle_rows[dof].append(float(row[n_channels + k]))
-                phases.append(MovementPhase(row[n_channels + 3].strip()))
-                block_rows.append(int(row[n_channels + 4]))
+                table.append(tuple(map(float, row[:n_floats])))  # a tuple is sized exactly
+                phase = row[n_floats].strip()
+                phases.append(_PHASES.get(phase) or MovementPhase(phase))  # enum names bad ones
+                block_rows.append(int(row[n_floats + 1]))
             except ValueError as exc:
                 raise DatasetParseError(f"{path}:{lineno}: {exc}") from None
-    if not features:
+    if not table:
         logger.warning("%s: dataset has a valid header but no rows", path)
-    n = len(features)
+    n = len(table)
+    table = np.array(table, dtype=float).reshape(n, n_floats)
     ds = FeatureDataset(
-        features=np.array(features, dtype=float).reshape(n, n_channels),
-        angles={dof: np.array(values) for dof, values in angle_rows.items()},
+        features=np.array(table[:, :n_channels]),
+        angles={dof: np.array(table[:, n_channels + k]) for k, dof in enumerate(Dof)},
         phases=phases,
         block_ids=np.array(block_rows, dtype=int),
         source=str(path),
     )
-    counts = {phase.value: 0 for phase in MovementPhase}
-    for phase in phases:
-        counts[phase.value] += 1
-    logger.info(
-        "loaded %d rows (%s) from %s",
-        n,
-        ", ".join(f"{k}: {v}" for k, v in counts.items()),
-        path,
-    )
+    counts = ", ".join(f"{phase.value}: {phases.count(phase)}" for phase in MovementPhase)
+    logger.info("loaded %d rows (%s) from %s", n, counts, path)
     return ds
 
 

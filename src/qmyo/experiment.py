@@ -35,14 +35,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.training_sizes or any(s < 1 for s in self.training_sizes):
             raise ValueError(f"training sizes must be positive, got {self.training_sizes}")
-        DecodeConfig(self.rest_threshold, self.overlap_epsilon, self.block_vote)
+        self.decode_config()
 
     def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            rest_threshold=self.rest_threshold,
-            overlap_epsilon=self.overlap_epsilon,
-            block_vote=self.block_vote,
-        )
+        return DecodeConfig(self.rest_threshold, self.overlap_epsilon, self.block_vote)
 
     def hash(self) -> str:
         """Digest of every field."""

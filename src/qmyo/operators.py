@@ -15,6 +15,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -301,20 +302,19 @@ def train(
     with a logged count. ``dofs`` defaults to every DOF present in the
     training data.
     """
-    for s in samples:
-        if s.features.n_channels != n_channels:
-            raise DimensionError(
-                f"sample has {s.features.n_channels} channels, expected {n_channels}"
-            )
-    direct = [s for s in samples if s.movement_phase is MovementPhase.DIRECT]
-    n_dropped = len(samples) - len(direct)
+    rows = [s.features.values for s in samples]
+    widths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    if (wrong := widths[widths != n_channels]).size:
+        raise DimensionError(f"sample has {wrong[0]} channels, expected {n_channels}")
+    signal = (np.array(rows).reshape(len(rows), n_channels) != 0.0).any(axis=1)
+    is_direct = np.array([s.movement_phase is MovementPhase.DIRECT for s in samples], dtype=bool)
+    n_dropped = len(samples) - int(is_direct.sum())
     if n_dropped:
         logger.info("dropped %d return-phase samples from training", n_dropped)
-    usable = [s for s in direct if np.any(s.features.values != 0.0)]
-    n_zero = len(direct) - len(usable)
+    n_zero = int((is_direct & ~signal).sum())
     if n_zero:
         logger.info("dropped %d zero-signal samples from training", n_zero)
-    direct = usable
+    direct = list(compress(samples, is_direct & signal))
 
     if dofs is None:
         dofs = sorted({s.dof for s in direct})

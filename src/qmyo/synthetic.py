@@ -9,13 +9,14 @@ scheme relies on.
 """
 
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
 from .errors import DimensionError
 from .evaluation import Block
 from .features import EmgRecording, FeatureKind, FeatureVector
-from .operators import Direction, Dof, MovementPhase, TrainingSample
+from .operators import Direction, Dof, TrainingSample
 
 _DIRECTIONS = (Direction.POSITIVE, Direction.NEGATIVE)
 
@@ -86,7 +87,8 @@ class ScenarioBlock:
                     f"{dof.value}: block angles change sign ({start} to {end})"
                 )
 
-    def angle_at(self, dof: Dof, window: int) -> float:
+    def angle_at(self, dof: Dof, window: int | np.ndarray) -> float | np.ndarray:
+        """Signed angle at a window index, or elementwise at an array of them."""
         if dof not in self.angles:
             return 0.0
         start, end = self.angles[dof]
@@ -127,16 +129,32 @@ class TestSet:
     n_clipped: int
 
 
-def _activation(model: MixingModel, angles: dict[Dof, float]) -> np.ndarray:
-    activation = np.zeros(2 * len(model.dofs))
+def _activation(model: MixingModel, angles: dict, n: int = 1) -> np.ndarray:
+    """(n, 2D) activations: each DOF's angle (a float or (n,) array) by sign."""
+    activation = np.zeros((n, 2 * len(model.dofs)))
     for dof, angle in angles.items():
         if dof not in model.dofs:
             raise ValueError(f"model has no mixing columns for {dof.value}")
-        if angle == 0.0:
-            continue
-        direction = Direction.POSITIVE if angle > 0 else Direction.NEGATIVE
-        activation[model.column_index(dof, direction)] = abs(angle)
+        col = model.column_index(dof, Direction.POSITIVE)
+        activation[:, col] = np.where(angle > 0, angle, 0.0)
+        activation[:, col + 1] = np.where(angle >= 0, 0.0, -angle)
     return activation
+
+
+def _noise(model: MixingModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, C) Gaussian feature noise; zeros, drawing nothing, when noiseless."""
+    if model.noise_sigma > 0:
+        return rng.normal(0.0, model.noise_sigma, size=(n, model.n_channels))
+    return np.zeros((n, model.n_channels))
+
+
+def _realize(model: MixingModel, activation: np.ndarray, noise: np.ndarray):
+    """Feature rows of (N, 2D) activations plus noise, clipped at zero, and the
+    count clipped. One matrix-vector product per row gives each row the bits
+    of ``model.mixing @ activation`` for that row alone."""
+    values = (model.mixing @ activation[:, :, None])[:, :, 0] + noise
+    negative = values < 0
+    return np.where(negative, 0.0, values), int(negative.sum())
 
 
 def generate_features(
@@ -154,18 +172,9 @@ def generate_features(
         raise ValueError(f"count must be >= 0, got {count}")
     if rng is None:
         rng = np.random.default_rng([model.seed, 2])
-    clean = model.mixing @ _activation(model, angles)
-    n_clipped = 0
-    windows = []
-    for _ in range(count):
-        values = clean
-        if model.noise_sigma > 0:
-            values = clean + rng.normal(0.0, model.noise_sigma, size=clean.shape)
-            negative = values < 0
-            n_clipped += int(np.sum(negative))
-            values = np.where(negative, 0.0, values)
-        windows.append(FeatureVector(values.copy(), FeatureKind.MAV))
-    return windows, n_clipped
+    activation = _activation(model, angles, count)
+    values, n_clipped = _realize(model, activation, _noise(model, rng, count))
+    return [FeatureVector(row, FeatureKind.MAV) for row in values], n_clipped
 
 
 def generate_training_set(
@@ -177,7 +186,8 @@ def generate_training_set(
 
     Actions (every DOF x direction pair) are interleaved round-robin so
     that any prefix of the returned list stays balanced; growing-prefix
-    retraining and size subsetting rely on that.
+    retraining and size subsetting rely on that. Each sample draws its
+    angle, then its noise, from one generator.
     """
     if per_action_count < 1:
         raise ValueError(f"per_action_count must be >= 1, got {per_action_count}")
@@ -186,22 +196,19 @@ def generate_training_set(
         raise ValueError(f"angle range must satisfy 0 < min < max, got {angle_range}")
     rng = np.random.default_rng([model.seed, 0])
     actions = [(dof, direction) for dof in model.dofs for direction in _DIRECTIONS]
-    samples = []
-    for _ in range(per_action_count):
-        for dof, direction in actions:
-            angle = float(rng.uniform(low, high))
-            signed = angle if direction is Direction.POSITIVE else -angle
-            windows, _ = generate_features(model, {dof: signed}, 1, rng=rng)
-            samples.append(
-                TrainingSample(
-                    features=windows[0],
-                    dof=dof,
-                    direction=direction,
-                    angle=angle,
-                    movement_phase=MovementPhase.DIRECT,
-                )
-            )
-    return samples
+    n = per_action_count * len(actions)
+    angles, noise = np.empty(n), np.empty((n, model.n_channels))
+    for i in range(n):
+        angles[i] = rng.uniform(low, high)
+        noise[i] = _noise(model, rng, 1)
+    activation = np.zeros((n, 2 * len(model.dofs)))
+    columns = [model.column_index(dof, direction) for dof, direction in actions]
+    activation[np.arange(n), np.tile(columns, per_action_count)] = angles
+    values, _ = _realize(model, activation, noise)
+    return [
+        TrainingSample(FeatureVector(row, FeatureKind.MAV), dof, direction, angle)
+        for row, angle, (dof, direction) in zip(values, angles.tolist(), cycle(actions))
+    ]
 
 
 def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> TestSet:
@@ -211,33 +218,21 @@ def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> T
     model seed and block index, so blocks could be generated in parallel
     without changing the output.
     """
-    features: list[FeatureVector] = []
-    truth: dict[Dof, list[float]] = {dof: [] for dof in model.dofs}
-    blocks: list[Block] = []
-    n_clipped = 0
-    cursor = 0
+    features, truths, blocks, n_clipped, cursor = [], [], [], 0, 0
     for index, block in enumerate(scenario.blocks):
+        n, windows = block.n_windows, np.arange(block.n_windows)
+        angles = {dof: np.full(n, block.angle_at(dof, windows), dtype=float) for dof in model.dofs}
         rng = np.random.default_rng([model.seed, 1, index])
-        for j in range(block.n_windows):
-            angles = {dof: block.angle_at(dof, j) for dof in model.dofs}
-            windows, clipped = generate_features(model, angles, 1, rng=rng)
-            features.append(windows[0])
-            n_clipped += clipped
-            for dof in model.dofs:
-                truth[dof].append(angles[dof])
-        intended = {
-            dof: block.intended_direction(dof)
-            for dof in model.dofs
-            if block.intended_direction(dof) is not Direction.REST
-        }
-        blocks.append(Block(start=cursor, stop=cursor + block.n_windows, intended=intended))
-        cursor += block.n_windows
-    return TestSet(
-        features=features,
-        truth={dof: np.array(values) for dof, values in truth.items()},
-        blocks=blocks,
-        n_clipped=n_clipped,
-    )
+        values, clipped = _realize(model, _activation(model, angles, n), _noise(model, rng, n))
+        features.extend(FeatureVector(row, FeatureKind.MAV) for row in values)
+        n_clipped += clipped
+        truths.append(angles)
+        directions = {dof: block.intended_direction(dof) for dof in model.dofs}
+        intended = {dof: d for dof, d in directions.items() if d is not Direction.REST}
+        blocks.append(Block(start=cursor, stop=cursor + n, intended=intended))
+        cursor += n
+    truth = {dof: np.concatenate([angles[dof] for angles in truths]) for dof in model.dofs}
+    return TestSet(features=features, truth=truth, blocks=blocks, n_clipped=n_clipped)
 
 
 def default_mixing_model(
@@ -461,7 +456,7 @@ def generate_raw_emg(
         rng = np.random.default_rng([model.seed, 3])
     n_samples = int(duration_s * sample_rate)
     t = np.arange(n_samples) / sample_rate
-    targets = model.mixing @ _activation(model, angles)
+    targets = model.mixing @ _activation(model, angles)[0]
     channels = np.zeros((n_samples, model.n_channels))
     for ch in range(model.n_channels):
         freqs = rng.uniform(band[0], band[1], size=n_tones)

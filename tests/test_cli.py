@@ -21,7 +21,12 @@ from qmyo.operators import (
     train,
 )
 from qmyo.synthetic import generate_raw_emg, generate_training_set, orthogonal_mixing_model
-from qmyo.datasets import from_training_samples, load_feature_dataset, save_feature_dataset
+from qmyo.datasets import (
+    from_training_samples,
+    load_feature_dataset,
+    save_feature_dataset,
+    to_training_samples,
+)
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import TrainingSample
 
@@ -252,6 +257,114 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith(f"qmyo: data error: {raw_csv}:41: samples must be finite")
 
+    @staticmethod
+    def usage_error(capsys, argv):
+        """Run ``argv``, expect exit 1, and return its one ``qmyo`` error line."""
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("usage: qmyo")
+        [line] = [line for line in err.splitlines() if line.startswith("qmyo")]
+        return line
+
+    @staticmethod
+    def data_error(capsys, argv):
+        """Run ``argv``, expect exit 2, and return its one stderr line."""
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("qmyo: data error: ")
+        return line.removeprefix("qmyo: data error: ")
+
+    @staticmethod
+    def argv(command, tmp_path, *extra):
+        return {
+            "train": ["train", "--data", V1_TRAIN, "--out", tmp_path / "m.json"],
+            "decode": ["decode", "--model", V1_MODEL, "--data", V1_TRAIN,
+                       "--out", tmp_path / "d.csv"],
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V1_MODEL],
+            "synth": ["synth", "--train-out", tmp_path / "a.csv", "--test-out", tmp_path / "b.csv"],
+        }[command] + list(extra)
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("train", ["--rest-threshold", -1],
+             "argument --rest-threshold: invalid non-negative float value: '-1'"),
+            ("train", ["--overlap-epsilon", 2],
+             "argument --overlap-epsilon: invalid (0, 1) float value: '2'"),
+            ("decode", ["--overlap-epsilon", 2],
+             "argument --overlap-epsilon: invalid (0, 1) float value: '2'"),
+            ("evaluate", ["--overlap-epsilon", 2],
+             "argument --overlap-epsilon: invalid (0, 1) float value: '2'"),
+            ("evaluate", ["--rest-threshold", "nan"],
+             "argument --rest-threshold: invalid non-negative float value: 'nan'"),
+            ("synth", ["--channels", 4],
+             "argument --channels: 4 channels cannot host 4 disjoint dominant pairs"),
+            ("synth", ["--dofs", "d1", "d2", "d3"],
+             "argument --dofs: 8 channels cannot host 6 disjoint dominant pairs"),
+            ("synth", ["--dofs", "d1", "d1"], "argument --dofs: needs two or more distinct DOFs"),
+            ("synth", ["--dofs", "d3"], "argument --dofs: needs two or more distinct DOFs"),
+            ("synth", ["--angle-min", 50],
+             "argument --angle-min: angle_min 50.0 is not below angle_max 40.0"),
+            ("synth", ["--angle-max", 0],
+             "argument --angle-max: invalid positive float value: '0'"),
+            ("synth", ["--blocks", 100, "--windows", 50],
+             "argument --blocks: cannot spread 50 windows over 100 blocks"),
+            ("synth", ["--noise-sigma", -1],
+             "argument --noise-sigma: invalid non-negative float value: '-1'"),
+            ("synth", ["--seed", -1], "argument --seed: invalid non-negative int value: '-1'"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, command, flags, message):
+        line = self.usage_error(capsys, self.argv(command, tmp_path, *flags))
+        assert line.endswith(f"error: {message}")
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_decreasing_learning_curve_sizes_are_usage_error(self, tmp_path, capsys):
+        line = self.usage_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", 10, 5])
+        assert line == "qmyo: error: argument --sizes: must be strictly increasing, got 10 5"
+
+    def test_learning_curve_size_beyond_the_data_is_data_error(self, tmp_path, capsys):
+        n = len(to_training_samples(load_feature_dataset(V1_TRAIN)))
+        line = self.data_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", n + 1])
+        assert line == f"{V1_TRAIN}: size {n + 1} exceeds its {n} samples"
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("train", "rest_threshold = -1", "must be finite and >= 0, got -1"),
+            ("train", "overlap_epsilon = 2", "must be in (0, 1), got 2"),
+            ("decode", "overlap_epsilon = 2", "must be in (0, 1), got 2"),
+            ("evaluate", "overlap_epsilon = 2", "must be in (0, 1), got 2"),
+            ("evaluate", "block_vote = most", "must be one of majority, any, all, got most"),
+            ("synth", "channels = 4", "4 channels cannot host 4 disjoint dominant pairs"),
+            ("synth", "dofs = d1,d2,d3", "8 channels cannot host 6 disjoint dominant pairs"),
+            ("synth", "angle_min = 50", "angle_min 50.0 is not below angle_max 40.0"),
+            ("synth", "windows = 20", "cannot spread 20 windows over 55 blocks"),
+            ("synth", "geometry = round", "must be one of masking, orthogonal, got round"),
+            ("synth", "seed = -3", "must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys, command, setting, message):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"# settings\n\n{setting}  # the bad one\nnoise_sigma = 0.0\n")
+        line = self.data_error(capsys, self.argv(command, tmp_path, "--config", cfg))
+        assert line == f"{cfg}:3: {message}"
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_flag_conflicting_with_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("channels = 12\n")
+        line = self.usage_error(capsys, self.argv("synth", tmp_path, "--config", cfg,
+                                                  "--dofs", "d1", "d2", "d3", "d3"))
+        assert line == "qmyo: error: argument --dofs: needs two or more distinct DOFs"
+        line = self.usage_error(capsys, self.argv("synth", tmp_path, "--config", cfg,
+                                                  "--channels", 8, "--dofs", "d1", "d2", "d3"))
+        assert line.endswith("--channels: 8 channels cannot host 6 disjoint dominant pairs")
+
     def test_insufficient_training_is_data_error(self, tmp_path, capsys):
         mixing = orthogonal_mixing_model(seed=1)
         ds = from_training_samples(
@@ -451,6 +564,17 @@ class TestModelFileErrors:
         assert "Traceback" not in proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"qmyo: data error: {model}: d3: stored p_zero deviates from")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmyo", "inspect-model", "--model", str(V1_MODEL)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("channels: 4\n")
+    assert "[d3]" in proc.stdout
 
 
 def test_three_dof_synth_train_evaluate(tmp_path, capsys):

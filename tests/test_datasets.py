@@ -1,5 +1,6 @@
 """Feature dataset CSV interchange and conversions."""
 
+import csv
 import logging
 
 import numpy as np
@@ -272,3 +273,186 @@ class TestDecodeCsv:
             ]
             assert row == expected
         assert rows[-1][-3:] == ["", "", ""]  # zero-signal window
+
+
+# The per-row code the array-native writer and converter replaced, kept as
+# the reference they must reproduce exactly.
+def reference_save(ds, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"ch{i + 1}" for i in range(ds.n_channels)] + [
+            "d1_angle", "d2_angle", "d3_angle", "phase", "block"])
+        for i in range(ds.n_rows):
+            row = [repr(float(v)) for v in ds.features[i]]
+            row += [repr(float(ds.angles[dof][i])) for dof in Dof]
+            row.append(ds.phases[i].value)
+            row.append(str(int(ds.block_ids[i])))
+            writer.writerow(row)
+
+
+def reference_samples(ds):
+    """Samples as (values, dof, direction, angle, phase), and the rest count."""
+    samples, n_rest = [], 0
+    for i in range(ds.n_rows):
+        active = [(dof, ds.angles[dof][i]) for dof in Dof if ds.angles[dof][i] != 0.0]
+        if not active:
+            n_rest += 1
+            continue
+        if len(active) > 1:
+            names = ", ".join(dof.value for dof, _ in active)
+            raise DatasetSchemaError(
+                f"row {i}: training rows must activate exactly one DOF, got {names}"
+            )
+        dof, signed = active[0]
+        direction = Direction.POSITIVE if signed > 0 else Direction.NEGATIVE
+        samples.append((ds.features[i].tobytes(), dof, direction, abs(float(signed)), ds.phases[i]))
+    return samples, n_rest
+
+
+def random_dataset(rng, n, multi_row=None):
+    """Rows activating one DOF, or none (rest); ``multi_row`` activates two."""
+    which = rng.integers(-1, 3, size=n)
+    signed = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 40.0, size=n)
+    angles = {dof: np.where(which == k, signed, 0.0) for k, dof in enumerate(Dof)}
+    if multi_row is not None:
+        angles[D1][multi_row], angles[D3][multi_row] = 5.0, -7.0
+    phases = [MovementPhase.DIRECT if p else MovementPhase.RETURN for p in rng.random(n) < 0.8]
+    return FeatureDataset(
+        features=rng.lognormal(sigma=3.0, size=(n, 6)),
+        angles=angles,
+        phases=phases,
+        block_ids=np.repeat(np.arange(n // 10 + 1), 10)[:n],
+    )
+
+
+class TestArrayNativeDataPlane:
+    def test_saved_bytes_equal_the_per_cell_repr_writer(self, tmp_path):
+        rng = np.random.default_rng(2)
+        features = rng.lognormal(sigma=5.0, size=(40, 4))
+        features[0] = [-0.0, 1e-300, 1e300, 5e-324]
+        features[1] = [0.0, 0.1, 1.0 / 3.0, 2.0**-1074]
+        angles = {D1: rng.normal(scale=20.0, size=40), D3: np.zeros(40)}
+        angles[D1][:4] = [-0.0, 1e-300, -1e300, 1e16]
+        ds = FeatureDataset(
+            features=features,
+            angles=angles,
+            phases=[MovementPhase.DIRECT, MovementPhase.RETURN] * 20,
+            block_ids=np.repeat([0, 3, -2, 12345678901], 10),
+        )
+        save_feature_dataset(ds, tmp_path / "new.csv")
+        reference_save(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert b"-0.0,1e-300,1e+300,5e-324," in (tmp_path / "new.csv").read_bytes()
+
+    def test_saved_synthetic_sets_equal_the_per_cell_repr_writer(self, tmp_path):
+        model = default_mixing_model(noise_sigma=0.1, seed=3)
+        sets = [
+            from_training_samples(generate_training_set(model, 30), model.n_channels),
+            from_test_set(generate_test_scenario(model, default_scenario(model.dofs, 11, 200))),
+        ]
+        for k, ds in enumerate(sets):
+            save_feature_dataset(ds, tmp_path / f"new{k}.csv")
+            reference_save(ds, tmp_path / f"ref{k}.csv")
+            new, ref = (tmp_path / f"{name}{k}.csv" for name in ("new", "ref"))
+            assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_samples_equal_the_per_row_loop(self, seed, caplog):
+        ds = random_dataset(np.random.default_rng(seed), 300)
+        expected, n_rest = reference_samples(ds)
+        assert n_rest > 0
+        with caplog.at_level(logging.INFO, logger="qmyo.datasets"):
+            got = to_training_samples(ds)
+        assert [
+            (s.features.values.tobytes(), s.dof, s.direction, s.angle, s.movement_phase)
+            for s in got
+        ] == expected
+        assert all(s.features.kind is ds.feature_kind for s in got)
+        assert f"skipped {n_rest} rest rows" in caplog.text
+
+    @pytest.mark.parametrize("multi_row", [0, 17, 299])
+    def test_first_multi_dof_row_is_named_as_the_loop_names_it(self, multi_row):
+        ds = random_dataset(np.random.default_rng(9), 300, multi_row=multi_row)
+        ds.angles[D2][150] = 1.0  # a later multi-DOF row must not be the one named
+        ds.angles[D1][150] = 1.0
+        with pytest.raises(DatasetSchemaError) as expected:
+            reference_samples(ds)
+        with pytest.raises(DatasetSchemaError) as got:
+            to_training_samples(ds)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"row {min(multi_row, 150)}: ")
+
+    def test_all_rest_and_empty_datasets(self):
+        ds = random_dataset(np.random.default_rng(1), 20)
+        rest = FeatureDataset(ds.features, {}, ds.phases, ds.block_ids)
+        assert to_training_samples(rest) == []
+        empty = FeatureDataset(np.zeros((0, 3)), {}, [], np.zeros(0, dtype=int))
+        assert to_training_samples(empty) == []
+
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ("1.0,2.0,0,oops,0,direct,1", DatasetParseError,
+             "bad.csv:4: could not convert string to float: 'oops'"),
+            ("1.0,2.0,0,0,0,direct", DatasetSchemaError, "bad.csv:4: expected 7 values, got 6"),
+            ("1.0,2.0,0,0,0,sideways,1", DatasetParseError,
+             "bad.csv:4: 'sideways' is not a valid MovementPhase"),
+            ("1.0,2.0,0,0,0, return ,x1", DatasetParseError,
+             "bad.csv:4: invalid literal for int() with base 10: 'x1'"),
+            ("1.0,2.0,0,0,0,direct,0", DatasetSchemaError,
+             "bad.csv:4: block id 0 appears in non-contiguous runs"),
+        ],
+    )
+    def test_load_errors_name_the_line(self, tmp_path, row, error, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "ch1,ch2,d1_angle,d2_angle,d3_angle,phase,block\n"
+            "1.0,2.0,5,0,0,direct,0\n"
+            "1.0,2.0,0,0,-5,return,1\n"
+            f"{row}\n"
+            "1.0,2.0,0,0,0,direct,1\n"
+        )
+        with pytest.raises(error) as exc:
+            load_feature_dataset(path)
+        assert str(exc.value) == f"{path.parent}/{message}"
+
+    def test_non_contiguous_error_names_the_first_repeated_run(self):
+        with pytest.raises(DatasetSchemaError) as exc:
+            FeatureDataset(
+                features=np.zeros((7, 1)),
+                angles={},
+                phases=[MovementPhase.DIRECT] * 7,
+                block_ids=np.array([4, 4, 9, 2, 9, 4, 2]),
+                source="x.csv",
+            )
+        assert str(exc.value) == "x.csv:6: block id 9 appears in non-contiguous runs"
+
+    def test_phases_are_the_enum_members(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(4), 30)
+        save_feature_dataset(ds, tmp_path / "d.csv")
+        loaded = load_feature_dataset(tmp_path / "d.csv")
+        assert all(a is b for a, b in zip(loaded.phases, ds.phases))
+        assert loaded.features.flags.c_contiguous
+        assert all(loaded.angles[dof].flags.c_contiguous for dof in Dof)
+
+    def test_non_contiguous_check_equals_the_per_row_loop(self):
+        def reference(block_ids):
+            seen = set()
+            for i, bid in enumerate(block_ids):
+                if i == 0 or bid != block_ids[i - 1]:
+                    if int(bid) in seen:
+                        return f"<dataset>:{i + 2}: block id {bid} appears in non-contiguous runs"
+                    seen.add(int(bid))
+            return None
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(0, 12))
+            block_ids = rng.integers(-2, 3, size=n)
+            expected = reference(block_ids)
+            args = (np.zeros((n, 1)), {}, [MovementPhase.DIRECT] * n, block_ids)
+            if expected is None:
+                FeatureDataset(*args)
+            else:
+                with pytest.raises(DatasetSchemaError, match=f"^{expected}$"):
+                    FeatureDataset(*args)

@@ -102,6 +102,66 @@ class TestMav:
         assert mav(window).values.tolist() == [2.0, 2.0]
 
 
+def reference_check(values, kind):
+    """The per-element validation FeatureVector ran before its min/max check:
+    the error message it raised, or None when it accepted the values."""
+    if not np.all(np.isfinite(values)):
+        return "feature values must be finite"
+    if kind in (FeatureKind.MAV, FeatureKind.WL) and np.any(values < 0):
+        return f"{kind.value} features must be non-negative"
+    return None
+
+
+special_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308,
+                                  np.inf, -np.inf, np.nan])
+any_floats = st.one_of(special_floats, st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestFeatureVectorCheck:
+    @given(values=st.lists(any_floats, max_size=12), kind=st.sampled_from(list(FeatureKind)))
+    @settings(max_examples=400)
+    def test_accepts_and_rejects_as_the_elementwise_formula(self, values, kind):
+        values = np.array(values, dtype=float)
+        expected = reference_check(values, kind)
+        if expected is None:
+            assert FeatureVector(values, kind).values.tolist() == values.tolist()
+        else:
+            with pytest.raises(ValueError, match=expected):
+                FeatureVector(values, kind)
+
+    @pytest.mark.parametrize("kind", list(FeatureKind))
+    @pytest.mark.parametrize(
+        "values",
+        [[], [-0.0], [0.0, -0.0], [np.nan], [1.0, np.nan], [np.inf], [-np.inf], [-np.inf, np.nan],
+         [-1.0, np.nan], [-1.0], [1e308, -5e-324], [5e-324]],
+    )
+    def test_edge_cases(self, values, kind):
+        values = np.array(values, dtype=float)
+        expected = reference_check(values, kind)
+        if expected is None:
+            FeatureVector(values, kind)
+        else:
+            with pytest.raises(ValueError, match=expected):
+                FeatureVector(values, kind)
+
+
+class TestMavBits:
+    @given(
+        window=st.lists(
+            st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=3, max_size=3),
+            min_size=1, max_size=70,
+        )
+    )
+    @settings(max_examples=300)
+    def test_equals_numpy_mean_bit_for_bit(self, window):
+        w = np.array(window)
+        assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
+
+    def test_long_window_uses_the_same_pairwise_sum(self):
+        w = np.random.default_rng(3).lognormal(sigma=4.0, size=(1000, 16))
+        assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
+
+
 class TestZeroCrossings:
     def test_alternating(self):
         assert zero_crossings(np.array([1.0, -1.0, 1.0, -1.0])).values[0] == 3

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -264,6 +265,39 @@ class TestTrain:
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             train([sample([1.0, 0.0])], 3)
+
+    def test_first_mismatched_width_is_named(self):
+        samples = [sample([1.0, 0.0]), sample([1.0, 0.0, 2.0]), sample([1.0])]
+        with pytest.raises(DimensionError, match="^sample has 3 channels, expected 2$"):
+            train(samples, 2)
+
+    def test_dropped_samples_are_counted_as_per_sample_checks_count_them(self, caplog):
+        # the per-sample loop the stacked checks replaced
+        def reference(samples):
+            direct = [s for s in samples if s.movement_phase is MovementPhase.DIRECT]
+            usable = [s for s in direct if np.any(s.features.values != 0.0)]
+            return len(samples) - len(direct), len(direct) - len(usable), usable
+
+        rng = np.random.default_rng(12)
+        samples = []
+        for dof in (D1, D3):
+            for direction in (Direction.POSITIVE, Direction.NEGATIVE):
+                samples += random_samples(rng, 4, dof, direction, 30)
+        for k, i in enumerate(rng.choice(len(samples), size=40, replace=False)):
+            if k % 2:
+                samples[i] = dataclasses.replace(samples[i], movement_phase=MovementPhase.RETURN)
+            if k % 3 == 0:
+                zero = FeatureVector(np.zeros(4) if k % 4 else -np.zeros(4), FeatureKind.MAV)
+                samples[i] = dataclasses.replace(samples[i], features=zero)
+        n_return, n_zero, usable = reference(samples)
+        assert n_return and n_zero
+        with caplog.at_level(logging.INFO, logger="qmyo.operators"):
+            model = train(samples, 4)
+        assert f"dropped {n_return} return-phase samples" in caplog.text
+        assert f"dropped {n_zero} zero-signal samples" in caplog.text
+        for dof, ops in model.dofs.items():
+            pos = [s for s in usable if s.dof is dof and s.direction is Direction.POSITIVE]
+            assert ops.proto_pos.amplitudes.tobytes() == build_prototype(pos).amplitudes.tobytes()
 
 
 class TestTrainedInvariants:

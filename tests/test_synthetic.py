@@ -304,3 +304,130 @@ class TestGenerateRawEmg:
         model = orthogonal_mixing_model()
         rec = generate_raw_emg(model, {D1: 10.0}, duration_s=0.2)
         assert not rec.samples[:, 4:].any()
+
+
+# The per-window generators as they were before generation was batched per
+# block: the vectorized generators must reproduce their draws bit for bit.
+def reference_activation(model, angles):
+    activation = np.zeros(2 * len(model.dofs))
+    for dof, angle in angles.items():
+        if dof not in model.dofs:
+            raise ValueError(f"model has no mixing columns for {dof.value}")
+        if angle == 0.0:
+            continue
+        direction = POS if angle > 0 else NEG
+        activation[model.column_index(dof, direction)] = abs(angle)
+    return activation
+
+
+def reference_features(model, angles, count, rng):
+    clean = model.mixing @ reference_activation(model, angles)
+    n_clipped = 0
+    windows = []
+    for _ in range(count):
+        values = clean
+        if model.noise_sigma > 0:
+            values = clean + rng.normal(0.0, model.noise_sigma, size=clean.shape)
+            negative = values < 0
+            n_clipped += int(np.sum(negative))
+            values = np.where(negative, 0.0, values)
+        windows.append(values.copy())
+    return windows, n_clipped
+
+
+def reference_training_set(model, per_action_count, angle_range=(5.0, 40.0)):
+    low, high = angle_range
+    rng = np.random.default_rng([model.seed, 0])
+    actions = [(dof, direction) for dof in model.dofs for direction in (POS, NEG)]
+    samples = []
+    for _ in range(per_action_count):
+        for dof, direction in actions:
+            angle = float(rng.uniform(low, high))
+            signed = angle if direction is POS else -angle
+            windows, _ = reference_features(model, {dof: signed}, 1, rng)
+            samples.append((windows[0], dof, direction, angle))
+    return samples
+
+
+def reference_scenario(model, scenario):
+    features, blocks, n_clipped, cursor = [], [], 0, 0
+    truth = {dof: [] for dof in model.dofs}
+    for index, block in enumerate(scenario.blocks):
+        rng = np.random.default_rng([model.seed, 1, index])
+        for j in range(block.n_windows):
+            angles = {dof: block.angle_at(dof, j) for dof in model.dofs}
+            windows, clipped = reference_features(model, angles, 1, rng)
+            features.append(windows[0])
+            n_clipped += clipped
+            for dof in model.dofs:
+                truth[dof].append(angles[dof])
+        intended = {
+            dof: block.intended_direction(dof)
+            for dof in model.dofs
+            if block.intended_direction(dof) is not Direction.REST
+        }
+        blocks.append((cursor, cursor + block.n_windows, intended))
+        cursor += block.n_windows
+    return features, {dof: np.array(v) for dof, v in truth.items()}, blocks, n_clipped
+
+
+def bits(rows):
+    return [np.asarray(row, dtype=float).tobytes() for row in rows]
+
+
+MODELS = {
+    "tiny-noisy": lambda: tiny_model(noise_sigma=0.3, seed=4),
+    "tiny-clipping": lambda: tiny_model(noise_sigma=5.0, seed=1),
+    "tiny-noiseless": lambda: tiny_model(),
+    "masking-3dof": lambda: default_mixing_model(
+        n_channels=12, dofs=(D1, D2, D3), noise_sigma=0.1, seed=7
+    ),
+    "orthogonal-noiseless": lambda: orthogonal_mixing_model(seed=2),
+}
+
+
+class TestVectorisedGeneration:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_scenario_equals_per_window_draws(self, name):
+        model = MODELS[name]()
+        scenarios = [
+            default_scenario(dofs=model.dofs, n_blocks=33, total_windows=700),
+            SyntheticScenario(blocks=[
+                ScenarioBlock(angles={model.dofs[0]: (0.0, 10.0)}, n_windows=7),
+                ScenarioBlock(angles={model.dofs[0]: (-0.0, -3.0), model.dofs[1]: (4, 9)},
+                              n_windows=5),
+                ScenarioBlock(angles={model.dofs[1]: (12, 30)}, n_windows=1),
+                ScenarioBlock(angles={}, n_windows=40),
+            ]),
+        ]
+        for scenario in scenarios:
+            features, truth, blocks, n_clipped = reference_scenario(model, scenario)
+            got = generate_test_scenario(model, scenario)
+            assert bits(fv.values for fv in got.features) == bits(features)
+            assert got.truth.keys() == truth.keys()
+            for dof in truth:
+                assert got.truth[dof].dtype == truth[dof].dtype
+                assert got.truth[dof].tobytes() == truth[dof].tobytes()
+            assert [(b.start, b.stop, b.intended) for b in got.blocks] == blocks
+            assert got.n_clipped == n_clipped
+        if name == "tiny-clipping":
+            assert n_clipped > 0
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_training_set_equals_per_sample_draws(self, name):
+        model = MODELS[name]()
+        expected = reference_training_set(model, 25, (3.0, 35.0))
+        got = generate_training_set(model, 25, (3.0, 35.0))
+        assert bits(s.features.values for s in got) == bits(e[0] for e in expected)
+        assert [(s.dof, s.direction, s.angle) for s in got] == [e[1:] for e in expected]
+        assert {s.movement_phase for s in got} == {MovementPhase.DIRECT}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("count", [0, 1, 6])
+    def test_features_equal_per_window_draws(self, name, count):
+        model = MODELS[name]()
+        angles = {model.dofs[0]: -12.5, model.dofs[1]: 0.0}
+        expected, clipped = reference_features(model, angles, count, np.random.default_rng(11))
+        got, n_clipped = generate_features(model, angles, count, rng=np.random.default_rng(11))
+        assert bits(fv.values for fv in got) == bits(expected)
+        assert n_clipped == clipped
