@@ -25,11 +25,13 @@ from .datasets import (
     FeatureDataset,
     from_test_set,
     from_training_samples,
+    from_training_table,
     load_feature_dataset,
     save_decode_csv,
     save_feature_dataset,
     to_blocks,
     to_training_samples,
+    training_table,
 )
 from .errors import (
     ConfigurationError,
@@ -88,6 +90,7 @@ from .operators import (
     MovementPhase,
     Operator,
     TrainingSample,
+    TrainingTable,
     build_completeness_operator,
     build_direction_operator,
     build_prototype,
@@ -95,6 +98,7 @@ from .operators import (
     overlap_curve,
     save_model,
     train,
+    train_table,
     with_decode_config,
 )
 from .state import QuantumState, encode, encode_rows, inner_product
@@ -109,6 +113,7 @@ from .synthetic import (
     generate_raw_emg,
     generate_test_scenario,
     generate_training_set,
+    generate_training_table,
     orthogonal_mixing_model,
 )
 

@@ -181,8 +181,8 @@ def _cmd_synth(parser: _Parser, args) -> int:
              "orthogonal": synthetic.orthogonal_mixing_model}[settings.get("geometry")]
     model = build(n_channels=channels, dofs=dofs, noise_sigma=settings.get("noise_sigma"),
                   seed=settings.get("seed"))
-    samples = synthetic.generate_training_set(model, settings.get("per_action"), (low, high))
-    train_ds = datasets.from_training_samples(samples, model.n_channels, source="synthetic")
+    table = synthetic.generate_training_table(model, settings.get("per_action"), (low, high))
+    train_ds = datasets.from_training_table(table, source="synthetic")
     datasets.save_feature_dataset(train_ds, args.train_out)
     print(f"wrote {train_ds.n_rows} training rows to {args.train_out}")
 
@@ -200,15 +200,15 @@ def _cmd_train(parser: _Parser, args) -> int:
     _require_file(parser, args.data)
     settings = _Settings(args)
     ds = datasets.load_feature_dataset(args.data)
-    samples = datasets.to_training_samples(ds)
+    table = datasets.training_table(ds)
     if args.size is not None:
-        samples = experiment.subset_per_action(samples, args.size)
+        table = experiment.subset_per_action(table, args.size)
     dofs = list(args.dofs) if args.dofs else None
-    model = operators.train(
-        samples, ds.n_channels, dofs=dofs, config=settings.decode_config()
+    model = operators.train_table(
+        table, ds.n_channels, dofs=dofs, config=settings.decode_config()
     )
     operators.save_model(model, args.out)
-    print(f"trained {len(model.dofs)} DOF(s) on {len(samples)} samples -> {args.out}")
+    print(f"trained {len(model.dofs)} DOF(s) on {table.n_rows} samples -> {args.out}")
     for dof in model.sorted_dofs():
         print(f"  {dof.value}: overlap {model.dofs[dof].overlap!r}")
     return 0
@@ -272,11 +272,11 @@ def _cmd_learning_curve(parser: _Parser, args) -> int:
         sizes = " ".join(map(str, args.sizes))
         parser.error(f"argument --sizes: must be strictly increasing, got {sizes}")
     ds = datasets.load_feature_dataset(args.data)
-    samples = datasets.to_training_samples(ds)
-    if (largest := args.sizes[-1]) > len(samples):
-        raise ConfigurationError(f"{args.data}: size {largest} exceeds its {len(samples)} samples")
+    table = datasets.training_table(ds)
+    if (largest := args.sizes[-1]) > table.n_rows:
+        raise ConfigurationError(f"{args.data}: size {largest} exceeds its {table.n_rows} samples")
     dofs = list(args.dofs) if args.dofs else None
-    curves = operators.overlap_curve(samples, list(args.sizes), ds.n_channels, dofs=dofs)
+    curves = operators.overlap_curve(table, list(args.sizes), ds.n_channels, dofs=dofs)
     ordered = sorted(curves)
     header = ["samples"] + [f"overlap_{dof.value}" for dof in ordered]
     rows = [header] + [
@@ -385,7 +385,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        code = args.func(parser, args)
+        sys.stdout.flush()  # a reader that left early shows here when stdout is buffered
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DataError as exc:
         print(f"qmyo: data error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,16 @@ import numpy as np
 
 from .errors import DatasetParseError, DatasetSchemaError
 from .evaluation import Block
-from .features import FeatureKind, FeatureVector
-from .operators import SIGN_DIRECTIONS, Direction, Dof, MovementPhase, TrainingSample
+from .features import FeatureKind
+from .operators import (
+    DOFS,
+    SIGN_DIRECTIONS,
+    Direction,
+    Dof,
+    MovementPhase,
+    TrainingSample,
+    TrainingTable,
+)
 from .synthetic import TestSet
 
 logger = logging.getLogger(__name__)
@@ -59,6 +67,13 @@ class FeatureDataset:
                     f"{dof.value} angle column has {column.shape[0]} rows, expected {n}"
                 )
             angles[dof] = column
+        table = np.column_stack([angles[dof] for dof in DOFS])
+        if (bad := ~np.isfinite(table)).any():
+            row, k = np.argwhere(bad)[0]
+            raise DatasetSchemaError(
+                f"{self.source or '<dataset>'}:{row + 2}: {DOFS[k].value}_angle value "
+                f"{float(table[row, k])!r} is not finite"
+            )
         bad = ~np.isfinite(features)
         if self.feature_kind in (FeatureKind.MAV, FeatureKind.WL):
             bad |= features < 0
@@ -92,38 +107,30 @@ class FeatureDataset:
         return self.features.shape[1]
 
 
-def to_training_samples(ds: FeatureDataset) -> list[TrainingSample]:
-    """Interpret dataset rows as single-DOF training samples.
+def training_table(ds: FeatureDataset) -> TrainingTable:
+    """The dataset's labeled rows as a training table.
 
     Rows with every angle zero carry no action label and are skipped with
     a logged count; rows activating more than one DOF are rejected, since
     operator learning is defined on single-DOF data only.
     """
-    table = np.column_stack([ds.angles[dof] for dof in Dof])
+    table = np.column_stack([ds.angles[dof] for dof in DOFS])
     active = table != 0.0
     if (multi := np.flatnonzero(active.sum(axis=1) > 1)).size:
-        names = ", ".join(dof.value for dof, on in zip(Dof, active[multi[0]]) if on)
+        names = ", ".join(dof.value for dof, on in zip(DOFS, active[multi[0]]) if on)
         raise DatasetSchemaError(
             f"row {multi[0]}: training rows must activate exactly one DOF, got {names}"
         )
     rows, columns = np.nonzero(active)  # rows ascend, one column each
-    n_rest = ds.n_rows - len(rows)
-    dofs = list(Dof)
-    samples = [
-        TrainingSample(
-            features=FeatureVector(values, ds.feature_kind),
-            dof=dofs[k],
-            direction=Direction.POSITIVE if signed > 0 else Direction.NEGATIVE,
-            angle=abs(signed),
-            movement_phase=ds.phases[i],
-        )
-        for i, k, signed, values in zip(
-            rows.tolist(), columns.tolist(), table[rows, columns].tolist(), ds.features[rows]
-        )
-    ]
-    if n_rest:
+    if n_rest := ds.n_rows - len(rows):
         logger.info("skipped %d rest rows while collecting training samples", n_rest)
-    return samples
+    direct = np.fromiter((p is MovementPhase.DIRECT for p in ds.phases), bool, ds.n_rows)
+    return TrainingTable(ds.features[rows], columns, table[rows, columns], direct[rows])
+
+
+def to_training_samples(ds: FeatureDataset) -> list[TrainingSample]:
+    """:func:`training_table` as a list of single-DOF training samples."""
+    return training_table(ds).samples(ds.feature_kind)
 
 
 def _intended_direction(values: np.ndarray) -> Direction:
@@ -148,34 +155,37 @@ def to_blocks(ds: FeatureDataset, dofs: list[Dof]) -> list[Block]:
     return blocks
 
 
-def from_training_samples(
-    samples: list[TrainingSample], n_channels: int, source: str = ""
-) -> FeatureDataset:
-    """Pack training samples into a dataset (all rows in block 0)."""
-    n = len(samples)
-    signed = [s.angle if s.direction is Direction.POSITIVE else -s.angle for s in samples]
+def from_training_table(table: TrainingTable, source: str = "") -> FeatureDataset:
+    """Pack training rows into a dataset (all rows in block 0)."""
+    phases = (MovementPhase.RETURN, MovementPhase.DIRECT)
     return FeatureDataset(
-        features=np.array([s.features.values for s in samples]).reshape(n, n_channels),
-        angles={dof: np.where([s.dof is dof for s in samples], signed, 0.0) for dof in Dof},
-        phases=[s.movement_phase for s in samples],
-        block_ids=np.zeros(n, dtype=int),
+        features=table.features,
+        angles={dof: np.where(table.dof_index == k, table.angles, 0.0) for k, dof in enumerate(DOFS)},
+        phases=[phases[direct] for direct in table.direct.tolist()],
+        block_ids=np.zeros(table.n_rows, dtype=int),
         source=source,
     )
 
 
+def from_training_samples(
+    samples: list[TrainingSample], n_channels: int, source: str = ""
+) -> FeatureDataset:
+    """:func:`from_training_table` on a list of samples."""
+    return from_training_table(TrainingTable.of_samples(samples, n_channels), source)
+
+
 def from_test_set(ts: TestSet, source: str = "") -> FeatureDataset:
     """Pack a generated test set into a dataset, numbering blocks from 0."""
-    n = len(ts.features)
+    n = len(ts.values)
     if n == 0:
         raise DatasetSchemaError("test set has no windows")
     sizes = [block.stop - block.start for block in ts.blocks]  # blocks partition the windows
     block_ids = np.repeat(np.arange(len(sizes)), sizes)
     return FeatureDataset(
-        features=np.stack([fv.values for fv in ts.features]),
+        features=ts.values,
         angles={dof: values.copy() for dof, values in ts.truth.items()},
         phases=[MovementPhase.DIRECT] * n,
         block_ids=block_ids,
-        feature_kind=ts.features[0].kind,
         source=source,
     )
 

@@ -10,8 +10,10 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .control import DecodedBatch, decode_batch
-from .datasets import FeatureDataset, to_blocks, to_training_samples
+from .datasets import FeatureDataset, to_blocks, training_table
 from .errors import ConfigurationError, DimensionError
 from .evaluation import (
     BlockErrorReport,
@@ -20,7 +22,15 @@ from .evaluation import (
     r_squared_dof,
     r_squared_global,
 )
-from .operators import ControllerModel, DecodeConfig, Dof, TrainingSample, train
+from .operators import (
+    DOFS,
+    ControllerModel,
+    DecodeConfig,
+    Direction,
+    Dof,
+    TrainingTable,
+    train_table,
+)
 
 
 @dataclass(frozen=True)
@@ -80,25 +90,29 @@ class ExperimentReport:
     results: list[SizeResult]
 
 
-def subset_per_action(
-    samples: list[TrainingSample], size: int
-) -> list[TrainingSample]:
-    """First ``size`` samples of every (DOF, direction) group, in order."""
-    taken: dict[tuple, int] = {}
-    subset = []
-    for s in samples:
-        key = (s.dof, s.direction)
-        if taken.get(key, 0) < size:
-            taken[key] = taken.get(key, 0) + 1
-            subset.append(s)
-    for key, count in taken.items():
-        if count < size:
-            dof, direction = key
-            raise ConfigurationError(
-                f"training size {size} exceeds the {count} available "
-                f"{dof.value} {direction.value} samples"
-            )
-    return subset
+def subset_per_action(table: TrainingTable, size: int) -> TrainingTable:
+    """First ``size`` rows of every (DOF, direction) group, in order.
+
+    A row is kept when its rank within its group is below ``size``; a
+    group with fewer rows is an error, naming the first such group to
+    appear in the table.
+    """
+    group = 2 * table.dof_index + (table.angles < 0)
+    order = np.argsort(group, kind="stable")  # each group's rows, in table order
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+    counts = np.diff(starts, append=len(group))
+    rank = np.empty(len(group), dtype=int)
+    rank[order] = np.arange(len(group)) - np.repeat(starts, counts)
+    if (short := np.flatnonzero(counts < size)).size:
+        first = short[order[starts[short]].argmin()]  # the short group seen first
+        row = order[starts[first]]
+        dof = DOFS[table.dof_index[row]]
+        direction = Direction.NEGATIVE if table.angles[row] < 0 else Direction.POSITIVE
+        raise ConfigurationError(
+            f"training size {size} exceeds the {counts[first]} available "
+            f"{dof.value} {direction.value} samples"
+        )
+    return table.rows(rank < size)
 
 
 def evaluate_model(
@@ -137,14 +151,14 @@ def run_experiment(
             f"train and test channel counts differ: "
             f"{train_ds.n_channels} vs {test_ds.n_channels}"
         )
-    samples = to_training_samples(train_ds)
-    dofs = list(cfg.dofs) if cfg.dofs is not None else sorted({s.dof for s in samples})
-    pool = [s for s in samples if s.dof in dofs]
+    table = training_table(train_ds)
+    dofs = list(cfg.dofs) if cfg.dofs is not None else table.dofs()
+    pool = table.rows(np.isin(table.dof_index, [DOFS.index(dof) for dof in dofs]))
     results = []
     for size in cfg.training_sizes:
-        subset = subset_per_action(pool, size)
-        model = train(
-            subset, train_ds.n_channels, dofs=dofs, config=cfg.decode_config()
+        model = train_table(
+            subset_per_action(pool, size), train_ds.n_channels, dofs=dofs,
+            config=cfg.decode_config(),
         )
         results.append(evaluate_model(model, test_ds, training_size=size))
     return ExperimentReport(

@@ -15,7 +15,6 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     QmyoError,
     ZeroSignalError,
 )
-from .features import FeatureVector
+from .features import FeatureKind, FeatureVector
 from .state import QuantumState, encode_rows, inner_product
 
 logger = logging.getLogger(__name__)
@@ -49,6 +48,10 @@ class Dof(enum.Enum):
 
     def __lt__(self, other):
         return self.value < other.value
+
+
+# A training row's DOF index points into this order (sorted, as the CSV columns).
+DOFS = tuple(Dof)
 
 
 class Direction(enum.Enum):
@@ -246,6 +249,79 @@ class DecodeTables(NamedTuple):
         )
 
 
+class TrainingTable(NamedTuple):
+    """Single-DOF training rows as arrays: (N, C) ``features``, each row's
+    DOF as an index into ``DOFS``, signed ``angles`` (the sign is the
+    direction, the magnitude the training angle) and the ``direct``-phase
+    mask. Row order is the training order."""
+
+    features: np.ndarray
+    dof_index: np.ndarray
+    angles: np.ndarray
+    direct: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.angles)
+
+    def rows(self, index) -> "TrainingTable":
+        """The rows a mask, slice or index array selects, in order."""
+        return TrainingTable(*(column[index] for column in self))
+
+    def dofs(self, rows=slice(None)) -> list[Dof]:
+        """DOFs with at least one of the selected rows, sorted."""
+        counts = np.bincount(self.dof_index[rows], minlength=len(DOFS))  # np.unique imports np.ma
+        return [DOFS[k] for k in np.flatnonzero(counts)]
+
+    @classmethod
+    def of_samples(cls, samples: list[TrainingSample], n_channels: int) -> "TrainingTable":
+        """Table of a sample list; every sample must have ``n_channels`` values."""
+        rows = [s.features.values for s in samples]
+        widths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+        if (wrong := widths[widths != n_channels]).size:
+            raise DimensionError(f"sample has {wrong[0]} channels, expected {n_channels}")
+        n = len(samples)
+        return cls(
+            features=np.array(rows, dtype=float).reshape(n, n_channels),
+            dof_index=np.fromiter((DOFS.index(s.dof) for s in samples), int, n),
+            angles=np.fromiter(
+                (s.angle if s.direction is Direction.POSITIVE else -s.angle for s in samples),
+                float, n,
+            ),
+            direct=np.fromiter((s.movement_phase is MovementPhase.DIRECT for s in samples), bool, n),
+        )
+
+    def samples(self, kind: FeatureKind = FeatureKind.MAV) -> list[TrainingSample]:
+        """The rows as training samples."""
+        phases = (MovementPhase.RETURN, MovementPhase.DIRECT)
+        return [
+            TrainingSample(
+                FeatureVector(values, kind),
+                DOFS[k],
+                Direction.POSITIVE if signed > 0 else Direction.NEGATIVE,
+                abs(signed),
+                phases[direct],
+            )
+            for values, k, signed, direct in zip(
+                self.features, self.dof_index.tolist(), self.angles.tolist(), self.direct.tolist()
+            )
+        ]
+
+
+def _prototype(rows: np.ndarray, weights: np.ndarray, dof: Dof, direction: Direction) -> QuantumState:
+    """normalize(Σ wᵢ ψᵢ) over the encoded rows of one (DOF, direction) group."""
+    states, zero = encode_rows(rows)
+    if zero.any():
+        raise ZeroSignalError("all-zero feature vector has no direction to encode")
+    combined = weights @ states
+    norm = float(np.linalg.norm(combined))
+    if norm < 1e-12 * weights.sum():
+        raise DegeneratePrototypeError(
+            f"{dof.value} {direction.value}: weighted state sum cancelled to norm {norm!r}"
+        )
+    return QuantumState(combined / norm)
+
+
 def build_prototype(samples: list[TrainingSample]) -> QuantumState:
     """Angle-weighted superposition of encoded training states.
 
@@ -263,18 +339,9 @@ def build_prototype(samples: list[TrainingSample]) -> QuantumState:
             f"prototype samples must share one DOF and direction, got "
             f"{sorted(d.value for d in dofs)} / {sorted(d.value for d in directions)}"
         )
-    states, zero = encode_rows(np.stack([s.features.values for s in samples]))
-    if zero.any():
-        raise ZeroSignalError("all-zero feature vector has no direction to encode")
+    rows = np.stack([s.features.values for s in samples])
     angles = np.array([s.angle for s in samples], dtype=float)
-    combined = angles @ states
-    norm = float(np.linalg.norm(combined))
-    if norm < 1e-12 * angles.sum():
-        dof, direction = samples[0].dof, samples[0].direction
-        raise DegeneratePrototypeError(
-            f"{dof.value} {direction.value}: weighted state sum cancelled to norm {norm!r}"
-        )
-    return QuantumState(combined / norm)
+    return _prototype(rows, angles, samples[0].dof, samples[0].direction)
 
 
 def build_direction_operator(prototype: QuantumState) -> Operator:
@@ -296,48 +363,58 @@ def train(
     dofs: list[Dof] | None = None,
     config: DecodeConfig | None = None,
 ) -> ControllerModel:
+    """:func:`train_table` on a list of samples."""
+    return train_table(TrainingTable.of_samples(samples, n_channels), n_channels, dofs, config)
+
+
+def train_table(
+    table: TrainingTable,
+    n_channels: int,
+    dofs: list[Dof] | None = None,
+    config: DecodeConfig | None = None,
+) -> ControllerModel:
     """Train two prototypes and two maximal angles per requested DOF.
 
-    Only direct-phase samples are used; return-phase samples are dropped
-    with a logged count. ``dofs`` defaults to every DOF present in the
-    training data.
+    Only direct-phase rows with some signal are used; return-phase and
+    zero-signal rows are dropped with a logged count. ``dofs`` defaults
+    to every DOF present in the usable rows. Each (DOF, direction) group
+    is selected by a mask, so its rows keep their order.
     """
-    rows = [s.features.values for s in samples]
-    widths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
-    if (wrong := widths[widths != n_channels]).size:
-        raise DimensionError(f"sample has {wrong[0]} channels, expected {n_channels}")
-    signal = (np.array(rows).reshape(len(rows), n_channels) != 0.0).any(axis=1)
-    is_direct = np.array([s.movement_phase is MovementPhase.DIRECT for s in samples], dtype=bool)
-    n_dropped = len(samples) - int(is_direct.sum())
+    features, dof_index, angles, direct = table
+    if features.shape[1] != n_channels:
+        raise DimensionError(f"sample has {features.shape[1]} channels, expected {n_channels}")
+    magnitude = np.abs(angles)
+    if (bad := ~(magnitude > 0)).any():
+        raise ValueError(f"training angle must be > 0, got {magnitude[bad][0]}")
+    n_dropped = len(direct) - int(direct.sum())
     if n_dropped:
         logger.info("dropped %d return-phase samples from training", n_dropped)
-    n_zero = int((is_direct & ~signal).sum())
+    signal = (features != 0.0).any(axis=1)
+    n_zero = int((direct & ~signal).sum())
     if n_zero:
         logger.info("dropped %d zero-signal samples from training", n_zero)
-    direct = list(compress(samples, is_direct & signal))
+    usable = direct & signal
 
     if dofs is None:
-        dofs = sorted({s.dof for s in direct})
+        dofs = table.dofs(usable)
     if not dofs:
         raise InsufficientTrainingError("no direct-phase training samples")
 
-    by_group: dict[tuple[Dof, Direction], list[TrainingSample]] = {}
-    for s in direct:
-        by_group.setdefault((s.dof, s.direction), []).append(s)
-
+    positive = angles > 0
     trained: dict[Dof, DofOperators] = {}
     for dof in sorted(dofs):
-        for direction in (Direction.POSITIVE, Direction.NEGATIVE):
-            if not by_group.get((dof, direction)):
+        of_dof = usable & (dof_index == DOFS.index(dof))
+        pos, neg = of_dof & positive, of_dof & ~positive
+        for direction, mask in ((Direction.POSITIVE, pos), (Direction.NEGATIVE, neg)):
+            if not mask.any():
                 raise InsufficientTrainingError(
                     f"no {direction.value} training samples for {dof.value}"
                 )
-        pos, neg = by_group[(dof, Direction.POSITIVE)], by_group[(dof, Direction.NEGATIVE)]
         trained[dof] = DofOperators(
-            proto_pos=build_prototype(pos),
-            proto_neg=build_prototype(neg),
-            theta_pos_max=max(s.angle for s in pos),
-            theta_neg_max=max(s.angle for s in neg),
+            proto_pos=_prototype(features[pos], magnitude[pos], dof, Direction.POSITIVE),
+            proto_neg=_prototype(features[neg], magnitude[neg], dof, Direction.NEGATIVE),
+            theta_pos_max=float(magnitude[pos].max()),
+            theta_neg_max=float(magnitude[neg].max()),
         )
     return ControllerModel(
         dofs=trained,
@@ -347,7 +424,7 @@ def train(
 
 
 def overlap_curve(
-    samples: list[TrainingSample],
+    table: TrainingTable,
     batch_sizes: list[int],
     n_channels: int,
     dofs: list[Dof] | None = None,
@@ -356,8 +433,8 @@ def overlap_curve(
 
     The overlap settling down is the learning-sufficiency diagnostic: once
     it stops moving, more training data is not going to help. Batch sizes
-    must be increasing and count prefix samples of the given list, so the
-    list should interleave the actions (as the synthetic generator does).
+    must be increasing and count prefix rows of the table, so the rows
+    should interleave the actions (as the synthetic generator does).
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must be non-empty")
@@ -365,14 +442,14 @@ def overlap_curve(
         raise ValueError(f"batch sizes must be positive, got {batch_sizes}")
     if list(batch_sizes) != sorted(set(batch_sizes)):
         raise ValueError(f"batch sizes must be strictly increasing, got {batch_sizes}")
-    if batch_sizes[-1] > len(samples):
+    if batch_sizes[-1] > table.n_rows:
         raise ValueError(
             f"largest batch size {batch_sizes[-1]} exceeds the "
-            f"{len(samples)} available samples"
+            f"{table.n_rows} available samples"
         )
     curves: dict[Dof, list[float]] = {}
     for size in batch_sizes:
-        model = train(samples[:size], n_channels, dofs=dofs)
+        model = train_table(table.rows(slice(size)), n_channels, dofs=dofs)
         for dof, ops in model.dofs.items():
             curves.setdefault(dof, []).append(ops.overlap)
     return curves

@@ -9,14 +9,14 @@ scheme relies on.
 """
 
 from dataclasses import dataclass
-from itertools import cycle
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
 from .evaluation import Block
 from .features import EmgRecording, FeatureKind, FeatureVector
-from .operators import Direction, Dof, TrainingSample
+from .operators import DOFS, Direction, Dof, TrainingSample, TrainingTable
 
 _DIRECTIONS = (Direction.POSITIVE, Direction.NEGATIVE)
 
@@ -121,12 +121,18 @@ class SyntheticScenario:
 
 @dataclass(frozen=True)
 class TestSet:
-    """Generated evaluation inputs: features, ground truth and blocks."""
+    """Generated evaluation inputs: (N, C) MAV feature values, ground truth
+    and blocks."""
 
-    features: list[FeatureVector]
+    values: np.ndarray
     truth: dict[Dof, np.ndarray]
     blocks: list[Block]
     n_clipped: int
+
+    @cached_property
+    def features(self) -> list[FeatureVector]:
+        """The windows as feature vectors, built on first read."""
+        return [FeatureVector(row, FeatureKind.MAV) for row in self.values]
 
 
 def _activation(model: MixingModel, angles: dict, n: int = 1) -> np.ndarray:
@@ -177,17 +183,17 @@ def generate_features(
     return [FeatureVector(row, FeatureKind.MAV) for row in values], n_clipped
 
 
-def generate_training_set(
+def generate_training_table(
     model: MixingModel,
     per_action_count: int,
     angle_range: tuple[float, float] = (5.0, 40.0),
-) -> list[TrainingSample]:
-    """Draw single-DOF direct-phase training samples, one action at a time.
+) -> TrainingTable:
+    """Draw single-DOF direct-phase training rows, one action at a time.
 
     Actions (every DOF x direction pair) are interleaved round-robin so
-    that any prefix of the returned list stays balanced; growing-prefix
-    retraining and size subsetting rely on that. Each sample draws its
-    angle, then its noise, from one generator.
+    that any prefix of the rows stays balanced; growing-prefix retraining
+    and size subsetting rely on that. Each row draws its angle, then its
+    noise, from one generator.
     """
     if per_action_count < 1:
         raise ValueError(f"per_action_count must be >= 1, got {per_action_count}")
@@ -205,10 +211,22 @@ def generate_training_set(
     columns = [model.column_index(dof, direction) for dof, direction in actions]
     activation[np.arange(n), np.tile(columns, per_action_count)] = angles
     values, _ = _realize(model, activation, noise)
-    return [
-        TrainingSample(FeatureVector(row, FeatureKind.MAV), dof, direction, angle)
-        for row, angle, (dof, direction) in zip(values, angles.tolist(), cycle(actions))
-    ]
+    signs = [1.0 if direction is Direction.POSITIVE else -1.0 for _, direction in actions]
+    return TrainingTable(
+        features=values,
+        dof_index=np.tile([DOFS.index(dof) for dof, _ in actions], per_action_count),
+        angles=np.tile(signs, per_action_count) * angles,
+        direct=np.ones(n, dtype=bool),
+    )
+
+
+def generate_training_set(
+    model: MixingModel,
+    per_action_count: int,
+    angle_range: tuple[float, float] = (5.0, 40.0),
+) -> list[TrainingSample]:
+    """:func:`generate_training_table` as a list of training samples."""
+    return generate_training_table(model, per_action_count, angle_range).samples()
 
 
 def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> TestSet:
@@ -218,13 +236,13 @@ def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> T
     model seed and block index, so blocks could be generated in parallel
     without changing the output.
     """
-    features, truths, blocks, n_clipped, cursor = [], [], [], 0, 0
+    values, truths, blocks, n_clipped, cursor = [], [], [], 0, 0
     for index, block in enumerate(scenario.blocks):
         n, windows = block.n_windows, np.arange(block.n_windows)
         angles = {dof: np.full(n, block.angle_at(dof, windows), dtype=float) for dof in model.dofs}
         rng = np.random.default_rng([model.seed, 1, index])
-        values, clipped = _realize(model, _activation(model, angles, n), _noise(model, rng, n))
-        features.extend(FeatureVector(row, FeatureKind.MAV) for row in values)
+        block_values, clipped = _realize(model, _activation(model, angles, n), _noise(model, rng, n))
+        values.append(block_values)
         n_clipped += clipped
         truths.append(angles)
         directions = {dof: block.intended_direction(dof) for dof in model.dofs}
@@ -232,7 +250,9 @@ def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> T
         blocks.append(Block(start=cursor, stop=cursor + n, intended=intended))
         cursor += n
     truth = {dof: np.concatenate([angles[dof] for angles in truths]) for dof in model.dofs}
-    return TestSet(features=features, truth=truth, blocks=blocks, n_clipped=n_clipped)
+    return TestSet(
+        values=np.concatenate(values), truth=truth, blocks=blocks, n_clipped=n_clipped
+    )
 
 
 def default_mixing_model(

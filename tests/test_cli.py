@@ -591,3 +591,57 @@ def test_three_dof_synth_train_evaluate(tmp_path, capsys):
     assert run("evaluate", "--test", test_csv, "--model", model_json) == 0
     out = capsys.readouterr().out
     assert "dofs: d1,d2,d3" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_reader_closing_the_pipe_early_exits_1_without_traceback(tmp_path, unbuffered):
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qmyo", "inspect-model", "--model", str(V1_MODEL)],
+            stdout=subprocess.PIPE, stderr=err, env=env, cwd=tmp_path,
+        )
+        proc.stdout.close()  # the reader leaves before the first line is written
+        assert proc.wait(timeout=60) == 1
+    assert (tmp_path / "stderr.txt").read_text() == ""
+
+
+def test_training_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsys):
+    """synth, train, evaluate --train-data and learning-curve stay on arrays."""
+    built = []
+    for cls in (FeatureVector, TrainingSample):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    for argv in [
+        ("synth", "--train-out", train_csv, "--test-out", test_csv, "--per-action", 40,
+         "--blocks", 11, "--windows", 220, "--noise-sigma", 0.1, "--seed", 3),
+        ("train", "--data", train_csv, "--out", tmp_path / "m.json", "--size", 30),
+        ("evaluate", "--test", test_csv, "--train-data", train_csv, "--sizes", 10, 40),
+        ("learning-curve", "--data", train_csv, "--sizes", 8, 160),
+    ]:
+        assert run(*argv) == 0, argv
+    assert built == []
+    # the guard does count: the list API builds one of each per row
+    to_training_samples(load_feature_dataset(train_csv))
+    assert len(built) == 2 * 160
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_training_angle_is_data_error(tmp_path, capsys, value):
+    lines = V1_TRAIN.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[4] = value  # d1_angle of CSV line 4
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
+    for argv in (["train", "--data", bad, "--out", tmp_path / "m.json"],
+                 ["learning-curve", "--data", bad, "--sizes", 2]):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"qmyo: data error: {bad}:4: d1_angle value {float(value)!r} is not finite\n"

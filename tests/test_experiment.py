@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmyo.datasets import from_test_set, from_training_samples
+from qmyo.datasets import from_test_set, from_training_samples, training_table
 from qmyo.errors import ConfigurationError, DimensionError
 from qmyo.experiment import (
     ExperimentConfig,
@@ -14,7 +14,7 @@ from qmyo.experiment import (
     run_experiment,
     subset_per_action,
 )
-from qmyo.operators import Dof, train
+from qmyo.operators import Dof, train_table
 from qmyo.synthetic import (
     default_scenario,
     generate_test_scenario,
@@ -69,9 +69,7 @@ class TestRunExperiment:
 
     def test_empty_test_set_rejected(self):
         train_ds, test_ds = make_data()
-        model = train(
-            subset_and_convert(train_ds, 5), train_ds.n_channels
-        )
+        model = train_table(subset_per_action(training_table(train_ds), 5), train_ds.n_channels)
         empty = type(test_ds)(
             features=np.zeros((0, test_ds.n_channels)),
             angles={},
@@ -89,32 +87,21 @@ class TestRunExperiment:
         assert set(report.results[0].r2_per_dof) == {D1}
 
 
-def subset_and_convert(train_ds, size):
-    from qmyo.datasets import to_training_samples
-
-    return subset_per_action(to_training_samples(train_ds), size)
-
-
 class TestSubsetPerAction:
     def test_takes_first_per_group(self):
         train_ds, _ = make_data(per_action=10)
-        from qmyo.datasets import to_training_samples
-
-        samples = to_training_samples(train_ds)
-        subset = subset_per_action(samples, 3)
-        assert len(subset) == 12
-        counts = {}
-        for s in subset:
-            counts[(s.dof, s.direction)] = counts.get((s.dof, s.direction), 0) + 1
-        assert set(counts.values()) == {3}
-        assert subset[:4] == samples[:4]
+        table = training_table(train_ds)
+        subset = subset_per_action(table, 3)
+        assert subset.n_rows == 12
+        groups = 2 * subset.dof_index + (subset.angles < 0)
+        assert set(np.unique(groups, return_counts=True)[1]) == {3}
+        for got, want in zip(subset.rows(slice(4)), table.rows(slice(4))):
+            np.testing.assert_array_equal(got, want)
 
     def test_shortfall_names_the_action(self):
         train_ds, _ = make_data(per_action=5)
-        from qmyo.datasets import to_training_samples
-
         with pytest.raises(ConfigurationError, match="d1|d3"):
-            subset_per_action(to_training_samples(train_ds), 6)
+            subset_per_action(training_table(train_ds), 6)
 
 
 class TestDeterminism:
@@ -159,7 +146,7 @@ class TestReportRendering:
 
     def test_pretrained_model_report(self):
         train_ds, test_ds = make_data()
-        model = train(subset_and_convert(train_ds, 10), train_ds.n_channels)
+        model = train_table(subset_per_action(training_table(train_ds), 10), train_ds.n_channels)
         report = report_for_model(model, test_ds)
         text = render_report_text(report)
         assert "seed:" not in text

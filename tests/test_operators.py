@@ -27,6 +27,7 @@ from qmyo.operators import (
     MovementPhase,
     Operator,
     TrainingSample,
+    TrainingTable,
     build_completeness_operator,
     build_direction_operator,
     build_prototype,
@@ -355,6 +356,10 @@ class TestTrainedInvariants:
         assert theta_scaled == pytest.approx(7.5 * theta, rel=1e-12)
 
 
+def curve(samples, sizes):
+    return overlap_curve(TrainingTable.of_samples(samples, 3), sizes, 3)
+
+
 class TestOverlapCurve:
     def make_samples(self, rng, count_per_direction, noise=0.0):
         samples = []
@@ -372,13 +377,13 @@ class TestOverlapCurve:
     def test_full_set_matches_train(self):
         rng = np.random.default_rng(2)
         samples = self.make_samples(rng, 20)
-        curves = overlap_curve(samples, [len(samples)], 3)
+        curves = curve(samples, [len(samples)])
         assert curves[D1] == [train(samples, 3).dofs[D1].overlap]
 
     def test_noiseless_constant(self):
         rng = np.random.default_rng(3)
         samples = self.make_samples(rng, 50)
-        curves = overlap_curve(samples, [2, 10, 40, 100], 3)
+        curves = curve(samples, [2, 10, 40, 100])
         values = curves[D1]
         assert max(values) - min(values) < 1e-9
 
@@ -388,7 +393,7 @@ class TestOverlapCurve:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             samples = self.make_samples(rng, 1024, noise=2.0)
-            values = overlap_curve(samples, sizes, 3)[D1]
+            values = curve(samples, sizes)[D1]
             diffs = [abs(b - a) for a, b in zip(values, values[1:])]
             first_steps.append(diffs[0])
             last_steps.append(diffs[-1])
@@ -398,11 +403,11 @@ class TestOverlapCurve:
         rng = np.random.default_rng(4)
         samples = self.make_samples(rng, 5)
         with pytest.raises(ValueError):
-            overlap_curve(samples, [4, 2], 3)
+            curve(samples, [4, 2])
         with pytest.raises(ValueError):
-            overlap_curve(samples, [len(samples) + 1], 3)
+            curve(samples, [len(samples) + 1])
         with pytest.raises(ValueError):
-            overlap_curve(samples, [], 3)
+            curve(samples, [])
 
 
 class TestModelValidation:
