@@ -6,6 +6,12 @@ DOFs), phase is ``direct`` or ``return``, and block ids group windows
 into contiguous evaluation blocks. Floats are written with ``repr`` so a
 round trip reproduces values exactly. Rows are numbered as CSV lines,
 the header being line 1, so errors name ``source:line``.
+
+Files are written and parsed through :mod:`qmyo.csvio`: lines are
+joined strings with ``csv.writer``'s bytes, and a load parses the float
+columns in one C call. Where that parse cannot vouch for a file, the
+load falls back to the ``csv`` row reader, so a file loads to the same
+arrays, or fails with the same error and line, either way.
 """
 
 import csv
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import float_cells, read_fast, write_rows
 from .errors import DatasetParseError, DatasetSchemaError
 from .evaluation import Block
 from .features import FeatureKind
@@ -118,9 +125,8 @@ def training_table(ds: FeatureDataset) -> TrainingTable:
     active = table != 0.0
     if (multi := np.flatnonzero(active.sum(axis=1) > 1)).size:
         names = ", ".join(dof.value for dof, on in zip(DOFS, active[multi[0]]) if on)
-        raise DatasetSchemaError(
-            f"row {multi[0]}: training rows must activate exactly one DOF, got {names}"
-        )
+        raise DatasetSchemaError(f"{ds.source or '<dataset>'}:{multi[0] + 2}: training rows "
+                                 f"must activate exactly one DOF, got {names}")
     rows, columns = np.nonzero(active)  # rows ascend, one column each
     if n_rest := ds.n_rows - len(rows):
         logger.info("skipped %d rest rows while collecting training samples", n_rest)
@@ -190,18 +196,38 @@ def from_test_set(ts: TestSet, source: str = "") -> FeatureDataset:
     )
 
 
+def _header(n_channels: int) -> list[str]:
+    return [f"ch{i + 1}" for i in range(n_channels)] + _TAIL_COLUMNS
+
+
 def save_feature_dataset(ds: FeatureDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"ch{i + 1}" for i in range(ds.n_channels)] + _TAIL_COLUMNS)
-        table = np.column_stack([ds.features] + [ds.angles[dof] for dof in Dof])
-        rows = zip(table, ds.phases, ds.block_ids.tolist())
-        # csv writes a Python float as its repr and an int as its str
-        writer.writerows(row.tolist() + [phase.value, block] for row, phase, block in rows)
+    columns = [float_cells(column) for column in ds.features.T]
+    columns += [float_cells(ds.angles[dof]) for dof in Dof]
+    # the plain attribute, not the much slower ``value`` property
+    columns += [[phase._value_ for phase in ds.phases], map(str, ds.block_ids.tolist())]
+    write_rows(path, _header(ds.n_channels), columns)
 
 
-def load_feature_dataset(path) -> FeatureDataset:
-    """Read a feature dataset CSV, validating the header and every row."""
+def _parse_fast(path):
+    """Channel count, float table, phases and block ids, or None if unsure."""
+    parsed = read_fast(path, n_tail=2)
+    if parsed is None:
+        return None
+    header, table, (phase_cells, block_cells) = parsed
+    n_channels = len(header) - len(_TAIL_COLUMNS)
+    if n_channels < 1 or header != _header(n_channels):
+        return None
+    try:  # each distinct cell is converted once
+        phase_of = {cell: _PHASES[cell.strip()] for cell in set(phase_cells)}
+        block_of = {cell: int(cell) for cell in set(block_cells)}
+    except (KeyError, ValueError):
+        return None
+    phases = list(map(phase_of.__getitem__, phase_cells))
+    return n_channels, table, phases, list(map(block_of.__getitem__, block_cells))
+
+
+def _parse_rows(path):
+    """:func:`_parse_fast` row by row with ``csv``, raising at the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -211,8 +237,7 @@ def load_feature_dataset(path) -> FeatureDataset:
         if len(header) < len(_TAIL_COLUMNS) + 1 or header[-len(_TAIL_COLUMNS):] != _TAIL_COLUMNS:
             raise DatasetSchemaError(f"{path}: header must end with {', '.join(_TAIL_COLUMNS)}")
         n_channels = len(header) - len(_TAIL_COLUMNS)
-        expected = [f"ch{i + 1}" for i in range(n_channels)]
-        if header[:n_channels] != expected:
+        if header != _header(n_channels):
             raise DatasetSchemaError(f"{path}: channel columns must be ch1..ch{n_channels}")
 
         # channels then angles are floats, parsed per row into one table
@@ -232,8 +257,12 @@ def load_feature_dataset(path) -> FeatureDataset:
                 raise DatasetParseError(f"{path}:{lineno}: {exc}") from None
     if not table:
         logger.warning("%s: dataset has a valid header but no rows", path)
-    n = len(table)
-    table = np.array(table, dtype=float).reshape(n, n_floats)
+    return n_channels, np.array(table, dtype=float).reshape(len(table), n_floats), phases, block_rows
+
+
+def load_feature_dataset(path) -> FeatureDataset:
+    """Read a feature dataset CSV, validating the header and every row."""
+    n_channels, table, phases, block_rows = _parse_fast(path) or _parse_rows(path)
     ds = FeatureDataset(
         features=np.array(table[:, :n_channels]),
         angles={dof: np.array(table[:, n_channels + k]) for k, dof in enumerate(Dof)},
@@ -242,7 +271,7 @@ def load_feature_dataset(path) -> FeatureDataset:
         source=str(path),
     )
     counts = ", ".join(f"{phase.value}: {phases.count(phase)}" for phase in MovementPhase)
-    logger.info("loaded %d rows (%s) from %s", n, counts, path)
+    logger.info("loaded %d rows (%s) from %s", len(phases), counts, path)
     return ds
 
 
@@ -255,15 +284,16 @@ def save_decode_csv(decoded, dofs: list[Dof], path) -> None:
     ``decoded`` is a :class:`~qmyo.control.DecodedBatch` over ``dofs``.
     """
     header = ["window"]
-    columns = [[str(i) for i in range(len(decoded))]]
+    labels = {sign: direction.value for sign, direction in SIGN_DIRECTIONS.items()}
+    columns = [map(str, range(len(decoded)))]
     for k, dof in enumerate(dofs):
         header += [f"{dof.value}_{name}" for name in _DECODE_FIELDS]
         columns += [
-            [repr(v) for v in decoded.expectation_pos[:, k].tolist()],
-            [repr(v) for v in decoded.expectation_neg[:, k].tolist()],
-            [repr(v) for v in decoded.expectation_zero[:, k].tolist()],
-            [SIGN_DIRECTIONS[v].value for v in decoded.direction[:, k].tolist()],
-            [repr(v) for v in decoded.angle[:, k].tolist()],
+            float_cells(decoded.expectation_pos[:, k]),
+            float_cells(decoded.expectation_neg[:, k]),
+            float_cells(decoded.expectation_zero[:, k]),
+            map(labels.__getitem__, decoded.direction[:, k].tolist()),
+            float_cells(decoded.angle[:, k]),
             ["1" if v else "0" for v in decoded.angle_clamped[:, k].tolist()],
         ]
     header += [f"residual_{dof.value}" for dof in Dof]
@@ -272,7 +302,4 @@ def save_decode_csv(decoded, dofs: list[Dof], path) -> None:
         residuals = np.full((len(decoded), len(Dof)), np.nan)
     # NaN, for a zero-signal window or a model without three DOFs, is an empty cell
     columns += [["" if math.isnan(v) else repr(v) for v in col] for col in residuals.T.tolist()]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    write_rows(path, header, columns)

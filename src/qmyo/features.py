@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import float_cells, read_fast, write_rows
 from .errors import (
     DatasetParseError,
     DatasetSchemaError,
@@ -181,8 +182,22 @@ def waveform_length(window: np.ndarray) -> FeatureVector:
     return FeatureVector(np.sum(np.abs(np.diff(w, axis=0)), axis=0), FeatureKind.WL)
 
 
+def _channel_header(n_channels: int) -> list[str]:
+    return [f"ch{i + 1}" for i in range(n_channels)]
+
+
 def load_recording(path, sample_rate: float = 1024.0) -> EmgRecording:
-    """Read a raw recording CSV: header ``ch1..chN``, one row per sample."""
+    """Read a raw recording CSV: header ``ch1..chN``, one row per sample.
+
+    The samples are parsed in one C call; a file that parse cannot vouch
+    for, or with a non-finite sample, is re-read row by row with ``csv``,
+    whose errors name the line.
+    """
+    parsed = read_fast(path)
+    if parsed is not None:
+        header, samples, _ = parsed
+        if header == _channel_header(len(header)) and np.isfinite(samples).all():
+            return EmgRecording(samples, sample_rate)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -190,8 +205,7 @@ def load_recording(path, sample_rate: float = 1024.0) -> EmgRecording:
         except StopIteration:
             raise DatasetSchemaError(f"{path}: missing header row") from None
         header = [h.strip() for h in header]
-        expected = [f"ch{i + 1}" for i in range(len(header))]
-        if header != expected:
+        if header != _channel_header(len(header)):
             raise DatasetSchemaError(
                 f"{path}: header must be ch1..chN, got {header}"
             )
@@ -216,7 +230,5 @@ def load_recording(path, sample_rate: float = 1024.0) -> EmgRecording:
 
 def save_recording(rec: EmgRecording, path) -> None:
     """Write a raw recording CSV in the format :func:`load_recording` reads."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"ch{i + 1}" for i in range(rec.n_channels)])
-        writer.writerows(rec.samples.tolist())  # a Python float is written as its repr
+    columns = [float_cells(column) for column in rec.samples.T]
+    write_rows(path, _channel_header(rec.n_channels), columns)

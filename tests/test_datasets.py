@@ -301,7 +301,8 @@ def reference_samples(ds):
         if len(active) > 1:
             names = ", ".join(dof.value for dof, _ in active)
             raise DatasetSchemaError(
-                f"row {i}: training rows must activate exactly one DOF, got {names}"
+                f"{ds.source or '<dataset>'}:{i + 2}: training rows must activate exactly "
+                f"one DOF, got {names}"
             )
         dof, signed = active[0]
         direction = Direction.POSITIVE if signed > 0 else Direction.NEGATIVE
@@ -380,7 +381,7 @@ class TestArrayNativeDataPlane:
         with pytest.raises(DatasetSchemaError) as got:
             to_training_samples(ds)
         assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith(f"row {min(multi_row, 150)}: ")
+        assert str(got.value).startswith(f"<dataset>:{min(multi_row, 150) + 2}: ")
 
     def test_all_rest_and_empty_datasets(self):
         ds = random_dataset(np.random.default_rng(1), 20)
@@ -399,6 +400,10 @@ class TestArrayNativeDataPlane:
              "bad.csv:4: 'sideways' is not a valid MovementPhase"),
             ("1.0,2.0,0,0,0, return ,x1", DatasetParseError,
              "bad.csv:4: invalid literal for int() with base 10: 'x1'"),
+            ("1.0,2.0,0,0,0,direct,1#", DatasetParseError,
+             "bad.csv:4: invalid literal for int() with base 10: '1#'"),
+            ("1.0,2.0,0,0,0,direct,1.5", DatasetParseError,
+             "bad.csv:4: invalid literal for int() with base 10: '1.5'"),
             ("1.0,2.0,0,0,0,direct,0", DatasetSchemaError,
              "bad.csv:4: block id 0 appears in non-contiguous runs"),
         ],

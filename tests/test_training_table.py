@@ -58,7 +58,8 @@ def reference_to_training_samples(ds):
     if (multi := np.flatnonzero(active.sum(axis=1) > 1)).size:
         names = ", ".join(dof.value for dof, on in zip(Dof, active[multi[0]]) if on)
         raise DatasetSchemaError(
-            f"row {multi[0]}: training rows must activate exactly one DOF, got {names}"
+            f"{ds.source or '<dataset>'}:{multi[0] + 2}: training rows must activate exactly "
+            f"one DOF, got {names}"
         )
     rows, columns = np.nonzero(active)
     n_rest = ds.n_rows - len(rows)
