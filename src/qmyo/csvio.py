@@ -55,7 +55,9 @@ def read_fast(path, n_tail: int = 0):
             header, first = fh.readline(), fh.readline()
             cells = [cell.strip() for cell in header.rstrip("\r\n").split(",")]
             n_floats = len(cells) - n_tail
-            if not first or '"' in header or n_floats < 1:
+            # a blank first line: csv reads a row of no cells, np.loadtxt skips it
+            # and, if every line is blank, warns of an empty file
+            if not first.rstrip("\r\n") or '"' in header or n_floats < 1:
                 return None
             dtype = [("floats", float, (n_floats,))] + [(f"tail{k}", object) for k in range(n_tail)]
             rows = np.loadtxt(lines(first, fh), dtype=dtype, delimiter=",", comments=None, ndmin=1)
