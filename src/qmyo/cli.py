@@ -18,7 +18,7 @@ import numpy as np
 
 from . import datasets, experiment, features, operators, synthetic
 from .control import decode_batch
-from .errors import ConfigurationError, DataError, ModelError
+from .errors import ConfigurationError, DataError, ModelError, undecodable
 from .operators import DecodeConfig, Dof
 
 class _Parser(argparse.ArgumentParser):
@@ -85,22 +85,26 @@ _SETTINGS = {
 def _read_config(path) -> tuple[dict, dict]:
     """Typed settings of a flat ``key = value`` file, and the line of each."""
     settings, lines = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _SETTINGS:
-                raise DataError(f"{path}:{lineno}: unknown setting {key!r}")
-            try:
-                settings[key] = _SETTINGS[key][1](raw.strip())
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            lines[key] = lineno
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(undecodable(path, exc)) from None
+    for lineno, line in enumerate(text, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _SETTINGS:
+            raise DataError(f"{path}:{lineno}: unknown setting {key!r}")
+        try:
+            settings[key] = _SETTINGS[key][1](raw.strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        lines[key] = lineno
     return settings, lines
 
 

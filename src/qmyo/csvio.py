@@ -4,13 +4,16 @@
 would not quote: numbers written with ``repr`` and fixed names and
 labels. :func:`read_fast` parses a file in one ``np.loadtxt`` call, or
 returns None where ``csv.reader`` could read other cells or rows; the
-caller then re-reads the file with ``csv.reader``, whose errors name
+caller then re-reads the file with :func:`read_rows`, whose errors name
 ``file:line``.
 """
 
+import csv
 from itertools import chain
 
 import numpy as np
+
+from .errors import DatasetParseError, undecodable
 
 LINE_END = "\r\n"  # csv.writer's terminator
 _CHUNK = 1024  # values turned into Python floats at a time, which bounds a write's memory
@@ -50,7 +53,7 @@ def read_fast(path, n_tail: int = 0):
         for n_lines, line in enumerate(chain([first], fh), 1):
             yield line
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             header, first = fh.readline(), fh.readline()
             cells = [cell.strip() for cell in header.rstrip("\r\n").split(",")]
@@ -71,3 +74,19 @@ def read_fast(path, n_tail: int = 0):
     if len(floats) != n_lines or any('"' in cell for column in tails for cell in set(column)):
         return None
     return cells, floats, tails
+
+
+def read_rows(path, fh):
+    """``(line, cells)`` of each row ``csv.reader`` reads from ``fh``, from line 1.
+
+    Text that does not decode and a row the ``csv`` module rejects (a
+    cell over its field size limit, say) raise DatasetParseError naming
+    ``path`` and the line.
+    """
+    reader = csv.reader(fh)
+    try:
+        yield from enumerate(reader, start=1)
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(undecodable(path, exc)) from None
+    except csv.Error as exc:
+        raise DatasetParseError(f"{path}:{reader.line_num}: {exc}") from None

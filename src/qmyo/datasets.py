@@ -14,14 +14,13 @@ load falls back to the ``csv`` row reader, so a file loads to the same
 arrays, or fails with the same error and line, either way.
 """
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import float_cells, read_fast, write_rows
+from .csvio import float_cells, read_fast, read_rows, write_rows
 from .errors import DatasetParseError, DatasetSchemaError
 from .evaluation import Block
 from .features import FeatureKind
@@ -228,10 +227,10 @@ def _parse_fast(path):
 
 def _parse_rows(path):
     """:func:`_parse_fast` row by row with ``csv``, raising at the first bad line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = read_rows(path, fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(reader)[1]]
         except StopIteration:
             raise DatasetSchemaError(f"{path}: missing header row") from None
         if len(header) < len(_TAIL_COLUMNS) + 1 or header[-len(_TAIL_COLUMNS):] != _TAIL_COLUMNS:
@@ -243,7 +242,7 @@ def _parse_rows(path):
         # channels then angles are floats, parsed per row into one table
         n_floats = n_channels + len(Dof)
         table, phases, block_rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if len(row) != len(header):
                 raise DatasetSchemaError(
                     f"{path}:{lineno}: expected {len(header)} values, got {len(row)}"

@@ -68,3 +68,19 @@ class DegenerateOperatorsError(ModelError):
 
 class UndefinedDenominatorError(ModelError):
     """A performance index denominator is zero (constant truth trajectory)."""
+
+
+def undecodable(path, exc: UnicodeDecodeError) -> str:
+    """``path:line: ...`` for the first byte of a text file that does not decode.
+
+    ``exc`` comes from decoding one buffered chunk, so its offset is not
+    the file's; the file is read again as bytes to find the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        line = len(data[:whole.start + 1].splitlines())
+        return f"{path}:{line}: not {whole.encoding} text ({whole.reason}, byte {data[whole.start]:#04x})"
+    return f"{path}: not {exc.encoding} text ({exc.reason})"

@@ -6,14 +6,13 @@ All feature functions take a window shaped (n_samples, n_channels) and
 return one value per channel wrapped in a :class:`FeatureVector`.
 """
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import float_cells, read_fast, write_rows
+from .csvio import float_cells, read_fast, read_rows, write_rows
 from .errors import (
     DatasetParseError,
     DatasetSchemaError,
@@ -198,20 +197,19 @@ def load_recording(path, sample_rate: float = 1024.0) -> EmgRecording:
         header, samples, _ = parsed
         if header == _channel_header(len(header)) and np.isfinite(samples).all():
             return EmgRecording(samples, sample_rate)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = read_rows(path, fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)[1]]
         except StopIteration:
             raise DatasetSchemaError(f"{path}: missing header row") from None
-        header = [h.strip() for h in header]
         if header != _channel_header(len(header)):
             raise DatasetSchemaError(
                 f"{path}: header must be ch1..chN, got {header}"
             )
         n_channels = len(header)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if len(row) != n_channels:
                 raise DatasetSchemaError(
                     f"{path}:{lineno}: expected {n_channels} values, got {len(row)}"

@@ -469,6 +469,13 @@ def generate_raw_emg(
     equals the mixing model's clean feature value for the requested
     activation. Meant for exercising the windowing and MAV path end to
     end, not as a physiological simulation.
+
+    A channel whose target is 0 is exact zeros. Every channel, silent or
+    not, draws its ``n_tones`` frequencies and then its ``n_tones``
+    phases from ``rng`` in channel order, so the samples for a given
+    ``rng`` state are part of the output contract: a silent channel
+    still advances the stream, and a channel's tones do not depend on
+    which other channels are active.
     """
     if duration_s <= 0 or sample_rate <= 0:
         raise ValueError("duration_s and sample_rate must be > 0")
@@ -481,8 +488,10 @@ def generate_raw_emg(
     for ch in range(model.n_channels):
         freqs = rng.uniform(band[0], band[1], size=n_tones)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_tones)
+        if not targets[ch] > 0:
+            continue
         signal = np.sin(2.0 * np.pi * freqs[None, :] * t[:, None] + phases[None, :]).sum(axis=1)
         level = np.mean(np.abs(signal))
-        if targets[ch] > 0 and level > 0:
+        if level > 0:
             channels[:, ch] = signal * (targets[ch] / level)
     return EmgRecording(channels, sample_rate)

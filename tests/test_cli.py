@@ -323,6 +323,40 @@ class TestExitCodes:
         assert line.endswith(f"error: {message}")
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["dataset", "recording", "config"])
+    def test_undecodable_byte_is_data_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.txt"
+        if kind == "dataset":
+            text, bad_line = V1_TRAIN.read_bytes(), 5
+            argv = ["train", "--data", bad, "--out", tmp_path / "m.json"]
+        elif kind == "recording":
+            # the line lies past the first 8 KiB chunk the text reader decodes
+            mixing = orthogonal_mixing_model(n_channels=4, dofs=(D1,))
+            save_recording(generate_raw_emg(mixing, {D1: 20.0}, 0.5), bad)
+            text, bad_line = bad.read_bytes(), 300
+            assert len(text) > 8192
+            argv = ["decode", "--model", V1_MODEL, "--raw", bad, "--out", tmp_path / "d.csv"]
+        else:  # the byte starts its line
+            text, bad_line = b"seed = 3\n.5 = x\nchannels = 8\n", 2
+            argv = self.argv("train", tmp_path, "--config", bad)
+        lines = text.split(b"\n")
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b".", b"\xff", 1)
+        bad.write_bytes(b"\n".join(lines))
+        line = self.data_error(capsys, argv)
+        assert line == f"{bad}:{bad_line}: not utf-8 text (invalid start byte, byte 0xff)"
+
+    @pytest.mark.parametrize("kind", ["dataset", "recording"])
+    def test_cell_over_the_csv_field_limit_is_data_error(self, tmp_path, capsys, kind):
+        big = tmp_path / "big.csv"
+        header = V1_TRAIN.read_text().splitlines()[0] if kind == "dataset" else "ch1,ch2,ch3,ch4"
+        big.write_text(f'{header}\r\n"{"1" * 200_000}",0\r\n')
+        argv = {
+            "dataset": ["train", "--data", big, "--out", tmp_path / "m.json"],
+            "recording": ["decode", "--model", V1_MODEL, "--raw", big, "--out", tmp_path / "d.csv"],
+        }[kind]
+        line = self.data_error(capsys, argv)
+        assert line == f"{big}:2: field larger than field limit (131072)"
+
     def test_decreasing_learning_curve_sizes_are_usage_error(self, tmp_path, capsys):
         line = self.usage_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", 10, 5])
         assert line == "qmyo: error: argument --sizes: must be strictly increasing, got 10 5"

@@ -19,6 +19,7 @@ from qmyo.control import (
 from qmyo.errors import DegenerateOperatorsError, DimensionError
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
+    ControllerModel,
     DecodeConfig,
     Direction,
     Dof,
@@ -507,3 +508,21 @@ class TestDecodeBatch:
         )
         with pytest.raises(DegenerateOperatorsError):
             decode_batch(np.ones((1, 2)), model)
+
+    def test_overlap_guard_edge(self):
+        # 1 - ε is exact for ε = 1 - o with o >= 0.5, so the guard meets the
+        # overlap itself; the next ε down puts 1 - ε one ulp above it
+        model = ControllerModel({D1: triple(unit(1.0, 0.0), unit(1.0, 1e-3))}, 2)
+        overlap = model.decode_tables.max_overlap
+        above = np.nextafter(overlap, 1.0)
+        edge, safe = 1.0 - overlap, 1.0 - above
+        assert 1.0 - edge == overlap and 1.0 - safe == above and safe < edge
+        window = FeatureVector(np.array([1.0, 1.0]), FeatureKind.MAV)
+        at_edge = with_decode_config(model, DecodeConfig(overlap_epsilon=edge))
+        with pytest.raises(DegenerateOperatorsError):
+            decode_batch(np.ones((1, 2)), at_edge)
+        with pytest.raises(DegenerateOperatorsError):
+            decode_features(window, at_edge)
+        inside = with_decode_config(model, DecodeConfig(overlap_epsilon=safe))
+        assert decode_batch(np.ones((1, 2)), inside).direction.shape == (1, 1)
+        assert decode_features(window, inside).per_dof[D1].expectation_pos > 0

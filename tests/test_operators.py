@@ -146,6 +146,22 @@ class TestBuildPrototype:
         with pytest.raises(DegeneratePrototypeError):
             build_prototype(samples)
 
+    @pytest.mark.parametrize("eps, degenerate", [(1.5e-12, True), (3e-12, False)])
+    def test_cancellation_threshold(self, eps, degenerate):
+        # equal angles: the sum of (1, 0) and normalize(-1, eps) has norm 20·eps
+        # against the threshold 1e-12·Σθ = 4e-11, so it trips below eps = 2e-12
+        samples = [
+            sample([1.0, 0.0], kind=FeatureKind.ZC, angle=20.0),
+            sample([-1.0, eps], kind=FeatureKind.ZC, angle=20.0),
+            sample([0.0, 1.0], direction=Direction.NEGATIVE),
+        ]
+        if degenerate:
+            with pytest.raises(DegeneratePrototypeError):
+                train(samples, 2)
+        else:
+            model = train(samples, 2)
+            np.testing.assert_array_equal(model.dofs[D1].proto_pos.amplitudes, [0.0, 1.0])
+
 
 class TestBuildDirectionOperator:
     def test_basis_projector(self):

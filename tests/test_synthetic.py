@@ -1,7 +1,11 @@
 """Synthetic feature generation from the linear mixing model."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmyo.features import mav, segment_windows
 from qmyo.operators import Direction, Dof, MovementPhase, train
@@ -305,6 +309,51 @@ class TestGenerateRawEmg:
         rec = generate_raw_emg(model, {D1: 10.0}, duration_s=0.2)
         assert not rec.samples[:, 4:].any()
 
+    def test_samples_keep_their_bits(self):
+        # A 16-channel, three-DOF masking recording at seed 1 over every
+        # single-DOF direction, signed DOF pair, four three-DOF mixes and a
+        # silent segment; digest recorded before silent channels skipped
+        # their tone sums.
+        model = default_mixing_model(n_channels=16, dofs=DOFS_3, noise_sigma=0.1, seed=1)
+        digest = hashlib.sha256()
+        for k, angles in enumerate(raw_segments()):
+            rec = generate_raw_emg(model, angles, 2.0, 1024.0, rng=np.random.default_rng([1, 7, k]))
+            digest.update(rec.samples.tobytes())
+        assert digest.hexdigest() == (
+            "36629dcf0dfb3c87949f56acc27942e8c96e34c7075168e6a1276d111eb5dbb1"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_channel_tone_sums(self, data):
+        model = data.draw(raw_mixings())
+        active = data.draw(st.sampled_from(["none", "all", "some"]))
+        if active == "none":
+            angles = {}
+        else:
+            dofs = model.dofs if active == "all" else data.draw(
+                st.lists(st.sampled_from(model.dofs), unique=True))
+            angle = st.floats(0.5, 60.0) | st.floats(-60.0, -0.5) | st.just(0.0)
+            angles = {dof: data.draw(angle) for dof in dofs}
+        duration = data.draw(st.sampled_from([0.05, 0.25, 1.0]))
+        n_tones = data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_raw_emg(model, angles, duration, n_tones, want_rng)
+        got = generate_raw_emg(model, angles, duration, n_tones=n_tones, rng=rng).samples
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        silent = model.mixing @ reference_activation(model, angles) == 0
+        assert not got[:, silent].any()
+
+    def test_all_silent_and_all_active_recordings(self):
+        model = default_mixing_model(n_channels=12, dofs=DOFS_3, baseline=0.01, seed=3)
+        for angles in ({}, {D1: 15.0, D2: -20.0, D3: 5.0}):
+            expected = reference_raw_emg(model, angles, 0.5, 32, np.random.default_rng(9))
+            got = generate_raw_emg(model, angles, 0.5, rng=np.random.default_rng(9)).samples
+            assert got.tobytes() == expected.tobytes()
+            assert got.any(axis=0).all() == bool(angles)
+
 
 # The per-window generators as they were before generation was batched per
 # block: the vectorized generators must reproduce their draws bit for bit.
@@ -369,6 +418,59 @@ def reference_scenario(model, scenario):
         blocks.append((cursor, cursor + block.n_windows, intended))
         cursor += block.n_windows
     return features, {dof: np.array(v) for dof, v in truth.items()}, blocks, n_clipped
+
+
+DOFS_3 = (D1, D2, D3)
+
+
+def raw_segments():
+    """Every single-DOF direction, each DOF pair with equal and opposite
+    signs, four three-DOF mixes and one silent segment."""
+    singles = [{dof: sign * 30.0} for dof in DOFS_3 for sign in (1.0, -1.0)]
+    pairs = [{a: 25.0, b: sign * 25.0} for a, b in ((D1, D2), (D1, D3), (D2, D3))
+             for sign in (1.0, -1.0)]
+    triples = [{D1: s1 * 20.0, D2: s2 * 20.0, D3: s3 * 20.0}
+               for s1, s2, s3 in ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1))]
+    return singles + pairs + triples + [{}]
+
+
+@st.composite
+def raw_mixings(draw):
+    """Masking, orthogonal or random sparse non-negative mixing models."""
+    dofs = tuple(draw(st.lists(st.sampled_from(DOFS_3), min_size=1, unique=True)))
+    geometry = draw(st.sampled_from(["masking", "orthogonal", "random"]))
+    n_channels = draw(st.integers(4 * len(dofs), 4 * len(dofs) + 6))
+    if geometry == "masking":
+        baseline = draw(st.sampled_from([0.0, 0.004]))
+        return default_mixing_model(n_channels, dofs, baseline=baseline)
+    if geometry == "orthogonal":
+        return orthogonal_mixing_model(n_channels, dofs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixing = rng.uniform(0.01, 0.1, (n_channels, 2 * len(dofs)))
+    mixing *= rng.random(mixing.shape) < draw(st.floats(0.1, 1.0))
+    mixing[rng.integers(n_channels, size=mixing.shape[1]), np.arange(mixing.shape[1])] = 0.05
+    try:
+        return MixingModel(mixing=mixing, dofs=dofs)
+    except ValueError:
+        assume(False)
+
+
+def reference_raw_emg(model, angles, duration_s, n_tones, rng):
+    """The raw generator as it was before silent channels skipped their tone
+    sums: every channel's tones are summed and scaled, then kept if active."""
+    sample_rate = 1024.0
+    n_samples = int(duration_s * sample_rate)
+    t = np.arange(n_samples) / sample_rate
+    targets = model.mixing @ reference_activation(model, angles)
+    channels = np.zeros((n_samples, model.n_channels))
+    for ch in range(model.n_channels):
+        freqs = rng.uniform(20.0, 200.0, size=n_tones)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=n_tones)
+        signal = np.sin(2.0 * np.pi * freqs[None, :] * t[:, None] + phases[None, :]).sum(axis=1)
+        level = np.mean(np.abs(signal))
+        if targets[ch] > 0 and level > 0:
+            channels[:, ch] = signal * (targets[ch] / level)
+    return channels
 
 
 def bits(rows):
