@@ -13,13 +13,9 @@ from .control import (
     DecodedBatch,
     DecodeDiagnostics,
     DofDecision,
-    decode,
     decode_batch,
-    decode_dof,
     decode_features,
-    expectation,
     residual_activations,
-    rest_threshold_from_rest_windows,
 )
 from .datasets import (
     FeatureDataset,
@@ -42,7 +38,6 @@ from .errors import (
     DegeneratePrototypeError,
     DimensionError,
     EmptyInputError,
-    InsufficientSamplesError,
     InsufficientTrainingError,
     MalformedBlockError,
     ModelError,
@@ -77,9 +72,6 @@ from .features import (
     mav,
     save_recording,
     segment_windows,
-    slope_sign_changes,
-    waveform_length,
-    zero_crossings,
 )
 from .operators import (
     ControllerModel,
@@ -101,7 +93,7 @@ from .operators import (
     train_table,
     with_decode_config,
 )
-from .state import QuantumState, encode, encode_rows, inner_product
+from .state import QuantumState, encode_rows, inner_product
 from .synthetic import (
     MixingModel,
     ScenarioBlock,

@@ -108,11 +108,6 @@ def _read_config(path) -> tuple[dict, dict]:
     return settings, lines
 
 
-def load_config_file(path) -> dict:
-    """Parse flat ``key = value`` lines into typed settings."""
-    return _read_config(path)[0]
-
-
 class _Settings:
     """CLI > config file > defaults resolution for one invocation."""
 

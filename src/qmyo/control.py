@@ -8,8 +8,8 @@ for prototype overlap, gives the proportional angle command. With three
 trained DOFs the three completion expectations additionally yield
 residual activations through a fixed 3x3 linear system.
 
-:func:`decode_batch` decodes an (N, C) feature array in one pass; the
-per-window functions are one-row calls of the same kernel.
+:func:`decode_batch` decodes an (N, C) feature array in one pass;
+:func:`decode_features` is a one-row call of the same kernel.
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +24,9 @@ from .operators import (
     DecodeTables,
     Direction,
     Dof,
-    DofOperators,
-    Operator,
     SIGN_DIRECTIONS,
 )
-from .state import QuantumState, encode_rows
+from .state import encode_rows
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,6 @@ class DofDecision:
 @dataclass(frozen=True)
 class DecodeDiagnostics:
     zero_signal: bool = False
-    residuals_note: str | None = None
-    residual_inputs_clamped: tuple[Dof, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -65,20 +61,6 @@ class DecodedAction:
     per_dof: dict[Dof, DofDecision]
     residual_activations: dict[Dof, float] | None
     diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
-
-
-def expectation(state: QuantumState, op: Operator) -> float:
-    """Quadratic form of the state under the operator.
-
-    The decoder uses the rank-1 shortcut (ψ·p)²; this is the operator
-    form that shortcut must agree with.
-    """
-    if state.dim != op.dim:
-        raise DimensionError(
-            f"state dimension {state.dim} does not match operator dimension {op.dim}"
-        )
-    psi = state.amplitudes
-    return float(psi @ op.matrix @ psi)
 
 
 def residual_activations(z1, z2, z3):
@@ -149,15 +131,11 @@ class DecodedBatch:
             for dof, p, n, z, c, a, r, cl, neg in rows
         }
         if self.zero_signal[i]:
-            note = "zero-signal window: no state to measure"
-            return DecodedAction(per_dof, None, DecodeDiagnostics(True, note))
+            return DecodedAction(per_dof, None, DecodeDiagnostics(True))
         if self.dofs != _THREE_DOFS:
-            note = f"residual activations need all three DOFs trained; model has {len(self.dofs)}"
-            return DecodedAction(per_dof, None, DecodeDiagnostics(residuals_note=note))
+            return DecodedAction(per_dof, None)
         residuals = residual_activations(*(max(z, 0.0) for z in e_zero))
-        inputs_clamped = tuple(dof for dof, neg in zip(self.dofs, negative) if neg)
-        diagnostics = DecodeDiagnostics(False, None, inputs_clamped)
-        return DecodedAction(per_dof, dict(zip(self.dofs, residuals)), diagnostics)
+        return DecodedAction(per_dof, dict(zip(self.dofs, residuals)))
 
 
 def _expectations(states: np.ndarray, prototypes: np.ndarray):
@@ -237,47 +215,3 @@ def decode_batch(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
 def decode_features(fv: FeatureVector, model: ControllerModel) -> DecodedAction:
     """Encode and decode one feature window (validated when it was built)."""
     return _decode_rows(fv.values[None, :], model).action(0)
-
-
-def decode(state: QuantumState, model: ControllerModel) -> DecodedAction:
-    """Decode one encoded window against every trained DOF."""
-    if state.dim != model.n_channels:
-        raise DimensionError(
-            f"state dimension {state.dim} does not match the "
-            f"{model.n_channels}-channel model"
-        )
-    zero_signal = np.zeros(1, dtype=bool)
-    tables, cfg = model.decode_tables, model.decode_config
-    return _decide(state.amplitudes[None, :], zero_signal, tables, cfg).action(0)
-
-
-def decode_dof(state: QuantumState, ops: DofOperators, cfg: DecodeConfig) -> DofDecision:
-    """Decide direction and proportional angle for one DOF on one state."""
-    if state.dim != ops.dim:
-        raise DimensionError(
-            f"state dimension {state.dim} does not match operator dimension {ops.dim}"
-        )
-    # Any label serves: a single DOF never gets residual activations.
-    label = Dof.FLEXION_EXTENSION
-    tables = DecodeTables.of({label: ops})
-    batch = _decide(state.amplitudes[None, :], np.zeros(1, dtype=bool), tables, cfg)
-    return batch.action(0).per_dof[label]
-
-
-def rest_threshold_from_rest_windows(
-    model: ControllerModel, rest_features: list[FeatureVector], margin: float = 1.5
-) -> float:
-    """Calibrate the rest deadzone from rest-labeled windows.
-
-    Returns ``margin`` times the largest direction-expectation gap seen
-    on the rest windows, i.e. the smallest threshold (scaled for safety)
-    that would have kept every given window at rest. Zero-signal windows
-    contribute nothing.
-    """
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
-    if not rest_features:
-        return 0.0
-    states, _ = encode_rows(np.stack([fv.values for fv in rest_features]))
-    e_pos, e_neg = _expectations(states, model.decode_tables.prototypes)
-    return margin * float(np.max(np.abs(e_pos - e_neg)))

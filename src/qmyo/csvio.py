@@ -77,15 +77,19 @@ def read_fast(path, n_tail: int = 0):
 
 
 def read_rows(path, fh):
-    """``(line, cells)`` of each row ``csv.reader`` reads from ``fh``, from line 1.
+    """``(line, cells)`` of each row ``csv.reader`` reads from ``fh``.
 
-    Text that does not decode and a row the ``csv`` module rejects (a
-    cell over its field size limit, say) raise DatasetParseError naming
-    ``path`` and the line.
+    ``line`` is the file line the row starts on, from line 1; a quoted
+    cell can span lines, so it is not the row's count. Text that does
+    not decode and a row the ``csv`` module rejects (a cell over its
+    field size limit, say) raise DatasetParseError naming ``path`` and
+    the line.
     """
-    reader = csv.reader(fh)
+    reader, start = csv.reader(fh), 1
     try:
-        yield from enumerate(reader, start=1)
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise DatasetParseError(undecodable(path, exc)) from None
     except csv.Error as exc:

@@ -23,7 +23,6 @@ import numpy as np
 from .csvio import float_cells, read_fast, read_rows, write_rows
 from .errors import DatasetParseError, DatasetSchemaError
 from .evaluation import Block
-from .features import FeatureKind
 from .operators import (
     DOFS,
     SIGN_DIRECTIONS,
@@ -55,7 +54,6 @@ class FeatureDataset:
     angles: dict[Dof, np.ndarray]
     phases: list[MovementPhase]
     block_ids: np.ndarray
-    feature_kind: FeatureKind = FeatureKind.MAV
     source: str = ""
 
     def __post_init__(self):
@@ -80,15 +78,11 @@ class FeatureDataset:
                 f"{self.source or '<dataset>'}:{row + 2}: {DOFS[k].value}_angle value "
                 f"{float(table[row, k])!r} is not finite"
             )
-        bad = ~np.isfinite(features)
-        if self.feature_kind in (FeatureKind.MAV, FeatureKind.WL):
-            bad |= features < 0
-        if bad.any():
+        if (bad := ~(np.isfinite(features) & (features >= 0))).any():
             row, column = np.argwhere(bad)[0]
             raise DatasetSchemaError(
                 f"{self.source or '<dataset>'}:{row + 2}: ch{column + 1} value "
-                f"{float(features[row, column])!r} is not a finite, non-negative "
-                f"{self.feature_kind.value} feature"
+                f"{float(features[row, column])!r} is not a finite, non-negative mav feature"
             )
         block_ids = np.asarray(self.block_ids, dtype=int)
         if block_ids.shape != (n,) or len(self.phases) != n:
@@ -135,7 +129,7 @@ def training_table(ds: FeatureDataset) -> TrainingTable:
 
 def to_training_samples(ds: FeatureDataset) -> list[TrainingSample]:
     """:func:`training_table` as a list of single-DOF training samples."""
-    return training_table(ds).samples(ds.feature_kind)
+    return training_table(ds).samples()
 
 
 def _intended_direction(values: np.ndarray) -> Direction:

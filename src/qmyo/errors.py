@@ -22,10 +22,6 @@ class EmptyInputError(DataError):
     """A recording or dataset is too short to process."""
 
 
-class InsufficientSamplesError(DataError):
-    """A window has fewer samples than the feature requires."""
-
-
 class DatasetParseError(DataError):
     """A dataset row could not be parsed; the message names the line."""
 

@@ -1,9 +1,8 @@
-"""Sliding-window segmentation of raw multi-channel EMG and the four
-classical time-domain features: mean absolute value, zero crossings,
-slope sign changes and waveform length.
+"""Sliding-window segmentation of raw multi-channel EMG and its mean
+absolute value (MAV) feature.
 
-All feature functions take a window shaped (n_samples, n_channels) and
-return one value per channel wrapped in a :class:`FeatureVector`.
+:func:`mav` takes a window shaped (n_samples, n_channels) and returns
+one value per channel wrapped in a :class:`FeatureVector`.
 """
 
 import enum
@@ -13,20 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import float_cells, read_fast, read_rows, write_rows
-from .errors import (
-    DatasetParseError,
-    DatasetSchemaError,
-    DimensionError,
-    EmptyInputError,
-    InsufficientSamplesError,
-)
+from .errors import DatasetParseError, DatasetSchemaError, DimensionError, EmptyInputError
 
 
 class FeatureKind(enum.Enum):
     MAV = "mav"
-    ZC = "zc"
-    SSC = "ssc"
-    WL = "wl"
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,7 @@ class EmgRecording:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """One feature value per channel, before any normalization."""
+    """One finite, non-negative feature value per channel, before any normalization."""
 
     values: np.ndarray
     kind: FeatureKind
@@ -68,26 +58,14 @@ class FeatureVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise DimensionError(f"feature values must be 1-D, got ndim={values.ndim}")
-        if values.size:
-            lowest, highest = values.min(), values.max()  # NaN if any value is NaN
-            if not (-np.inf < lowest and highest < np.inf):
-                raise ValueError("feature values must be finite")
-            if self.kind in (FeatureKind.MAV, FeatureKind.WL) and lowest < 0:
-                raise ValueError(f"{self.kind.value} features must be non-negative")
+        # min and max are NaN if any value is NaN, which fails the test
+        if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
+            raise ValueError("feature values must be finite and non-negative")
         object.__setattr__(self, "values", values)
 
     @property
     def n_channels(self) -> int:
         return self.values.shape[0]
-
-
-def _as_window(window: np.ndarray) -> np.ndarray:
-    w = np.asarray(window, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if w.ndim != 2 or w.shape[0] == 0:
-        raise EmptyInputError("window must be a non-empty 2-D array")
-    return w
 
 
 def segment_windows(
@@ -128,57 +106,14 @@ def segment_windows(
 
 
 def mav(window: np.ndarray) -> FeatureVector:
-    """Mean absolute value per channel."""
-    w = _as_window(window)
+    """Mean absolute value per channel; a 1-D window is one channel."""
+    w = np.asarray(window, dtype=float)
+    if w.ndim == 1:
+        w = w[:, None]
+    if w.ndim != 2 or w.shape[0] == 0:
+        raise EmptyInputError("window must be a non-empty 2-D array")
     # the same sum and division as np.mean, without its Python-level dispatch
     return FeatureVector(np.abs(w).sum(axis=0) / w.shape[0], FeatureKind.MAV)
-
-
-def zero_crossings(window: np.ndarray, deadband: float = 0.0) -> FeatureVector:
-    """Count sign changes between consecutive samples per channel.
-
-    A crossing needs strictly opposite signs and an amplitude step larger
-    than ``deadband``.
-    """
-    if deadband < 0:
-        raise ValueError(f"deadband must be >= 0, got {deadband}")
-    w = _as_window(window)
-    opposite = w[:-1] * w[1:] < 0
-    large = np.abs(w[:-1] - w[1:]) > deadband
-    counts = np.sum(opposite & large, axis=0)
-    return FeatureVector(counts.astype(float), FeatureKind.ZC)
-
-
-def slope_sign_changes(window: np.ndarray, deadband: float = 0.0) -> FeatureVector:
-    """Count strict local extrema per channel.
-
-    An interior sample counts when it sits strictly above or below both
-    neighbors and both neighbor differences exceed ``deadband`` in
-    magnitude.
-    """
-    if deadband < 0:
-        raise ValueError(f"deadband must be >= 0, got {deadband}")
-    w = _as_window(window)
-    if w.shape[0] < 3:
-        raise InsufficientSamplesError(
-            f"slope sign changes need at least 3 samples, got {w.shape[0]}"
-        )
-    left = w[1:-1] - w[:-2]
-    right = w[1:-1] - w[2:]
-    extremum = left * right > 0
-    large = (np.abs(left) > deadband) & (np.abs(right) > deadband)
-    counts = np.sum(extremum & large, axis=0)
-    return FeatureVector(counts.astype(float), FeatureKind.SSC)
-
-
-def waveform_length(window: np.ndarray) -> FeatureVector:
-    """Sum of absolute sample-to-sample differences per channel."""
-    w = _as_window(window)
-    if w.shape[0] < 2:
-        raise InsufficientSamplesError(
-            f"waveform length needs at least 2 samples, got {w.shape[0]}"
-        )
-    return FeatureVector(np.sum(np.abs(np.diff(w, axis=0)), axis=0), FeatureKind.WL)
 
 
 def _channel_header(n_channels: int) -> list[str]:

@@ -32,7 +32,6 @@ from .state import QuantumState, encode_rows, inner_product
 
 logger = logging.getLogger(__name__)
 
-SYMMETRY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 OVERLAP_TOL = 1e-12
 
@@ -94,20 +93,11 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class Operator:
-    """Real symmetric matrix acting on encoded states."""
+    """Real symmetric matrix acting on encoded states. It is only built as
+    a unit prototype's outer product or as the completion of two of them,
+    so it is not re-checked."""
 
     matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionError(f"operator must be square, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("operator entries must be finite")
-        asym = float(np.max(np.abs(matrix - matrix.T)))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"operator is not symmetric: max asymmetry {asym!r}")
-        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -291,12 +281,12 @@ class TrainingTable(NamedTuple):
             direct=np.fromiter((s.movement_phase is MovementPhase.DIRECT for s in samples), bool, n),
         )
 
-    def samples(self, kind: FeatureKind = FeatureKind.MAV) -> list[TrainingSample]:
-        """The rows as training samples."""
+    def samples(self) -> list[TrainingSample]:
+        """The rows as training samples of MAV features."""
         phases = (MovementPhase.RETURN, MovementPhase.DIRECT)
         return [
             TrainingSample(
-                FeatureVector(values, kind),
+                FeatureVector(values, FeatureKind.MAV),
                 DOFS[k],
                 Direction.POSITIVE if signed > 0 else Direction.NEGATIVE,
                 abs(signed),

@@ -1,4 +1,4 @@
-"""Amplitude encoding of feature vectors as unit-norm states.
+"""Amplitude encoding of feature rows as unit-norm states.
 
 A window's per-channel feature values become the amplitudes of a real
 n-dimensional state, normalized so the squared amplitudes sum to one.
@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ZeroSignalError
-from .features import FeatureVector
+from .errors import DimensionError
 
 NORM_TOL = 1e-12
 
@@ -54,17 +53,6 @@ def encode_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled = values / (peak + zero)[:, None]
     norm = np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
     return scaled / (norm + zero)[:, None], zero
-
-
-def encode(fv: FeatureVector) -> QuantumState:
-    """Normalize one feature vector into a unit-norm state.
-
-    Raises :class:`ZeroSignalError` for an all-zero vector.
-    """
-    states, zero = encode_rows(fv.values[None, :])
-    if zero[0]:
-        raise ZeroSignalError("all-zero feature vector has no direction to encode")
-    return QuantumState(states[0])
 
 
 def inner_product(a: QuantumState, b: QuantumState) -> float:

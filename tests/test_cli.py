@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmyo.cli import load_config_file, main
+from qmyo.cli import main
 from qmyo.features import save_recording
 from qmyo.operators import (
     Direction,
@@ -412,7 +412,7 @@ class TestExitCodes:
 
 
 class TestConfigFile:
-    def test_key_value_parsing(self, tmp_path):
+    def test_key_value_parsing(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"
         cfg.write_text(
             "# comment\n"
@@ -420,18 +420,28 @@ class TestConfigFile:
             "sizes = 5,10\n"
             "dofs = d1,d3\n"
         )
-        settings = load_config_file(cfg)
-        assert settings["rest_threshold"] == 0.1
-        assert settings["sizes"] == (5, 10)
-        assert settings["dofs"] == (D1, Dof.PRONATION_SUPINATION)
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        model_json, report_csv = tmp_path / "model.json", tmp_path / "report.csv"
+        assert run("synth", "--train-out", train_csv, "--test-out", test_csv, "--per-action", 12,
+                   "--blocks", 5, "--windows", 50, "--config", cfg) == 0
+        assert run("train", "--data", train_csv, "--out", model_json, "--config", cfg) == 0
+        model = load_model(model_json)
+        assert model.decode_config.rest_threshold == 0.1
+        assert model.sorted_dofs() == [D1, Dof.PRONATION_SUPINATION]
+        assert run("evaluate", "--test", test_csv, "--train-data", train_csv,
+                   "--csv-out", report_csv, "--config", cfg) == 0
+        sizes = [line.split(",")[0] for line in report_csv.read_text().splitlines()[1:]]
+        assert sizes == ["5", "10"]
+        capsys.readouterr()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, synth_files, capsys):
+        train_csv, _ = synth_files
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("wibble = 3\n")
-        from qmyo.errors import DataError
-
-        with pytest.raises(DataError):
-            load_config_file(cfg)
+        code = run("train", "--data", train_csv, "--out", tmp_path / "m.json", "--config", cfg)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"qmyo: data error: {cfg}:1: unknown setting 'wibble'"]
 
     def test_cli_overrides_file(self, tmp_path, synth_files, capsys):
         train_csv, _ = synth_files

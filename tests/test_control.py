@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmyo.control import (
-    decode,
-    decode_batch,
-    decode_dof,
-    decode_features,
-    expectation,
-    residual_activations,
-    rest_threshold_from_rest_windows,
-)
+from qmyo.control import decode_batch, decode_features, residual_activations
 from qmyo.errors import DegenerateOperatorsError, DimensionError
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
@@ -24,13 +16,11 @@ from qmyo.operators import (
     Direction,
     Dof,
     DofOperators,
-    Operator,
     TrainingSample,
-    build_direction_operator,
     train,
     with_decode_config,
 )
-from qmyo.state import QuantumState, encode
+from qmyo.state import QuantumState, encode_rows
 
 D1 = Dof.FLEXION_EXTENSION
 D2 = Dof.RADIAL_ULNAR
@@ -72,57 +62,63 @@ def orthogonal_model(n_dofs=2, theta=40.0, n_channels=None, config=None):
     return train(samples, n, config=config)
 
 
+def decide(state, ops, cfg=DecodeConfig()):
+    """One DOF's decision on a state (non-negative amplitudes), from a one-row batch."""
+    model = ControllerModel({D1: ops}, ops.dim, cfg)
+    return decode_batch(state.amplitudes[None, :], model).action(0).per_dof[D1]
+
+
 class TestExpectation:
+    """The decoder's direction expectations e± = (ψ·p±)² on hand-made operators."""
+
     def test_projector_on_own_ray(self):
         proto = unit(1.0, 2.0, 2.0)
-        op = build_direction_operator(proto)
-        assert expectation(proto, op) == pytest.approx(1.0, abs=1e-12)
+        decision = decide(proto, triple(proto, unit(1.0, 0.0, 0.0)))
+        assert decision.expectation_pos == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_state(self):
-        op = build_direction_operator(unit(1.0, 0.0))
-        assert expectation(unit(0.0, 1.0), op) == pytest.approx(0.0, abs=1e-15)
+        ops = triple(unit(1.0, 0.0), unit(0.5, 0.5))
+        assert decide(unit(0.0, 1.0), ops).expectation_pos == pytest.approx(0.0, abs=1e-15)
 
     def test_matrix_vector_oracle(self):
-        op = Operator(np.array([[0.2, 0.4], [0.4, 0.8]]))
-        state = unit(1.0, 0.0)
-        assert expectation(state, op) == pytest.approx(0.2, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            expectation(unit(1.0, 0.0, 0.0), Operator(np.eye(2)))
+        # p₊ = (1, 2)/√5 has the operator [[0.2, 0.4], [0.4, 0.8]]; ψ = (1, 0) reads its corner
+        ops = triple(unit(1.0, 2.0), unit(0.0, 1.0))
+        np.testing.assert_allclose(ops.p_pos.matrix, [[0.2, 0.4], [0.4, 0.8]], atol=1e-15)
+        assert decide(unit(1.0, 0.0), ops).expectation_pos == pytest.approx(0.2, abs=1e-15)
 
 
 class TestDecodeDof:
     def test_positive_prototype_hits_theta_max(self):
         ops = triple(unit(1.0, 0.0), unit(0.0, 1.0), theta_pos=40.0)
-        decision = decode_dof(ops.proto_pos, ops, DecodeConfig())
+        decision = decide(ops.proto_pos, ops)
         assert decision.direction is Direction.POSITIVE
         assert decision.angle == pytest.approx(40.0, abs=1e-9)
         assert not decision.angle_clamped
 
     def test_tie_is_rest(self):
         ops = triple(unit(1.0, 0.0), unit(0.0, 1.0))
-        decision = decode_dof(unit(1.0, 1.0), ops, DecodeConfig(rest_threshold=0.0))
+        decision = decide(unit(1.0, 1.0), ops, DecodeConfig(rest_threshold=0.0))
         assert decision.direction is Direction.REST
         assert decision.angle == 0.0
 
     def test_overlap_corrected_angle(self):
-        # overlap 0.5, expectations 0.6 and 0.2 -> (0.4 * 40) / 0.5 = 32
+        # overlap 0.5, expectations 0.6 and 0.2 -> (0.4 * 40) / 0.5 = 32; the
+        # negative prototype's second axis is flipped so the state is non-negative
         s = 1 / math.sqrt(2)
-        ops = triple(unit(1.0, 0.0, 0.0), QuantumState(np.array([s, s, 0.0])))
+        ops = triple(unit(1.0, 0.0, 0.0), QuantumState(np.array([s, -s, 0.0])))
         assert ops.overlap == pytest.approx(0.5, abs=1e-12)
         x = math.sqrt(0.6)
-        y = math.sqrt(0.4) - x
+        y = x - math.sqrt(0.4)
         z = math.sqrt(1.0 - x * x - y * y)
         state = QuantumState(np.array([x, y, z]))
-        decision = decode_dof(state, ops, DecodeConfig())
+        decision = decide(state, ops)
         assert decision.expectation_pos == pytest.approx(0.6, abs=1e-12)
         assert decision.expectation_neg == pytest.approx(0.2, abs=1e-12)
         assert decision.angle == pytest.approx(32.0, abs=1e-9)
 
     def test_negative_direction(self):
         ops = triple(unit(1.0, 0.0), unit(0.0, 1.0), theta_neg=25.0)
-        decision = decode_dof(unit(0.0, 1.0), ops, DecodeConfig())
+        decision = decide(unit(0.0, 1.0), ops)
         assert decision.direction is Direction.NEGATIVE
         assert decision.angle == pytest.approx(25.0, abs=1e-9)
         assert decision.signed_angle() == pytest.approx(-25.0, abs=1e-9)
@@ -130,19 +126,21 @@ class TestDecodeDof:
     def test_rest_threshold_deadzone(self):
         ops = triple(unit(1.0, 0.0), unit(0.0, 1.0))
         state = unit(1.0, 0.9)
-        margin = expectation(state, ops.p_pos) - expectation(state, ops.p_neg)
-        decision = decode_dof(state, ops, DecodeConfig(rest_threshold=abs(margin) + 0.01))
+        probe = decide(state, ops)
+        assert probe.direction is Direction.POSITIVE
+        margin = probe.expectation_pos - probe.expectation_neg
+        decision = decide(state, ops, DecodeConfig(rest_threshold=abs(margin) + 0.01))
         assert decision.direction is Direction.REST
 
     def test_clamping_flags_and_caps(self):
         # margin 0.88 with overlap 0.2 pushes the raw angle past theta_max
-        q = QuantumState(np.array([math.sqrt(0.2), math.sqrt(0.8), 0.0]))
+        q = QuantumState(np.array([math.sqrt(0.2), -math.sqrt(0.8), 0.0]))
         ops = triple(unit(1.0, 0.0, 0.0), q, theta_pos=40.0)
         x = math.sqrt(0.9)
-        y = -math.sqrt(1.0 - 0.9 - 1e-4)
+        y = math.sqrt(1.0 - 0.9 - 1e-4)
         z = 0.01
         state = QuantumState(np.array([x, y, z]))
-        decision = decode_dof(state, ops, DecodeConfig())
+        decision = decide(state, ops)
         assert decision.raw_angle > 40.0
         assert decision.angle == 40.0
         assert decision.angle_clamped
@@ -152,8 +150,8 @@ class TestDecodeDof:
         s = 1 / math.sqrt(2)
         ops = triple(unit(1.0, 0.0, 0.0), QuantumState(np.array([s, s, 0.0])))
         for _ in range(100):
-            state = unit(*rng.normal(size=3))
-            d = decode_dof(state, ops, DecodeConfig())
+            state = unit(*np.abs(rng.normal(size=3)))
+            d = decide(state, ops)
             total = d.expectation_pos + d.expectation_neg + d.expectation_zero
             assert abs(total - 1.0) < 1e-10
             assert -1e-12 <= d.expectation_pos <= 1.0 + 1e-12
@@ -164,7 +162,7 @@ class TestDecodeDof:
         ops = triple(unit(1.0, 0.0), QuantumState(np.array([s, s])))
         # halfway between the overlapping prototypes the completion dips negative
         state = unit(1.0 + s, s)
-        decision = decode_dof(state, ops, DecodeConfig())
+        decision = decide(state, ops)
         assert decision.expectation_zero < 0.0
         assert decision.zero_negative
 
@@ -174,7 +172,7 @@ class TestDecodeDof:
         )
         ops = triple(unit(1.0, 0.0), nearly)
         with pytest.raises(DegenerateOperatorsError):
-            decode_dof(unit(1.0, 0.0), ops, DecodeConfig())
+            decide(unit(1.0, 0.0), ops)
 
 
 class TestResidualActivations:
@@ -215,23 +213,31 @@ class TestResidualActivations:
             np.testing.assert_allclose(result, expected, atol=1e-12)
 
 
+def mav_of(*values):
+    return FeatureVector(np.array(values, dtype=float), FeatureKind.MAV)
+
+
+def prototype_window(model, dof):
+    return mav_of(*model.dofs[dof].proto_pos.amplitudes)
+
+
 class TestDecode:
     def test_prototype_activates_its_dof_only(self):
         model = orthogonal_model(n_dofs=2)
-        action = decode(model.dofs[D1].proto_pos, model)
+        action = decode_features(prototype_window(model, D1), model)
         assert action.per_dof[D1].direction is Direction.POSITIVE
         assert action.per_dof[D1].angle == pytest.approx(40.0, abs=1e-9)
         assert action.per_dof[D2].direction is Direction.REST
 
     def test_two_dof_model_omits_residuals(self):
         model = orthogonal_model(n_dofs=2)
-        action = decode(model.dofs[D1].proto_pos, model)
+        action = decode_features(prototype_window(model, D1), model)
         assert action.residual_activations is None
-        assert "three DOFs" in action.diagnostics.residuals_note
+        assert not action.diagnostics.zero_signal
 
     def test_three_dof_model_solves_residuals(self):
         model = orthogonal_model(n_dofs=3)
-        action = decode(model.dofs[D1].proto_pos, model)
+        action = decode_features(prototype_window(model, D1), model)
         residuals = action.residual_activations
         assert set(residuals) == {D1, D2, D3}
         z = [action.per_dof[d].expectation_zero for d in (D1, D2, D3)]
@@ -250,14 +256,13 @@ class TestDecode:
         for (dof, direction), values in vectors.items():
             samples.append(simple_sample(values, dof, direction))
         model = train(samples, 3)
-        state = model.dofs[D1].proto_pos
-        action = decode(state, model)
+        action = decode_features(prototype_window(model, D1), model)
         flagged = [
             dof
             for dof in (D1, D2, D3)
             if action.per_dof[dof].expectation_zero < 0.0
         ]
-        assert tuple(flagged) == action.diagnostics.residual_inputs_clamped
+        assert flagged == [dof for dof in (D1, D2, D3) if action.per_dof[dof].zero_negative]
         if flagged:
             z = [max(action.per_dof[d].expectation_zero, 0.0) for d in (D1, D2, D3)]
             expected = residual_activations(*z)
@@ -266,21 +271,20 @@ class TestDecode:
 
     def test_all_rest_input(self):
         model = orthogonal_model(n_dofs=2)
-        state = unit(1.0, 1.0, 1.0, 1.0)
         cfg = DecodeConfig(rest_threshold=0.6)
-        action = decode(state, train_with_config(model, cfg))
+        action = decode_features(mav_of(1.0, 1.0, 1.0, 1.0), train_with_config(model, cfg))
         assert all(d.direction is Direction.REST for d in action.per_dof.values())
         assert all(d.angle == 0.0 for d in action.per_dof.values())
 
     def test_dimension_mismatch(self):
         model = orthogonal_model(n_dofs=2)
         with pytest.raises(DimensionError):
-            decode(unit(1.0, 0.0), model)
+            decode_features(mav_of(1.0, 0.0), model)
 
     def test_deterministic(self):
         model = orthogonal_model(n_dofs=2)
-        state = unit(0.3, 0.1, 0.9, 0.2)
-        assert decode(state, model) == decode(state, model)
+        window = mav_of(0.3, 0.1, 0.9, 0.2)
+        assert decode_features(window, model) == decode_features(window, model)
 
 
 def train_with_config(model, cfg):
@@ -312,28 +316,6 @@ class TestDecodeFeatures:
         )
         assert not action.diagnostics.zero_signal
         assert action.per_dof[D1].direction is Direction.POSITIVE
-
-
-class TestRestThresholdCalibration:
-    def test_covers_observed_rest_gaps(self):
-        model = orthogonal_model(n_dofs=2)
-        rng = np.random.default_rng(3)
-        rest = [
-            FeatureVector(np.abs(rng.normal(0.0, 0.1, size=4)), FeatureKind.MAV)
-            for _ in range(50)
-        ]
-        threshold = rest_threshold_from_rest_windows(model, rest, margin=1.0)
-        cfg = DecodeConfig(rest_threshold=threshold)
-        for fv in rest:
-            action = decode_features(fv, train_with_config(model, cfg))
-            assert all(
-                d.direction is Direction.REST for d in action.per_dof.values()
-            )
-
-    def test_zero_signal_windows_ignored(self):
-        model = orthogonal_model(n_dofs=2)
-        rest = [FeatureVector(np.zeros(4), FeatureKind.MAV)]
-        assert rest_threshold_from_rest_windows(model, rest) == 0.0
 
 
 def random_model(n_dofs, n_channels, seed):
@@ -451,20 +433,14 @@ class TestDecodeBatch:
             fv = FeatureVector(row.copy(), FeatureKind.MAV)
             assert decode_features(fv, model) == batch.action(i)
             if not batch.zero_signal[i]:
-                state = encode(fv)
-                assert decode(state, model) == batch.action(i)
+                psi = encode_rows(row[None, :])[0][0]
                 for k, dof in enumerate(batch.dofs):
-                    # a one-DOF prototype matrix rounds differently, so
-                    # decode_dof agrees to rounding, not to the bit
+                    # the rank-1 shortcut (ψ·p)² agrees with the operator form ψᵀPψ
                     ops = model.dofs[dof]
-                    decision = decode_dof(state, ops, model.decode_config)
-                    assert decision.expectation_pos == pytest.approx(
-                        batch.expectation_pos[i, k], rel=0, abs=1e-15
-                    )
-                    # the rank-1 shortcut agrees with the operator form
-                    assert expectation(state, ops.p_zero) == pytest.approx(
-                        batch.expectation_zero[i, k], rel=0, abs=1e-12
-                    )
+                    for op, e in ((ops.p_pos, batch.expectation_pos),
+                                  (ops.p_neg, batch.expectation_neg),
+                                  (ops.p_zero, batch.expectation_zero)):
+                        assert psi @ op.matrix @ psi == pytest.approx(e[i, k], rel=0, abs=1e-12)
 
     def test_margin_exactly_at_threshold_is_rest(self):
         model = MODELS["2dof"]

@@ -134,15 +134,26 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetSchemaError, match=r"bad\.csv:3: ch2 value"):
             load_feature_dataset(path)
 
-    def test_negative_values_allowed_for_signed_kinds(self):
-        ds = FeatureDataset(
-            features=np.array([[-1.0, 2.0]]),
-            angles={},
-            phases=[MovementPhase.DIRECT],
-            block_ids=np.zeros(1, dtype=int),
-            feature_kind=FeatureKind.ZC,
+    def test_error_names_the_line_a_row_starts_on(self, tmp_path):
+        # the quoted cell spans lines 2 and 3, so the bad phase is on line 5
+        path = tmp_path / "ml.csv"
+        path.write_bytes(
+            b"ch1,ch2,d1_angle,d2_angle,d3_angle,phase,block\r\n"
+            b'"1\r\n",1,5,0,0,direct,0\r\n'
+            b"1,1,-5,0,0,direct,0\r\n"
+            b"1,1,5,0,0,bogus,0\r\n"
         )
-        assert ds.features[0, 0] == -1.0
+        with pytest.raises(DatasetParseError, match=r"^.*ml\.csv:5: 'bogus' is not a valid"):
+            load_feature_dataset(path)
+
+    def test_negative_values_rejected_in_a_built_dataset(self):
+        with pytest.raises(DatasetSchemaError, match=r"^<dataset>:2: ch1 value -1\.0 is not a finite"):
+            FeatureDataset(
+                features=np.array([[-1.0, 2.0]]),
+                angles={},
+                phases=[MovementPhase.DIRECT],
+                block_ids=np.zeros(1, dtype=int),
+            )
 
     def test_empty_body_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.csv"
@@ -368,7 +379,7 @@ class TestArrayNativeDataPlane:
             (s.features.values.tobytes(), s.dof, s.direction, s.angle, s.movement_phase)
             for s in got
         ] == expected
-        assert all(s.features.kind is ds.feature_kind for s in got)
+        assert all(s.features.kind is FeatureKind.MAV for s in got)
         assert f"skipped {n_rest} rest rows" in caplog.text
 
     @pytest.mark.parametrize("multi_row", [0, 17, 299])

@@ -1,16 +1,11 @@
-"""Windowing and time-domain feature extraction."""
+"""Windowing, the MAV feature and raw recording files."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmyo.errors import (
-    DatasetParseError,
-    DatasetSchemaError,
-    EmptyInputError,
-    InsufficientSamplesError,
-)
+from qmyo.errors import DatasetParseError, DatasetSchemaError, EmptyInputError
 from qmyo.features import (
     EmgRecording,
     FeatureKind,
@@ -19,9 +14,6 @@ from qmyo.features import (
     mav,
     save_recording,
     segment_windows,
-    slope_sign_changes,
-    waveform_length,
-    zero_crossings,
 )
 
 
@@ -102,13 +94,11 @@ class TestMav:
         assert mav(window).values.tolist() == [2.0, 2.0]
 
 
-def reference_check(values, kind):
-    """The per-element validation FeatureVector ran before its min/max check:
-    the error message it raised, or None when it accepted the values."""
-    if not np.all(np.isfinite(values)):
-        return "feature values must be finite"
-    if kind in (FeatureKind.MAV, FeatureKind.WL) and np.any(values < 0):
-        return f"{kind.value} features must be non-negative"
+def reference_check(values):
+    """The per-element form of FeatureVector's min/max check: the error
+    message it raises, or None when it accepts the values."""
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        return "feature values must be finite and non-negative"
     return None
 
 
@@ -122,7 +112,7 @@ class TestFeatureVectorCheck:
     @settings(max_examples=400)
     def test_accepts_and_rejects_as_the_elementwise_formula(self, values, kind):
         values = np.array(values, dtype=float)
-        expected = reference_check(values, kind)
+        expected = reference_check(values)
         if expected is None:
             assert FeatureVector(values, kind).values.tolist() == values.tolist()
         else:
@@ -137,7 +127,7 @@ class TestFeatureVectorCheck:
     )
     def test_edge_cases(self, values, kind):
         values = np.array(values, dtype=float)
-        expected = reference_check(values, kind)
+        expected = reference_check(values)
         if expected is None:
             FeatureVector(values, kind)
         else:
@@ -162,58 +152,6 @@ class TestMavBits:
         assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
 
 
-class TestZeroCrossings:
-    def test_alternating(self):
-        assert zero_crossings(np.array([1.0, -1.0, 1.0, -1.0])).values[0] == 3
-
-    def test_monotone(self):
-        assert zero_crossings(np.array([1.0, 2.0, 3.0])).values[0] == 0
-
-    def test_deadband_suppresses(self):
-        # both steps have magnitude 2, not above a deadband of 3
-        assert zero_crossings(np.array([1.0, -1.0, 1.0]), deadband=3.0).values[0] == 0
-
-    def test_zero_sample_breaks_crossing(self):
-        assert zero_crossings(np.array([1.0, 0.0, -1.0])).values[0] == 0
-
-    def test_negative_deadband_rejected(self):
-        with pytest.raises(ValueError):
-            zero_crossings(np.array([1.0, -1.0]), deadband=-0.1)
-
-
-class TestSlopeSignChanges:
-    def test_zigzag(self):
-        assert slope_sign_changes(np.array([0.0, 1.0, 0.0, 1.0, 0.0])).values[0] == 3
-
-    def test_monotone(self):
-        assert slope_sign_changes(np.array([0.0, 1.0, 2.0, 3.0])).values[0] == 0
-
-    def test_deadband_suppresses(self):
-        assert slope_sign_changes(np.array([0.0, 1.0, 0.0]), deadband=2.0).values[0] == 0
-
-    def test_plateau_is_not_extremum(self):
-        assert slope_sign_changes(np.array([0.0, 1.0, 1.0, 0.0])).values[0] == 0
-
-    def test_needs_three_samples(self):
-        with pytest.raises(InsufficientSamplesError):
-            slope_sign_changes(np.array([0.0, 1.0]))
-
-
-class TestWaveformLength:
-    def test_triangle(self):
-        assert waveform_length(np.array([0.0, 1.0, 0.0])).values[0] == 2.0
-
-    def test_constant(self):
-        assert waveform_length(np.array([5.0, 5.0, 5.0])).values[0] == 0.0
-
-    def test_mixed_signs(self):
-        assert waveform_length(np.array([1.0, -1.0, 2.0])).values[0] == 5.0
-
-    def test_needs_two_samples(self):
-        with pytest.raises(InsufficientSamplesError):
-            waveform_length(np.array([1.0]))
-
-
 # keep magnitudes in the normal float range so scaling cannot underflow
 finite_windows = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False).filter(lambda x: x == 0.0 or abs(x) > 1e-20),
@@ -231,34 +169,15 @@ class TestScaleCovariance:
         ),
     )
     @settings(max_examples=200)
-    def test_mav_and_wl_scale_with_magnitude(self, window, scale):
+    def test_mav_scales_with_magnitude(self, window, scale):
         np.testing.assert_allclose(
             mav(scale * window).values, abs(scale) * mav(window).values, rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            waveform_length(scale * window).values,
-            abs(scale) * waveform_length(window).values,
-            rtol=1e-9,
-        )
-
-    @given(window=finite_windows, scale=st.floats(1e-3, 1e3, allow_nan=False))
-    @settings(max_examples=200)
-    def test_zero_crossings_invariant_under_positive_scaling(self, window, scale):
-        assert (
-            zero_crossings(scale * window).values.tolist()
-            == zero_crossings(window).values.tolist()
         )
 
     @given(window=finite_windows)
     @settings(max_examples=100)
     def test_outputs_finite(self, window):
-        for fv in (
-            mav(window),
-            zero_crossings(window),
-            slope_sign_changes(window),
-            waveform_length(window),
-        ):
-            assert np.all(np.isfinite(fv.values))
+        assert np.all(np.isfinite(mav(window).values))
 
 
 class TestRecordingValidation:
@@ -294,6 +213,13 @@ class TestRecordingCsv:
         path = tmp_path / "rec.csv"
         path.write_text("ch1,ch2\n1,2\n1,oops\n")
         with pytest.raises(DatasetParseError, match=":3"):
+            load_recording(path)
+
+    def test_error_names_the_line_a_row_starts_on(self, tmp_path):
+        # the quoted cell spans lines 2 and 3, so the bad value is on line 5
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b'ch1,ch2\r\n"1\r\n",2\r\n3,4\r\n5,oops\r\n')
+        with pytest.raises(DatasetParseError, match=r"rec\.csv:5: "):
             load_recording(path)
 
     def test_short_row_names_line(self, tmp_path):

@@ -36,8 +36,9 @@ from qmyo.operators import (
     overlap_curve,
     save_model,
     train,
+    train_table,
 )
-from qmyo.state import QuantumState, encode, inner_product
+from qmyo.state import QuantumState, encode_rows, inner_product
 
 D1 = Dof.FLEXION_EXTENSION
 D2 = Dof.RADIAL_ULNAR
@@ -56,14 +57,21 @@ def write_json(path, doc):
     return path
 
 
-def sample(values, dof=D1, direction=Direction.POSITIVE, angle=30.0, phase=MovementPhase.DIRECT, kind=FeatureKind.MAV):
+def sample(values, dof=D1, direction=Direction.POSITIVE, angle=30.0, phase=MovementPhase.DIRECT):
     return TrainingSample(
-        features=FeatureVector(np.array(values, dtype=float), kind),
+        features=FeatureVector(np.array(values, dtype=float), FeatureKind.MAV),
         dof=dof,
         direction=direction,
         angle=angle,
         movement_phase=phase,
     )
+
+
+def signed_table(rows, angles):
+    """Direct-phase d1 rows with signed angles; feature values may be negative."""
+    n = len(angles)
+    return TrainingTable(np.array(rows, dtype=float), np.zeros(n, dtype=int),
+                         np.array(angles, dtype=float), np.ones(n, dtype=bool))
 
 
 def random_samples(rng, n_channels, dof, direction, count):
@@ -91,7 +99,7 @@ class TestBuildPrototype:
     def test_single_sample_is_itself(self):
         proto = build_prototype([sample([2.0, 1.0], angle=17.0)])
         np.testing.assert_allclose(
-            proto.amplitudes, encode(sample([2.0, 1.0]).features).amplitudes, atol=1e-15
+            proto.amplitudes, encode_rows(np.array([[2.0, 1.0]]))[0][0], atol=1e-15
         )
 
     def test_angle_weighted_superposition(self):
@@ -138,28 +146,22 @@ class TestBuildPrototype:
             )
 
     def test_cancellation_detected(self):
-        # engineered signed features cancel exactly at equal angles
-        samples = [
-            sample([1.0, 0.0], kind=FeatureKind.ZC, angle=20.0),
-            sample([-1.0, 0.0], kind=FeatureKind.ZC, angle=20.0),
-        ]
-        with pytest.raises(DegeneratePrototypeError):
-            build_prototype(samples)
+        # engineered signed features, which only a hand-built table carries,
+        # cancel exactly at equal angles
+        table = signed_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [20.0, 20.0, -30.0])
+        with pytest.raises(DegeneratePrototypeError, match="d1 positive"):
+            train_table(table, 2)
 
     @pytest.mark.parametrize("eps, degenerate", [(1.5e-12, True), (3e-12, False)])
     def test_cancellation_threshold(self, eps, degenerate):
         # equal angles: the sum of (1, 0) and normalize(-1, eps) has norm 20·eps
         # against the threshold 1e-12·Σθ = 4e-11, so it trips below eps = 2e-12
-        samples = [
-            sample([1.0, 0.0], kind=FeatureKind.ZC, angle=20.0),
-            sample([-1.0, eps], kind=FeatureKind.ZC, angle=20.0),
-            sample([0.0, 1.0], direction=Direction.NEGATIVE),
-        ]
+        table = signed_table([[1.0, 0.0], [-1.0, eps], [0.0, 1.0]], [20.0, 20.0, -30.0])
         if degenerate:
             with pytest.raises(DegeneratePrototypeError):
-                train(samples, 2)
+                train_table(table, 2)
         else:
-            model = train(samples, 2)
+            model = train_table(table, 2)
             np.testing.assert_array_equal(model.dofs[D1].proto_pos.amplitudes, [0.0, 1.0])
 
 
@@ -454,10 +456,6 @@ class TestModelValidation:
         for theta in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 DofOperators(QuantumState(np.ones(1)), QuantumState(np.ones(1)), theta, 1.0)
-
-    def test_asymmetric_operator_rejected(self):
-        with pytest.raises(ValueError):
-            Operator(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_decode_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,33 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmyo.errors import DimensionError, ZeroSignalError
-from qmyo.features import FeatureKind, FeatureVector, mav
-from qmyo.state import QuantumState, encode, inner_product
+from qmyo.errors import DimensionError
+from qmyo.features import mav
+from qmyo.state import QuantumState, encode_rows, inner_product
 
 NORM_TOL = 1e-12
 
 
-def fv(*values, kind=FeatureKind.MAV):
-    return FeatureVector(np.array(values, dtype=float), kind)
+def encode(*values):
+    """The state of one row of feature values, which may be signed."""
+    states, zero = encode_rows(np.array([values], dtype=float))
+    assert not zero[0]
+    return QuantumState(states[0])
 
 
 class TestEncode:
     def test_three_four_five(self):
-        state = encode(fv(3.0, 4.0))
+        state = encode(3.0, 4.0)
         np.testing.assert_allclose(state.amplitudes, [0.6, 0.8], atol=1e-15)
 
     def test_already_unit(self):
-        state = encode(fv(1.0, 0.0, 0.0))
+        state = encode(1.0, 0.0, 0.0)
         np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0, 0.0])
 
     def test_symmetric(self):
-        state = encode(fv(1.0, 1.0, 1.0, 1.0))
+        state = encode(1.0, 1.0, 1.0, 1.0)
         np.testing.assert_allclose(state.amplitudes, [0.5] * 4, atol=1e-15)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(ZeroSignalError):
-            encode(fv(0.0, 0.0, 0.0))
+    def test_all_zero_row_flagged_and_left_zero(self):
+        states, zero = encode_rows(np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0]]))
+        assert zero.tolist() == [True, False]
+        np.testing.assert_array_equal(states[0], [0.0, 0.0, 0.0])
 
     @given(
         values=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=16),
@@ -39,8 +43,8 @@ class TestEncode:
     )
     @settings(max_examples=300)
     def test_scale_invariant(self, values, scale):
-        base = encode(fv(*values))
-        scaled = encode(fv(*(scale * v for v in values)))
+        base = encode(*values)
+        scaled = encode(*(scale * v for v in values))
         np.testing.assert_allclose(scaled.amplitudes, base.amplitudes, atol=1e-12)
 
     @given(values=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=12))
@@ -50,7 +54,7 @@ class TestEncode:
         feature = mav(window)
         if not np.any(feature.values):
             return
-        assert np.all(encode(feature).amplitudes >= 0.0)
+        assert np.all(encode(*feature.values).amplitudes >= 0.0)
 
     def test_unit_norm_over_a_million_random_inputs(self):
         rng = np.random.default_rng(7)
@@ -61,10 +65,10 @@ class TestEncode:
             states = batch / norms[:, None]
             err = np.abs(np.einsum("ij,ij->i", states, states) - 1.0)
             assert err.max() < NORM_TOL
-        # the loop above mirrors encode's arithmetic in bulk; spot-check the
-        # real path on a sample of the same generator
+        # the loop above mirrors the encoding's arithmetic in bulk; check the
+        # real path, one row at a time, on a sample of the same signed generator
         for values in rng.normal(size=(2_000, 6)):
-            state = encode(FeatureVector(values, FeatureKind.ZC))
+            state = encode(*values)
             assert abs(np.dot(state.amplitudes, state.amplitudes) - 1.0) < NORM_TOL
 
 
@@ -83,22 +87,22 @@ class TestQuantumStateInvariants:
 
 class TestInnerProduct:
     def test_self_is_one(self):
-        state = encode(fv(3.0, 4.0))
+        state = encode(3.0, 4.0)
         assert inner_product(state, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_basis_states(self):
-        a = encode(fv(1.0, 0.0))
-        b = encode(fv(0.0, 1.0))
+        a = encode(1.0, 0.0)
+        b = encode(0.0, 1.0)
         assert inner_product(a, b) == 0.0
 
     def test_analytic_value(self):
-        a = encode(fv(0.6, 0.8))
-        b = encode(fv(0.8, 0.6))
+        a = encode(0.6, 0.8)
+        b = encode(0.8, 0.6)
         assert inner_product(a, b) == pytest.approx(0.96, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            inner_product(encode(fv(1.0, 0.0)), encode(fv(1.0, 0.0, 0.0)))
+            inner_product(encode(1.0, 0.0), encode(1.0, 0.0, 0.0))
 
     @given(
         values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8).filter(
@@ -107,6 +111,6 @@ class TestInnerProduct:
     )
     @settings(max_examples=200)
     def test_bounded_for_unit_states(self, values):
-        state = encode(FeatureVector(np.array(values), FeatureKind.ZC))
-        other = encode(FeatureVector(np.ones(len(values)), FeatureKind.ZC))
+        state = encode(*values)
+        other = encode(*np.ones(len(values)))
         assert -1.0 - 1e-12 <= inner_product(state, other) <= 1.0 + 1e-12

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qmyo.features import mav, segment_windows
 from qmyo.operators import Direction, Dof, MovementPhase, train
-from qmyo.state import encode, inner_product
+from qmyo.state import QuantumState, encode_rows, inner_product
 from qmyo.synthetic import (
     MixingModel,
     ScenarioBlock,
@@ -115,7 +115,8 @@ class TestSingleDofRayProperty:
         model = tiny_model()
         a, _ = generate_features(model, {D1: 7.0}, 1)
         b, _ = generate_features(model, {D1: 33.0}, 1)
-        ip = inner_product(encode(a[0]), encode(b[0]))
+        states, _ = encode_rows(np.stack([a[0].values, b[0].values]))
+        ip = inner_product(QuantumState(states[0]), QuantumState(states[1]))
         assert ip == pytest.approx(1.0, abs=1e-12)
 
 

@@ -2,13 +2,16 @@
 
 The reference functions below are the earlier list implementations of
 ``to_training_samples``, ``subset_per_action``, ``build_prototype`` and
-``train``, kept verbatim but for names. The table path must reproduce
-them exactly: the same rows in the same order, prototypes and angles bit
-for bit, the same exception type and message, and the same log lines.
+``train``, kept verbatim but for names and for reading each row's
+values from a plain :class:`Row`, so that training rows may be signed
+as a hand-built table's can. The table path must reproduce them exactly:
+the same rows in the same order, prototypes and angles bit for bit, the
+same exception type and message, and the same log lines.
 """
 
 import contextlib
 import logging
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from qmyo.errors import (
 from qmyo.experiment import subset_per_action
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
+    DOFS,
     ControllerModel,
     DecodeConfig,
     Direction,
@@ -52,6 +56,32 @@ _datasets_log = logging.getLogger("qmyo.datasets")
 _operators_log = logging.getLogger("qmyo.operators")
 
 
+class Row(NamedTuple):
+    """One training row as plain values, which may be signed."""
+
+    values: np.ndarray
+    dof: Dof
+    direction: Direction
+    angle: float
+    movement_phase: MovementPhase
+
+
+def as_rows(samples):
+    return [Row(s.features.values, s.dof, s.direction, s.angle, s.movement_phase) for s in samples]
+
+
+def reference_rows(table):
+    """A training table read row by row."""
+    phases = (MovementPhase.RETURN, MovementPhase.DIRECT)
+    return [
+        Row(values, DOFS[k], Direction.POSITIVE if signed > 0 else Direction.NEGATIVE,
+            abs(signed), phases[direct])
+        for values, k, signed, direct in zip(
+            table.features, table.dof_index.tolist(), table.angles.tolist(), table.direct.tolist()
+        )
+    ]
+
+
 def reference_to_training_samples(ds):
     table = np.column_stack([ds.angles[dof] for dof in Dof])
     active = table != 0.0
@@ -66,7 +96,7 @@ def reference_to_training_samples(ds):
     dofs = list(Dof)
     samples = [
         TrainingSample(
-            features=FeatureVector(values, ds.feature_kind),
+            features=FeatureVector(values, FeatureKind.MAV),
             dof=dofs[k],
             direction=Direction.POSITIVE if signed > 0 else Direction.NEGATIVE,
             angle=abs(signed),
@@ -100,7 +130,7 @@ def reference_subset(samples, size):
 
 
 def reference_prototype(samples):
-    states, zero = encode_rows(np.stack([s.features.values for s in samples]))
+    states, zero = encode_rows(np.stack([s.values for s in samples]))
     if zero.any():
         raise ZeroSignalError("all-zero feature vector has no direction to encode")
     angles = np.array([s.angle for s in samples], dtype=float)
@@ -115,7 +145,7 @@ def reference_prototype(samples):
 
 
 def reference_train(samples, n_channels, dofs=None):
-    rows = [s.features.values for s in samples]
+    rows = [s.values for s in samples]
     widths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
     if (wrong := widths[widths != n_channels]).size:
         raise DimensionError(f"sample has {wrong[0]} channels, expected {n_channels}")
@@ -191,11 +221,10 @@ def comparable(result):
             for dof, ops in result.dofs.items()
         }
     if isinstance(result, TrainingTable):
-        result = result.samples(FeatureKind.ZC)
-    return [
-        (s.features.values.tobytes(), s.dof, s.direction, s.angle, s.movement_phase)
-        for s in result
-    ]
+        result = reference_rows(result)
+    elif result and isinstance(result[0], TrainingSample):
+        result = as_rows(result)
+    return [(s.values.tobytes(), s.dof, s.direction, s.angle, s.movement_phase) for s in result]
 
 
 def column(draw, n, *values):
@@ -203,18 +232,28 @@ def column(draw, n, *values):
     return draw(arrays(type(values[0]), n, elements=st.sampled_from(values), fill=st.nothing()))
 
 
+def feature_rows(draw, n, n_channels, value):
+    """(n, C) features of ``value``, some rows all zero."""
+    features = draw(arrays(float, (n, n_channels), elements=value, fill=st.nothing()))
+    features[column(draw, n, False, False, False, False, False, True)] = 0.0
+    return features
+
+
+def signed_angles(draw, n):
+    magnitude = draw(arrays(float, n, elements=st.sampled_from([1.0, 2.5, 7.0])
+                            | st.floats(1e-3, 90.0), fill=st.nothing()))
+    return column(draw, n, 1.0, -1.0) * magnitude
+
+
 @st.composite
 def datasets(draw):
     """Rows of rest, single-DOF, return-phase and all-zero windows, sometimes
-    one multi-DOF row; signed feature values so weighted sums can cancel."""
+    one multi-DOF row."""
     n_channels, n = draw(st.integers(1, 4)), draw(st.integers(0, 40))
-    value = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(-10, 10)
-    features = draw(arrays(float, (n, n_channels), elements=value, fill=st.nothing()))
-    features[column(draw, n, False, False, False, False, False, True)] = 0.0
+    value = st.sampled_from([-0.0, 0.0, 1.0, 2.0]) | st.floats(0, 10)
+    features = feature_rows(draw, n, n_channels, value)
     which = column(draw, n, -1, 0, 0, 0, 1, 2, 2, 2)  # -1: a rest row
-    magnitude = draw(arrays(float, n, elements=st.sampled_from([1.0, 2.5, 7.0])
-                            | st.floats(1e-3, 90.0), fill=st.nothing()))
-    signed = column(draw, n, 1.0, -1.0) * magnitude
+    signed = signed_angles(draw, n)
     angles = {dof: np.where(which == k, signed, 0.0) for k, dof in enumerate(Dof)}
     if n and draw(st.sampled_from([False] * 7 + [True])):
         row = draw(st.integers(0, n - 1))
@@ -222,8 +261,18 @@ def datasets(draw):
         angles[Dof.PRONATION_SUPINATION][row] = -4.0
     phase = column(draw, n, 0, 0, 0, 1)
     phases = [(MovementPhase.DIRECT, MovementPhase.RETURN)[p] for p in phase.tolist()]
-    return FeatureDataset(features, angles, phases, np.zeros(n, dtype=int),
-                          feature_kind=FeatureKind.ZC)
+    return FeatureDataset(features, angles, phases, np.zeros(n, dtype=int))
+
+
+@st.composite
+def signed_tables(draw):
+    """Single-DOF and return-phase rows, some all zero, with signed feature
+    values so weighted sums can cancel."""
+    n_channels, n = draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    value = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(-10, 10)
+    features = feature_rows(draw, n, n_channels, value)
+    return TrainingTable(features, column(draw, n, 0, 0, 0, 1, 2, 2, 2), signed_angles(draw, n),
+                         column(draw, n, True, True, True, False))
 
 
 requested = st.none() | st.lists(st.sampled_from(list(Dof)), max_size=3, unique=True)
@@ -244,25 +293,28 @@ class TestTableTrainingEqualsThePerSampleCode:
             samples = reference_to_training_samples(ds)
         except DatasetSchemaError:
             return
-        expected = outcome(reference_train, samples, ds.n_channels, dofs)
+        expected = outcome(reference_train, as_rows(samples), ds.n_channels, dofs)
         table = training_table(ds)
         assert outcome(train_table, table, ds.n_channels, dofs) == expected
         assert outcome(train, samples, ds.n_channels, dofs) == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(datasets(), st.integers(1, 8))
-    def test_subset_then_training(self, ds, size):
-        try:
-            samples = reference_to_training_samples(ds)
-        except DatasetSchemaError:
-            return
-        table = training_table(ds)
-        expected = outcome(reference_subset, samples, size)
+    @given(signed_tables(), requested)
+    def test_training_on_signed_rows(self, table, dofs):
+        n_channels = table.features.shape[1]
+        expected = outcome(reference_train, reference_rows(table), n_channels, dofs)
+        assert outcome(train_table, table, n_channels, dofs) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_tables(), st.integers(1, 8))
+    def test_subset_then_training(self, table, size):
+        rows, n_channels = reference_rows(table), table.features.shape[1]
+        expected = outcome(reference_subset, rows, size)
         assert outcome(subset_per_action, table, size) == expected
         if expected[0] == "ok":
             subset = subset_per_action(table, size)
-            want = outcome(reference_train, reference_subset(samples, size), ds.n_channels)
-            assert outcome(train_table, subset, ds.n_channels) == want
+            want = outcome(reference_train, reference_subset(rows, size), n_channels)
+            assert outcome(train_table, subset, n_channels) == want
 
 
 def make_table(rows, angles, direct=None):
@@ -299,10 +351,9 @@ class TestTrainTable:
 
     def test_degenerate_group_raises_as_the_per_sample_code(self):
         t = make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [2.0, 2.0, -1.0])
-        samples = t.samples(FeatureKind.ZC)
-        expected = outcome(reference_train, samples, 2)
+        expected = outcome(reference_train, reference_rows(t), 2)
         assert expected[:2] == ("raised", DegeneratePrototypeError)
-        assert outcome(train_table, t, 2) == expected == outcome(train, samples, 2)
+        assert outcome(train_table, t, 2) == expected
 
     def test_list_and_table_give_the_same_synthetic_dataset(self):
         mixing = default_mixing_model(noise_sigma=0.1, seed=4)
