@@ -86,6 +86,10 @@ class TestExpectation:
         np.testing.assert_allclose(ops.p_pos.matrix, [[0.2, 0.4], [0.4, 0.8]], atol=1e-15)
         assert decide(unit(1.0, 0.0), ops).expectation_pos == pytest.approx(0.2, abs=1e-15)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            decide(unit(1.0, 0.0, 0.0), triple(unit(1.0, 0.0), unit(0.0, 1.0)))
+
 
 class TestDecodeDof:
     def test_positive_prototype_hits_theta_max(self):

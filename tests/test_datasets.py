@@ -19,7 +19,7 @@ from qmyo.datasets import (
 )
 from qmyo.errors import DatasetParseError, DatasetSchemaError
 from qmyo.features import FeatureKind, FeatureVector
-from qmyo.operators import Direction, Dof, MovementPhase, train
+from qmyo.operators import Direction, Dof, MovementPhase, TrainingTable, train, train_table
 from qmyo.synthetic import (
     default_mixing_model,
     default_scenario,
@@ -154,6 +154,16 @@ class TestCsvRoundTrip:
                 phases=[MovementPhase.DIRECT],
                 block_ids=np.zeros(1, dtype=int),
             )
+
+    def test_negative_values_allowed_for_signed_kinds(self):
+        # only a hand-built training table carries signed features; it trains,
+        # and the prototype keeps the sign
+        table = TrainingTable(np.array([[-1.0, 2.0], [3.0, 4.0]]), np.zeros(2, dtype=int),
+                              np.array([20.0, -30.0]), np.ones(2, dtype=bool))
+        model = train_table(table, 2)
+        np.testing.assert_allclose(
+            model.dofs[D1].proto_pos.amplitudes, np.array([-1.0, 2.0]) / np.sqrt(5.0), atol=1e-15
+        )
 
     def test_empty_body_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.csv"

@@ -32,10 +32,13 @@ class TestEncode:
         state = encode(1.0, 1.0, 1.0, 1.0)
         np.testing.assert_allclose(state.amplitudes, [0.5] * 4, atol=1e-15)
 
-    def test_all_zero_row_flagged_and_left_zero(self):
+    def test_all_zero_rejected(self):
+        # an all-zero row is flagged and left zero, so it never passes as a state
         states, zero = encode_rows(np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0]]))
         assert zero.tolist() == [True, False]
         np.testing.assert_array_equal(states[0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not unit norm"):
+            QuantumState(states[0])
 
     @given(
         values=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=16),
