@@ -249,3 +249,26 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path, capsys):
         "test.csv": "b1cc5f26a59743c4ad4115de4e749f6a641d00d44ef3c92868080d1c1b6fddc6",
         "train.csv": "59e3a1ffb10b4d5ed9f7cdfd147488a6bf39e32dc642ade6dc39b633b109c815",
     }
+
+
+def test_any_vote_report_keeps_its_bytes(tmp_path, capsys):
+    """The same small pipeline scored under the "any" block vote.
+
+    The digest was recorded while blocks were still carried as objects
+    with intended directions, so it pins the block partition and vote
+    across changes to how blocks are represented.
+    """
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    run("synth", "--train-out", tmp_path / "train.csv", "--test-out", tmp_path / "test.csv",
+        "--per-action", 40, "--blocks", 11, "--windows", 220, "--noise-sigma", 0.1, "--seed", 3)
+    run("evaluate", "--test", tmp_path / "test.csv", "--train-data", tmp_path / "train.csv",
+        "--sizes", 10, 40, "--seed", 3, "--block-vote", "any",
+        "--report-out", tmp_path / "report.txt")
+    capsys.readouterr()
+    report = (tmp_path / "report.txt").read_bytes()
+    assert report.count(b"block_errors_d1: 3\n") == report.count(b"block_errors_d3: 6\n") == 2
+    assert hashlib.sha256(report).hexdigest() == (
+        "0facaa8e77f608aae621b66b0209f797c15cd9a48b756458615bbc1b7470306b"
+    )
