@@ -25,8 +25,6 @@ from .datasets import (
     load_feature_dataset,
     save_decode_csv,
     save_feature_dataset,
-    to_blocks,
-    to_training_samples,
     training_table,
 )
 from .errors import (
@@ -39,7 +37,6 @@ from .errors import (
     DimensionError,
     EmptyInputError,
     InsufficientTrainingError,
-    MalformedBlockError,
     ModelError,
     ModelFileError,
     QmyoError,
@@ -47,9 +44,7 @@ from .errors import (
     ZeroSignalError,
 )
 from .evaluation import (
-    Block,
     BlockErrorReport,
-    TrajectoryPair,
     block_errors,
     r_squared_dof,
     r_squared_global,
@@ -85,7 +80,6 @@ from .operators import (
     TrainingTable,
     build_completeness_operator,
     build_direction_operator,
-    build_prototype,
     load_model,
     overlap_curve,
     save_model,

@@ -4,7 +4,8 @@ Subcommands: synth, train, decode, evaluate, learning-curve,
 inspect-model. Exit codes: 0 success, 1 usage error (bad flags, missing
 files), 2 data error, 3 numeric/model error.
 
-Numeric options resolve as CLI flag > config file > built-in default;
+Numeric options resolve as CLI flag > config file > built-in default,
+except that a model file's decode thresholds take the default's place;
 the config file is flat ``key = value`` lines with ``#`` comments.
 """
 
@@ -12,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -152,11 +153,13 @@ def _add_config_options(sub: _Parser):
 
 
 def _load_model(parser: _Parser, args, settings: _Settings):
-    """The model file, with any decode thresholds given on the command line."""
+    """The model file; a decode threshold given by flag or config file replaces its own."""
     _require_file(parser, args.model)
     model = operators.load_model(args.model)
-    if args.rest_threshold is not None or args.overlap_epsilon is not None or args.block_vote:
-        model = operators.with_decode_config(model, settings.decode_config())
+    given = {field.name: settings.get(field.name) for field in fields(DecodeConfig)
+             if getattr(args, field.name) is not None or field.name in settings.file_cfg}
+    if given:
+        model = operators.with_decode_config(model, replace(model.decode_config, **given))
     return model
 
 

@@ -22,11 +22,10 @@ import numpy as np
 
 from .csvio import float_cells, read_fast, read_rows, write_rows
 from .errors import DatasetParseError, DatasetSchemaError
-from .evaluation import Block
+from .evaluation import run_starts
 from .operators import (
     DOFS,
     SIGN_DIRECTIONS,
-    Direction,
     Dof,
     MovementPhase,
     TrainingSample,
@@ -41,20 +40,20 @@ _TAIL_COLUMNS = _ANGLE_COLUMNS + ["phase", "block"]
 _PHASES = {phase.value: phase for phase in MovementPhase}
 
 
-def _run_starts(block_ids: np.ndarray) -> np.ndarray:
-    """Rows that start a run of equal block ids."""
-    return np.flatnonzero(np.diff(block_ids, prepend=block_ids[:1] + 1))
-
-
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Tabular feature windows with ground truth, phases and block ids."""
+    """Tabular feature windows with ground truth, phases and block ids.
+
+    ``lines`` holds each row's file line when a row may span lines;
+    without it, row ``i`` is named as line ``i + 2``, after the header.
+    """
 
     features: np.ndarray
     angles: dict[Dof, np.ndarray]
     phases: list[MovementPhase]
     block_ids: np.ndarray
     source: str = ""
+    lines: list[int] | None = None
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -75,28 +74,33 @@ class FeatureDataset:
         if (bad := ~np.isfinite(table)).any():
             row, k = np.argwhere(bad)[0]
             raise DatasetSchemaError(
-                f"{self.source or '<dataset>'}:{row + 2}: {DOFS[k].value}_angle value "
+                f"{self.where(row)}: {DOFS[k].value}_angle value "
                 f"{float(table[row, k])!r} is not finite"
             )
         if (bad := ~(np.isfinite(features) & (features >= 0))).any():
             row, column = np.argwhere(bad)[0]
             raise DatasetSchemaError(
-                f"{self.source or '<dataset>'}:{row + 2}: ch{column + 1} value "
+                f"{self.where(row)}: ch{column + 1} value "
                 f"{float(features[row, column])!r} is not a finite, non-negative mav feature"
             )
         block_ids = np.asarray(self.block_ids, dtype=int)
         if block_ids.shape != (n,) or len(self.phases) != n:
             raise DatasetSchemaError("phase and block columns must match the row count")
-        starts = _run_starts(block_ids)
+        starts = run_starts(block_ids)
         later = np.ones(len(starts), dtype=bool)  # runs that are not the first of their id
         later[np.unique(block_ids[starts], return_index=True)[1]] = False
         if later.any():
             row = starts[later.argmax()]
-            raise DatasetSchemaError(f"{self.source or '<dataset>'}:{row + 2}: block id "
+            raise DatasetSchemaError(f"{self.where(row)}: block id "
                                      f"{block_ids[row]} appears in non-contiguous runs")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "block_ids", block_ids)
+
+    def where(self, row: int) -> str:
+        """``source:line`` naming a row."""
+        line = row + 2 if self.lines is None else self.lines[row]
+        return f"{self.source or '<dataset>'}:{line}"
 
     @property
     def n_rows(self) -> int:
@@ -118,40 +122,13 @@ def training_table(ds: FeatureDataset) -> TrainingTable:
     active = table != 0.0
     if (multi := np.flatnonzero(active.sum(axis=1) > 1)).size:
         names = ", ".join(dof.value for dof, on in zip(DOFS, active[multi[0]]) if on)
-        raise DatasetSchemaError(f"{ds.source or '<dataset>'}:{multi[0] + 2}: training rows "
+        raise DatasetSchemaError(f"{ds.where(multi[0])}: training rows "
                                  f"must activate exactly one DOF, got {names}")
     rows, columns = np.nonzero(active)  # rows ascend, one column each
     if n_rest := ds.n_rows - len(rows):
         logger.info("skipped %d rest rows while collecting training samples", n_rest)
     direct = np.fromiter((p is MovementPhase.DIRECT for p in ds.phases), bool, ds.n_rows)
     return TrainingTable(ds.features[rows], columns, table[rows, columns], direct[rows])
-
-
-def to_training_samples(ds: FeatureDataset) -> list[TrainingSample]:
-    """:func:`training_table` as a list of single-DOF training samples."""
-    return training_table(ds).samples()
-
-
-def _intended_direction(values: np.ndarray) -> Direction:
-    total = float(values.sum())
-    if total > 0:
-        return Direction.POSITIVE
-    return Direction.NEGATIVE if total < 0 else Direction.REST
-
-
-def to_blocks(ds: FeatureDataset, dofs: list[Dof]) -> list[Block]:
-    """Recover evaluation blocks and intended directions from a dataset.
-
-    The intended direction of a DOF in a block is the sign of its summed
-    true angles over the block (zero sum means rest).
-    """
-    starts = _run_starts(ds.block_ids).tolist()
-    blocks = []
-    for start, stop in zip(starts, starts[1:] + [ds.n_rows]):
-        directions = {dof: _intended_direction(ds.angles[dof][start:stop]) for dof in dofs}
-        intended = {dof: d for dof, d in directions.items() if d is not Direction.REST}
-        blocks.append(Block(start=start, stop=stop, intended=intended))
-    return blocks
 
 
 def from_training_table(table: TrainingTable, source: str = "") -> FeatureDataset:
@@ -174,17 +151,15 @@ def from_training_samples(
 
 
 def from_test_set(ts: TestSet, source: str = "") -> FeatureDataset:
-    """Pack a generated test set into a dataset, numbering blocks from 0."""
+    """Pack a generated test set into a dataset."""
     n = len(ts.values)
     if n == 0:
         raise DatasetSchemaError("test set has no windows")
-    sizes = [block.stop - block.start for block in ts.blocks]  # blocks partition the windows
-    block_ids = np.repeat(np.arange(len(sizes)), sizes)
     return FeatureDataset(
         features=ts.values,
         angles={dof: values.copy() for dof, values in ts.truth.items()},
         phases=[MovementPhase.DIRECT] * n,
-        block_ids=block_ids,
+        block_ids=ts.block_ids,
         source=source,
     )
 
@@ -202,7 +177,8 @@ def save_feature_dataset(ds: FeatureDataset, path) -> None:
 
 
 def _parse_fast(path):
-    """Channel count, float table, phases and block ids, or None if unsure."""
+    """Channel count, float table, phases, block ids and row lines, or None if
+    unsure. A parsed row spans one line, so the row lines are None."""
     parsed = read_fast(path, n_tail=2)
     if parsed is None:
         return None
@@ -216,11 +192,12 @@ def _parse_fast(path):
     except (KeyError, ValueError):
         return None
     phases = list(map(phase_of.__getitem__, phase_cells))
-    return n_channels, table, phases, list(map(block_of.__getitem__, block_cells))
+    return n_channels, table, phases, list(map(block_of.__getitem__, block_cells)), None
 
 
 def _parse_rows(path):
-    """:func:`_parse_fast` row by row with ``csv``, raising at the first bad line."""
+    """:func:`_parse_fast` row by row with ``csv``, raising at the first bad line,
+    with the file line each row starts on."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = read_rows(path, fh)
         try:
@@ -235,7 +212,7 @@ def _parse_rows(path):
 
         # channels then angles are floats, parsed per row into one table
         n_floats = n_channels + len(Dof)
-        table, phases, block_rows = [], [], []
+        table, phases, block_rows, lines = [], [], [], []
         for lineno, row in reader:
             if len(row) != len(header):
                 raise DatasetSchemaError(
@@ -248,20 +225,23 @@ def _parse_rows(path):
                 block_rows.append(int(row[n_floats + 1]))
             except ValueError as exc:
                 raise DatasetParseError(f"{path}:{lineno}: {exc}") from None
+            lines.append(lineno)
     if not table:
         logger.warning("%s: dataset has a valid header but no rows", path)
-    return n_channels, np.array(table, dtype=float).reshape(len(table), n_floats), phases, block_rows
+    table = np.array(table, dtype=float).reshape(len(table), n_floats)
+    return n_channels, table, phases, block_rows, lines
 
 
 def load_feature_dataset(path) -> FeatureDataset:
     """Read a feature dataset CSV, validating the header and every row."""
-    n_channels, table, phases, block_rows = _parse_fast(path) or _parse_rows(path)
+    n_channels, table, phases, block_rows, lines = _parse_fast(path) or _parse_rows(path)
     ds = FeatureDataset(
         features=np.array(table[:, :n_channels]),
         angles={dof: np.array(table[:, n_channels + k]) for k, dof in enumerate(Dof)},
         phases=phases,
         block_ids=np.array(block_rows, dtype=int),
         source=str(path),
+        lines=lines,
     )
     counts = ", ".join(f"{phase.value}: {phases.count(phase)}" for phase in MovementPhase)
     logger.info("loaded %d rows (%s) from %s", len(phases), counts, path)

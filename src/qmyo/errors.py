@@ -30,10 +30,6 @@ class DatasetSchemaError(DataError):
     """A dataset violates the expected column layout or row semantics."""
 
 
-class MalformedBlockError(DataError):
-    """A trajectory block is empty or blocks do not partition the samples."""
-
-
 class ModelFileError(DataError):
     """A model file is unreadable, malformed or inconsistent; the message names the path."""
 

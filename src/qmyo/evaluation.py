@@ -11,68 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedBlockError, UndefinedDenominatorError
-from .operators import DecodeConfig, Direction, Dof
-
-
-@dataclass(frozen=True)
-class Block:
-    """Half-open window range [start, stop) with intended directions.
-
-    DOFs absent from ``intended`` count as rest in that block.
-    """
-
-    start: int
-    stop: int
-    intended: dict[Dof, Direction]
-
-    def __post_init__(self):
-        if self.stop <= self.start:
-            raise MalformedBlockError(
-                f"block [{self.start}, {self.stop}) contains no windows"
-            )
-
-    def intended_direction(self, dof: Dof) -> Direction:
-        return self.intended.get(dof, Direction.REST)
-
-
-@dataclass(frozen=True)
-class TrajectoryPair:
-    """True and estimated signed-angle sequences plus the block partition."""
-
-    truth: dict[Dof, np.ndarray]
-    estimate: dict[Dof, np.ndarray]
-    blocks: list[Block]
-
-    def __post_init__(self):
-        if set(self.truth) != set(self.estimate):
-            raise ValueError("truth and estimate must cover the same DOFs")
-        lengths = {len(v) for v in self.truth.values()}
-        lengths |= {len(v) for v in self.estimate.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"trajectory lengths differ: {sorted(lengths)}")
-        n = lengths.pop()
-        for name in ("truth", "estimate"):
-            arrays = {d: np.asarray(v, dtype=float) for d, v in getattr(self, name).items()}
-            object.__setattr__(self, name, arrays)
-        cursor = 0
-        for block in self.blocks:
-            if block.start != cursor:
-                raise MalformedBlockError(
-                    f"block starting at {block.start} leaves a gap or overlap at {cursor}"
-                )
-            cursor = block.stop
-        if cursor != n:
-            raise MalformedBlockError(
-                f"blocks cover {cursor} windows but trajectories have {n}"
-            )
-
-    @property
-    def n_windows(self) -> int:
-        return len(next(iter(self.truth.values())))
-
-    def dofs(self) -> list[Dof]:
-        return sorted(self.truth)
+from .errors import UndefinedDenominatorError
+from .operators import DecodeConfig, Dof
 
 
 def r_squared_dof(truth: np.ndarray, estimate: np.ndarray) -> float:
@@ -136,37 +76,48 @@ class BlockErrorReport:
         return len(self.misclassified_blocks)
 
 
-# Vote columns in tie-break order: positive, negative, rest.
-_VOTE_COLUMN = {Direction.POSITIVE: 0, Direction.NEGATIVE: 1, Direction.REST: 2}
+def run_starts(block_ids: np.ndarray) -> np.ndarray:
+    """Rows that start a run of equal block ids; each run is one block."""
+    return np.flatnonzero(np.diff(block_ids, prepend=block_ids[:1] + 1))
 
 
-def block_errors(pair: TrajectoryPair, cfg: DecodeConfig) -> BlockErrorReport:
+def block_errors(
+    truth: dict[Dof, np.ndarray],
+    estimate: dict[Dof, np.ndarray],
+    block_ids: np.ndarray,
+    cfg: DecodeConfig,
+) -> BlockErrorReport:
     """Count per-DOF direction mistakes block by block.
 
-    Each window votes with the sign of its estimate. Under the default
-    majority vote, a block errs on a DOF when the most common decoded
-    direction across its windows differs from the intended one (ties
-    break in favor of positive, then negative, then rest); under "any"
-    when some window misses the intended direction, under "all" when
-    every window does. A block with at least one erring DOF is
+    Blocks are the runs of equal ``block_ids``. A block's intended
+    direction on a DOF is the sign of its summed true angles (zero sum
+    means rest). Each window votes with the sign of its estimate. Under
+    the default majority vote, a block errs on a DOF when the most common
+    decoded direction across its windows differs from the intended one
+    (ties break in favor of positive, then negative, then rest); under
+    "any" when some window misses the intended direction, under "all"
+    when every window does. A block with at least one erring DOF is
     misclassified.
     """
-    starts = np.array([block.start for block in pair.blocks], dtype=int)
-    sizes = np.array([block.stop - block.start for block in pair.blocks], dtype=int)
+    starts = run_starts(block_ids)
+    stops = np.append(starts[1:], len(block_ids))
+    bounds = list(zip(starts.tolist(), stops.tolist()))
     counts = {}
-    misclassified = np.zeros(len(pair.blocks), dtype=bool)
-    for dof in pair.dofs():
-        estimate = pair.estimate[dof]
-        positive, negative = estimate > 0, estimate < 0
+    misclassified = np.zeros(len(starts), dtype=bool)
+    for dof in sorted(truth):
+        values = np.asarray(estimate[dof], dtype=float)
+        positive, negative = values > 0, values < 0
+        # vote columns in tie-break order: positive, negative, rest
         votes = np.stack([positive, negative, ~(positive | negative)], axis=1)
         # (blocks, 3) window counts per direction column
         tally = np.add.reduceat(votes, starts, axis=0, dtype=int) if len(starts) else votes
-        intended = np.array(
-            [_VOTE_COLUMN[block.intended_direction(dof)] for block in pair.blocks], dtype=int
-        )
+        # one 1-D sum per block; reduceat may add in another order and flip a near-zero sum
+        true = np.asarray(truth[dof], dtype=float)
+        sums = np.array([true[start:stop].sum() for start, stop in bounds])
+        intended = np.where(sums > 0, 0, np.where(sums < 0, 1, 2))
         hits = tally[np.arange(len(intended)), intended]
         if cfg.block_vote == "any":
-            wrong = hits < sizes
+            wrong = hits < stops - starts
         elif cfg.block_vote == "all":
             wrong = hits == 0
         else:

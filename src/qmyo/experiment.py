@@ -13,14 +13,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .control import DecodedBatch, decode_batch
-from .datasets import FeatureDataset, to_blocks, training_table
+from .datasets import FeatureDataset, training_table
 from .errors import ConfigurationError, DimensionError
 from .evaluation import (
     BlockErrorReport,
-    TrajectoryPair,
     block_errors,
     r_squared_dof,
     r_squared_global,
+    run_starts,
 )
 from .operators import (
     DOFS,
@@ -130,14 +130,13 @@ def evaluate_model(
     decoded = decode_batch(test.features, model)
     estimate = {dof: decoded.angle[:, k] for k, dof in enumerate(dofs)}
     truth = {dof: test.angles[dof] for dof in dofs}
-    pair = TrajectoryPair(truth=truth, estimate=estimate, blocks=to_blocks(test, dofs))
     return SizeResult(
         training_size=training_size,
         model=model,
         overlaps={dof: model.dofs[dof].overlap for dof in dofs},
         r2_per_dof={dof: r_squared_dof(truth[dof], estimate[dof]) for dof in dofs},
         r2_global=r_squared_global(truth, estimate),
-        blocks=block_errors(pair, model.decode_config),
+        blocks=block_errors(truth, estimate, test.block_ids, model.decode_config),
         decoded=decoded,
     )
 
@@ -167,7 +166,7 @@ def run_experiment(
         dofs=sorted(dofs),
         n_channels=train_ds.n_channels,
         n_windows=test_ds.n_rows,
-        n_blocks=len(to_blocks(test_ds, dofs)),
+        n_blocks=len(run_starts(test_ds.block_ids)),
         results=results,
     )
 
@@ -181,7 +180,7 @@ def report_for_model(model: ControllerModel, test: FeatureDataset) -> Experiment
         dofs=model.sorted_dofs(),
         n_channels=model.n_channels,
         n_windows=test.n_rows,
-        n_blocks=len(to_blocks(test, model.sorted_dofs())),
+        n_blocks=len(run_starts(test.block_ids)),
         results=[result],
     )
 

@@ -312,28 +312,6 @@ def _prototype(rows: np.ndarray, weights: np.ndarray, dof: Dof, direction: Direc
     return QuantumState(combined / norm)
 
 
-def build_prototype(samples: list[TrainingSample]) -> QuantumState:
-    """Angle-weighted superposition of encoded training states.
-
-    Each sample is encoded to a unit state, weighted by its training
-    angle, summed, and the sum is renormalized so the resulting
-    prototype is again a unit state. (Weighting by each sample's share
-    of the total angle gives the same prototype: the scale cancels.)
-    """
-    if not samples:
-        raise InsufficientTrainingError("cannot build a prototype from no samples")
-    dofs = {s.dof for s in samples}
-    directions = {s.direction for s in samples}
-    if len(dofs) != 1 or len(directions) != 1:
-        raise ValueError(
-            f"prototype samples must share one DOF and direction, got "
-            f"{sorted(d.value for d in dofs)} / {sorted(d.value for d in directions)}"
-        )
-    rows = np.stack([s.features.values for s in samples])
-    angles = np.array([s.angle for s in samples], dtype=float)
-    return _prototype(rows, angles, samples[0].dof, samples[0].direction)
-
-
 def build_direction_operator(prototype: QuantumState) -> Operator:
     """Rank-1 projector onto a prototype: symmetric, idempotent, trace 1."""
     p = prototype.amplitudes

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .evaluation import Block
 from .features import EmgRecording, FeatureKind, FeatureVector
 from .operators import DOFS, Direction, Dof, TrainingSample, TrainingTable
 
@@ -96,13 +95,6 @@ class ScenarioBlock:
             return start
         return start + (end - start) * window / (self.n_windows - 1)
 
-    def intended_direction(self, dof: Dof) -> Direction:
-        start, end = self.angles.get(dof, (0.0, 0.0))
-        reference = start if start != 0.0 else end
-        if reference > 0:
-            return Direction.POSITIVE
-        return Direction.NEGATIVE if reference < 0 else Direction.REST
-
 
 @dataclass(frozen=True)
 class SyntheticScenario:
@@ -122,11 +114,11 @@ class SyntheticScenario:
 @dataclass(frozen=True)
 class TestSet:
     """Generated evaluation inputs: (N, C) MAV feature values, ground truth
-    and blocks."""
+    and each window's block id (the scenario's block index)."""
 
     values: np.ndarray
     truth: dict[Dof, np.ndarray]
-    blocks: list[Block]
+    block_ids: np.ndarray
     n_clipped: int
 
     @cached_property
@@ -236,7 +228,7 @@ def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> T
     model seed and block index, so blocks could be generated in parallel
     without changing the output.
     """
-    values, truths, blocks, n_clipped, cursor = [], [], [], 0, 0
+    values, truths, n_clipped = [], [], 0
     for index, block in enumerate(scenario.blocks):
         n, windows = block.n_windows, np.arange(block.n_windows)
         angles = {dof: np.full(n, block.angle_at(dof, windows), dtype=float) for dof in model.dofs}
@@ -245,13 +237,10 @@ def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> T
         values.append(block_values)
         n_clipped += clipped
         truths.append(angles)
-        directions = {dof: block.intended_direction(dof) for dof in model.dofs}
-        intended = {dof: d for dof, d in directions.items() if d is not Direction.REST}
-        blocks.append(Block(start=cursor, stop=cursor + n, intended=intended))
-        cursor += n
     truth = {dof: np.concatenate([angles[dof] for angles in truths]) for dof in model.dofs}
+    block_ids = np.repeat(np.arange(len(scenario.blocks)), [b.n_windows for b in scenario.blocks])
     return TestSet(
-        values=np.concatenate(values), truth=truth, blocks=blocks, n_clipped=n_clipped
+        values=np.concatenate(values), truth=truth, block_ids=block_ids, n_clipped=n_clipped
     )
 
 

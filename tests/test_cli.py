@@ -25,7 +25,7 @@ from qmyo.datasets import (
     from_training_samples,
     load_feature_dataset,
     save_feature_dataset,
-    to_training_samples,
+    training_table,
 )
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import TrainingSample
@@ -362,7 +362,7 @@ class TestExitCodes:
         assert line == "qmyo: error: argument --sizes: must be strictly increasing, got 10 5"
 
     def test_learning_curve_size_beyond_the_data_is_data_error(self, tmp_path, capsys):
-        n = len(to_training_samples(load_feature_dataset(V1_TRAIN)))
+        n = training_table(load_feature_dataset(V1_TRAIN)).n_rows
         line = self.data_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", n + 1])
         assert line == f"{V1_TRAIN}: size {n + 1} exceeds its {n} samples"
 
@@ -459,6 +459,47 @@ class TestConfigFile:
         )
         assert load_model(model_a).decode_config.rest_threshold == 0.2
         assert load_model(model_b).decode_config.rest_threshold == 0.3
+        capsys.readouterr()
+
+
+class TestModelThresholds:
+    """Decode thresholds for a model file: flag > config file > the model's own."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        assert run("synth", "--train-out", train_csv, "--test-out", test_csv, "--per-action", 40,
+                   "--blocks", 11, "--windows", 220, "--noise-sigma", 0.2, "--seed", 3) == 0
+        for name, flags in (("plain.json", []), ("strict.json", ["--rest-threshold", 0.6])):
+            assert run("train", "--data", train_csv, "--out", tmp_path / name, *flags) == 0
+        (tmp_path / "strict.cfg").write_text("rest_threshold = 0.6\n")
+        capsys.readouterr()
+        return tmp_path
+
+    def report(self, capsys, files, model, *flags):
+        assert run("evaluate", "--test", files / "test.csv", "--model", files / model, *flags) == 0
+        return capsys.readouterr().out
+
+    def test_config_file_threshold_replaces_the_models(self, files, capsys):
+        plain = self.report(capsys, files, "plain.json")
+        by_flag = self.report(capsys, files, "plain.json", "--rest-threshold", 0.6)
+        by_file = self.report(capsys, files, "plain.json", "--config", files / "strict.cfg")
+        assert by_file == by_flag != plain
+        flag_over_file = self.report(capsys, files, "plain.json", "--config", files / "strict.cfg",
+                                     "--rest-threshold", 0.05)
+        assert flag_over_file == plain
+
+    def test_one_flag_keeps_the_models_other_thresholds(self, files, capsys):
+        strict = self.report(capsys, files, "strict.json")
+        assert self.report(capsys, files, "strict.json", "--block-vote", "majority") == strict
+        assert strict != self.report(capsys, files, "plain.json")
+        outputs = []
+        for flags in ([], ["--overlap-epsilon", 1e-6]):
+            out = files / f"decoded{len(flags)}.csv"
+            assert run("decode", "--model", files / "strict.json", "--data", files / "test.csv",
+                       "--out", out, *flags) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
         capsys.readouterr()
 
 
@@ -673,7 +714,7 @@ def test_training_commands_build_no_per_row_objects(tmp_path, monkeypatch, capsy
         assert run(*argv) == 0, argv
     assert built == []
     # the guard does count: the list API builds one of each per row
-    to_training_samples(load_feature_dataset(train_csv))
+    training_table(load_feature_dataset(train_csv)).samples()
     assert len(built) == 2 * 160
 
 
@@ -689,3 +730,20 @@ def test_non_finite_training_angle_is_data_error(tmp_path, capsys, value):
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err == f"qmyo: data error: {bad}:4: d1_angle value {float(value)!r} is not finite\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([b"1,-1,5,0,0,direct,0"], "ch2 value -1.0 is not a finite, non-negative mav feature"),
+    ([b"1,1,nan,0,0,direct,0"], "d1_angle value nan is not finite"),
+    ([b"1,1,5,0,0,direct,1", b"1,1,-5,0,0,direct,0"], "block id 0 appears in non-contiguous runs"),
+    ([b"1,1,5,5,0,direct,0"], "training rows must activate exactly one DOF, got d1, d2"),
+])
+def test_dataset_error_after_a_multi_line_cell_names_the_file_line(tmp_path, capsys, rows, message):
+    # the quoted cell spans lines 2 and 3, so the third row starts on line 5
+    path = tmp_path / "ml.csv"
+    path.write_bytes(b"\r\n".join([b"ch1,ch2,d1_angle,d2_angle,d3_angle,phase,block",
+                                   b'"1\r\n",1,5,0,0,direct,0', b"1,1,-5,0,0,direct,0", *rows,
+                                   b""]))
+    assert run("train", "--data", path, "--out", tmp_path / "m.json") == 2
+    line = 6 if "block id" in message else 5
+    assert capsys.readouterr().err == f"qmyo: data error: {path}:{line}: {message}\n"

@@ -14,12 +14,20 @@ from qmyo.datasets import (
     load_feature_dataset,
     save_decode_csv,
     save_feature_dataset,
-    to_blocks,
-    to_training_samples,
+    training_table,
 )
 from qmyo.errors import DatasetParseError, DatasetSchemaError
+from qmyo.evaluation import block_errors, run_starts
 from qmyo.features import FeatureKind, FeatureVector
-from qmyo.operators import Direction, Dof, MovementPhase, TrainingTable, train, train_table
+from qmyo.operators import (
+    DecodeConfig,
+    Direction,
+    Dof,
+    MovementPhase,
+    TrainingTable,
+    train,
+    train_table,
+)
 from qmyo.synthetic import (
     default_mixing_model,
     default_scenario,
@@ -176,7 +184,7 @@ class TestCsvRoundTrip:
 
 class TestTrainingSampleConversion:
     def test_signed_angles_become_direction_and_magnitude(self):
-        samples = to_training_samples(small_dataset())
+        samples = training_table(small_dataset()).samples()
         assert len(samples) == 2
         assert samples[0].dof is D1
         assert samples[0].direction is Direction.POSITIVE
@@ -187,7 +195,7 @@ class TestTrainingSampleConversion:
 
     def test_rest_rows_skipped(self, caplog):
         with caplog.at_level(logging.INFO):
-            samples = to_training_samples(small_dataset())
+            samples = training_table(small_dataset()).samples()
         assert len(samples) == 2
 
     def test_multi_dof_row_rejected(self):
@@ -198,18 +206,26 @@ class TestTrainingSampleConversion:
             block_ids=np.zeros(1, dtype=int),
         )
         with pytest.raises(DatasetSchemaError, match="exactly one"):
-            to_training_samples(ds)
+            training_table(ds)
 
     def test_round_trip_through_dataset(self):
         model = orthogonal_mixing_model(noise_sigma=0.1, seed=3)
         samples = generate_training_set(model, 10)
         ds = from_training_samples(samples, model.n_channels)
-        recovered = to_training_samples(ds)
+        recovered = training_table(ds).samples()
         assert len(recovered) == len(samples)
         for a, b in zip(samples, recovered):
             np.testing.assert_array_equal(a.features.values, b.features.values)
             assert a.dof is b.dof and a.direction is b.direction
             assert a.angle == b.angle
+
+
+def errors_of_constant_estimates(ds, dofs, value):
+    """Block errors of a dataset's blocks when every window decodes to ``value``."""
+    estimate = {dof: np.full(ds.n_rows, value) for dof in dofs}
+    report = block_errors({dof: ds.angles[dof] for dof in dofs}, estimate, ds.block_ids,
+                          DecodeConfig())
+    return report.error_counts
 
 
 class TestBlocks:
@@ -220,9 +236,9 @@ class TestBlocks:
             phases=[MovementPhase.DIRECT] * 4,
             block_ids=np.array([0, 0, 1, 1]),
         )
-        blocks = to_blocks(ds, [D1])
-        assert blocks[0].intended == {D1: Direction.POSITIVE}
-        assert blocks[1].intended == {D1: Direction.NEGATIVE}
+        assert errors_of_constant_estimates(ds, [D1], 1.0) == {D1: 1}  # block 1 intends negative
+        assert errors_of_constant_estimates(ds, [D1], -1.0) == {D1: 1}  # block 0 intends positive
+        assert errors_of_constant_estimates(ds, [D1], 0.0) == {D1: 2}
 
     def test_rest_blocks_have_no_intended_entries(self):
         ds = FeatureDataset(
@@ -231,8 +247,8 @@ class TestBlocks:
             phases=[MovementPhase.DIRECT] * 2,
             block_ids=np.array([7, 7]),
         )
-        blocks = to_blocks(ds, [D1, D3])
-        assert blocks[0].intended == {}
+        assert errors_of_constant_estimates(ds, [D1, D3], 0.0) == {D1: 0, D3: 0}
+        assert errors_of_constant_estimates(ds, [D1, D3], 1.0) == {D1: 1, D3: 1}
 
     def test_scenario_blocks_survive_dataset_round_trip(self, tmp_path):
         model = orthogonal_mixing_model(seed=1)
@@ -242,12 +258,15 @@ class TestBlocks:
         path = tmp_path / "test.csv"
         save_feature_dataset(ds, path)
         loaded = load_feature_dataset(path)
-        blocks = to_blocks(loaded, list(model.dofs))
-        assert [(b.start, b.stop) for b in blocks] == [
-            (b.start, b.stop) for b in test_set.blocks
-        ]
-        for recovered, original in zip(blocks, test_set.blocks):
-            assert recovered.intended == original.intended
+        np.testing.assert_array_equal(loaded.block_ids, test_set.block_ids)
+        sizes = [b.n_windows for b in scenario.blocks]
+        assert run_starts(loaded.block_ids).tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+        # the summed truth intends each block's ramp sign, rest where a DOF has no ramp
+        signs = [[np.sign(b.angles.get(dof, (0.0,))[0]) for b in scenario.blocks]
+                 for dof in model.dofs]
+        for value in (-1.0, 0.0, 1.0):
+            expected = {dof: sum(s != value for s in row) for dof, row in zip(model.dofs, signs)}
+            assert errors_of_constant_estimates(loaded, model.dofs, value) == expected
 
 
 class TestDecodeCsv:
@@ -384,7 +403,7 @@ class TestArrayNativeDataPlane:
         expected, n_rest = reference_samples(ds)
         assert n_rest > 0
         with caplog.at_level(logging.INFO, logger="qmyo.datasets"):
-            got = to_training_samples(ds)
+            got = training_table(ds).samples()
         assert [
             (s.features.values.tobytes(), s.dof, s.direction, s.angle, s.movement_phase)
             for s in got
@@ -400,16 +419,16 @@ class TestArrayNativeDataPlane:
         with pytest.raises(DatasetSchemaError) as expected:
             reference_samples(ds)
         with pytest.raises(DatasetSchemaError) as got:
-            to_training_samples(ds)
+            training_table(ds)
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith(f"<dataset>:{min(multi_row, 150) + 2}: ")
 
     def test_all_rest_and_empty_datasets(self):
         ds = random_dataset(np.random.default_rng(1), 20)
         rest = FeatureDataset(ds.features, {}, ds.phases, ds.block_ids)
-        assert to_training_samples(rest) == []
+        assert training_table(rest).samples() == []
         empty = FeatureDataset(np.zeros((0, 3)), {}, [], np.zeros(0, dtype=int))
-        assert to_training_samples(empty) == []
+        assert training_table(empty).samples() == []
 
     @pytest.mark.parametrize(
         "row, error, message",

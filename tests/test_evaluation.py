@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from qmyo.errors import MalformedBlockError, UndefinedDenominatorError
-from qmyo.evaluation import (
-    Block,
-    TrajectoryPair,
-    block_errors,
-    r_squared_dof,
-    r_squared_global,
-)
+from qmyo.errors import UndefinedDenominatorError
+from qmyo.evaluation import block_errors, r_squared_dof, r_squared_global
 from qmyo.operators import DecodeConfig, Direction, Dof
 
 D1 = Dof.FLEXION_EXTENSION
@@ -150,105 +144,100 @@ class TestRSquaredGlobal:
         assert shifted == pytest.approx(base, abs=1e-12)
 
 
-def pair(truth, estimate, blocks):
-    return TrajectoryPair(truth=truth, estimate=estimate, blocks=blocks)
+def ids(*sizes):
+    """Block ids of consecutive blocks of the given sizes, numbered from 0."""
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 class TestBlockErrors:
-    def two_block_pair(self, d1_estimates):
+    def two_block_errors(self, d1_estimates):
         n = len(d1_estimates)
         half = n // 2
         truth = {D1: np.array([10.0] * half + [-10.0] * (n - half))}
-        blocks = [
-            Block(0, half, {D1: POS}),
-            Block(half, n, {D1: NEG}),
-        ]
-        return pair(truth, {D1: np.array(d1_estimates)}, blocks)
+        return block_errors(truth, {D1: np.array(d1_estimates)}, ids(half, n - half),
+                            DecodeConfig())
 
     def test_all_correct(self):
-        p = self.two_block_pair([9.0, 11.0, 10.0, -9.0, -11.0, -10.0])
-        report = block_errors(p, DecodeConfig())
+        report = self.two_block_errors([9.0, 11.0, 10.0, -9.0, -11.0, -10.0])
         assert report.error_counts[D1] == 0
         assert report.misclassified_blocks == []
 
     def test_flipped_majority_counts_once(self):
-        p = self.two_block_pair([-9.0, -11.0, -10.0, -9.0, -11.0, -10.0])
-        report = block_errors(p, DecodeConfig())
+        report = self.two_block_errors([-9.0, -11.0, -10.0, -9.0, -11.0, -10.0])
         assert report.error_counts[D1] == 1
         assert report.misclassified_blocks == [0]
 
     def test_three_of_five_wrong_is_an_error(self):
         truth = {D3: np.full(5, 10.0)}
         estimate = {D3: np.array([10.0, -10.0, -10.0, -10.0, 10.0])}
-        p = pair(truth, estimate, [Block(0, 5, {D3: POS})])
-        report = block_errors(p, DecodeConfig())
+        report = block_errors(truth, estimate, ids(5), DecodeConfig())
         assert report.error_counts[D3] == 1
 
     def test_two_of_five_wrong_is_not(self):
         truth = {D3: np.full(5, 10.0)}
         estimate = {D3: np.array([10.0, -10.0, -10.0, 10.0, 10.0])}
-        p = pair(truth, estimate, [Block(0, 5, {D3: POS})])
-        assert block_errors(p, DecodeConfig()).error_counts[D3] == 0
+        assert block_errors(truth, estimate, ids(5), DecodeConfig()).error_counts[D3] == 0
 
     def test_window_order_within_block_is_irrelevant(self):
         rng = np.random.default_rng(5)
         estimates = np.array([12.0, -3.0, 8.0, 9.0, -1.0, 7.0])
         truth = {D1: np.full(6, 10.0)}
-        base = block_errors(
-            pair(truth, {D1: estimates}, [Block(0, 6, {D1: POS})]), DecodeConfig()
-        )
+        base = block_errors(truth, {D1: estimates}, ids(6), DecodeConfig())
         for _ in range(10):
             shuffled = estimates.copy()
             rng.shuffle(shuffled)
-            report = block_errors(
-                pair(truth, {D1: shuffled}, [Block(0, 6, {D1: POS})]), DecodeConfig()
-            )
+            report = block_errors(truth, {D1: shuffled}, ids(6), DecodeConfig())
             assert report.error_counts == base.error_counts
 
     def test_rest_intended_blocks(self):
         truth = {D1: np.zeros(4)}
         estimate = {D1: np.array([0.0, 0.0, 0.0, 5.0])}
-        p = pair(truth, estimate, [Block(0, 4, {})])
-        assert block_errors(p, DecodeConfig()).error_counts[D1] == 0
+        assert block_errors(truth, estimate, ids(4), DecodeConfig()).error_counts[D1] == 0
 
     def test_any_vote(self):
         truth = {D1: np.full(4, 10.0)}
         estimate = {D1: np.array([10.0, 10.0, 10.0, -1.0])}
-        p = pair(truth, estimate, [Block(0, 4, {D1: POS})])
-        assert block_errors(p, DecodeConfig(block_vote="any")).error_counts[D1] == 1
-        assert block_errors(p, DecodeConfig(block_vote="majority")).error_counts[D1] == 0
+        for vote, errors in (("any", 1), ("majority", 0)):
+            report = block_errors(truth, estimate, ids(4), DecodeConfig(block_vote=vote))
+            assert report.error_counts[D1] == errors
 
     def test_all_vote(self):
         truth = {D1: np.full(4, 10.0)}
         estimate = {D1: np.array([-10.0, -10.0, -10.0, 1.0])}
-        p = pair(truth, estimate, [Block(0, 4, {D1: POS})])
-        assert block_errors(p, DecodeConfig(block_vote="all")).error_counts[D1] == 0
-        assert block_errors(p, DecodeConfig(block_vote="majority")).error_counts[D1] == 1
+        for vote, errors in (("all", 0), ("majority", 1)):
+            report = block_errors(truth, estimate, ids(4), DecodeConfig(block_vote=vote))
+            assert report.error_counts[D1] == errors
 
     def test_misclassified_once_even_with_two_dof_mistakes(self):
         truth = {D1: np.full(3, 10.0), D3: np.full(3, 10.0)}
         estimate = {D1: np.full(3, -10.0), D3: np.full(3, -10.0)}
-        p = pair(truth, estimate, [Block(0, 3, {D1: POS, D3: POS})])
-        report = block_errors(p, DecodeConfig())
+        report = block_errors(truth, estimate, ids(3), DecodeConfig())
         assert report.error_counts == {D1: 1, D3: 1}
         assert report.misclassified_blocks == [0]
         assert report.n_misclassified == 1
 
 
-def per_window_vote(pair, cfg):
+def per_window_vote(truth, estimate, block_ids, cfg):
     """Block errors counted one window and one block at a time."""
     order = (POS, NEG, Direction.REST)
 
     def direction(value):
         return POS if value > 0 else NEG if value < 0 else Direction.REST
 
-    counts = {dof: 0 for dof in pair.dofs()}
+    blocks = []  # [start, stop) of each run of equal ids
+    for i, block_id in enumerate(block_ids.tolist()):
+        if i and block_id == block_ids[i - 1]:
+            blocks[-1][1] = i + 1
+        else:
+            blocks.append([i, i + 1])
+    dofs = sorted(truth)
+    counts = {dof: 0 for dof in dofs}
     misclassified = []
-    for index, block in enumerate(pair.blocks):
+    for index, (start, stop) in enumerate(blocks):
         block_wrong = False
-        for dof in pair.dofs():
-            intended = block.intended_direction(dof)
-            votes = [direction(v) for v in pair.estimate[dof][block.start : block.stop]]
+        for dof in dofs:
+            intended = direction(sum(truth[dof][start:stop].tolist()))
+            votes = [direction(v) for v in estimate[dof][start:stop]]
             if cfg.block_vote == "any":
                 wrong = any(d is not intended for d in votes)
             elif cfg.block_vote == "all":
@@ -268,23 +257,19 @@ class TestVectorisedVote:
     @pytest.mark.parametrize("vote", ["majority", "any", "all"])
     def test_matches_per_window_vote(self, vote):
         rng = np.random.default_rng(6)
-        directions = [POS, NEG, Direction.REST]
+        cfg = DecodeConfig(block_vote=vote)
         for _ in range(200):
             sizes = rng.integers(1, 7, size=rng.integers(1, 8))
-            stops = np.cumsum(sizes)
-            blocks = [
-                Block(int(stop - size), int(stop), {
-                    dof: directions[rng.integers(3)] for dof in (D1, D3) if rng.random() < 0.7
-                })
-                for size, stop in zip(sizes, stops)
-            ]
-            n = int(stops[-1])
+            # distinct labels in any order, so adjacent blocks differ
+            block_ids = np.repeat(rng.permutation(50)[:len(sizes)], sizes)
+            n = len(block_ids)
+            # whole numbers sum exactly, so mixed-sign blocks often cancel to rest
+            truth = {dof: rng.choice([-3.0, -1.0, 0.0, 0.0, 2.0, 3.0], size=n) for dof in (D1, D3)}
             # few distinct values, so ties between directions are common
             estimate = {dof: rng.choice([-5.0, -0.0, 0.0, 5.0], size=n) for dof in (D1, D3)}
-            p = pair({dof: np.zeros(n) for dof in (D1, D3)}, estimate, blocks)
-            report = block_errors(p, DecodeConfig(block_vote=vote))
+            report = block_errors(truth, estimate, block_ids, cfg)
             assert (report.error_counts, report.misclassified_blocks) == per_window_vote(
-                p, DecodeConfig(block_vote=vote)
+                truth, estimate, block_ids, cfg
             )
 
     @pytest.mark.parametrize(
@@ -299,34 +284,19 @@ class TestVectorisedVote:
     )
     def test_majority_tie_order(self, estimates, intended, wrong):
         n = len(estimates)
-        blocks = [Block(0, n, {} if intended is Direction.REST else {D1: intended})]
-        p = pair({D1: np.zeros(n)}, {D1: np.array(estimates)}, blocks)
-        assert block_errors(p, DecodeConfig()).error_counts[D1] == int(wrong)
+        truth = {D1: np.full(n, {POS: 1.0, NEG: -1.0, Direction.REST: 0.0}[intended])}
+        report = block_errors(truth, {D1: np.array(estimates)}, ids(n), DecodeConfig())
+        assert report.error_counts[D1] == int(wrong)
 
 
 class TestStructureValidation:
-    def test_empty_block_rejected(self):
-        with pytest.raises(MalformedBlockError):
-            Block(3, 3, {})
-
-    def test_gap_between_blocks_rejected(self):
-        truth = {D1: np.zeros(4)}
-        with pytest.raises(MalformedBlockError):
-            pair(truth, truth, [Block(0, 2, {}), Block(3, 4, {})])
-
-    def test_blocks_must_cover_everything(self):
-        truth = {D1: np.zeros(4)}
-        with pytest.raises(MalformedBlockError):
-            pair(truth, truth, [Block(0, 2, {})])
+    """Scoring reads truth and estimate through ``r_squared_global`` first,
+    which rejects trajectories that do not pair up."""
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pair(
-                {D1: np.zeros(4)},
-                {D1: np.zeros(5)},
-                [Block(0, 4, {})],
-            )
+            r_squared_global({D1: np.arange(4.0)}, {D1: np.zeros(5)})
 
     def test_dof_set_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pair({D1: np.zeros(2)}, {D3: np.zeros(2)}, [Block(0, 2, {})])
+            r_squared_global({D1: np.arange(2.0)}, {D3: np.zeros(2)})

@@ -1,6 +1,9 @@
-"""Every name a source module imports at module level is used in it.
+"""Every name a source module imports at module level is used in it, and
+every module-level private name a source module defines is read somewhere
+in the package.
 
-``__init__.py`` is skipped: its imports are the package's public names.
+``__init__.py`` is skipped by the import check: its imports are the
+package's public names.
 """
 
 import ast
@@ -60,3 +63,59 @@ def test_string_annotations_count_as_uses():
     )
     assert {"A", "B"} <= referenced_names(tree)
     assert "C" not in referenced_names(tree)
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level ``_name`` a def, class or assignment binds, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for target in bound for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names read as variables, attributes or in annotations, or imported by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                names |= annotation_names(annotation)
+    return names
+
+
+def test_no_unused_private_module_level_name():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    unused = [f"{module}:{line} {name}" for module, tree in sorted(trees.items())
+              for name, line in private_definitions(tree).items() if name not in read]
+    assert not unused, f"private names defined but never read: {', '.join(unused)}"
+
+
+def test_a_private_name_only_assigned_counts_as_unused():
+    tree = ast.parse(
+        "_TABLE = {1: 2}\n"
+        "_SEEN, _LEFT = 1, 2\n"
+        "def _helper(): pass\n"
+        "class _Kind: pass\n"
+        "def public(x: '_Kind') -> int:\n"
+        "    return _TABLE[x] + _SEEN\n"
+        "__all__ = []\n"
+    )
+    defined = private_definitions(tree)
+    assert set(defined) == {"_TABLE", "_SEEN", "_LEFT", "_helper", "_Kind"}
+    assert set(defined) - read_names(tree) == {"_LEFT", "_helper"}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qmyo.control import decode_batch
-from qmyo.datasets import load_feature_dataset, to_training_samples
+from qmyo.datasets import load_feature_dataset, training_table
 from qmyo.errors import (
     DegeneratePrototypeError,
     DimensionError,
@@ -30,7 +30,6 @@ from qmyo.operators import (
     TrainingTable,
     build_completeness_operator,
     build_direction_operator,
-    build_prototype,
     load_model,
     model_to_dict,
     overlap_curve,
@@ -95,9 +94,19 @@ def random_model(rng, n_channels=None, dofs=(D1,)):
     return train(samples, n, dofs=list(dofs))
 
 
+def prototype(samples):
+    """The d1 positive prototype ``train_table`` builds from ``samples``.
+
+    One negative row on the first axis completes the DOF.
+    """
+    n = len(samples[0].features.values) if samples else 2
+    rows = samples + [sample(np.eye(n)[0], direction=Direction.NEGATIVE)]
+    return train_table(TrainingTable.of_samples(rows, n), n).dofs[D1].proto_pos
+
+
 class TestBuildPrototype:
     def test_single_sample_is_itself(self):
-        proto = build_prototype([sample([2.0, 1.0], angle=17.0)])
+        proto = prototype([sample([2.0, 1.0], angle=17.0)])
         np.testing.assert_allclose(
             proto.amplitudes, encode_rows(np.array([[2.0, 1.0]]))[0][0], atol=1e-15
         )
@@ -107,7 +116,7 @@ class TestBuildPrototype:
             sample([1.0, 0.0], angle=30.0),
             sample([0.0, 1.0], angle=60.0),
         ]
-        proto = build_prototype(samples)
+        proto = prototype(samples)
         np.testing.assert_allclose(
             proto.amplitudes, [1 / math.sqrt(5), 2 / math.sqrt(5)], atol=1e-15
         )
@@ -115,7 +124,7 @@ class TestBuildPrototype:
     def test_matches_plain_python_oracle(self):
         rng = np.random.default_rng(3)
         samples = random_samples(rng, 5, D1, Direction.POSITIVE, 7)
-        proto = build_prototype(samples)
+        proto = prototype(samples)
 
         angles = [s.angle for s in samples]
         total = sum(angles)
@@ -132,18 +141,20 @@ class TestBuildPrototype:
     def test_identical_samples_any_angles(self):
         samples = [sample([3.0, 4.0], angle=10.0), sample([3.0, 4.0], angle=50.0)]
         np.testing.assert_allclose(
-            build_prototype(samples).amplitudes, [0.6, 0.8], atol=1e-15
+            prototype(samples).amplitudes, [0.6, 0.8], atol=1e-15
         )
 
     def test_empty_list(self):
-        with pytest.raises(InsufficientTrainingError):
-            build_prototype([])
+        with pytest.raises(InsufficientTrainingError, match="no positive training samples"):
+            prototype([])
 
-    def test_mixed_directions_rejected(self):
-        with pytest.raises(ValueError):
-            build_prototype(
-                [sample([1.0, 0.0]), sample([1.0, 0.0], direction=Direction.NEGATIVE)]
-            )
+    def test_directions_are_grouped_apart(self):
+        # interleaved directions: each prototype sums only its own rows
+        samples = [sample([1.0, 0.0]), sample([0.0, 1.0], direction=Direction.NEGATIVE),
+                   sample([1.0, 1.0], angle=10.0), sample([0.0, 2.0], direction=Direction.NEGATIVE)]
+        ops = train(samples, 2).dofs[D1]
+        np.testing.assert_array_equal(ops.proto_neg.amplitudes, [0.0, 1.0])
+        assert ops.proto_pos.amplitudes[0] > ops.proto_pos.amplitudes[1] > 0
 
     def test_cancellation_detected(self):
         # engineered signed features, which only a hand-built table carries,
@@ -314,9 +325,11 @@ class TestTrain:
             model = train(samples, 4)
         assert f"dropped {n_return} return-phase samples" in caplog.text
         assert f"dropped {n_zero} zero-signal samples" in caplog.text
+        clean = train(usable, 4)
         for dof, ops in model.dofs.items():
-            pos = [s for s in usable if s.dof is dof and s.direction is Direction.POSITIVE]
-            assert ops.proto_pos.amplitudes.tobytes() == build_prototype(pos).amplitudes.tobytes()
+            for name in ("proto_pos", "proto_neg"):
+                expected = getattr(clean.dofs[dof], name).amplitudes.tobytes()
+                assert getattr(ops, name).amplitudes.tobytes() == expected
 
 
 class TestTrainedInvariants:
@@ -365,8 +378,8 @@ class TestTrainedInvariants:
         scaled = [
             sample(s.features.values, angle=s.angle * 7.5) for s in samples
         ]
-        base = build_prototype(samples)
-        other = build_prototype(scaled)
+        base = prototype(samples)
+        other = prototype(scaled)
         np.testing.assert_allclose(other.amplitudes, base.amplitudes, atol=1e-12)
         neg = random_samples(rng, 4, D1, Direction.NEGATIVE, 2)
         theta = train(samples + neg, 4).dofs[D1].theta_pos_max
@@ -546,7 +559,7 @@ class TestFormatV1:
         # prototypes are now normalize(sum of angle * state), without first
         # dividing the angles by their total; the results agree to rounding
         v1 = load_model(V1_MODEL)
-        samples = to_training_samples(load_feature_dataset(V1_TRAIN))
+        samples = training_table(load_feature_dataset(V1_TRAIN)).samples()
         model = train(samples, 4, config=DecodeConfig(rest_threshold=0.02))
         for dof, ops in model.dofs.items():
             stored = v1.dofs[dof]

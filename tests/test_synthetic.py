@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qmyo.evaluation import block_errors, run_starts
 from qmyo.features import mav, segment_windows
-from qmyo.operators import Direction, Dof, MovementPhase, train
+from qmyo.operators import DecodeConfig, Direction, Dof, MovementPhase, train
 from qmyo.state import QuantumState, encode_rows, inner_product
 from qmyo.synthetic import (
     MixingModel,
@@ -161,8 +162,8 @@ class TestGenerateTestScenario:
         assert len(scenario.blocks) == 55
         test_set = generate_test_scenario(model, scenario)
         assert len(test_set.features) == 8216
-        assert len(test_set.blocks) == 55
-        assert test_set.blocks[-1].stop == 8216
+        assert len(run_starts(test_set.block_ids)) == 55
+        assert len(test_set.block_ids) == 8216
 
     def test_single_constant_block_reduces_to_generate_features(self):
         model = tiny_model()
@@ -191,8 +192,14 @@ class TestGenerateTestScenario:
             ]
         )
         test_set = generate_test_scenario(tiny_model(), scenario)
-        assert test_set.blocks[0].intended == {D1: POS, D3: NEG}
-        assert test_set.blocks[1].intended == {}
+        np.testing.assert_array_equal(test_set.block_ids, [0, 0, 1, 1])
+        # windows decoded as block 0: d1 positive, d3 negative; block 1: rest
+        decoded = {D1: np.array([1.0, 1.0, 0.0, 0.0]), D3: np.array([-1.0, -1.0, 0.0, 0.0])}
+        report = block_errors(test_set.truth, decoded, test_set.block_ids, DecodeConfig())
+        assert report.misclassified_blocks == []
+        flipped = {dof: -values for dof, values in decoded.items()}
+        report = block_errors(test_set.truth, flipped, test_set.block_ids, DecodeConfig())
+        assert report.misclassified_blocks == [0]
 
     def test_sign_change_within_block_rejected(self):
         with pytest.raises(ValueError):
@@ -400,7 +407,7 @@ def reference_training_set(model, per_action_count, angle_range=(5.0, 40.0)):
 
 
 def reference_scenario(model, scenario):
-    features, blocks, n_clipped, cursor = [], [], 0, 0
+    features, block_ids, n_clipped = [], [], 0
     truth = {dof: [] for dof in model.dofs}
     for index, block in enumerate(scenario.blocks):
         rng = np.random.default_rng([model.seed, 1, index])
@@ -411,14 +418,8 @@ def reference_scenario(model, scenario):
             n_clipped += clipped
             for dof in model.dofs:
                 truth[dof].append(angles[dof])
-        intended = {
-            dof: block.intended_direction(dof)
-            for dof in model.dofs
-            if block.intended_direction(dof) is not Direction.REST
-        }
-        blocks.append((cursor, cursor + block.n_windows, intended))
-        cursor += block.n_windows
-    return features, {dof: np.array(v) for dof, v in truth.items()}, blocks, n_clipped
+            block_ids.append(index)
+    return features, {dof: np.array(v) for dof, v in truth.items()}, block_ids, n_clipped
 
 
 DOFS_3 = (D1, D2, D3)
@@ -504,14 +505,14 @@ class TestVectorisedGeneration:
             ]),
         ]
         for scenario in scenarios:
-            features, truth, blocks, n_clipped = reference_scenario(model, scenario)
+            features, truth, block_ids, n_clipped = reference_scenario(model, scenario)
             got = generate_test_scenario(model, scenario)
             assert bits(fv.values for fv in got.features) == bits(features)
             assert got.truth.keys() == truth.keys()
             for dof in truth:
                 assert got.truth[dof].dtype == truth[dof].dtype
                 assert got.truth[dof].tobytes() == truth[dof].tobytes()
-            assert [(b.start, b.stop, b.intended) for b in got.blocks] == blocks
+            assert got.block_ids.tolist() == block_ids
             assert got.n_clipped == n_clipped
         if name == "tiny-clipping":
             assert n_clipped > 0

@@ -1,12 +1,12 @@
 """The table training path against the per-sample code it replaced.
 
 The reference functions below are the earlier list implementations of
-``to_training_samples``, ``subset_per_action``, ``build_prototype`` and
-``train``, kept verbatim but for names and for reading each row's
-values from a plain :class:`Row`, so that training rows may be signed
-as a hand-built table's can. The table path must reproduce them exactly:
-the same rows in the same order, prototypes and angles bit for bit, the
-same exception type and message, and the same log lines.
+dataset-to-samples conversion, ``subset_per_action``, one prototype's
+construction and ``train``, kept verbatim but for names and for reading
+each row's values from a plain :class:`Row`, so that training rows may
+be signed as a hand-built table's can. The table path must reproduce
+them exactly: the same rows in the same order, prototypes and angles bit
+for bit, the same exception type and message, and the same log lines.
 """
 
 import contextlib
@@ -23,7 +23,6 @@ from qmyo.datasets import (
     FeatureDataset,
     from_training_samples,
     from_training_table,
-    to_training_samples,
     training_table,
 )
 from qmyo.errors import (
@@ -284,7 +283,7 @@ class TestTableTrainingEqualsThePerSampleCode:
     def test_conversion(self, ds):
         expected = outcome(reference_to_training_samples, ds)
         assert outcome(training_table, ds) == expected
-        assert outcome(to_training_samples, ds) == expected
+        assert outcome(lambda d: training_table(d).samples(), ds) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(datasets(), requested)
