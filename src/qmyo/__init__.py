@@ -85,7 +85,6 @@ from .operators import (
     save_model,
     train,
     train_table,
-    with_decode_config,
 )
 from .state import QuantumState, encode_rows, inner_product
 from .synthetic import (

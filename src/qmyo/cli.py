@@ -159,7 +159,7 @@ def _load_model(parser: _Parser, args, settings: _Settings):
     given = {field.name: settings.get(field.name) for field in fields(DecodeConfig)
              if getattr(args, field.name) is not None or field.name in settings.file_cfg}
     if given:
-        model = operators.with_decode_config(model, replace(model.decode_config, **given))
+        model = replace(model, decode_config=replace(model.decode_config, **given))
     return model
 
 

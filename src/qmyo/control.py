@@ -12,7 +12,7 @@ residual activations through a fixed 3x3 linear system.
 :func:`decode_features` is a one-row call of the same kernel.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +29,26 @@ from .operators import (
 from .state import encode_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DofDecision:
     """Decoded outcome for one DOF on one window."""
 
     expectation_pos: float
     expectation_neg: float
-    expectation_zero: float
     direction: Direction
     angle: float
     raw_angle: float
     angle_clamped: bool
-    zero_negative: bool
+
+    @property
+    def expectation_zero(self) -> float:
+        """Completion expectation e₀ = 1 − e₊ − e₋."""
+        return 1.0 - self.expectation_pos - self.expectation_neg
+
+    @property
+    def zero_negative(self) -> bool:
+        """Whether e₀ < 0, which overlapping prototypes allow."""
+        return self.expectation_zero < 0.0
 
     def signed_angle(self) -> float:
         """Angle with sign by direction: positive +, negative -, rest 0."""
@@ -49,18 +57,22 @@ class DofDecision:
         return self.angle if self.direction is Direction.POSITIVE else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeDiagnostics:
     zero_signal: bool = False
 
 
-@dataclass(frozen=True)
+# Decoded actions share these two rather than each holding its own.
+_SIGNAL, _NO_SIGNAL = DecodeDiagnostics(False), DecodeDiagnostics(True)
+
+
+@dataclass(frozen=True, slots=True)
 class DecodedAction:
     """Full decision for one window across all trained DOFs."""
 
     per_dof: dict[Dof, DofDecision]
     residual_activations: dict[Dof, float] | None
-    diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
+    diagnostics: DecodeDiagnostics = _SIGNAL
 
 
 def residual_activations(z1, z2, z3):
@@ -81,28 +93,37 @@ def residual_activations(z1, z2, z3):
 _THREE_DOFS = (Dof.FLEXION_EXTENSION, Dof.RADIAL_ULNAR, Dof.PRONATION_SUPINATION)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedBatch:
     """Decoded outcomes of N windows, one column per DOF in ``dofs`` order.
 
     Per-DOF arrays are (N, D). ``direction`` holds int8 sign codes (1
     positive, -1 negative, 0 rest), ``angle`` the signed, clamped angle
-    and ``raw_angle`` the unsigned angle before clamping.
+    and ``raw_angle`` the unsigned angle before clamping. The completion
+    expectations and their negative mask are computed on each read.
     """
 
     dofs: tuple[Dof, ...]
     expectation_pos: np.ndarray
     expectation_neg: np.ndarray
-    expectation_zero: np.ndarray
     direction: np.ndarray
     angle: np.ndarray
     raw_angle: np.ndarray
     angle_clamped: np.ndarray
-    zero_negative: np.ndarray
     zero_signal: np.ndarray
 
     def __len__(self) -> int:
         return self.zero_signal.shape[0]
+
+    @property
+    def expectation_zero(self) -> np.ndarray:
+        """(N, D) completion expectations e₀ = 1 − e₊ − e₋."""
+        return 1.0 - self.expectation_pos - self.expectation_neg
+
+    @property
+    def zero_negative(self) -> np.ndarray:
+        """(N, D) mask of negative completion expectations."""
+        return self.expectation_zero < 0.0
 
     def residuals(self) -> np.ndarray | None:
         """(N, 3) residual activations, or None unless all three DOFs are trained.
@@ -119,22 +140,21 @@ class DecodedBatch:
 
     def action(self, i: int) -> DecodedAction:
         """Row ``i`` as a :class:`DecodedAction`."""
-        e_pos, e_neg, e_zero, codes, angles, raw, clamped, negative = (
+        e_pos, e_neg, codes, angles, raw, clamped = (
             a[i].tolist()
-            for a in (self.expectation_pos, self.expectation_neg, self.expectation_zero,
-                      self.direction, self.angle, self.raw_angle, self.angle_clamped,
-                      self.zero_negative)
+            for a in (self.expectation_pos, self.expectation_neg, self.direction,
+                      self.angle, self.raw_angle, self.angle_clamped)
         )
-        rows = zip(self.dofs, e_pos, e_neg, e_zero, codes, angles, raw, clamped, negative)
+        rows = zip(self.dofs, e_pos, e_neg, codes, angles, raw, clamped)
         per_dof = {
-            dof: DofDecision(p, n, z, SIGN_DIRECTIONS[c], abs(a), r, cl, neg)
-            for dof, p, n, z, c, a, r, cl, neg in rows
+            dof: DofDecision(p, n, SIGN_DIRECTIONS[c], abs(a), r, cl)
+            for dof, p, n, c, a, r, cl in rows
         }
         if self.zero_signal[i]:
-            return DecodedAction(per_dof, None, DecodeDiagnostics(True))
+            return DecodedAction(per_dof, None, _NO_SIGNAL)
         if self.dofs != _THREE_DOFS:
             return DecodedAction(per_dof, None)
-        residuals = residual_activations(*(max(z, 0.0) for z in e_zero))
+        residuals = residual_activations(*(max(d.expectation_zero, 0.0) for d in per_dof.values()))
         return DecodedAction(per_dof, dict(zip(self.dofs, residuals)))
 
 
@@ -166,7 +186,6 @@ def _decide(
             "the direction pair is unlearnable"
         )
     e_pos, e_neg = _expectations(states, tables.prototypes)
-    e_zero = 1.0 - e_pos - e_neg
     margin = e_pos - e_neg
     size = np.abs(margin)
     moving = size > cfg.rest_threshold
@@ -177,12 +196,10 @@ def _decide(
         dofs=tables.dofs,
         expectation_pos=e_pos,
         expectation_neg=e_neg,
-        expectation_zero=e_zero,
         direction=direction,
         angle=direction * np.minimum(raw_angle, theta_max),
         raw_angle=raw_angle,
         angle_clamped=raw_angle > theta_max,
-        zero_negative=e_zero < 0.0,
         zero_signal=zero_signal,
     )
 

@@ -259,12 +259,13 @@ def save_decode_csv(decoded, dofs: list[Dof], path) -> None:
     header = ["window"]
     labels = {sign: direction.value for sign, direction in SIGN_DIRECTIONS.items()}
     columns = [map(str, range(len(decoded)))]
+    e_zero = decoded.expectation_zero
     for k, dof in enumerate(dofs):
         header += [f"{dof.value}_{name}" for name in _DECODE_FIELDS]
         columns += [
             float_cells(decoded.expectation_pos[:, k]),
             float_cells(decoded.expectation_neg[:, k]),
-            float_cells(decoded.expectation_zero[:, k]),
+            float_cells(e_zero[:, k]),
             map(labels.__getitem__, decoded.direction[:, k].tolist()),
             float_cells(decoded.angle[:, k]),
             ["1" if v else "0" for v in decoded.angle_clamped[:, k].tolist()],

@@ -13,7 +13,7 @@ rather than clipped away, since clipping would change decoding.
 import enum
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -476,7 +476,10 @@ def model_from_dict(doc: dict) -> ControllerModel:
                 derived = getattr(ops, attr).matrix
                 _check_stored(key, name, entry[name], derived, COMPLETENESS_TOL)
         dofs[Dof(key)] = ops
-    return ControllerModel(dofs=dofs, n_channels=int(doc["n_channels"]), decode_config=cfg)
+    n_channels = doc["n_channels"]
+    if type(n_channels) is not int:  # JSON true is a bool, 8.5 and Infinity are floats
+        raise ValueError(f"n_channels must be an integer, got {n_channels!r}")
+    return ControllerModel(dofs=dofs, n_channels=n_channels, decode_config=cfg)
 
 
 def save_model(model: ControllerModel, path) -> None:
@@ -494,8 +497,3 @@ def load_model(path) -> ControllerModel:
     except (ValueError, LookupError, TypeError, AttributeError, QmyoError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ModelFileError(f"{path}: {reason}") from exc
-
-
-def with_decode_config(model: ControllerModel, config: DecodeConfig) -> ControllerModel:
-    """Copy of a model with a different decode configuration."""
-    return replace(model, decode_config=config)

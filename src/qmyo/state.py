@@ -27,7 +27,8 @@ class QuantumState:
             raise DimensionError(f"amplitudes must be 1-D, got ndim={amplitudes.ndim}")
         if not np.all(np.isfinite(amplitudes)):
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.dot(amplitudes, amplitudes))
+        with np.errstate(over="ignore"):  # an inf norm fails the check below
+            norm_sq = float(np.dot(amplitudes, amplitudes))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not unit norm: sum of squares = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amplitudes)

@@ -1,10 +1,12 @@
 """Command-line interface behavior and exit codes."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +580,8 @@ MODEL_MUTATIONS = {
     ],
     "zero-angle": _set(("dofs", "d3", "theta_positive_max"), 0.0),
     "nan-threshold": _set(("decode_config", "rest_threshold"), math.nan),
+    "infinite-channels": _set(("n_channels",), math.inf),
+    "fractional-channels": _set(("n_channels",), 4.5),
     "unknown-version": _set(("format_version",), 3),
     "missing-version": _drop("format_version"),
     "overlap": _set(("dofs", "d1", "overlap"), lambda v: v + 1e-6),
@@ -649,6 +653,51 @@ class TestModelFileErrors:
         assert "Traceback" not in proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"qmyo: data error: {model}: d3: stored p_zero deviates from")
+
+
+def _key_paths(node, path=()):
+    """Every key or index path into a JSON document, containers included."""
+    if path:
+        yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _key_paths(child, path + (key,))
+
+
+_DROP = object()
+_ODD_VALUES = (_DROP, None, "x", [], {}, -1, 0, 1e308, math.nan, math.inf, -math.inf, True)
+
+
+def test_mutated_model_files_end_in_an_exit_code(tmp_path, capsys):
+    """Each key path of a model dropped or set to an odd JSON value: inspect-model
+    succeeds quietly or exits 1-3 with one ``qmyo:`` line, and nothing warns."""
+    doc, path = _v2_doc(), tmp_path / "model.json"
+    failures, runs = [], 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for key_path in _key_paths(doc):
+            for value in _ODD_VALUES:
+                mutated = copy.deepcopy(doc)
+                (_drop(*key_path) if value is _DROP else _set(key_path, value))(mutated)
+                path.write_text(json.dumps(mutated))
+                shown = "dropped" if value is _DROP else repr(value)
+                case = f"{'/'.join(map(str, key_path))} {shown}"
+                runs += 1
+                try:
+                    code = run("inspect-model", "--model", path)
+                except Exception as exc:  # the shell would print a traceback
+                    code = exc
+                lines = capsys.readouterr().err.splitlines()
+                if isinstance(code, Exception):
+                    failures.append(f"{case}: raised {code!r}")
+                elif code == 0 and lines:
+                    failures.append(f"{case}: exit 0 with stderr {lines}")
+                elif code != 0 and (code not in (1, 2, 3) or len(lines) != 1
+                                    or not lines[0].startswith("qmyo:")):
+                    failures.append(f"{case}: exit {code} with stderr {lines}")
+                failures += [f"{case}: warned {w.message}" for w in caught]
+                caught.clear()
+    assert runs > 300 and failures == []
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

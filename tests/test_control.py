@@ -1,13 +1,24 @@
 """Expectation values, per-DOF decisions, residual activations, decoding."""
 
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmyo.control import decode_batch, decode_features, residual_activations
+from qmyo.control import (
+    DecodeDiagnostics,
+    DecodedAction,
+    DecodedBatch,
+    DofDecision,
+    decode_batch,
+    decode_features,
+    residual_activations,
+)
 from qmyo.errors import DegenerateOperatorsError, DimensionError
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
@@ -18,7 +29,6 @@ from qmyo.operators import (
     DofOperators,
     TrainingSample,
     train,
-    with_decode_config,
 )
 from qmyo.state import QuantumState, encode_rows
 
@@ -274,9 +284,9 @@ class TestDecode:
                 assert action.residual_activations[dof] == pytest.approx(value, abs=1e-12)
 
     def test_all_rest_input(self):
-        model = orthogonal_model(n_dofs=2)
         cfg = DecodeConfig(rest_threshold=0.6)
-        action = decode_features(mav_of(1.0, 1.0, 1.0, 1.0), train_with_config(model, cfg))
+        model = dataclasses.replace(orthogonal_model(n_dofs=2), decode_config=cfg)
+        action = decode_features(mav_of(1.0, 1.0, 1.0, 1.0), model)
         assert all(d.direction is Direction.REST for d in action.per_dof.values())
         assert all(d.angle == 0.0 for d in action.per_dof.values())
 
@@ -289,10 +299,6 @@ class TestDecode:
         model = orthogonal_model(n_dofs=2)
         window = mav_of(0.3, 0.1, 0.9, 0.2)
         assert decode_features(window, model) == decode_features(window, model)
-
-
-def train_with_config(model, cfg):
-    return with_decode_config(model, cfg)
 
 
 class TestDecodeFeatures:
@@ -395,7 +401,8 @@ class TestDecodeBatch:
             # put the deadzone edge exactly on one decoded margin
             probe = decode_batch(features, model)
             margin = abs(probe.expectation_pos[0, 0] - probe.expectation_neg[0, 0])
-            model = with_decode_config(model, DecodeConfig(rest_threshold=float(margin)))
+            cfg = DecodeConfig(rest_threshold=float(margin))
+            model = dataclasses.replace(model, decode_config=cfg)
             assert decode_batch(features, model).direction[0, 0] == 0.0
         batch = decode_batch(features, model)
         threshold = model.decode_config.rest_threshold
@@ -451,8 +458,10 @@ class TestDecodeBatch:
         features = np.array([[0.9, 0.1, 0.3, 0.0, 0.2]])
         probe = decode_batch(features, model)
         margin = float(abs(probe.expectation_pos[0, 0] - probe.expectation_neg[0, 0]))
-        at = with_decode_config(model, DecodeConfig(rest_threshold=margin))
-        below = with_decode_config(model, DecodeConfig(rest_threshold=np.nextafter(margin, 0)))
+        at, below = (
+            dataclasses.replace(model, decode_config=DecodeConfig(rest_threshold=threshold))
+            for threshold in (margin, np.nextafter(margin, 0))
+        )
         assert decode_batch(features, at).direction[0, 0] == 0.0
         assert decode_batch(features, below).direction[0, 0] != 0.0
 
@@ -498,11 +507,73 @@ class TestDecodeBatch:
         edge, safe = 1.0 - overlap, 1.0 - above
         assert 1.0 - edge == overlap and 1.0 - safe == above and safe < edge
         window = FeatureVector(np.array([1.0, 1.0]), FeatureKind.MAV)
-        at_edge = with_decode_config(model, DecodeConfig(overlap_epsilon=edge))
+        at_edge = dataclasses.replace(model, decode_config=DecodeConfig(overlap_epsilon=edge))
         with pytest.raises(DegenerateOperatorsError):
             decode_batch(np.ones((1, 2)), at_edge)
         with pytest.raises(DegenerateOperatorsError):
             decode_features(window, at_edge)
-        inside = with_decode_config(model, DecodeConfig(overlap_epsilon=safe))
+        inside = dataclasses.replace(model, decode_config=DecodeConfig(overlap_epsilon=safe))
         assert decode_batch(np.ones((1, 2)), inside).direction.shape == (1, 1)
         assert decode_features(window, inside).per_dof[D1].expectation_pos > 0
+
+
+class TestDecisionRecords:
+    """Decision records hold slots, not dicts, and derive e₀ when read."""
+
+    def test_records_have_no_instance_dict(self):
+        model = MODELS["3dof"]
+        batch = decode_batch(np.array([[0.9, 0.1, 0.3, 0.0, 0.2, 0.4]]), model)
+        action = batch.action(0)
+        for record in (batch, action, action.diagnostics, *action.per_dof.values()):
+            assert not hasattr(record, "__dict__")
+        for cls in (DofDecision, DecodeDiagnostics, DecodedAction, DecodedBatch):
+            assert "expectation_zero" not in {f.name for f in dataclasses.fields(cls)}
+
+    def test_windows_share_the_diagnostics(self):
+        features = np.random.default_rng(5).uniform(0.0, 1.0, (6, 6))
+        features[[1, 4]] = 0.0
+        actions = [decode_batch(features, MODELS["3dof"]).action(i) for i in range(6)]
+        signal = {id(actions[i].diagnostics) for i in (0, 2, 3, 5)}
+        silent = {id(actions[i].diagnostics) for i in (1, 4)}
+        assert len(signal) == len(silent) == 1 and signal != silent
+        assert actions[1].diagnostics.zero_signal and not actions[0].diagnostics.zero_signal
+
+    def test_replace_keeps_the_derived_fields(self):
+        fv = FeatureVector(np.array([0.9, 0.1, 0.3, 0.0, 0.2, 0.4]), FeatureKind.MAV)
+        decision = decode_features(fv, MODELS["3dof"]).per_dof[D2]
+        moved = dataclasses.replace(decision, angle=decision.angle + 1e-6)
+        assert moved.angle == decision.angle + 1e-6
+        assert moved.expectation_zero == decision.expectation_zero
+        shifted = dataclasses.replace(decision, expectation_pos=decision.expectation_pos + 0.5)
+        assert shifted.expectation_zero == 1.0 - shifted.expectation_pos - decision.expectation_neg
+
+    def test_derived_fields_equal_the_batch_rows_bit_for_bit(self):
+        model = MODELS["3dof"]
+        features = np.random.default_rng(4).uniform(0.0, 1.0, (200, 6))
+        features[17] = 0.0
+        batch = decode_batch(features, model)
+        e_zero, negative = batch.expectation_zero, batch.zero_negative
+        assert negative.any() and (e_zero[17] == 1.0).all()
+        for i, row in enumerate(features):
+            action = decode_features(FeatureVector(row, FeatureKind.MAV), model)
+            for k, dof in enumerate(batch.dofs):
+                decision = action.per_dof[dof]
+                assert decision.expectation_zero.hex() == float(e_zero[i, k]).hex()
+                assert decision.zero_negative is bool(negative[i, k])
+
+    def test_held_actions_stay_small(self):
+        model = MODELS["3dof"]
+        features = np.random.default_rng(6).uniform(0.0, 1.0, (500, 6))
+        features[::10] = 0.0
+        windows = [FeatureVector(row, FeatureKind.MAV) for row in features]
+        decode_features(windows[0], model)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = [decode_features(fv, model) for fv in windows]
+            gc.collect()
+            per_action = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+        finally:
+            tracemalloc.stop()
+        assert per_action <= 1200
