@@ -2,9 +2,10 @@
 
 import csv
 import hashlib
+import io
 import logging
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -13,10 +14,15 @@ from hypothesis import strategies as st
 
 from qmyo import datasets, features
 from qmyo.cli import main
-from qmyo.datasets import FeatureDataset, load_feature_dataset, save_feature_dataset
+from qmyo.datasets import (
+    FeatureDataset,
+    from_training_table,
+    load_feature_dataset,
+    save_feature_dataset,
+)
 from qmyo.features import EmgRecording, load_recording, save_recording
 from qmyo.operators import Dof, MovementPhase
-from qmyo.synthetic import generate_raw_emg, orthogonal_mixing_model
+from qmyo.synthetic import generate_raw_emg, generate_training_table, orthogonal_mixing_model
 
 # Mutations of a written file's text. The first three leave a file the
 # fast parse must accept; the others may send it to the row reader.
@@ -186,6 +192,29 @@ class TestFastParseEqualsRowReader:
         assert outcome(load, path) == rows
         if set(kinds) <= set(FAST_MUTATIONS):
             assert features.read_fast(path) is not None
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_training_files_end_in_an_exit_code(tmp_path_factory, data):
+    """``train --data`` on a mutated training CSV succeeds quietly, or exits
+    1-3 with one ``qmyo:`` line, no traceback and no warning."""
+    path = tmp_path_factory.mktemp("csv") / "train.csv"
+    mixing = orthogonal_mixing_model(noise_sigma=0.1, seed=4)
+    save_feature_dataset(from_training_table(generate_training_table(mixing, 4)), path)
+    text, kinds = data.draw(mutated(path.read_bytes().decode()))
+    path.write_bytes(text.encode())
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(path), "--out", str(path.with_suffix(".json"))])
+    lines = err.getvalue().splitlines()
+    assert [str(w.message) for w in caught] == [], kinds
+    if code == 0:
+        assert lines == [], kinds
+    else:
+        assert code in (1, 2, 3) and len(lines) == 1 and lines[0].startswith("qmyo: "), kinds
 
 
 def test_valid_files_never_touch_the_csv_module(tmp_path, monkeypatch, capsys):

@@ -123,6 +123,15 @@ class TestDeterminism:
         assert a.hash() != b.hash()
         assert a.hash() == ExperimentConfig(training_sizes=(10,), seed=1).hash()
 
+    def test_config_hash_keeps_its_digests(self):
+        """The text report prints the hash, so its document keeps its bytes."""
+        strict = ExperimentConfig(rest_threshold=0.6, overlap_epsilon=1e-3, block_vote="any",
+                                  training_sizes=(20, 60), seed=9, dofs=(D3, D1))
+        assert [cfg.hash() for cfg in (ExperimentConfig(),
+                                       ExperimentConfig(training_sizes=(10,), seed=1),
+                                       strict)] == [
+            "45c61884b65f4409", "8a06a9bc7ee1bca1", "03b8638267804d5d"]
+
 
 class TestReportRendering:
     def test_text_report_structure(self):
