@@ -13,14 +13,14 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import datasets, experiment, features, operators, synthetic
 from .control import decode_batch
 from .errors import ConfigurationError, DataError, ModelError, undecodable
-from .operators import DecodeConfig, Dof
+from .operators import BLOCK_VOTES, DecodeConfig, Dof
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with status 1 on usage errors."""
@@ -46,7 +46,7 @@ _non_negative_int = _checked(int, "non-negative int", ">= 0", lambda v: v >= 0)
 _non_negative_float = _checked(float, "non-negative float", "finite and >= 0",
                                lambda v: 0 <= v < math.inf)
 _fraction = _checked(float, "(0, 1) float", "in (0, 1)", lambda v: 0 < v < 1)
-_VOTES, _GEOMETRIES = ("majority", "any", "all"), ("masking", "orthogonal")
+_GEOMETRIES = ("masking", "orthogonal")
 
 
 def _one_of(choices):
@@ -66,9 +66,9 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
 _SETTINGS = {
     "window_ms": (100.0, _positive_float),
     "sample_rate": (1024.0, _positive_float),
-    "rest_threshold": (0.05, _non_negative_float),
-    "overlap_epsilon": (1e-6, _fraction),
-    "block_vote": ("majority", _one_of(_VOTES)),
+    "rest_threshold": (DecodeConfig.rest_threshold, _non_negative_float),
+    "overlap_epsilon": (DecodeConfig.overlap_epsilon, _fraction),
+    "block_vote": (DecodeConfig.block_vote, _one_of(BLOCK_VOTES)),
     "seed": (0, _non_negative_int),
     "channels": (8, _positive_int),
     "noise_sigma": (0.0, _non_negative_float),
@@ -149,7 +149,7 @@ def _add_config_options(sub: _Parser):
     sub.add_argument("--config", metavar="FILE", help="flat key=value settings file")
     sub.add_argument("--rest-threshold", dest="rest_threshold", type=_non_negative_float)
     sub.add_argument("--overlap-epsilon", dest="overlap_epsilon", type=_fraction)
-    sub.add_argument("--block-vote", dest="block_vote", choices=_VOTES)
+    sub.add_argument("--block-vote", dest="block_vote", choices=BLOCK_VOTES)
 
 
 def _load_model(parser: _Parser, args, settings: _Settings):
@@ -249,7 +249,7 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         _require_file(parser, args.train_data)
         train_ds = datasets.load_feature_dataset(args.train_data)
         cfg = experiment.ExperimentConfig(
-            **asdict(settings.decode_config()),
+            decode=settings.decode_config(),
             training_sizes=tuple(args.sizes) if args.sizes else tuple(settings.get("sizes")),
             seed=settings.get("seed"),
             dofs=tuple(args.dofs) if args.dofs else None,

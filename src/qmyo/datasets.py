@@ -7,11 +7,8 @@ into contiguous evaluation blocks. Floats are written with ``repr`` so a
 round trip reproduces values exactly. Rows are numbered as CSV lines,
 the header being line 1, so errors name ``source:line``.
 
-Files are written and parsed through :mod:`qmyo.csvio`: lines are
-joined strings with ``csv.writer``'s bytes, and a load parses the float
-columns in one C call. Where that parse cannot vouch for a file, the
-load falls back to the ``csv`` row reader, so a file loads to the same
-arrays, or fails with the same error and line, either way.
+Files are written and read through :mod:`qmyo.csvio`; a load passes it
+only the header check and the phase and block cell parsers.
 """
 
 import logging
@@ -20,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import float_cells, read_fast, read_rows, write_rows
-from .errors import DatasetParseError, DatasetSchemaError
+from .csvio import float_cells, read_table, write_rows
+from .errors import DatasetSchemaError
 from .evaluation import run_starts
 from .operators import (
     DOFS,
@@ -37,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 _ANGLE_COLUMNS = [f"{dof.value}_angle" for dof in Dof]
 _TAIL_COLUMNS = _ANGLE_COLUMNS + ["phase", "block"]
-_PHASES = {phase.value: phase for phase in MovementPhase}
 
 
 @dataclass(frozen=True)
@@ -176,65 +172,25 @@ def save_feature_dataset(ds: FeatureDataset, path) -> None:
     write_rows(path, _header(ds.n_channels), columns)
 
 
-def _parse_fast(path):
-    """Channel count, float table, phases, block ids and row lines, or None if
-    unsure. A parsed row spans one line, so the row lines are None."""
-    parsed = read_fast(path, n_tail=2)
-    if parsed is None:
-        return None
-    header, table, (phase_cells, block_cells) = parsed
+def _header_problem(header: list[str]) -> str | None:
     n_channels = len(header) - len(_TAIL_COLUMNS)
-    if n_channels < 1 or header != _header(n_channels):
-        return None
-    try:  # each distinct cell is converted once
-        phase_of = {cell: _PHASES[cell.strip()] for cell in set(phase_cells)}
-        block_of = {cell: int(cell) for cell in set(block_cells)}
-    except (KeyError, ValueError):
-        return None
-    phases = list(map(phase_of.__getitem__, phase_cells))
-    return n_channels, table, phases, list(map(block_of.__getitem__, block_cells)), None
+    if n_channels < 1 or header[n_channels:] != _TAIL_COLUMNS:
+        return f"header must end with {', '.join(_TAIL_COLUMNS)}"
+    if header != _header(n_channels):
+        return f"channel columns must be ch1..ch{n_channels}"
+    return None
 
 
-def _parse_rows(path):
-    """:func:`_parse_fast` row by row with ``csv``, raising at the first bad line,
-    with the file line each row starts on."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = read_rows(path, fh)
-        try:
-            header = [h.strip() for h in next(reader)[1]]
-        except StopIteration:
-            raise DatasetSchemaError(f"{path}: missing header row") from None
-        if len(header) < len(_TAIL_COLUMNS) + 1 or header[-len(_TAIL_COLUMNS):] != _TAIL_COLUMNS:
-            raise DatasetSchemaError(f"{path}: header must end with {', '.join(_TAIL_COLUMNS)}")
-        n_channels = len(header) - len(_TAIL_COLUMNS)
-        if header != _header(n_channels):
-            raise DatasetSchemaError(f"{path}: channel columns must be ch1..ch{n_channels}")
-
-        # channels then angles are floats, parsed per row into one table
-        n_floats = n_channels + len(Dof)
-        table, phases, block_rows, lines = [], [], [], []
-        for lineno, row in reader:
-            if len(row) != len(header):
-                raise DatasetSchemaError(
-                    f"{path}:{lineno}: expected {len(header)} values, got {len(row)}"
-                )
-            try:
-                table.append(tuple(map(float, row[:n_floats])))  # a tuple is sized exactly
-                phase = row[n_floats].strip()
-                phases.append(_PHASES.get(phase) or MovementPhase(phase))  # enum names bad ones
-                block_rows.append(int(row[n_floats + 1]))
-            except ValueError as exc:
-                raise DatasetParseError(f"{path}:{lineno}: {exc}") from None
-            lines.append(lineno)
-    if not table:
-        logger.warning("%s: dataset has a valid header but no rows", path)
-    table = np.array(table, dtype=float).reshape(len(table), n_floats)
-    return n_channels, table, phases, block_rows, lines
+def _phase(cell: str) -> MovementPhase:
+    return MovementPhase(cell.strip())  # the enum's ValueError names a bad cell
 
 
 def load_feature_dataset(path) -> FeatureDataset:
     """Read a feature dataset CSV, validating the header and every row."""
-    n_channels, table, phases, block_rows, lines = _parse_fast(path) or _parse_rows(path)
+    header, table, (phases, block_rows), lines = read_table(path, _header_problem, (_phase, int))
+    if not phases:
+        logger.warning("%s: dataset has a valid header but no rows", path)
+    n_channels = len(header) - len(_TAIL_COLUMNS)
     ds = FeatureDataset(
         features=np.array(table[:, :n_channels]),
         angles={dof: np.array(table[:, n_channels + k]) for k, dof in enumerate(Dof)},

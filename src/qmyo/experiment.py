@@ -8,7 +8,7 @@ identical output.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,9 +35,7 @@ from .operators import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    rest_threshold: float = 0.05
-    overlap_epsilon: float = 1e-6
-    block_vote: str = "majority"
+    decode: DecodeConfig = field(default_factory=DecodeConfig)
     training_sizes: tuple[int, ...] = (500, 2000)
     seed: int = 0
     dofs: tuple[Dof, ...] | None = None
@@ -45,14 +43,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.training_sizes or any(s < 1 for s in self.training_sizes):
             raise ValueError(f"training sizes must be positive, got {self.training_sizes}")
-        self.decode_config()
-
-    def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(self.rest_threshold, self.overlap_epsilon, self.block_vote)
 
     def hash(self) -> str:
-        """Digest of every field."""
-        doc = asdict(self) | {"dofs": None if self.dofs is None else [d.value for d in self.dofs]}
+        """Digest of every setting, the decode ones flat beside the others."""
+        doc = asdict(self)
+        doc |= doc.pop("decode")
+        doc["dofs"] = None if self.dofs is None else [d.value for d in self.dofs]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
         return digest.hexdigest()[:16]
 
@@ -157,7 +153,7 @@ def run_experiment(
     for size in cfg.training_sizes:
         model = train_table(
             subset_per_action(pool, size), train_ds.n_channels, dofs=dofs,
-            config=cfg.decode_config(),
+            config=cfg.decode,
         )
         results.append(evaluate_model(model, test_ds, training_size=size))
     return ExperimentReport(

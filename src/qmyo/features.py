@@ -6,13 +6,12 @@ one value per channel wrapped in a :class:`FeatureVector`.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import float_cells, read_fast, read_rows, write_rows
-from .errors import DatasetParseError, DatasetSchemaError, DimensionError, EmptyInputError
+from .csvio import float_cells, read_table, write_rows
+from .errors import DatasetParseError, DimensionError, EmptyInputError
 
 
 class FeatureKind(enum.Enum):
@@ -120,45 +119,27 @@ def _channel_header(n_channels: int) -> list[str]:
     return [f"ch{i + 1}" for i in range(n_channels)]
 
 
+def _header_problem(header: list[str]) -> str | None:
+    if header != _channel_header(len(header)):
+        return f"header must be ch1..chN, got {header}"
+    return None
+
+
 def load_recording(path, sample_rate: float = 1024.0) -> EmgRecording:
     """Read a raw recording CSV: header ``ch1..chN``, one row per sample.
 
-    The samples are parsed in one C call; a file that parse cannot vouch
-    for, or with a non-finite sample, is re-read row by row with ``csv``,
-    whose errors name the line.
+    Errors name the file line of a bad or non-finite sample.
     """
-    parsed = read_fast(path)
-    if parsed is not None:
-        header, samples, _ = parsed
-        if header == _channel_header(len(header)) and np.isfinite(samples).all():
-            return EmgRecording(samples, sample_rate)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = read_rows(path, fh)
-        try:
-            header = [h.strip() for h in next(reader)[1]]
-        except StopIteration:
-            raise DatasetSchemaError(f"{path}: missing header row") from None
-        if header != _channel_header(len(header)):
-            raise DatasetSchemaError(
-                f"{path}: header must be ch1..chN, got {header}"
-            )
-        n_channels = len(header)
-        rows = []
-        for lineno, row in reader:
-            if len(row) != n_channels:
-                raise DatasetSchemaError(
-                    f"{path}:{lineno}: expected {n_channels} values, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise DatasetParseError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise DatasetParseError(f"{path}:{lineno}: samples must be finite, got {row}")
-            rows.append(values)
-    if not rows:
+    _, samples, _, lines = read_table(path, _header_problem)
+    if not len(samples):
         raise EmptyInputError(f"{path}: no samples after header")
-    return EmgRecording(np.array(rows, dtype=float), sample_rate)
+    if not (finite := np.isfinite(samples)).all():
+        row, column = np.argwhere(~finite)[0]
+        raise DatasetParseError(
+            f"{path}:{row + 2 if lines is None else lines[row]}: samples must be finite, "
+            f"got ch{column + 1} = {float(samples[row, column])!r}"
+        )
+    return EmgRecording(samples, sample_rate)
 
 
 def save_recording(rec: EmgRecording, path) -> None:

@@ -107,6 +107,9 @@ class Operator:
         return float(np.trace(self.matrix))
 
 
+BLOCK_VOTES = ("majority", "any", "all")  # rules for counting a block's error from its windows
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     """Thresholds used when turning expectation values into decisions.
@@ -123,13 +126,16 @@ class DecodeConfig:
     block_vote: str = "majority"
 
     def __post_init__(self):
-        if not self.rest_threshold >= 0:
-            raise ValueError(f"rest_threshold must be >= 0, got {self.rest_threshold}")
+        # the --rest-threshold flag's rule; JSON true in a model file would read as 1
+        if isinstance(self.rest_threshold, bool) or not 0 <= self.rest_threshold < np.inf:
+            raise ValueError(
+                f"rest_threshold must be finite and >= 0, got {self.rest_threshold!r}"
+            )
         if not 0 < self.overlap_epsilon < 1:
             raise ValueError(
                 f"overlap_epsilon must be in (0, 1), got {self.overlap_epsilon}"
             )
-        if self.block_vote not in ("majority", "any", "all"):
+        if self.block_vote not in BLOCK_VOTES:
             raise ValueError(f"unknown block_vote rule: {self.block_vote!r}")
 
 
@@ -464,11 +470,14 @@ def model_from_dict(doc: dict) -> ControllerModel:
     cfg = DecodeConfig(**doc["decode_config"])
     dofs: dict[Dof, DofOperators] = {}
     for key, entry in doc["dofs"].items():
+        angles = [entry["theta_positive_max"], entry["theta_negative_max"]]
+        if any(type(angle) is bool for angle in angles):  # JSON true would read as 1
+            raise ValueError(f"{key}: maximal angles must be numbers, got {angles!r}")
         ops = DofOperators(
             proto_pos=QuantumState(np.array(entry["prototype_positive"], dtype=float)),
             proto_neg=QuantumState(np.array(entry["prototype_negative"], dtype=float)),
-            theta_pos_max=float(entry["theta_positive_max"]),
-            theta_neg_max=float(entry["theta_negative_max"]),
+            theta_pos_max=float(angles[0]),
+            theta_neg_max=float(angles[1]),
         )
         _check_stored(key, "overlap", entry["overlap"], ops.overlap, OVERLAP_TOL)
         if version == 1:

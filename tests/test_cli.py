@@ -580,6 +580,9 @@ MODEL_MUTATIONS = {
     ],
     "zero-angle": _set(("dofs", "d3", "theta_positive_max"), 0.0),
     "nan-threshold": _set(("decode_config", "rest_threshold"), math.nan),
+    "bool-threshold": _set(("decode_config", "rest_threshold"), True),
+    "infinite-threshold": _set(("decode_config", "rest_threshold"), math.inf),
+    "bool-angle": _set(("dofs", "d3", "theta_negative_max"), True),
     "infinite-channels": _set(("n_channels",), math.inf),
     "fractional-channels": _set(("n_channels",), 4.5),
     "unknown-version": _set(("format_version",), 3),

@@ -9,10 +9,11 @@ from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_st
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmyo import datasets, features
+from qmyo import csvio, datasets
 from qmyo.cli import main
 from qmyo.datasets import (
     FeatureDataset,
@@ -20,6 +21,7 @@ from qmyo.datasets import (
     load_feature_dataset,
     save_feature_dataset,
 )
+from qmyo.errors import DatasetParseError
 from qmyo.features import EmgRecording, load_recording, save_recording
 from qmyo.operators import Dof, MovementPhase
 from qmyo.synthetic import generate_raw_emg, generate_training_table, orthogonal_mixing_model
@@ -111,10 +113,18 @@ def outcome(load, path):
     return kind, value, [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
+def row_reader():
+    """Send every read to the ``csv`` row reader, as if the one-call parse were unsure."""
+    return mock.patch.object(csvio, "_read_fast", return_value=None)
+
+
+def fast_only():
+    """Fail a read the one-call parse does not vouch for."""
+    return mock.patch.object(csvio, "_read_rows", side_effect=AssertionError("row reader"))
+
+
 def dataset_outcome(path, fast):
-    row_reader = nullcontext() if fast else mock.patch.object(datasets, "_parse_fast",
-                                                              return_value=None)
-    with row_reader, logged("qmyo.datasets") as messages:
+    with nullcontext() if fast else row_reader(), logged("qmyo.datasets") as messages:
         kind, ds, warned = outcome(load_feature_dataset, path)
     if kind == "ok":
         ds = (ds.features.shape, ds.features.tobytes(), [ds.angles[dof].tobytes() for dof in Dof],
@@ -148,7 +158,8 @@ class TestFastParseEqualsRowReader:
     def test_feature_dataset(self, tmp_path_factory, ds, data):
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         save_feature_dataset(ds, path)
-        assert datasets._parse_fast(path) is not None
+        with fast_only():
+            load_feature_dataset(path)
         kind, loaded, _, warned = dataset_outcome(path, fast=True)
         assert (kind, loaded, warned) == ("ok", (
             ds.features.shape, ds.features.tobytes(), [ds.angles[dof].tobytes() for dof in Dof],
@@ -157,13 +168,15 @@ class TestFastParseEqualsRowReader:
         path.write_bytes(text.encode())
         assert dataset_outcome(path, fast=True) == dataset_outcome(path, fast=False)
         if set(kinds) <= set(FAST_MUTATIONS):
-            assert datasets._parse_fast(path) is not None
+            with fast_only():
+                load_feature_dataset(path)
 
     def test_blank_lines_after_the_header(self, tmp_path):
         """np.loadtxt skips the blank lines and warns; the row reader rejects the first."""
         path = tmp_path / "d.csv"
         path.write_text(",".join(datasets._header(2)) + "\r\n\r\n\r\n", newline="")
-        assert datasets._parse_fast(path) is None
+        with fast_only(), pytest.raises(AssertionError, match="row reader"):
+            load_feature_dataset(path)
         kind, message, _, warned = dataset_outcome(path, fast=True)
         assert (kind, message, warned) == (
             datasets.DatasetSchemaError, f"{path}:2: expected 7 values, got 0", [])
@@ -183,15 +196,29 @@ class TestFastParseEqualsRowReader:
 
         path = tmp_path_factory.mktemp("csv") / "r.csv"
         save_recording(EmgRecording(samples, 1024.0), path)
-        assert features.read_fast(path) is not None
+        with fast_only():
+            load(path)
         assert outcome(load, path) == ("ok", (samples.shape, samples.tobytes()), [])
         text, kinds = data.draw(mutated(path.read_bytes().decode()))
         path.write_bytes(text.encode())
-        with mock.patch.object(features, "read_fast", return_value=None):
+        with row_reader():
             rows = outcome(load, path)
         assert outcome(load, path) == rows
         if set(kinds) <= set(FAST_MUTATIONS):
-            assert features.read_fast(path) is not None
+            with fast_only():
+                load(path)
+
+    def test_recording_names_a_non_finite_sample_at_its_line(self, tmp_path):
+        """On both paths, as a Python float; a quoted cell spanning lines moves the line."""
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_bytes(b"ch1,ch2\r\n1.0,2.0\r\n3.0,inf\r\n")
+        quoted.write_bytes(b'ch1,ch2\r\n"1.0\r\n",2.0\r\n-inf,4.0\r\n3.0,nan\r\n')
+        with fast_only(), pytest.raises(DatasetParseError) as fast:
+            load_recording(plain)
+        assert str(fast.value) == f"{plain}:3: samples must be finite, got ch2 = inf"
+        with pytest.raises(DatasetParseError) as rows:
+            load_recording(quoted)
+        assert str(rows.value) == f"{quoted}:4: samples must be finite, got ch1 = -inf"
 
 
 @given(data=st.data())

@@ -14,7 +14,7 @@ from qmyo.experiment import (
     run_experiment,
     subset_per_action,
 )
-from qmyo.operators import Dof, train_table
+from qmyo.operators import DecodeConfig, Dof, train_table
 from qmyo.synthetic import (
     default_scenario,
     generate_test_scenario,
@@ -125,7 +125,7 @@ class TestDeterminism:
 
     def test_config_hash_keeps_its_digests(self):
         """The text report prints the hash, so its document keeps its bytes."""
-        strict = ExperimentConfig(rest_threshold=0.6, overlap_epsilon=1e-3, block_vote="any",
+        strict = ExperimentConfig(decode=DecodeConfig(0.6, 1e-3, "any"),
                                   training_sizes=(20, 60), seed=9, dofs=(D3, D1))
         assert [cfg.hash() for cfg in (ExperimentConfig(),
                                        ExperimentConfig(training_sizes=(10,), seed=1),

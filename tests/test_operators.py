@@ -471,8 +471,10 @@ class TestModelValidation:
                 DofOperators(QuantumState(np.ones(1)), QuantumState(np.ones(1)), theta, 1.0)
 
     def test_decode_config_validation(self):
-        with pytest.raises(ValueError):
-            DecodeConfig(rest_threshold=-0.1)
+        for threshold in (-0.1, math.inf, math.nan, True):
+            with pytest.raises(ValueError, match="rest_threshold must be finite and >= 0"):
+                DecodeConfig(rest_threshold=threshold)
+        assert DecodeConfig(rest_threshold=1e308).rest_threshold == 1e308  # as the flag allows
         with pytest.raises(ValueError):
             DecodeConfig(overlap_epsilon=0.0)
         with pytest.raises(ValueError):
