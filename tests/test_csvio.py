@@ -307,6 +307,37 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path, capsys):
     }
 
 
+def test_model_and_three_dof_reports_keep_their_bytes(tmp_path, capsys):
+    """The sha256 of the report a model file gets, and of a three-DOF experiment's.
+
+    The model report has no seed line and a ``-`` config hash; the
+    three-DOF CSV pins the column order of every DOF's cells.
+    """
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    run("synth", "--train-out", tmp_path / "train.csv", "--test-out", tmp_path / "test.csv",
+        "--per-action", 40, "--blocks", 11, "--windows", 220, "--noise-sigma", 0.1, "--seed", 3)
+    run("train", "--data", tmp_path / "train.csv", "--out", tmp_path / "model.json")
+    run("evaluate", "--test", tmp_path / "test.csv", "--model", tmp_path / "model.json",
+        "--report-out", tmp_path / "model.txt", "--csv-out", tmp_path / "model.csv")
+    run("synth", "--train-out", tmp_path / "train3.csv", "--test-out", tmp_path / "test3.csv",
+        "--channels", 12, "--dofs", "d1", "d2", "d3", "--per-action", 40, "--blocks", 33,
+        "--windows", 330, "--noise-sigma", 0.1, "--seed", 3)
+    run("evaluate", "--test", tmp_path / "test3.csv", "--train-data", tmp_path / "train3.csv",
+        "--sizes", 10, 40, "--seed", 3, "--report-out", tmp_path / "three.txt",
+        "--csv-out", tmp_path / "three.csv")
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("model.txt", "model.csv", "three.txt", "three.csv")}
+    assert digests == {
+        "model.txt": "94461470b847e6f0e909d8f91345cbc7b49a6930dd199d3187ccd18693380400",
+        "model.csv": "7d153408ec3b268833ce5ac5dec3352d3884c6f83753e18852cd05eda11dced3",
+        "three.txt": "528e37a855b4751d1947593ae285979155af3e760ed6654c233b2d104c4ad516",
+        "three.csv": "6135a211d0564a34facda3e6032196f34609282e9701f744f73e3ca8e8aa9b11",
+    }
+
+
 def test_any_vote_report_keeps_its_bytes(tmp_path, capsys):
     """The same small pipeline scored under the "any" block vote.
 
