@@ -131,12 +131,11 @@ class _Settings:
         line = next(self.file_lines[name] for name in names if name in self.file_lines)
         raise ConfigurationError(f"{self.args.config}:{line}: {message}")
 
-    def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            rest_threshold=self.get("rest_threshold"),
-            overlap_epsilon=self.get("overlap_epsilon"),
-            block_vote=self.get("block_vote"),
-        )
+    def decode_config(self, base: DecodeConfig = DecodeConfig()) -> DecodeConfig:
+        """``base`` with each threshold that a flag or the config file gives."""
+        given = {f.name: self.get(f.name) for f in fields(DecodeConfig)
+                 if getattr(self.args, f.name) is not None or f.name in self.file_cfg}
+        return replace(base, **given)
 
 
 def _require_file(parser: _Parser, path):
@@ -156,11 +155,7 @@ def _load_model(parser: _Parser, args, settings: _Settings):
     """The model file; a decode threshold given by flag or config file replaces its own."""
     _require_file(parser, args.model)
     model = operators.load_model(args.model)
-    given = {field.name: settings.get(field.name) for field in fields(DecodeConfig)
-             if getattr(args, field.name) is not None or field.name in settings.file_cfg}
-    if given:
-        model = replace(model, decode_config=replace(model.decode_config, **given))
-    return model
+    return replace(model, decode_config=settings.decode_config(model.decode_config))
 
 
 def _cmd_synth(parser: _Parser, args) -> int:

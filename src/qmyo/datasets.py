@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import float_cells, read_table, write_rows
-from .errors import DatasetSchemaError
+from .errors import DatasetSchemaError, EmptyInputError
 from .evaluation import run_starts
 from .operators import (
     DOFS,
@@ -189,7 +189,7 @@ def load_feature_dataset(path) -> FeatureDataset:
     """Read a feature dataset CSV, validating the header and every row."""
     header, table, (phases, block_rows), lines = read_table(path, _header_problem, (_phase, int))
     if not phases:
-        logger.warning("%s: dataset has a valid header but no rows", path)
+        raise EmptyInputError(f"{path}: no rows after header")
     n_channels = len(header) - len(_TAIL_COLUMNS)
     ds = FeatureDataset(
         features=np.array(table[:, :n_channels]),

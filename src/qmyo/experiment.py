@@ -58,7 +58,6 @@ class SizeResult:
     """Everything measured for one training-set size."""
 
     training_size: int
-    model: ControllerModel
     overlaps: dict[Dof, float]
     r2_per_dof: dict[Dof, float]
     r2_global: float
@@ -89,26 +88,20 @@ class ExperimentReport:
 def subset_per_action(table: TrainingTable, size: int) -> TrainingTable:
     """First ``size`` rows of every (DOF, direction) group, in order.
 
-    A row is kept when its rank within its group is below ``size``; a
-    group with fewer rows is an error, naming the first such group to
-    appear in the table.
+    The first group to appear with fewer rows is an error.
     """
     group = 2 * table.dof_index + (table.angles < 0)
-    order = np.argsort(group, kind="stable")  # each group's rows, in table order
-    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
-    counts = np.diff(starts, append=len(group))
-    rank = np.empty(len(group), dtype=int)
-    rank[order] = np.arange(len(group)) - np.repeat(starts, counts)
-    if (short := np.flatnonzero(counts < size)).size:
-        first = short[order[starts[short]].argmin()]  # the short group seen first
-        row = order[starts[first]]
-        dof = DOFS[table.dof_index[row]]
-        direction = Direction.NEGATIVE if table.angles[row] < 0 else Direction.POSITIVE
-        raise ConfigurationError(
-            f"training size {size} exceeds the {counts[first]} available "
-            f"{dof.value} {direction.value} samples"
-        )
-    return table.rows(rank < size)
+    keep = np.zeros(len(group), dtype=bool)
+    for row in np.sort(np.unique(group, return_index=True)[1]):  # each group's first row
+        members = np.flatnonzero(group == group[row])
+        if len(members) < size:
+            direction = Direction.NEGATIVE if table.angles[row] < 0 else Direction.POSITIVE
+            raise ConfigurationError(
+                f"training size {size} exceeds the {len(members)} available "
+                f"{DOFS[table.dof_index[row]].value} {direction.value} samples"
+            )
+        keep[members[:size]] = True
+    return table.rows(keep)
 
 
 def evaluate_model(
@@ -128,12 +121,24 @@ def evaluate_model(
     truth = {dof: test.angles[dof] for dof in dofs}
     return SizeResult(
         training_size=training_size,
-        model=model,
         overlaps={dof: model.dofs[dof].overlap for dof in dofs},
         r2_per_dof={dof: r_squared_dof(truth[dof], estimate[dof]) for dof in dofs},
         r2_global=r_squared_global(truth, estimate),
         blocks=block_errors(truth, estimate, test.block_ids, model.decode_config),
         decoded=decoded,
+    )
+
+
+def _report(config: ExperimentConfig | None, dofs, test: FeatureDataset, results):
+    """The report on ``test``, whose channel count every caller checked equal to its model's."""
+    return ExperimentReport(
+        config=config,
+        config_hash="-" if config is None else config.hash(),
+        dofs=sorted(dofs),
+        n_channels=test.n_channels,
+        n_windows=test.n_rows,
+        n_blocks=len(run_starts(test.block_ids)),
+        results=results,
     )
 
 
@@ -156,90 +161,47 @@ def run_experiment(
             config=cfg.decode,
         )
         results.append(evaluate_model(model, test_ds, training_size=size))
-    return ExperimentReport(
-        config=cfg,
-        config_hash=cfg.hash(),
-        dofs=sorted(dofs),
-        n_channels=train_ds.n_channels,
-        n_windows=test_ds.n_rows,
-        n_blocks=len(run_starts(test_ds.block_ids)),
-        results=results,
-    )
+    return _report(cfg, dofs, test_ds, results)
 
 
 def report_for_model(model: ControllerModel, test: FeatureDataset) -> ExperimentReport:
     """Single-model evaluation report (training size reported as 0)."""
-    result = evaluate_model(model, test)
-    return ExperimentReport(
-        config=None,
-        config_hash="-",
-        dofs=model.sorted_dofs(),
-        n_channels=model.n_channels,
-        n_windows=test.n_rows,
-        n_blocks=len(run_starts(test.block_ids)),
-        results=[result],
-    )
+    return _report(None, model.dofs, test, [evaluate_model(model, test)])
+
+
+def _size_fields(res: SizeResult, dofs: list[Dof], sep: str = ",") -> dict[str, str]:
+    """One size's report cells by name in the text report's order; ``sep`` joins block indices."""
+    cells = {f"overlap_{dof.value}": repr(res.overlaps[dof]) for dof in dofs}
+    cells |= {f"r2_{dof.value}": repr(res.r2_per_dof[dof]) for dof in dofs}
+    cells["r2_global"] = repr(res.r2_global)
+    cells |= {f"block_errors_{dof.value}": str(res.blocks.error_counts[dof]) for dof in dofs}
+    return cells | {
+        "misclassified_blocks": str(res.blocks.n_misclassified),
+        "misclassified_block_indices": sep.join(map(str, res.blocks.misclassified_blocks)),
+        "zero_signal_windows": str(res.n_zero_signal),
+        "clamped_windows": str(res.n_clamped),
+    }
 
 
 def render_report_text(report: ExperimentReport) -> str:
-    lines = [
-        "myoelectric controller evaluation",
-        f"config_hash: {report.config_hash}",
-    ]
+    lines = ["myoelectric controller evaluation", f"config_hash: {report.config_hash}"]
     if report.config is not None:
         lines.append(f"seed: {report.config.seed}")
-    lines += [
-        f"dofs: {','.join(d.value for d in report.dofs)}",
-        f"channels: {report.n_channels}",
-        f"test_windows: {report.n_windows}",
-        f"test_blocks: {report.n_blocks}",
-    ]
+    lines += [f"dofs: {','.join(d.value for d in report.dofs)}", f"channels: {report.n_channels}",
+              f"test_windows: {report.n_windows}", f"test_blocks: {report.n_blocks}"]
     for res in report.results:
-        lines.append("")
-        lines.append(f"[training_size={res.training_size}]")
-        for dof in report.dofs:
-            lines.append(f"overlap_{dof.value}: {res.overlaps[dof]!r}")
-        for dof in report.dofs:
-            lines.append(f"r2_{dof.value}: {res.r2_per_dof[dof]!r}")
-        lines.append(f"r2_global: {res.r2_global!r}")
-        for dof in report.dofs:
-            lines.append(
-                f"block_errors_{dof.value}: {res.blocks.error_counts[dof]}"
-            )
-        lines.append(f"misclassified_blocks: {res.blocks.n_misclassified}")
-        indices = ",".join(str(i) for i in res.blocks.misclassified_blocks)
-        lines.append(f"misclassified_block_indices: {indices}")
-        lines.append(f"zero_signal_windows: {res.n_zero_signal}")
-        lines.append(f"clamped_windows: {res.n_clamped}")
+        lines += ["", f"[training_size={res.training_size}]"]
+        lines += [f"{name}: {cell}" for name, cell in _size_fields(res, report.dofs).items()]
     return "\n".join(lines) + "\n"
 
 
 def render_report_csv(report: ExperimentReport) -> str:
-    header = ["training_size"]
-    for dof in report.dofs:
-        header += [f"overlap_{dof.value}", f"r2_{dof.value}", f"block_errors_{dof.value}"]
-    header += [
-        "r2_global",
-        "misclassified_blocks",
-        "misclassified_block_indices",
-        "zero_signal_windows",
-        "clamped_windows",
-    ]
-    rows = [",".join(header)]
+    header = [f"{name}_{dof.value}" for dof in report.dofs
+              for name in ("overlap", "r2", "block_errors")]
+    header += ["r2_global", "misclassified_blocks", "misclassified_block_indices",
+               "zero_signal_windows", "clamped_windows"]
+    rows = [["training_size"] + header]
     for res in report.results:
-        row = [str(res.training_size)]
-        for dof in report.dofs:
-            row += [
-                repr(res.overlaps[dof]),
-                repr(res.r2_per_dof[dof]),
-                str(res.blocks.error_counts[dof]),
-            ]
-        row += [
-            repr(res.r2_global),
-            str(res.blocks.n_misclassified),
-            ";".join(str(i) for i in res.blocks.misclassified_blocks),
-            str(res.n_zero_signal),
-            str(res.n_clamped),
-        ]
-        rows.append(",".join(row))
-    return "\n".join(rows) + "\n"
+        cells = _size_fields(res, report.dofs, sep=";")
+        rows.append([str(res.training_size)] + [cells[name] for name in header])
+    return "\n".join(map(",".join, rows)) + "\n"

@@ -120,7 +120,7 @@ def _channel_header(n_channels: int) -> list[str]:
 
 
 def _header_problem(header: list[str]) -> str | None:
-    if header != _channel_header(len(header)):
+    if not header or header != _channel_header(len(header)):
         return f"header must be ch1..chN, got {header}"
     return None
 

@@ -714,6 +714,34 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "[d3]" in proc.stdout
 
 
+HEADER_ONLY = "ch1,ch2,ch3,ch4,d1_angle,d2_angle,d3_angle,phase,block\r\n"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("train --data {bad} --out m.json", HEADER_ONLY),
+    ("decode --model {model} --data {bad} --out d.csv", HEADER_ONLY),
+    ("decode --model {model} --raw {bad} --out d.csv", "\r\n\r\n\r\n"),
+    ("decode --model {model} --raw {bad} --out d.csv", "\r\n1.0\r\n"),
+    ("inspect-model --model {bad}", None),
+], ids=["header-only-train", "header-only-decode", "blank-raw", "blank-header-raw", "bad-model"])
+def test_bad_input_prints_one_line_from_the_shell(tmp_path, command, text):
+    """A shell sees exit 2 and one ``qmyo:`` stderr line naming the file, and
+    no warning a logger or numpy would print beside it."""
+    if text is None:
+        bad = TestModelFileErrors.write_model(tmp_path, 2, "truncated")
+    else:
+        (bad := tmp_path / "bad.csv").write_bytes(text.encode())
+    argv = command.format(bad=bad, model=V1_MODEL).split()
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmyo", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"qmyo: data error: {bad}: ")
+
+
 def test_three_dof_synth_train_evaluate(tmp_path, capsys):
     train_csv, test_csv, model_json = (tmp_path / n for n in ("train.csv", "test.csv", "m.json"))
     assert run(

@@ -16,7 +16,7 @@ from qmyo.datasets import (
     save_feature_dataset,
     training_table,
 )
-from qmyo.errors import DatasetParseError, DatasetSchemaError
+from qmyo.errors import DatasetParseError, DatasetSchemaError, EmptyInputError
 from qmyo.evaluation import block_errors, run_starts
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
@@ -173,13 +173,11 @@ class TestCsvRoundTrip:
             model.dofs[D1].proto_pos.amplitudes, np.array([-1.0, 2.0]) / np.sqrt(5.0), atol=1e-15
         )
 
-    def test_empty_body_warns(self, tmp_path, caplog):
+    def test_empty_body_is_a_data_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("ch1,ch2,d1_angle,d2_angle,d3_angle,phase,block\n")
-        with caplog.at_level(logging.WARNING):
-            ds = load_feature_dataset(path)
-        assert ds.n_rows == 0
-        assert any("no rows" in r.message for r in caplog.records)
+        with pytest.raises(EmptyInputError, match=f"^{path}: no rows after header$"):
+            load_feature_dataset(path)
 
 
 class TestTrainingSampleConversion:

@@ -233,3 +233,12 @@ class TestRecordingCsv:
         path.write_text("ch1,ch2\n")
         with pytest.raises(EmptyInputError):
             load_recording(path)
+
+    @pytest.mark.parametrize("text", [b"\r\n\r\n\r\n", b"\r\n1.0\r\n"])
+    def test_blank_first_line_is_a_bad_header(self, tmp_path, text):
+        # an empty header would equal ch1..ch0
+        path = tmp_path / "rec.csv"
+        path.write_bytes(text)
+        with pytest.raises(DatasetSchemaError,
+                           match=rf"^{path}: header must be ch1\.\.chN, got \[\]$"):
+            load_recording(path)
