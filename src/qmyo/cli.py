@@ -53,12 +53,13 @@ def _one_of(choices):
     return _checked(str, "choice", f"one of {', '.join(choices)}", choices.__contains__)
 
 
-def _parse_dofs(raw: str) -> tuple[Dof, ...]:
-    return tuple(Dof(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_sizes(raw: str) -> tuple[int, ...]:
-    return tuple(_positive_int(part) for part in raw.split(",") if part.strip())
+def _listed(cast):
+    """Config-file cast of a comma-separated list that names at least one value."""
+    def parse(raw):
+        if not (values := tuple(cast(part.strip()) for part in raw.split(",") if part.strip())):
+            raise ValueError(f"must list one or more values, got {raw.strip()!r}")
+        return values
+    return parse
 
 
 # Each setting's built-in default, and the cast that parses and checks its
@@ -78,8 +79,8 @@ _SETTINGS = {
     "blocks": (55, _positive_int),
     "windows": (8216, _positive_int),
     "geometry": ("masking", _one_of(_GEOMETRIES)),
-    "sizes": ((500, 2000), _parse_sizes),
-    "dofs": ((Dof.FLEXION_EXTENSION, Dof.PRONATION_SUPINATION), _parse_dofs),
+    "sizes": ((500, 2000), _listed(_positive_int)),
+    "dofs": ((Dof.FLEXION_EXTENSION, Dof.PRONATION_SUPINATION), _listed(Dof)),
 }
 
 

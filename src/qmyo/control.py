@@ -66,15 +66,6 @@ class DecodeDiagnostics:
 _SIGNAL, _NO_SIGNAL = DecodeDiagnostics(False), DecodeDiagnostics(True)
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedAction:
-    """Full decision for one window across all trained DOFs."""
-
-    per_dof: dict[Dof, DofDecision]
-    residual_activations: dict[Dof, float] | None
-    diagnostics: DecodeDiagnostics = _SIGNAL
-
-
 def residual_activations(z1, z2, z3):
     """Solve the residual-activation system for three DOFs.
 
@@ -91,6 +82,25 @@ def residual_activations(z1, z2, z3):
 
 
 _THREE_DOFS = (Dof.FLEXION_EXTENSION, Dof.RADIAL_ULNAR, Dof.PRONATION_SUPINATION)
+
+
+@dataclass(frozen=True, slots=True)
+class DecodedAction:
+    """Full decision for one window across all trained DOFs."""
+
+    per_dof: dict[Dof, DofDecision]
+    diagnostics: DecodeDiagnostics = _SIGNAL
+
+    @property
+    def residual_activations(self) -> dict[Dof, float] | None:
+        """Residual activations from max(e₀, 0) per DOF, solved on each read.
+
+        None for a zero-signal window or unless all three DOFs are trained.
+        """
+        if self.diagnostics.zero_signal or tuple(self.per_dof) != _THREE_DOFS:
+            return None
+        z = (max(d.expectation_zero, 0.0) for d in self.per_dof.values())
+        return dict(zip(_THREE_DOFS, residual_activations(*z)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,15 +157,11 @@ class DecodedBatch:
         )
         rows = zip(self.dofs, e_pos, e_neg, codes, angles, raw, clamped)
         per_dof = {
-            dof: DofDecision(p, n, SIGN_DIRECTIONS[c], abs(a), r, cl)
+            # an unclamped or resting angle reuses the raw float: one object less to hold
+            dof: DofDecision(p, n, SIGN_DIRECTIONS[c], r if abs(a) == r else abs(a), r, cl)
             for dof, p, n, c, a, r, cl in rows
         }
-        if self.zero_signal[i]:
-            return DecodedAction(per_dof, None, _NO_SIGNAL)
-        if self.dofs != _THREE_DOFS:
-            return DecodedAction(per_dof, None)
-        residuals = residual_activations(*(max(d.expectation_zero, 0.0) for d in per_dof.values()))
-        return DecodedAction(per_dof, dict(zip(self.dofs, residuals)))
+        return DecodedAction(per_dof, _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
 
 
 def _expectations(states: np.ndarray, prototypes: np.ndarray):

@@ -409,6 +409,9 @@ def overlap_curve(
     it stops moving, more training data is not going to help. Batch sizes
     must be increasing and count prefix rows of the table, so the rows
     should interleave the actions (as the synthetic generator does).
+    Every prefix trains the DOFs of the largest one; a prefix that lacks
+    a direction of one raises :class:`InsufficientTrainingError` naming
+    its size.
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must be non-empty")
@@ -422,10 +425,14 @@ def overlap_curve(
             f"{table.n_rows} available samples"
         )
     curves: dict[Dof, list[float]] = {}
-    for size in batch_sizes:
-        model = train_table(table.rows(slice(size)), n_channels, dofs=dofs)
+    for size in reversed(batch_sizes):
+        try:
+            model = train_table(table.rows(slice(size)), n_channels, dofs=dofs)
+        except InsufficientTrainingError as exc:
+            raise InsufficientTrainingError(f"size {size}: {exc}") from None
+        dofs = sorted(model.dofs)
         for dof, ops in model.dofs.items():
-            curves.setdefault(dof, []).append(ops.overlap)
+            curves.setdefault(dof, []).insert(0, ops.overlap)
     return curves
 
 

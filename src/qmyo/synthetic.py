@@ -185,20 +185,26 @@ def generate_training_table(
     Actions (every DOF x direction pair) are interleaved round-robin so
     that any prefix of the rows stays balanced; growing-prefix retraining
     and size subsetting rely on that. Each row draws its angle, then its
-    noise, from one generator.
+    noise, from one generator; the raw draws are then scaled in bulk with
+    the arithmetic ``uniform`` and ``normal`` apply, so rows keep their bits.
     """
     if per_action_count < 1:
         raise ValueError(f"per_action_count must be >= 1, got {per_action_count}")
     low, high = angle_range
-    if not 0 < low < high:
-        raise ValueError(f"angle range must satisfy 0 < min < max, got {angle_range}")
+    if not 0 < low < high < np.inf:
+        raise ValueError(f"angle range must satisfy 0 < min < max < inf, got {angle_range}")
     rng = np.random.default_rng([model.seed, 0])
     actions = [(dof, direction) for dof in model.dofs for direction in _DIRECTIONS]
     n = per_action_count * len(actions)
-    angles, noise = np.empty(n), np.empty((n, model.n_channels))
-    for i in range(n):
-        angles[i] = rng.uniform(low, high)
-        noise[i] = _noise(model, rng, 1)
+    uniform, noise = np.empty(n), np.zeros((n, model.n_channels))
+    noisy = model.noise_sigma > 0
+    for i, row in enumerate(noise):
+        uniform[i] = rng.random()
+        if noisy:
+            rng.standard_normal(out=row)
+    angles = low + (high - low) * uniform
+    if noisy:
+        noise = 0.0 + model.noise_sigma * noise
     activation = np.zeros((n, 2 * len(model.dofs)))
     columns = [model.column_index(dof, direction) for dof, direction in actions]
     activation[np.arange(n), np.tile(columns, per_action_count)] = angles

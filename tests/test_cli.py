@@ -703,12 +703,17 @@ def test_mutated_model_files_end_in_an_exit_code(tmp_path, capsys):
     assert runs > 300 and failures == []
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def shell(cwd, *argv):
+    """Run ``python -m qmyo argv`` in ``cwd`` as a shell would."""
     src = str(Path(__file__).parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmyo", "inspect-model", "--model", str(V1_MODEL)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, "-m", "qmyo", *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = shell(tmp_path, "inspect-model", "--model", V1_MODEL)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("channels: 4\n")
     assert "[d3]" in proc.stdout
@@ -731,15 +736,39 @@ def test_bad_input_prints_one_line_from_the_shell(tmp_path, command, text):
         bad = TestModelFileErrors.write_model(tmp_path, 2, "truncated")
     else:
         (bad := tmp_path / "bad.csv").write_bytes(text.encode())
-    argv = command.format(bad=bad, model=V1_MODEL).split()
-    src = str(Path(__file__).parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmyo", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
-    )
+    proc = shell(tmp_path, *command.format(bad=bad, model=V1_MODEL).split())
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"qmyo: data error: {bad}: ")
+
+
+def test_learning_curve_on_rows_grouped_by_dof_names_the_short_prefix(tmp_path):
+    """Every prefix trains the largest prefix's DOFs; the first 10 rows hold no d3."""
+    header, *rows = V1_TRAIN.read_text().splitlines()
+    grouped = tmp_path / "grouped.csv"
+    grouped.write_text("\n".join([header] + sorted(rows, key=lambda r: r.split(",")[4] == "0.0"))
+                       + "\n")
+    proc = shell(tmp_path, "learning-curve", "--data", grouped, "--sizes", 10, 20)
+    assert (proc.returncode, proc.stderr) == (
+        2, "qmyo: data error: size 10: no positive training samples for d3\n")
+    proc = shell(tmp_path, "learning-curve", "--data", grouped, "--sizes", 12, 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "samples,overlap_d1,overlap_d3"
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("evaluate --test {data} --train-data {data}", "sizes ="),
+    ("evaluate --test {data} --train-data {data}", "sizes = ,"),
+    ("synth --train-out a.csv --test-out b.csv", "dofs = , ,"),
+])
+def test_empty_config_list_is_data_error_at_its_line(tmp_path, command, setting):
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(f"seed = 1\n{setting}\n")
+    proc = shell(tmp_path, *command.format(data=V1_TRAIN).split(), "--config", cfg)
+    value = setting.partition("=")[2].strip()
+    assert (proc.returncode, proc.stderr) == (
+        2, f"qmyo: data error: {cfg}:2: must list one or more values, got {value!r}\n")
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_three_dof_synth_train_evaluate(tmp_path, capsys):

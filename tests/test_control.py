@@ -528,6 +528,7 @@ class TestDecisionRecords:
             assert not hasattr(record, "__dict__")
         for cls in (DofDecision, DecodeDiagnostics, DecodedAction, DecodedBatch):
             assert "expectation_zero" not in {f.name for f in dataclasses.fields(cls)}
+        assert [f.name for f in dataclasses.fields(DecodedAction)] == ["per_dof", "diagnostics"]
 
     def test_windows_share_the_diagnostics(self):
         features = np.random.default_rng(5).uniform(0.0, 1.0, (6, 6))
@@ -561,6 +562,38 @@ class TestDecisionRecords:
                 assert decision.expectation_zero.hex() == float(e_zero[i, k]).hex()
                 assert decision.zero_negative is bool(negative[i, k])
 
+    def test_residuals_equal_the_batch_rows_bit_for_bit(self):
+        features = np.random.default_rng(8).uniform(0.0, 1.0, (200, 6))
+        features[[3, 90]] = 0.0
+        batch = decode_batch(features, MODELS["3dof"])
+        residuals = batch.residuals()
+        assert batch.zero_negative.any()
+        for i in range(len(batch)):
+            got = batch.action(i).residual_activations
+            if i in (3, 90):
+                assert got is None and np.isnan(residuals[i]).all()
+                continue
+            assert list(got) == [D1, D2, D3]
+            assert [v.hex() for v in got.values()] == [float(v).hex() for v in residuals[i]]
+
+    def test_two_dof_actions_have_no_residuals(self):
+        features = np.random.default_rng(9).uniform(0.0, 1.0, (20, 5))
+        features[7] = 0.0
+        batch = decode_batch(features, MODELS["2dof"])
+        assert batch.residuals() is None
+        assert all(batch.action(i).residual_activations is None for i in range(len(batch)))
+
+    def test_unclamped_angles_share_the_raw_float(self):
+        features = np.random.default_rng(10).uniform(0.0, 1.0, (200, 6))
+        features[0] = 0.0
+        batch = decode_batch(features, MODELS["3dof"])
+        assert batch.angle_clamped.any() and (batch.direction == 0).any()
+        for i in range(len(batch)):
+            for k, decision in enumerate(batch.action(i).per_dof.values()):
+                assert decision.angle.hex() == float(abs(batch.angle[i, k])).hex()
+                shared = decision.angle is decision.raw_angle
+                assert shared is (not batch.angle_clamped[i, k]), (i, k)
+
     def test_held_actions_stay_small(self):
         model = MODELS["3dof"]
         features = np.random.default_rng(6).uniform(0.0, 1.0, (500, 6))
@@ -576,4 +609,4 @@ class TestDecisionRecords:
             per_action = (tracemalloc.get_traced_memory()[0] - before) / len(held)
         finally:
             tracemalloc.stop()
-        assert per_action <= 1200
+        assert per_action <= 800

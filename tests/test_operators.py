@@ -440,6 +440,17 @@ class TestOverlapCurve:
         with pytest.raises(ValueError):
             curve(samples, [])
 
+    def test_every_prefix_trains_the_largest_prefixs_dofs(self):
+        rng = np.random.default_rng(5)
+        d1 = self.make_samples(rng, 5)
+        d3 = [dataclasses.replace(s, dof=D3) for s in self.make_samples(rng, 5)]
+        interleaved = [s for pair in zip(d1, d3) for s in pair]
+        curves = curve(interleaved, [4, 20])
+        assert sorted(curves) == [D1, D3] and all(len(v) == 2 for v in curves.values())
+        with pytest.raises(InsufficientTrainingError, match="^size 10: no positive .* d3$"):
+            curve(d1 + d3, [10, 20])
+        assert curve(d1 + d3, [12, 20])[D1] == [curve(d1 + d3[:2], [12])[D1][0], curves[D1][1]]
+
 
 class TestModelValidation:
     def test_v1_mismatched_overlap_rejected(self, tmp_path):

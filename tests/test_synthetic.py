@@ -151,6 +151,8 @@ class TestGenerateTrainingSet:
         with pytest.raises(ValueError):
             generate_training_set(tiny_model(), 5, (0.0, 40.0))
         with pytest.raises(ValueError):
+            generate_training_set(tiny_model(), 5, (5.0, np.inf))
+        with pytest.raises(ValueError):
             generate_training_set(tiny_model(), 0)
 
 
