@@ -297,6 +297,47 @@ class TestMatchedScenario:
         assert all(len(b.angles) == 1 for b in scenario.blocks)
 
 
+def scenario_digest(blocks):
+    """sha256 of each block's window count and its angles as ``float.hex``."""
+    digest = hashlib.sha256()
+    for block in blocks:
+        cells = [str(block.n_windows)] + [
+            f"{dof.value}={float(start).hex()},{float(end).hex()}"
+            for dof, (start, end) in sorted(block.angles.items())
+        ]
+        digest.update((" ".join(cells) + "\n").encode())
+    return digest.hexdigest()
+
+
+class TestScenarioPins:
+    """Block angles and window counts of both scenario builders, recorded
+    before the builders shared one pattern-cycling rule."""
+
+    @pytest.mark.parametrize("dofs, n_blocks, total_windows, want", [
+        ((D1, D3), 55, 8216,
+         "58ee37341f61be3ec01b52a9bf1584697d94db6ebc51c859a3f91b7a053e0734"),
+        ((D1, D2, D3), 55, 8216,
+         "1629e457a06f8d8cf5b8fea639e7bb90c3d7c53c328e1ac4a96d3ca23ab448be"),
+        ((D1, D3), 7, 100,
+         "bbf7356eaca0fcda907473761d48d335bed116b5391e82588406986643e20158"),
+    ])
+    def test_default_scenario(self, dofs, n_blocks, total_windows, want):
+        scenario = default_scenario(dofs, n_blocks, total_windows)
+        assert scenario_digest(scenario.blocks) == want
+
+    @pytest.mark.parametrize("include_combined, want", [
+        (True,
+         "aa71f6474ea948454c5dfe8e4617313a90d5a536ab4830f5bafaeb661644c61e"),
+        (False,
+         "6a64cc42514e88fab41a455f0b0f6433ac6bb8914132d50dfebec1f0f7fa63c3"),
+    ])
+    def test_matched_scenario(self, include_combined, want):
+        model = default_mixing_model()
+        theta = {(D1, POS): 37.5, (D1, NEG): 41.25, (D3, POS): 29.0, (D3, NEG): 33.3}
+        scenario = matched_scenario(model, theta, 23, 500, include_combined)
+        assert scenario_digest(scenario.blocks) == want
+
+
 class TestGenerateRawEmg:
     def test_window_mav_tracks_mixing(self):
         model = tiny_model()
