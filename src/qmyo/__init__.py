@@ -90,7 +90,6 @@ from .state import QuantumState, encode_rows, inner_product
 from .synthetic import (
     MixingModel,
     ScenarioBlock,
-    SyntheticScenario,
     TestSet,
     default_mixing_model,
     default_scenario,

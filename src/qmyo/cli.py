@@ -118,9 +118,14 @@ class _Settings:
         config = getattr(args, "config", None)
         self.file_cfg, self.file_lines = _read_config(config) if config else ({}, {})
 
-    def get(self, name):
+    def given(self, name):
+        """The flag's value, else the config file's, else None."""
         value = getattr(self.args, name, None)
-        return value if value is not None else self.file_cfg.get(name, _SETTINGS[name][0])
+        return value if value is not None else self.file_cfg.get(name)
+
+    def get(self, name):
+        value = self.given(name)
+        return value if value is not None else _SETTINGS[name][0]
 
     def require(self, parser: _Parser, ok: bool, message: str, *names):
         """Unless ``ok``: usage error for a flag in ``names``, else data error at its file line."""
@@ -134,9 +139,16 @@ class _Settings:
 
     def decode_config(self, base: DecodeConfig = DecodeConfig()) -> DecodeConfig:
         """``base`` with each threshold that a flag or the config file gives."""
-        given = {f.name: self.get(f.name) for f in fields(DecodeConfig)
-                 if getattr(self.args, f.name) is not None or f.name in self.file_cfg}
-        return replace(base, **given)
+        thresholds = {f.name: value for f in fields(DecodeConfig)
+                      if (value := self.given(f.name)) is not None}
+        return replace(base, **thresholds)
+
+    def sizes(self, parser: _Parser) -> tuple[int, ...]:
+        """The training sizes, which must be strictly increasing."""
+        sizes = tuple(self.get("sizes"))
+        self.require(parser, list(sizes) == sorted(set(sizes)),
+                     f"must be strictly increasing, got {' '.join(map(str, sizes))}", "sizes")
+        return sizes
 
 
 def _require_file(parser: _Parser, path):
@@ -201,9 +213,8 @@ def _cmd_train(parser: _Parser, args) -> int:
     table = datasets.training_table(ds)
     if args.size is not None:
         table = experiment.subset_per_action(table, args.size)
-    dofs = list(args.dofs) if args.dofs else None
     model = operators.train_table(
-        table, ds.n_channels, dofs=dofs, config=settings.decode_config()
+        table, ds.n_channels, dofs=settings.given("dofs"), config=settings.decode_config()
     )
     operators.save_model(model, args.out)
     print(f"trained {len(model.dofs)} DOF(s) on {table.n_rows} samples -> {args.out}")
@@ -243,12 +254,13 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         report = experiment.report_for_model(_load_model(parser, args, settings), test_ds)
     else:
         _require_file(parser, args.train_data)
+        sizes, dofs = settings.sizes(parser), settings.given("dofs")
         train_ds = datasets.load_feature_dataset(args.train_data)
         cfg = experiment.ExperimentConfig(
             decode=settings.decode_config(),
-            training_sizes=tuple(args.sizes) if args.sizes else tuple(settings.get("sizes")),
+            training_sizes=sizes,
             seed=settings.get("seed"),
-            dofs=tuple(args.dofs) if args.dofs else None,
+            dofs=tuple(dofs) if dofs else None,
         )
         report = experiment.run_experiment(cfg, train_ds, test_ds)
     text = experiment.render_report_text(report)
@@ -266,20 +278,17 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
 
 def _cmd_learning_curve(parser: _Parser, args) -> int:
     _require_file(parser, args.data)
-    if args.sizes != sorted(set(args.sizes)):
-        sizes = " ".join(map(str, args.sizes))
-        parser.error(f"argument --sizes: must be strictly increasing, got {sizes}")
+    sizes = _Settings(args).sizes(parser)
     ds = datasets.load_feature_dataset(args.data)
     table = datasets.training_table(ds)
-    if (largest := args.sizes[-1]) > table.n_rows:
+    if (largest := sizes[-1]) > table.n_rows:
         raise ConfigurationError(f"{args.data}: size {largest} exceeds its {table.n_rows} samples")
-    dofs = list(args.dofs) if args.dofs else None
-    curves = operators.overlap_curve(table, list(args.sizes), ds.n_channels, dofs=dofs)
+    curves = operators.overlap_curve(table, list(sizes), ds.n_channels, dofs=args.dofs)
     ordered = sorted(curves)
     header = ["samples"] + [f"overlap_{dof.value}" for dof in ordered]
     rows = [header] + [
         [str(size)] + [repr(curves[dof][i]) for dof in ordered]
-        for i, size in enumerate(args.sizes)
+        for i, size in enumerate(sizes)
     ]
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.out:

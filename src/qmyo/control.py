@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateOperatorsError, DimensionError
 from .features import FeatureVector
 from .operators import (
+    DOFS,
     ControllerModel,
     DecodeConfig,
     DecodeTables,
@@ -81,9 +82,6 @@ def residual_activations(z1, z2, z3):
     return d1, d2, d3
 
 
-_THREE_DOFS = (Dof.FLEXION_EXTENSION, Dof.RADIAL_ULNAR, Dof.PRONATION_SUPINATION)
-
-
 @dataclass(frozen=True, slots=True)
 class DecodedAction:
     """Full decision for one window across all trained DOFs."""
@@ -97,10 +95,10 @@ class DecodedAction:
 
         None for a zero-signal window or unless all three DOFs are trained.
         """
-        if self.diagnostics.zero_signal or tuple(self.per_dof) != _THREE_DOFS:
+        if self.diagnostics.zero_signal or tuple(self.per_dof) != DOFS:
             return None
         z = (max(d.expectation_zero, 0.0) for d in self.per_dof.values())
-        return dict(zip(_THREE_DOFS, residual_activations(*z)))
+        return dict(zip(DOFS, residual_activations(*z)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,7 +139,7 @@ class DecodedBatch:
         Negative completion expectations (the ``zero_negative`` mask) are
         clamped to 0 first; zero-signal rows are NaN.
         """
-        if self.dofs != _THREE_DOFS:
+        if self.dofs != DOFS:
             return None
         z = np.maximum(self.expectation_zero, 0.0)
         residuals = np.stack(residual_activations(*z.T), axis=1)

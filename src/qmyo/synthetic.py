@@ -8,6 +8,7 @@ of single-DOF columns, which is exactly the linearity the decoding
 scheme relies on.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,9 +16,17 @@ import numpy as np
 
 from .errors import DimensionError
 from .features import EmgRecording, FeatureKind, FeatureVector
-from .operators import DOFS, Direction, Dof, TrainingSample, TrainingTable
+from .operators import DOFS, SIGN_DIRECTIONS, Direction, Dof, TrainingSample, TrainingTable
 
-_DIRECTIONS = (Direction.POSITIVE, Direction.NEGATIVE)
+# The moving directions in mixing-column order, with the sign of their angles.
+_SIGNS = {direction: float(code) for code, direction in SIGN_DIRECTIONS.items() if code}
+
+
+def _column(dofs: tuple[Dof, ...], dof: Dof, direction: Direction) -> int:
+    """Mixing column of a DOF direction: each DOF's positive column, then its negative."""
+    if direction not in _SIGNS:
+        raise ValueError(f"no mixing column for direction {direction.value}")
+    return 2 * dofs.index(dof) + (_SIGNS[direction] < 0)
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,7 @@ class MixingModel:
             raise ValueError("every mixing column needs a strictly positive entry")
         if np.linalg.matrix_rank(mixing) < 2:
             raise ValueError("mixing columns are all parallel; directions are indistinguishable")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "mixing", mixing)
         object.__setattr__(self, "dofs", dofs)
@@ -56,13 +65,8 @@ class MixingModel:
     def n_channels(self) -> int:
         return self.mixing.shape[0]
 
-    def column_index(self, dof: Dof, direction: Direction) -> int:
-        if direction not in _DIRECTIONS:
-            raise ValueError(f"no mixing column for direction {direction.value}")
-        return 2 * self.dofs.index(dof) + (0 if direction is Direction.POSITIVE else 1)
-
     def column(self, dof: Dof, direction: Direction) -> np.ndarray:
-        return self.mixing[:, self.column_index(dof, direction)]
+        return self.mixing[:, _column(self.dofs, dof, direction)]
 
 
 @dataclass(frozen=True)
@@ -97,21 +101,6 @@ class ScenarioBlock:
 
 
 @dataclass(frozen=True)
-class SyntheticScenario:
-    """A full test trajectory as an ordered list of blocks."""
-
-    blocks: list[ScenarioBlock]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("scenario needs at least one block")
-
-    @property
-    def n_windows(self) -> int:
-        return sum(b.n_windows for b in self.blocks)
-
-
-@dataclass(frozen=True)
 class TestSet:
     """Generated evaluation inputs: (N, C) MAV feature values, ground truth
     and each window's block id (the scenario's block index)."""
@@ -133,7 +122,7 @@ def _activation(model: MixingModel, angles: dict, n: int = 1) -> np.ndarray:
     for dof, angle in angles.items():
         if dof not in model.dofs:
             raise ValueError(f"model has no mixing columns for {dof.value}")
-        col = model.column_index(dof, Direction.POSITIVE)
+        col = _column(model.dofs, dof, Direction.POSITIVE)
         activation[:, col] = np.where(angle > 0, angle, 0.0)
         activation[:, col + 1] = np.where(angle >= 0, 0.0, -angle)
     return activation
@@ -194,7 +183,7 @@ def generate_training_table(
     if not 0 < low < high < np.inf:
         raise ValueError(f"angle range must satisfy 0 < min < max < inf, got {angle_range}")
     rng = np.random.default_rng([model.seed, 0])
-    actions = [(dof, direction) for dof in model.dofs for direction in _DIRECTIONS]
+    actions = [(dof, direction) for dof in model.dofs for direction in _SIGNS]
     n = per_action_count * len(actions)
     uniform, noise = np.empty(n), np.zeros((n, model.n_channels))
     noisy = model.noise_sigma > 0
@@ -206,10 +195,10 @@ def generate_training_table(
     if noisy:
         noise = 0.0 + model.noise_sigma * noise
     activation = np.zeros((n, 2 * len(model.dofs)))
-    columns = [model.column_index(dof, direction) for dof, direction in actions]
+    columns = [_column(model.dofs, dof, direction) for dof, direction in actions]
     activation[np.arange(n), np.tile(columns, per_action_count)] = angles
     values, _ = _realize(model, activation, noise)
-    signs = [1.0 if direction is Direction.POSITIVE else -1.0 for _, direction in actions]
+    signs = [_SIGNS[direction] for _, direction in actions]
     return TrainingTable(
         features=values,
         dof_index=np.tile([DOFS.index(dof) for dof, _ in actions], per_action_count),
@@ -227,15 +216,17 @@ def generate_training_set(
     return generate_training_table(model, per_action_count, angle_range).samples()
 
 
-def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> TestSet:
-    """Realize a scenario as feature windows with ground truth and blocks.
+def generate_test_scenario(model: MixingModel, scenario: list[ScenarioBlock]) -> TestSet:
+    """Realize a scenario's blocks as feature windows with ground truth and block ids.
 
     Each block draws from its own random substream derived from the
     model seed and block index, so blocks could be generated in parallel
     without changing the output.
     """
+    if not scenario:
+        raise ValueError("scenario needs at least one block")
     values, truths, n_clipped = [], [], 0
-    for index, block in enumerate(scenario.blocks):
+    for index, block in enumerate(scenario):
         n, windows = block.n_windows, np.arange(block.n_windows)
         angles = {dof: np.full(n, block.angle_at(dof, windows), dtype=float) for dof in model.dofs}
         rng = np.random.default_rng([model.seed, 1, index])
@@ -244,7 +235,7 @@ def generate_test_scenario(model: MixingModel, scenario: SyntheticScenario) -> T
         n_clipped += clipped
         truths.append(angles)
     truth = {dof: np.concatenate([angles[dof] for angles in truths]) for dof in model.dofs}
-    block_ids = np.repeat(np.arange(len(scenario.blocks)), [b.n_windows for b in scenario.blocks])
+    block_ids = np.repeat(np.arange(len(scenario)), [b.n_windows for b in scenario])
     return TestSet(
         values=np.concatenate(values), truth=truth, block_ids=block_ids, n_clipped=n_clipped
     )
@@ -273,26 +264,16 @@ def default_mixing_model(
     if baseline < 0:
         raise ValueError(f"baseline must be >= 0, got {baseline}")
     mixing = np.full((n_channels, 2 * len(dofs)), baseline)
-    dominant_pairs = {}
-    for i, dof in enumerate(dofs):
-        for j, direction in enumerate(_DIRECTIONS):
-            col = 2 * i + j
-            dom = ((2 * col) % n_channels, (2 * col + 1) % n_channels)
-            dominant_pairs[(dof, direction)] = dom
-            weak = dof is Dof.PRONATION_SUPINATION
-            scale = 0.5 if weak else 1.0
-            mixing[dom[0], col] += 0.10 * scale
-            mixing[dom[1], col] += 0.08 * scale
+    # Column ``col`` dominates channels 2 col and 2 col + 1, wrapped.
+    for col in range(2 * len(dofs)):
+        scale = 0.5 if dofs[col // 2] is Dof.PRONATION_SUPINATION else 1.0
+        mixing[(2 * col) % n_channels, col] += 0.10 * scale
+        mixing[(2 * col + 1) % n_channels, col] += 0.08 * scale
     if Dof.FLEXION_EXTENSION in dofs and Dof.PRONATION_SUPINATION in dofs:
-        masked_channels = sorted(
-            set(
-                dominant_pairs[(Dof.PRONATION_SUPINATION, Direction.POSITIVE)]
-                + dominant_pairs[(Dof.PRONATION_SUPINATION, Direction.NEGATIVE)]
-            )
-        )
-        for direction in _DIRECTIONS:
-            col = mixing[:, 2 * dofs.index(Dof.FLEXION_EXTENSION) + (0 if direction is Direction.POSITIVE else 1)]
-            col[masked_channels] += 0.015
+        weak = [_column(dofs, Dof.PRONATION_SUPINATION, direction) for direction in _SIGNS]
+        masked_channels = sorted({(2 * col + k) % n_channels for col in weak for k in (0, 1)})
+        for direction in _SIGNS:
+            mixing[masked_channels, _column(dofs, Dof.FLEXION_EXTENSION, direction)] += 0.015
     return MixingModel(mixing=mixing, dofs=dofs, noise_sigma=noise_sigma, seed=seed)
 
 
@@ -319,12 +300,27 @@ def orthogonal_mixing_model(
     return MixingModel(mixing=mixing, dofs=dofs, noise_sigma=noise_sigma, seed=seed)
 
 
+def _cycle_blocks(patterns: list, n_blocks: int, total_windows: int, angles) -> list[ScenarioBlock]:
+    """``n_blocks`` blocks cycling ``patterns`` and splitting ``total_windows`` evenly, the first
+    ``total_windows % n_blocks`` one window longer; ``angles(pattern, cycle)`` gives their angles."""
+    if n_blocks < 1 or total_windows < n_blocks:
+        raise ValueError(
+            f"cannot spread {total_windows} windows over {n_blocks} blocks"
+        )
+    base, extra = divmod(total_windows, n_blocks)
+    cycles = (divmod(i, len(patterns)) for i in range(n_blocks))
+    return [
+        ScenarioBlock(angles=angles(patterns[k], cycle), n_windows=base + (i < extra))
+        for i, (cycle, k) in enumerate(cycles)
+    ]
+
+
 def default_scenario(
     dofs: tuple[Dof, ...] = (Dof.FLEXION_EXTENSION, Dof.PRONATION_SUPINATION),
     n_blocks: int = 55,
     total_windows: int = 8216,
     angle_max: float = 40.0,
-) -> SyntheticScenario:
+) -> list[ScenarioBlock]:
     """Deterministic test trajectory shaped like the standard experiment.
 
     Cycles single-DOF ramps, the four combined sign quadrants, mixed
@@ -335,10 +331,6 @@ def default_scenario(
     """
     if len(dofs) < 2:
         raise ValueError("the default scenario needs at least two DOFs")
-    if n_blocks < 1 or total_windows < n_blocks:
-        raise ValueError(
-            f"cannot spread {total_windows} windows over {n_blocks} blocks"
-        )
     # Patterns name the DOFs of a pair by position: 0 is the first, 1 the second.
     patterns = [
         {0: (0.5, 1.0)},
@@ -354,20 +346,13 @@ def default_scenario(
         {},
     ]
     pairs = list(zip(dofs, dofs[1:] + dofs[:1])) if len(dofs) > 2 else [dofs[:2]]
-    base, extra = divmod(total_windows, n_blocks)
-    blocks = []
-    for i in range(n_blocks):
-        cycle = i // len(patterns)
+
+    def angles(pattern, cycle):
         scale = (0.2 + 0.8 * (cycle % 5) / 4.0) * angle_max
         pair = pairs[cycle % len(pairs)]
-        angles = {
-            pair[k]: (start * scale, end * scale)
-            for k, (start, end) in patterns[i % len(patterns)].items()
-        }
-        blocks.append(
-            ScenarioBlock(angles=angles, n_windows=base + (1 if i < extra else 0))
-        )
-    return SyntheticScenario(blocks=blocks)
+        return {pair[k]: (start * scale, end * scale) for k, (start, end) in pattern.items()}
+
+    return _cycle_blocks(patterns, n_blocks, total_windows, angles)
 
 
 def matched_operating_point(
@@ -398,7 +383,7 @@ def matched_scenario(
     n_blocks: int = 55,
     total_windows: int = 8216,
     include_combined: bool = True,
-) -> SyntheticScenario:
+) -> list[ScenarioBlock]:
     """Test trajectory on the decoder's reachable operating points.
 
     Cycles the single-DOF maximal angles and (unless disabled) the four
@@ -412,31 +397,21 @@ def matched_scenario(
     if len(dofs) < 2:
         raise ValueError("the matched scenario needs at least two DOFs")
     a, b = dofs[0], dofs[1]
-    patterns: list[dict[Dof, float]] = []
-    for direction in _DIRECTIONS:
-        sign = 1.0 if direction is Direction.POSITIVE else -1.0
-        patterns.append({a: sign * theta_max[(a, direction)]})
-        patterns.append({b: sign * theta_max[(b, direction)]})
+    patterns = [
+        {dof: sign * theta_max[(dof, direction)]}
+        for direction, sign in _SIGNS.items()
+        for dof in (a, b)
+    ]
     if include_combined:
-        for dir_a in _DIRECTIONS:
-            for dir_b in _DIRECTIONS:
-                angle_a, angle_b = matched_operating_point(
-                    mixing, theta_max, (a, dir_a), (b, dir_b)
-                )
-                sign_a = 1.0 if dir_a is Direction.POSITIVE else -1.0
-                sign_b = 1.0 if dir_b is Direction.POSITIVE else -1.0
-                patterns.append({a: sign_a * angle_a, b: sign_b * angle_b})
-    base, extra = divmod(total_windows, n_blocks)
-    blocks = []
-    for i in range(n_blocks):
-        pattern = patterns[i % len(patterns)]
-        blocks.append(
-            ScenarioBlock(
-                angles={dof: (angle, angle) for dof, angle in pattern.items()},
-                n_windows=base + (1 if i < extra else 0),
+        for (dir_a, sign_a), (dir_b, sign_b) in itertools.product(_SIGNS.items(), repeat=2):
+            angle_a, angle_b = matched_operating_point(
+                mixing, theta_max, (a, dir_a), (b, dir_b)
             )
-        )
-    return SyntheticScenario(blocks=blocks)
+            patterns.append({a: sign_a * angle_a, b: sign_b * angle_b})
+    return _cycle_blocks(
+        patterns, n_blocks, total_windows,
+        lambda pattern, _: {dof: (angle, angle) for dof, angle in pattern.items()},
+    )
 
 
 def theta_max_of_model(model) -> dict[tuple[Dof, Direction], float]:

@@ -363,6 +363,25 @@ class TestExitCodes:
         line = self.usage_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", 10, 5])
         assert line == "qmyo: error: argument --sizes: must be strictly increasing, got 10 5"
 
+    @pytest.mark.parametrize("sizes", [[150, 50], [50, 50]])
+    def test_unsorted_evaluate_sizes_are_usage_error(self, tmp_path, capsys, sizes):
+        line = self.usage_error(capsys, ["evaluate", "--test", V1_TRAIN, "--train-data", V1_TRAIN,
+                                         "--decode-out", tmp_path / "d.csv", "--sizes", *sizes])
+        got = " ".join(map(str, sizes))
+        assert line == f"qmyo: error: argument --sizes: must be strictly increasing, got {got}"
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_unsorted_config_sizes_are_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("seed = 1\n\nsizes = 150, 50\n")
+        line = self.data_error(capsys, ["evaluate", "--test", V1_TRAIN, "--train-data", V1_TRAIN,
+                                        "--config", cfg])
+        assert line == f"{cfg}:3: must be strictly increasing, got 150 50"
+        # an increasing flag value wins over the file's
+        assert run("evaluate", "--test", V1_TRAIN, "--train-data", V1_TRAIN,
+                   "--config", cfg, "--sizes", 2, 4) == 0
+        assert "[training_size=4]" in capsys.readouterr().out
+
     def test_learning_curve_size_beyond_the_data_is_data_error(self, tmp_path, capsys):
         n = training_table(load_feature_dataset(V1_TRAIN)).n_rows
         line = self.data_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", n + 1])
@@ -769,6 +788,34 @@ def test_empty_config_list_is_data_error_at_its_line(tmp_path, command, setting)
     assert (proc.returncode, proc.stderr) == (
         2, f"qmyo: data error: {cfg}:2: must list one or more values, got {value!r}\n")
     assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.fixture
+def three_dof_train_csv(tmp_path):
+    train_csv = tmp_path / "train.csv"
+    assert run("synth", "--train-out", train_csv, "--test-out", tmp_path / "test.csv",
+               "--channels", 12, "--dofs", "d1", "d2", "d3", "--seed", 3,
+               "--per-action", 20, "--blocks", 11, "--windows", 110) == 0
+    return train_csv
+
+
+@pytest.mark.parametrize("setting, flags, want", [
+    ("dofs = d1, d3", [], "d1,d3"),
+    ("dofs = d1, d3", ["--dofs", "d2"], "d2"),
+    ("seed = 1", [], "d1,d2,d3"),
+])
+def test_train_and_evaluate_resolve_dofs_flag_then_config_then_data(
+        tmp_path, capsys, three_dof_train_csv, setting, flags, want):
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(f"{setting}\n")
+    model_json = tmp_path / "m.json"
+    assert run("train", "--data", three_dof_train_csv, "--out", model_json,
+               "--config", cfg, *flags) == 0
+    assert ",".join(dof.value for dof in load_model(model_json).sorted_dofs()) == want
+    capsys.readouterr()
+    assert run("evaluate", "--test", three_dof_train_csv, "--train-data", three_dof_train_csv,
+               "--sizes", 10, "--config", cfg, *flags) == 0
+    assert f"dofs: {want}\n" in capsys.readouterr().out
 
 
 def test_three_dof_synth_train_evaluate(tmp_path, capsys):

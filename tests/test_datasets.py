@@ -257,10 +257,10 @@ class TestBlocks:
         save_feature_dataset(ds, path)
         loaded = load_feature_dataset(path)
         np.testing.assert_array_equal(loaded.block_ids, test_set.block_ids)
-        sizes = [b.n_windows for b in scenario.blocks]
+        sizes = [b.n_windows for b in scenario]
         assert run_starts(loaded.block_ids).tolist() == np.cumsum([0] + sizes[:-1]).tolist()
         # the summed truth intends each block's ramp sign, rest where a DOF has no ramp
-        signs = [[np.sign(b.angles.get(dof, (0.0,))[0]) for b in scenario.blocks]
+        signs = [[np.sign(b.angles.get(dof, (0.0,))[0]) for b in scenario]
                  for dof in model.dofs]
         for value in (-1.0, 0.0, 1.0):
             expected = {dof: sum(s != value for s in row) for dof, row in zip(model.dofs, signs)}

@@ -14,7 +14,6 @@ from qmyo.state import QuantumState, encode_rows, inner_product
 from qmyo.synthetic import (
     MixingModel,
     ScenarioBlock,
-    SyntheticScenario,
     default_mixing_model,
     default_scenario,
     generate_features,
@@ -62,6 +61,11 @@ class TestMixingModelValidation:
     def test_column_count_must_match_dofs(self):
         with pytest.raises(Exception):
             MixingModel(mixing=np.eye(4)[:, :3], dofs=(D1, D3))
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_negative_or_nan_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            tiny_model(noise_sigma=sigma)
 
     def test_column_lookup(self):
         model = tiny_model()
@@ -160,8 +164,8 @@ class TestGenerateTestScenario:
     def test_default_scenario_counts(self):
         model = default_mixing_model()
         scenario = default_scenario()
-        assert scenario.n_windows == 8216
-        assert len(scenario.blocks) == 55
+        assert sum(b.n_windows for b in scenario) == 8216
+        assert len(scenario) == 55
         test_set = generate_test_scenario(model, scenario)
         assert len(test_set.features) == 8216
         assert len(run_starts(test_set.block_ids)) == 55
@@ -169,9 +173,7 @@ class TestGenerateTestScenario:
 
     def test_single_constant_block_reduces_to_generate_features(self):
         model = tiny_model()
-        scenario = SyntheticScenario(
-            blocks=[ScenarioBlock(angles={D1: (12.0, 12.0)}, n_windows=4)]
-        )
+        scenario = [ScenarioBlock(angles={D1: (12.0, 12.0)}, n_windows=4)]
         test_set = generate_test_scenario(model, scenario)
         expected, _ = generate_features(model, {D1: 12.0}, 1)
         for fv in test_set.features:
@@ -180,19 +182,15 @@ class TestGenerateTestScenario:
         np.testing.assert_array_equal(test_set.truth[D3], [0.0] * 4)
 
     def test_ramp_profile(self):
-        scenario = SyntheticScenario(
-            blocks=[ScenarioBlock(angles={D1: (10.0, 30.0)}, n_windows=5)]
-        )
+        scenario = [ScenarioBlock(angles={D1: (10.0, 30.0)}, n_windows=5)]
         test_set = generate_test_scenario(tiny_model(), scenario)
         np.testing.assert_allclose(test_set.truth[D1], [10.0, 15.0, 20.0, 25.0, 30.0])
 
     def test_intended_directions(self):
-        scenario = SyntheticScenario(
-            blocks=[
-                ScenarioBlock(angles={D1: (10.0, 20.0), D3: (-5.0, -1.0)}, n_windows=2),
-                ScenarioBlock(angles={}, n_windows=2),
-            ]
-        )
+        scenario = [
+            ScenarioBlock(angles={D1: (10.0, 20.0), D3: (-5.0, -1.0)}, n_windows=2),
+            ScenarioBlock(angles={}, n_windows=2),
+        ]
         test_set = generate_test_scenario(tiny_model(), scenario)
         np.testing.assert_array_equal(test_set.block_ids, [0, 0, 1, 1])
         # windows decoded as block 0: d1 positive, d3 negative; block 1: rest
@@ -202,6 +200,18 @@ class TestGenerateTestScenario:
         flipped = {dof: -values for dof, values in decoded.items()}
         report = block_errors(test_set.truth, flipped, test_set.block_ids, DecodeConfig())
         assert report.misclassified_blocks == [0]
+
+    def test_empty_scenario_rejected(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            generate_test_scenario(tiny_model(), [])
+
+    @pytest.mark.parametrize("n_blocks, total_windows", [(0, 10), (11, 10)])
+    def test_both_builders_reject_an_impossible_split(self, n_blocks, total_windows):
+        theta = {(d, dd): 40.0 for d in (D1, D3) for dd in (POS, NEG)}
+        with pytest.raises(ValueError, match="cannot spread"):
+            default_scenario((D1, D3), n_blocks, total_windows)
+        with pytest.raises(ValueError, match="cannot spread"):
+            matched_scenario(tiny_model(), theta, n_blocks, total_windows)
 
     def test_sign_change_within_block_rejected(self):
         with pytest.raises(ValueError):
@@ -222,15 +232,15 @@ class TestGenerateTestScenario:
 
     def test_three_dof_cycles_pair_each_dof_with_the_next(self):
         scenario = default_scenario(dofs=(D1, D2, D3), n_blocks=44, total_windows=440)
-        moved = [set().union(*(b.angles for b in scenario.blocks[c * 11:(c + 1) * 11]))
+        moved = [set().union(*(b.angles for b in scenario[c * 11:(c + 1) * 11]))
                  for c in range(4)]
         assert moved == [{D1, D2}, {D2, D3}, {D3, D1}, {D1, D2}]
 
     def test_two_dof_cycles_keep_one_pair(self):
         scenario = default_scenario(dofs=(D3, D1), n_blocks=22, total_windows=220)
-        assert scenario.blocks[0].angles.keys() == {D3}
-        assert scenario.blocks[11 + 1].angles.keys() == {D1}
-        assert all(b.angles.keys() <= {D1, D3} for b in scenario.blocks)
+        assert scenario[0].angles.keys() == {D3}
+        assert scenario[11 + 1].angles.keys() == {D1}
+        assert all(b.angles.keys() <= {D1, D3} for b in scenario)
 
 
 class TestDefaultModels:
@@ -285,16 +295,16 @@ class TestMatchedScenario:
         scenario = matched_scenario(
             model, theta_max_of_model(trained), n_blocks=16, total_windows=160
         )
-        assert scenario.n_windows == 160
-        combined = [b for b in scenario.blocks if len(b.angles) == 2]
-        singles = [b for b in scenario.blocks if len(b.angles) == 1]
+        assert sum(b.n_windows for b in scenario) == 160
+        combined = [b for b in scenario if len(b.angles) == 2]
+        singles = [b for b in scenario if len(b.angles) == 1]
         assert combined and singles
 
     def test_singles_only_variant(self):
         model = default_mixing_model()
         theta = {(d, dd): 40.0 for d in model.dofs for dd in (POS, NEG)}
         scenario = matched_scenario(model, theta, n_blocks=8, total_windows=80, include_combined=False)
-        assert all(len(b.angles) == 1 for b in scenario.blocks)
+        assert all(len(b.angles) == 1 for b in scenario)
 
 
 def scenario_digest(blocks):
@@ -323,7 +333,7 @@ class TestScenarioPins:
     ])
     def test_default_scenario(self, dofs, n_blocks, total_windows, want):
         scenario = default_scenario(dofs, n_blocks, total_windows)
-        assert scenario_digest(scenario.blocks) == want
+        assert scenario_digest(scenario) == want
 
     @pytest.mark.parametrize("include_combined, want", [
         (True,
@@ -335,7 +345,7 @@ class TestScenarioPins:
         model = default_mixing_model()
         theta = {(D1, POS): 37.5, (D1, NEG): 41.25, (D3, POS): 29.0, (D3, NEG): 33.3}
         scenario = matched_scenario(model, theta, 23, 500, include_combined)
-        assert scenario_digest(scenario.blocks) == want
+        assert scenario_digest(scenario) == want
 
 
 class TestGenerateRawEmg:
@@ -416,7 +426,7 @@ def reference_activation(model, angles):
         if angle == 0.0:
             continue
         direction = POS if angle > 0 else NEG
-        activation[model.column_index(dof, direction)] = abs(angle)
+        activation[2 * model.dofs.index(dof) + (direction is NEG)] = abs(angle)
     return activation
 
 
@@ -452,7 +462,7 @@ def reference_training_set(model, per_action_count, angle_range=(5.0, 40.0)):
 def reference_scenario(model, scenario):
     features, block_ids, n_clipped = [], [], 0
     truth = {dof: [] for dof in model.dofs}
-    for index, block in enumerate(scenario.blocks):
+    for index, block in enumerate(scenario):
         rng = np.random.default_rng([model.seed, 1, index])
         for j in range(block.n_windows):
             angles = {dof: block.angle_at(dof, j) for dof in model.dofs}
@@ -539,13 +549,13 @@ class TestVectorisedGeneration:
         model = MODELS[name]()
         scenarios = [
             default_scenario(dofs=model.dofs, n_blocks=33, total_windows=700),
-            SyntheticScenario(blocks=[
+            [
                 ScenarioBlock(angles={model.dofs[0]: (0.0, 10.0)}, n_windows=7),
                 ScenarioBlock(angles={model.dofs[0]: (-0.0, -3.0), model.dofs[1]: (4, 9)},
                               n_windows=5),
                 ScenarioBlock(angles={model.dofs[1]: (12, 30)}, n_windows=1),
                 ScenarioBlock(angles={}, n_windows=40),
-            ]),
+            ],
         ]
         for scenario in scenarios:
             features, truth, block_ids, n_clipped = reference_scenario(model, scenario)
