@@ -150,6 +150,15 @@ class _Settings:
                      f"must be strictly increasing, got {' '.join(map(str, sizes))}", "sizes")
         return sizes
 
+    def dofs(self, parser: _Parser) -> tuple[Dof, ...] | None:
+        """The DOFs a flag or the config file names, which must be distinct, else None."""
+        if (dofs := self.given("dofs")) is not None:
+            dofs = tuple(dofs)
+            self.require(parser, len(set(dofs)) == len(dofs),
+                         f"names a DOF more than once, got {' '.join(d.value for d in dofs)}",
+                         "dofs")
+        return dofs
+
 
 def _require_file(parser: _Parser, path):
     if not os.path.isfile(path):
@@ -214,7 +223,7 @@ def _cmd_train(parser: _Parser, args) -> int:
     if args.size is not None:
         table = experiment.subset_per_action(table, args.size)
     model = operators.train_table(
-        table, ds.n_channels, dofs=settings.given("dofs"), config=settings.decode_config()
+        table, ds.n_channels, dofs=settings.dofs(parser), config=settings.decode_config()
     )
     operators.save_model(model, args.out)
     print(f"trained {len(model.dofs)} DOF(s) on {table.n_rows} samples -> {args.out}")
@@ -254,13 +263,13 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         report = experiment.report_for_model(_load_model(parser, args, settings), test_ds)
     else:
         _require_file(parser, args.train_data)
-        sizes, dofs = settings.sizes(parser), settings.given("dofs")
+        sizes, dofs = settings.sizes(parser), settings.dofs(parser)
         train_ds = datasets.load_feature_dataset(args.train_data)
         cfg = experiment.ExperimentConfig(
             decode=settings.decode_config(),
             training_sizes=sizes,
             seed=settings.get("seed"),
-            dofs=tuple(dofs) if dofs else None,
+            dofs=dofs,
         )
         report = experiment.run_experiment(cfg, train_ds, test_ds)
     text = experiment.render_report_text(report)
@@ -278,12 +287,13 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
 
 def _cmd_learning_curve(parser: _Parser, args) -> int:
     _require_file(parser, args.data)
-    sizes = _Settings(args).sizes(parser)
+    settings = _Settings(args)
+    sizes, dofs = settings.sizes(parser), settings.dofs(parser)
     ds = datasets.load_feature_dataset(args.data)
     table = datasets.training_table(ds)
     if (largest := sizes[-1]) > table.n_rows:
         raise ConfigurationError(f"{args.data}: size {largest} exceeds its {table.n_rows} samples")
-    curves = operators.overlap_curve(table, list(sizes), ds.n_channels, dofs=args.dofs)
+    curves = operators.overlap_curve(table, list(sizes), ds.n_channels, dofs=dofs)
     ordered = sorted(curves)
     header = ["samples"] + [f"overlap_{dof.value}" for dof in ordered]
     rows = [header] + [

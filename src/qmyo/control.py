@@ -12,6 +12,7 @@ residual activations through a fixed 3x3 linear system.
 :func:`decode_features` is a one-row call of the same kernel.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,39 @@ class DecodeDiagnostics:
     zero_signal: bool = False
 
 
-# Decoded actions share these two rather than each holding its own.
+# Decoded actions share these three rather than each holding its own.
 _SIGNAL, _NO_SIGNAL = DecodeDiagnostics(False), DecodeDiagnostics(True)
+_ZERO = 0.0
+
+
+class DecisionMap(Mapping):
+    """Read-only mapping of one window's DOFs to their decisions.
+
+    Holds the batch's sorted DOF tuple, which every window shares, and
+    the window's decisions in that order. It compares, iterates and
+    prints like the dict of the same items; ``dict(m)`` is a mutable copy.
+    """
+
+    __slots__ = ("_dofs", "_decisions")
+
+    def __init__(self, dofs: tuple[Dof, ...], decisions: tuple[DofDecision, ...]):
+        self._dofs = dofs
+        self._decisions = decisions
+
+    def __getitem__(self, dof: Dof) -> DofDecision:
+        try:
+            return self._decisions[self._dofs.index(dof)]
+        except ValueError:
+            raise KeyError(dof) from None
+
+    def __iter__(self):
+        return iter(self._dofs)
+
+    def __len__(self) -> int:
+        return len(self._dofs)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._dofs, self._decisions)))
 
 
 def residual_activations(z1, z2, z3):
@@ -86,7 +118,7 @@ def residual_activations(z1, z2, z3):
 class DecodedAction:
     """Full decision for one window across all trained DOFs."""
 
-    per_dof: dict[Dof, DofDecision]
+    per_dof: Mapping[Dof, DofDecision]
     diagnostics: DecodeDiagnostics = _SIGNAL
 
     @property
@@ -153,13 +185,15 @@ class DecodedBatch:
             for a in (self.expectation_pos, self.expectation_neg, self.direction,
                       self.angle, self.raw_angle, self.angle_clamped)
         )
-        rows = zip(self.dofs, e_pos, e_neg, codes, angles, raw, clamped)
-        per_dof = {
-            # an unclamped or resting angle reuses the raw float: one object less to hold
-            dof: DofDecision(p, n, SIGN_DIRECTIONS[c], r if abs(a) == r else abs(a), r, cl)
-            for dof, p, n, c, a, r, cl in rows
-        }
-        return DecodedAction(per_dof, _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
+        # Zeros (never -0.0: expectations are squares, raw angles are >= 0)
+        # share one float, and an unclamped or resting angle its raw float.
+        decisions = tuple([
+            DofDecision(p or _ZERO, n or _ZERO, SIGN_DIRECTIONS[c],
+                        (r or _ZERO) if abs(a) == r else abs(a), r or _ZERO, cl)
+            for p, n, c, a, r, cl in zip(e_pos, e_neg, codes, angles, raw, clamped)
+        ])
+        return DecodedAction(DecisionMap(self.dofs, decisions),
+                             _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
 
 
 def _expectations(states: np.ndarray, prototypes: np.ndarray):

@@ -387,6 +387,33 @@ class TestExitCodes:
         line = self.data_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", n + 1])
         assert line == f"{V1_TRAIN}: size {n + 1} exceeds its {n} samples"
 
+    @staticmethod
+    def dof_argv(command, out):
+        return {
+            "train": ["train", "--data", V1_TRAIN, "--out", out],
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--train-data", V1_TRAIN,
+                         "--sizes", 2, "--decode-out", out],
+            "learning-curve": ["learning-curve", "--data", V1_TRAIN, "--sizes", 2, "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "learning-curve"])
+    def test_repeated_flag_dof_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        line = self.usage_error(capsys, self.dof_argv(command, out) + ["--dofs", "d1", "d3", "d1"])
+        assert line == "qmyo: error: argument --dofs: names a DOF more than once, got d1 d3 d1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_repeated_config_dof_is_data_error(self, tmp_path, capsys, command):
+        out, cfg = tmp_path / "out", tmp_path / "settings.cfg"
+        cfg.write_text("seed = 1\ndofs = d3, d3\n")
+        line = self.data_error(capsys, self.dof_argv(command, out) + ["--config", cfg])
+        assert line == f"{cfg}:2: names a DOF more than once, got d3 d3"
+        assert not out.exists()
+        # distinct flag DOFs win over the file's
+        assert run(*self.dof_argv(command, out), "--config", cfg, "--dofs", "d3", "d1") == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "command, setting, message",
         [

@@ -1,8 +1,10 @@
 """Expectation values, per-DOF decisions, residual activations, decoding."""
 
+import copy
 import dataclasses
 import gc
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -524,7 +526,8 @@ class TestDecisionRecords:
         model = MODELS["3dof"]
         batch = decode_batch(np.array([[0.9, 0.1, 0.3, 0.0, 0.2, 0.4]]), model)
         action = batch.action(0)
-        for record in (batch, action, action.diagnostics, *action.per_dof.values()):
+        records = (batch, action, action.diagnostics, action.per_dof, *action.per_dof.values())
+        for record in records:
             assert not hasattr(record, "__dict__")
         for cls in (DofDecision, DecodeDiagnostics, DecodedAction, DecodedBatch):
             assert "expectation_zero" not in {f.name for f in dataclasses.fields(cls)}
@@ -609,4 +612,49 @@ class TestDecisionRecords:
             per_action = (tracemalloc.get_traced_memory()[0] - before) / len(held)
         finally:
             tracemalloc.stop()
-        assert per_action <= 800
+        assert per_action <= 650
+
+    def test_per_dof_behaves_like_the_dict_of_its_decisions(self):
+        action = decode_batch(np.array([[0.9, 0.1, 0.3, 0.0, 0.2, 0.4]]), MODELS["3dof"]).action(0)
+        per_dof = action.per_dof
+        as_dict = {dof: per_dof[dof] for dof in (D1, D2, D3)}
+        shuffled = {dof: per_dof[dof] for dof in (D3, D1, D2)}
+        for other in (as_dict, shuffled):
+            assert per_dof == other and other == per_dof and not per_dof != other
+        assert per_dof != {D1: per_dof[D1], D2: per_dof[D2]}
+        assert list(per_dof) == [D1, D2, D3] and len(per_dof) == 3 and D2 in per_dof
+        assert list(per_dof.items()) == list(as_dict.items())
+        assert list(per_dof.values()) == list(as_dict.values())
+        assert repr(per_dof) == repr(as_dict)
+        assert repr(action) == (f"DecodedAction(per_dof={as_dict!r}, "
+                                "diagnostics=DecodeDiagnostics(zero_signal=False))")
+        assert dataclasses.replace(action, per_dof=dict(per_dof)) == action
+
+    def test_per_dof_is_read_only_and_raises_key_error(self):
+        per_dof = decode_batch(np.ones((1, 5)), MODELS["2dof"]).action(0).per_dof
+        with pytest.raises(KeyError):
+            per_dof[D3]
+        assert per_dof.get(D3) is None and D3 not in per_dof
+        with pytest.raises(TypeError):
+            per_dof[D1] = per_dof[D2]
+
+    def test_actions_survive_pickle_and_deepcopy(self):
+        features = np.array([[0.9, 0.1, 0.3, 0.0, 0.2, 0.4], [0.0] * 6])
+        for action in map(decode_batch(features, MODELS["3dof"]).action, (0, 1)):
+            for copied in (pickle.loads(pickle.dumps(action)), copy.deepcopy(action)):
+                assert copied == action and repr(copied) == repr(action)
+                assert list(copied.per_dof) == list(action.per_dof)
+
+    def test_zeros_share_one_float(self):
+        features = np.random.default_rng(11).uniform(0.0, 1.0, (50, 6))
+        features[[0, 7]] = 0.0
+        batch = decode_batch(features, MODELS["3dof"])
+        assert (batch.direction[1:] == 0).any()
+        zero = batch.action(0).per_dof[D1].expectation_pos
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        for i in range(len(batch)):
+            for decision in batch.action(i).per_dof.values():
+                if decision.direction is Direction.REST:
+                    assert decision.raw_angle is zero and decision.angle is zero
+                for value in (decision.expectation_pos, decision.expectation_neg):
+                    assert (value is zero) is (value == 0.0)
