@@ -166,6 +166,13 @@ def _require_file(parser: _Parser, path):
     return path
 
 
+def _reject_unread(parser: _Parser, args, mode, *names):
+    """Usage error for a flag in ``names`` given beside ``mode``, which never reads it."""
+    for name in names:
+        if getattr(args, mode) is not None and getattr(args, name) is not None:
+            parser.error(f"argument --{name.replace('_', '-')}: not allowed with argument --{mode}")
+
+
 def _add_config_options(sub: _Parser):
     sub.add_argument("--config", metavar="FILE", help="flat key=value settings file")
     sub.add_argument("--rest-threshold", dest="rest_threshold", type=_non_negative_float)
@@ -247,6 +254,7 @@ def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
 
 
 def _cmd_decode(parser: _Parser, args) -> int:
+    _reject_unread(parser, args, "data", "sample_rate", "window_ms")
     settings = _Settings(args)
     model = _load_model(parser, args, settings)
     decoded = decode_batch(_feature_windows(parser, args, settings), model)
@@ -256,6 +264,7 @@ def _cmd_decode(parser: _Parser, args) -> int:
 
 
 def _cmd_evaluate(parser: _Parser, args) -> int:
+    _reject_unread(parser, args, "model", "sizes", "dofs", "seed")
     _require_file(parser, args.test)
     settings = _Settings(args)
     test_ds = datasets.load_feature_dataset(args.test)
@@ -327,7 +336,7 @@ def _cmd_inspect_model(parser: _Parser, args) -> int:
             spectrum = np.linalg.eigvalsh(op.matrix)
             rendered = ", ".join(f"{v:.6g}" for v in spectrum)
             print(f"  {name} spectrum: [{rendered}]")
-        print(f"  p_zero min eigenvalue: {ops.min_zero_eigenvalue()!r}")
+        print(f"  p_zero min eigenvalue: {float(spectrum[0])!r}")
     return 0
 
 
@@ -417,6 +426,9 @@ def main(argv=None) -> int:
         return 3
     except FileNotFoundError as exc:
         print(f"qmyo: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a directory or unwritable path given as a file
+        print(f"qmyo: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
 
 

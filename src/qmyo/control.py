@@ -64,30 +64,34 @@ class DecodeDiagnostics:
     zero_signal: bool = False
 
 
-# Decoded actions share these three rather than each holding its own.
+# Decoded actions share these two rather than each holding its own.
 _SIGNAL, _NO_SIGNAL = DecodeDiagnostics(False), DecodeDiagnostics(True)
-_ZERO = 0.0
 
 
 class DecisionMap(Mapping):
     """Read-only mapping of one window's DOFs to their decisions.
 
     Holds the batch's sorted DOF tuple, which every window shares, and
-    the window's decisions in that order. It compares, iterates and
-    prints like the dict of the same items; ``dict(m)`` is a mutable copy.
+    one (D, 6) float row per window: e₊, e₋, sign code, |angle|, raw
+    angle and clamp flag for each DOF in that order. Each read builds a
+    new, equal :class:`DofDecision` from the row. It compares, iterates
+    and prints like the dict of the same items; ``dict(m)`` is a
+    mutable copy.
     """
 
-    __slots__ = ("_dofs", "_decisions")
+    __slots__ = ("_dofs", "_row")
 
-    def __init__(self, dofs: tuple[Dof, ...], decisions: tuple[DofDecision, ...]):
+    def __init__(self, dofs: tuple[Dof, ...], row: np.ndarray):
         self._dofs = dofs
-        self._decisions = decisions
+        self._row = row
 
     def __getitem__(self, dof: Dof) -> DofDecision:
         try:
-            return self._decisions[self._dofs.index(dof)]
+            k = self._dofs.index(dof)
         except ValueError:
             raise KeyError(dof) from None
+        p, n, code, angle, raw, clamped = self._row[k].tolist()
+        return DofDecision(p, n, SIGN_DIRECTIONS[code], angle, raw, clamped != 0.0)
 
     def __iter__(self):
         return iter(self._dofs)
@@ -96,7 +100,7 @@ class DecisionMap(Mapping):
         return len(self._dofs)
 
     def __repr__(self) -> str:
-        return repr(dict(zip(self._dofs, self._decisions)))
+        return repr(dict(self.items()))
 
 
 def residual_activations(z1, z2, z3):
@@ -180,19 +184,9 @@ class DecodedBatch:
 
     def action(self, i: int) -> DecodedAction:
         """Row ``i`` as a :class:`DecodedAction`."""
-        e_pos, e_neg, codes, angles, raw, clamped = (
-            a[i].tolist()
-            for a in (self.expectation_pos, self.expectation_neg, self.direction,
-                      self.angle, self.raw_angle, self.angle_clamped)
-        )
-        # Zeros (never -0.0: expectations are squares, raw angles are >= 0)
-        # share one float, and an unclamped or resting angle its raw float.
-        decisions = tuple([
-            DofDecision(p or _ZERO, n or _ZERO, SIGN_DIRECTIONS[c],
-                        (r or _ZERO) if abs(a) == r else abs(a), r or _ZERO, cl)
-            for p, n, c, a, r, cl in zip(e_pos, e_neg, codes, angles, raw, clamped)
-        ])
-        return DecodedAction(DecisionMap(self.dofs, decisions),
+        row = np.stack((self.expectation_pos[i], self.expectation_neg[i], self.direction[i],
+                        np.abs(self.angle[i]), self.raw_angle[i], self.angle_clamped[i]), axis=1)
+        return DecodedAction(DecisionMap(self.dofs, row),
                              _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
 
 

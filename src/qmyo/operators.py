@@ -25,7 +25,6 @@ from .errors import (
     InsufficientTrainingError,
     ModelFileError,
     QmyoError,
-    ZeroSignalError,
 )
 from .features import FeatureKind, FeatureVector
 from .state import QuantumState, encode_rows, inner_product
@@ -179,14 +178,6 @@ class DofOperators:
     def p_zero(self) -> Operator:
         return build_completeness_operator(self.p_pos, self.p_neg)
 
-    def min_zero_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the completion operator.
-
-        Negative values mean the learned triple is not positive, which
-        happens whenever the direction prototypes overlap.
-        """
-        return float(np.linalg.eigvalsh(self.p_zero.matrix)[0])
-
 
 @dataclass(frozen=True)
 class ControllerModel:
@@ -305,11 +296,8 @@ class TrainingTable(NamedTuple):
 
 
 def _prototype(rows: np.ndarray, weights: np.ndarray, dof: Dof, direction: Direction) -> QuantumState:
-    """normalize(Σ wᵢ ψᵢ) over the encoded rows of one (DOF, direction) group."""
-    states, zero = encode_rows(rows)
-    if zero.any():
-        raise ZeroSignalError("all-zero feature vector has no direction to encode")
-    combined = weights @ states
+    """normalize(Σ wᵢ ψᵢ) over the encoded rows, all with signal, of one (DOF, direction) group."""
+    combined = weights @ encode_rows(rows)[0]
     norm = float(np.linalg.norm(combined))
     if norm < 1e-12 * weights.sum():
         raise DegeneratePrototypeError(

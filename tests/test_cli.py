@@ -165,6 +165,11 @@ class TestExitCodes:
         assert exc.value.code == 1
         capsys.readouterr()
 
+    def test_directory_path_is_usage_error(self, tmp_path, capsys):
+        for flags in (["--out", tmp_path], ["--out", tmp_path / "m.json", "--config", tmp_path]):
+            assert run("train", "--data", V1_TRAIN, *flags) == 1
+            assert capsys.readouterr().err.splitlines() == [f"qmyo: Is a directory: {tmp_path}"]
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("ch1,d1_angle,d2_angle,d3_angle,phase,block\noops,0,0,0,direct,0\n")
@@ -370,6 +375,32 @@ class TestExitCodes:
         got = " ".join(map(str, sizes))
         assert line == f"qmyo: error: argument --sizes: must be strictly increasing, got {got}"
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("evaluate", ["--sizes", 5, 3]),
+            ("evaluate", ["--dofs", "d2"]),
+            ("evaluate", ["--seed", 9]),
+            ("decode", ["--window-ms", 0.001]),
+            ("decode", ["--sample-rate", 5]),
+        ],
+    )
+    def test_flag_its_mode_never_reads_is_usage_error(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "out.csv"
+        argv = self.argv(command, tmp_path, "--decode-out" if command == "evaluate" else "--out",
+                         out, *flags)
+        line = self.usage_error(capsys, argv)
+        mode = "model" if command == "evaluate" else "data"
+        assert line == f"qmyo: error: argument {flags[0]}: not allowed with argument --{mode}"
+        assert not out.exists()
+
+    def test_config_keys_a_mode_never_reads_stay_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("sizes = 5, 7\ndofs = d2\nseed = 9\nwindow_ms = 0.001\nsample_rate = 5\n")
+        for command in ("evaluate", "decode"):
+            assert run(*self.argv(command, tmp_path, "--config", cfg)) == 0
+        assert "dofs: d1,d3" in capsys.readouterr().out
 
     def test_unsorted_config_sizes_are_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"
