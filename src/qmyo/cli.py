@@ -10,6 +10,7 @@ the config file is flat ``key = value`` lines with ``#`` comments.
 """
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -102,6 +103,8 @@ def _read_config(path) -> tuple[dict, dict]:
         key = key.strip()
         if key not in _SETTINGS:
             raise DataError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key in lines:
+            raise DataError(f"{path}:{lineno}: repeats setting {key!r} from line {lines[key]}")
         try:
             settings[key] = _SETTINGS[key][1](raw.strip())
         except ValueError as exc:
@@ -166,6 +169,16 @@ def _require_file(parser: _Parser, path):
     return path
 
 
+def _check_outputs(*paths):
+    """Fail as opening would, before anything is written, for a given
+    output path that is a directory or lies in a missing one."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _reject_unread(parser: _Parser, args, mode, *names):
     """Usage error for a flag in ``names`` given beside ``mode``, which never reads it."""
     for name in names:
@@ -177,7 +190,6 @@ def _add_config_options(sub: _Parser):
     sub.add_argument("--config", metavar="FILE", help="flat key=value settings file")
     sub.add_argument("--rest-threshold", dest="rest_threshold", type=_non_negative_float)
     sub.add_argument("--overlap-epsilon", dest="overlap_epsilon", type=_fraction)
-    sub.add_argument("--block-vote", dest="block_vote", choices=BLOCK_VOTES)
 
 
 def _load_model(parser: _Parser, args, settings: _Settings):
@@ -209,6 +221,7 @@ def _cmd_synth(parser: _Parser, args) -> int:
                   seed=settings.get("seed"))
     table = synthetic.generate_training_table(model, settings.get("per_action"), (low, high))
     train_ds = datasets.from_training_table(table, source="synthetic")
+    _check_outputs(args.train_out, args.test_out)
     datasets.save_feature_dataset(train_ds, args.train_out)
     print(f"wrote {train_ds.n_rows} training rows to {args.train_out}")
 
@@ -229,9 +242,7 @@ def _cmd_train(parser: _Parser, args) -> int:
     table = datasets.training_table(ds)
     if args.size is not None:
         table = experiment.subset_per_action(table, args.size)
-    model = operators.train_table(
-        table, ds.n_channels, dofs=settings.dofs(parser), config=settings.decode_config()
-    )
+    model = operators.train_table(table, dofs=settings.dofs(parser), config=settings.decode_config())
     operators.save_model(model, args.out)
     print(f"trained {len(model.dofs)} DOF(s) on {table.n_rows} samples -> {args.out}")
     for dof in model.sorted_dofs():
@@ -282,6 +293,7 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         )
         report = experiment.run_experiment(cfg, train_ds, test_ds)
     text = experiment.render_report_text(report)
+    _check_outputs(args.report_out, args.csv_out, args.decode_out)
     if args.report_out:
         with open(args.report_out, "w") as fh:
             fh.write(text)
@@ -302,7 +314,7 @@ def _cmd_learning_curve(parser: _Parser, args) -> int:
     table = datasets.training_table(ds)
     if (largest := sizes[-1]) > table.n_rows:
         raise ConfigurationError(f"{args.data}: size {largest} exceeds its {table.n_rows} samples")
-    curves = operators.overlap_curve(table, list(sizes), ds.n_channels, dofs=dofs)
+    curves = operators.overlap_curve(table, list(sizes), dofs=dofs)
     ordered = sorted(curves)
     header = ["samples"] + [f"overlap_{dof.value}" for dof in ordered]
     rows = [header] + [
@@ -366,6 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dofs", nargs="+", type=Dof)
     p.add_argument("--size", type=_positive_int, help="samples per action (default: all)")
     _add_config_options(p)
+    p.add_argument("--block-vote", dest="block_vote", choices=BLOCK_VOTES)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("decode", help="decode feature windows or a raw recording")
@@ -391,6 +404,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--decode-out", dest="decode_out")
     _add_config_options(p)
+    p.add_argument("--block-vote", dest="block_vote", choices=BLOCK_VOTES)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("learning-curve", help="prototype overlap vs training size")

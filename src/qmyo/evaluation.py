@@ -15,26 +15,31 @@ from .errors import UndefinedDenominatorError
 from .operators import DecodeConfig, Dof
 
 
-def r_squared_dof(truth: np.ndarray, estimate: np.ndarray) -> float:
-    """Performance index for one DOF: 1 - SSE / variance around the mean.
-
-    May be negative when the estimate is worse than predicting the
-    temporal mean of the truth.
-    """
+def _squared_sums(truth, estimate) -> tuple[float, float]:
+    """One DOF's sums of squared errors and of squared deviations from the truth's mean."""
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if truth.shape != estimate.shape or truth.ndim != 1 or truth.size == 0:
         raise ValueError(
             f"need equal non-empty 1-D sequences, got {truth.shape} and {estimate.shape}"
         )
+    errors = estimate - truth
     deviations = truth - truth.mean()
-    denominator = float(deviations @ deviations)
-    if denominator == 0.0:
+    return float(errors @ errors), float(deviations @ deviations)
+
+
+def r_squared_dof(truth: np.ndarray, estimate: np.ndarray) -> float:
+    """Performance index for one DOF: 1 - SSE / variance around the mean.
+
+    May be negative when the estimate is worse than predicting the
+    temporal mean of the truth.
+    """
+    error, deviation = _squared_sums(truth, estimate)
+    if deviation == 0.0:
         raise UndefinedDenominatorError(
             "true trajectory is constant; the performance index is undefined"
         )
-    errors = estimate - truth
-    return 1.0 - float(errors @ errors) / denominator
+    return 1.0 - error / deviation
 
 
 def r_squared_global(
@@ -43,22 +48,17 @@ def r_squared_global(
     """Pooled performance index over all DOFs.
 
     Sums squared errors and squared deviations from each DOF's own
-    temporal mean across DOFs before dividing, rather than averaging the
-    per-DOF indices.
+    temporal mean across DOFs, in sorted-DOF order, before dividing,
+    rather than averaging the per-DOF indices.
     """
     if set(truth) != set(estimate) or not truth:
         raise ValueError("truth and estimate must cover the same non-empty DOF set")
-    total_error = 0.0
-    total_deviation = 0.0
+    total_error = total_deviation = 0.0
+    # a plain left-to-right sum: sum() compensates floats on Python >= 3.12
     for dof in sorted(truth):
-        t = np.asarray(truth[dof], dtype=float)
-        e = np.asarray(estimate[dof], dtype=float)
-        if t.shape != e.shape or t.size == 0:
-            raise ValueError(f"{dof.value}: sequences must be equal and non-empty")
-        err = e - t
-        dev = t - t.mean()
-        total_error += float(err @ err)
-        total_deviation += float(dev @ dev)
+        error, deviation = _squared_sums(truth[dof], estimate[dof])
+        total_error += error
+        total_deviation += deviation
     if total_deviation == 0.0:
         raise UndefinedDenominatorError(
             "every true trajectory is constant; the global index is undefined"

@@ -156,10 +156,7 @@ def run_experiment(
     pool = table.rows(np.isin(table.dof_index, [DOFS.index(dof) for dof in dofs]))
     results = []
     for size in cfg.training_sizes:
-        model = train_table(
-            subset_per_action(pool, size), train_ds.n_channels, dofs=dofs,
-            config=cfg.decode,
-        )
+        model = train_table(subset_per_action(pool, size), dofs=dofs, config=cfg.decode)
         results.append(evaluate_model(model, test_ds, training_size=size))
     return _report(cfg, dofs, test_ds, results)
 

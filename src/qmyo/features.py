@@ -1,4 +1,4 @@
-"""Sliding-window segmentation of raw multi-channel EMG and its mean
+"""Consecutive-window segmentation of raw multi-channel EMG and its mean
 absolute value (MAV) feature.
 
 :func:`mav` takes a window shaped (n_samples, n_channels) and returns
@@ -67,48 +67,34 @@ class FeatureVector:
         return self.values.shape[0]
 
 
-def segment_windows(
-    rec: EmgRecording, window_ms: float, step_ms: float | None = None
-) -> list[np.ndarray]:
-    """Cut a recording into consecutive windows.
+def segment_windows(rec: EmgRecording, window_ms: float) -> list[np.ndarray]:
+    """Cut a recording into consecutive, non-overlapping windows.
 
-    ``step_ms`` defaults to the window length (non-overlapping windows).
-    Window and step lengths are floored to whole samples and a trailing
-    partial window is dropped rather than padded.
+    The window length is floored to whole samples and a trailing partial
+    window is dropped rather than padded.
     """
     if not window_ms > 0:
         raise ValueError(f"window_ms must be > 0, got {window_ms}")
-    if step_ms is None:
-        step_ms = window_ms
-    if not step_ms > 0:
-        raise ValueError(f"step_ms must be > 0, got {step_ms}")
-
     window_len = int(window_ms * rec.sample_rate / 1000.0)
-    step_len = int(step_ms * rec.sample_rate / 1000.0)
     if window_len < 2:
         raise ValueError(
             f"window of {window_ms} ms spans {window_len} samples at "
             f"{rec.sample_rate} Hz; need at least 2"
         )
-    if step_len < 1:
-        raise ValueError(f"step of {step_ms} ms is shorter than one sample")
     if rec.n_samples < window_len:
         raise EmptyInputError(
             f"recording has {rec.n_samples} samples, shorter than one "
             f"{window_len}-sample window"
         )
-
-    n_windows = (rec.n_samples - window_len) // step_len + 1
     return [
-        rec.samples[i * step_len : i * step_len + window_len] for i in range(n_windows)
+        rec.samples[start : start + window_len]
+        for start in range(0, rec.n_samples - window_len + 1, window_len)
     ]
 
 
 def mav(window: np.ndarray) -> FeatureVector:
-    """Mean absolute value per channel; a 1-D window is one channel."""
+    """Mean absolute value per channel of an (n_samples, n_channels) window."""
     w = np.asarray(window, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
     if w.ndim != 2 or w.shape[0] == 0:
         raise EmptyInputError("window must be a non-empty 2-D array")
     # the same sum and division as np.mean, without its Python-level dispatch

@@ -326,12 +326,11 @@ def train(
     config: DecodeConfig | None = None,
 ) -> ControllerModel:
     """:func:`train_table` on a list of samples."""
-    return train_table(TrainingTable.of_samples(samples, n_channels), n_channels, dofs, config)
+    return train_table(TrainingTable.of_samples(samples, n_channels), dofs, config)
 
 
 def train_table(
     table: TrainingTable,
-    n_channels: int,
     dofs: list[Dof] | None = None,
     config: DecodeConfig | None = None,
 ) -> ControllerModel:
@@ -340,11 +339,10 @@ def train_table(
     Only direct-phase rows with some signal are used; return-phase and
     zero-signal rows are dropped with a logged count. ``dofs`` defaults
     to every DOF present in the usable rows. Each (DOF, direction) group
-    is selected by a mask, so its rows keep their order.
+    is selected by a mask, so its rows keep their order. The model's
+    channel count is the table's width.
     """
     features, dof_index, angles, direct = table
-    if features.shape[1] != n_channels:
-        raise DimensionError(f"sample has {features.shape[1]} channels, expected {n_channels}")
     magnitude = np.abs(angles)
     if (bad := ~(magnitude > 0)).any():
         raise ValueError(f"training angle must be > 0, got {magnitude[bad][0]}")
@@ -380,7 +378,7 @@ def train_table(
         )
     return ControllerModel(
         dofs=trained,
-        n_channels=n_channels,
+        n_channels=features.shape[1],
         decode_config=config if config is not None else DecodeConfig(),
     )
 
@@ -388,7 +386,6 @@ def train_table(
 def overlap_curve(
     table: TrainingTable,
     batch_sizes: list[int],
-    n_channels: int,
     dofs: list[Dof] | None = None,
 ) -> dict[Dof, list[float]]:
     """Retrain on growing prefixes and record each DOF's prototype overlap.
@@ -415,7 +412,7 @@ def overlap_curve(
     curves: dict[Dof, list[float]] = {}
     for size in reversed(batch_sizes):
         try:
-            model = train_table(table.rows(slice(size)), n_channels, dofs=dofs)
+            model = train_table(table.rows(slice(size)), dofs=dofs)
         except InsufficientTrainingError as exc:
             raise InsufficientTrainingError(f"size {size}: {exc}") from None
         dofs = sorted(model.dofs)

@@ -428,14 +428,13 @@ def generate_raw_emg(
     angles: dict[Dof, float],
     duration_s: float,
     sample_rate: float = 1024.0,
-    band: tuple[float, float] = (20.0, 200.0),
     n_tones: int = 32,
     rng: np.random.Generator | None = None,
 ) -> EmgRecording:
     """Band-limited random signal whose per-channel MAV tracks the mixing.
 
-    Each channel is a sum of random-frequency, random-phase tones inside
-    ``band``, rescaled so its mean absolute value over the recording
+    Each channel is a sum of random-frequency, random-phase tones between
+    20 and 200 Hz, rescaled so its mean absolute value over the recording
     equals the mixing model's clean feature value for the requested
     activation. Meant for exercising the windowing and MAV path end to
     end, not as a physiological simulation.
@@ -456,7 +455,7 @@ def generate_raw_emg(
     targets = model.mixing @ _activation(model, angles)[0]
     channels = np.zeros((n_samples, model.n_channels))
     for ch in range(model.n_channels):
-        freqs = rng.uniform(band[0], band[1], size=n_tones)
+        freqs = rng.uniform(20.0, 200.0, size=n_tones)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_tones)
         if not targets[ch] > 0:
             continue

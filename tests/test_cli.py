@@ -170,6 +170,38 @@ class TestExitCodes:
             assert run("train", "--data", V1_TRAIN, *flags) == 1
             assert capsys.readouterr().err.splitlines() == [f"qmyo: Is a directory: {tmp_path}"]
 
+    @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", ["synth", "evaluate"])
+    def test_bad_later_output_path_writes_nothing(self, tmp_path, capsys, command, missing):
+        bad = tmp_path / "nope" / "x.csv" if missing else tmp_path
+        first = tmp_path / "first.out"
+        argv = {
+            "synth": ["synth", "--train-out", first, "--test-out", bad,
+                      "--per-action", 5, "--blocks", 3, "--windows", 12],
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V1_MODEL,
+                         "--report-out", first, "--csv-out", bad],
+        }[command]
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        reason = "file not found" if missing else "Is a directory"
+        assert (out, err.splitlines()) == ("", [f"qmyo: {reason}: {bad}"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_decode_takes_no_block_vote(self, tmp_path, capsys):
+        line = self.usage_error(capsys, self.argv("decode", tmp_path, "--block-vote", "any"))
+        assert line == "qmyo: error: unrecognized arguments: --block-vote any"
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("block_vote = any\n")  # one config file serves every command
+        assert run(*self.argv("decode", tmp_path, "--config", cfg)) == 0
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("seed = 1\n# again\nseed = 2\n")
+        line = self.data_error(capsys, self.argv(command, tmp_path, "--config", cfg))
+        assert line == f"{cfg}:3: repeats setting 'seed' from line 1"
+        assert [path.name for path in tmp_path.iterdir()] == ["settings.cfg"]
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("ch1,d1_angle,d2_angle,d3_angle,phase,block\noops,0,0,0,direct,0\n")

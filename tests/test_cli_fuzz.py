@@ -74,8 +74,8 @@ def _flags(files):
         "--config": read("cfg"),
         "--rest-threshold": number("0", "0.01", "0.5"),
         "--overlap-epsilon": number("1e-9", "0.5"),
-        "--block-vote": token(["majority", "any", "all"], ["most"]),
     }
+    vote = {"--block-vote": token(["majority", "any", "all"], ["most"])}  # decode has none
     return {
         "synth": ({"--train-out": write("a.csv"), "--test-out": write("b.csv"),
                    "--per-action": count("2", "5"), "--blocks": count("3", "5"),
@@ -87,7 +87,7 @@ def _flags(files):
                    "--geometry": token(["masking", "orthogonal"], ["x"])}),
         "train": ({"--data": read("tr.csv"), "--out": write("m.json")},
                   {},
-                  {"--dofs": dofs, "--size": count("1", "3"), **thresholds}),
+                  {"--dofs": dofs, "--size": count("1", "3"), **thresholds, **vote}),
         "decode": ({"--model": read("m.json"), "--out": write("d.csv")},
                    {"--data": read("te.csv"), "--raw": read("raw.csv")},
                    {"--sample-rate": number("1024", "200"), "--window-ms": number("50", "300"),
@@ -96,7 +96,7 @@ def _flags(files):
                      {"--model": read("m.json"), "--train-data": read("tr.csv")},
                      {"--sizes": sizes, "--dofs": dofs, "--seed": count("1", "7"),
                       "--report-out": write("r.txt"), "--csv-out": write("r.csv"),
-                      "--decode-out": write("d.csv"), **thresholds}),
+                      "--decode-out": write("d.csv"), **thresholds, **vote}),
         "learning-curve": ({"--data": read("tr.csv"), "--sizes": sizes},
                            {},
                            {"--dofs": dofs, "--out": write("c.csv")}),

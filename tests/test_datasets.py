@@ -168,7 +168,7 @@ class TestCsvRoundTrip:
         # and the prototype keeps the sign
         table = TrainingTable(np.array([[-1.0, 2.0], [3.0, 4.0]]), np.zeros(2, dtype=int),
                               np.array([20.0, -30.0]), np.ones(2, dtype=bool))
-        model = train_table(table, 2)
+        model = train_table(table)
         np.testing.assert_allclose(
             model.dofs[D1].proto_pos.amplitudes, np.array([-1.0, 2.0]) / np.sqrt(5.0), atol=1e-15
         )

@@ -144,6 +144,35 @@ class TestRSquaredGlobal:
         assert shifted == pytest.approx(base, abs=1e-12)
 
 
+def looped_indices(truth_map, estimate_map):
+    """Per-DOF and pooled indices as a plain loop of numpy dot products over
+    the sorted DOFs, each pooled sum added left to right."""
+    per_dof, sse, tss = {}, 0.0, 0.0
+    for dof in sorted(truth_map):
+        errors = estimate_map[dof] - truth_map[dof]
+        deviations = truth_map[dof] - truth_map[dof].mean()
+        per_dof[dof] = 1.0 - float(errors @ errors) / float(deviations @ deviations)
+        sse += float(errors @ errors)
+        tss += float(deviations @ deviations)
+    return per_dof, 1.0 - sse / tss
+
+
+class TestIndicesEqualAPlainLoop:
+    def test_bit_for_bit_on_random_inputs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            dofs = list(rng.permutation(list(Dof))[: int(rng.integers(1, 4))])
+            n = int(rng.integers(2, 60))
+            # scales apart by many orders, so the order of the pooled sums shows in the bits
+            truth = {d: rng.normal(size=n) * 10.0 ** rng.integers(-8, 9) for d in dofs}
+            estimate = {d: truth[d] + rng.normal(size=n) * 10.0 ** rng.integers(-8, 9)
+                        for d in dofs}
+            per_dof, pooled = looped_indices(truth, estimate)
+            for dof in dofs:
+                assert r_squared_dof(truth[dof], estimate[dof]).hex() == per_dof[dof].hex()
+            assert r_squared_global(truth, estimate).hex() == pooled.hex()
+
+
 def ids(*sizes):
     """Block ids of consecutive blocks of the given sizes, numbered from 0."""
     return np.repeat(np.arange(len(sizes)), sizes)

@@ -69,7 +69,7 @@ class TestRunExperiment:
 
     def test_empty_test_set_rejected(self):
         train_ds, test_ds = make_data()
-        model = train_table(subset_per_action(training_table(train_ds), 5), train_ds.n_channels)
+        model = train_table(subset_per_action(training_table(train_ds), 5))
         empty = type(test_ds)(
             features=np.zeros((0, test_ds.n_channels)),
             angles={},
@@ -155,7 +155,7 @@ class TestReportRendering:
 
     def test_pretrained_model_report(self):
         train_ds, test_ds = make_data()
-        model = train_table(subset_per_action(training_table(train_ds), 10), train_ds.n_channels)
+        model = train_table(subset_per_action(training_table(train_ds), 10))
         report = report_for_model(model, test_ds)
         text = render_report_text(report)
         assert "seed:" not in text

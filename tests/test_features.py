@@ -30,7 +30,7 @@ class TestSegmentWindows:
 
     def test_windows_are_consecutive(self):
         rec = EmgRecording(np.arange(1024.0)[:, None], 1024.0)
-        windows = segment_windows(rec, 100.0, 100.0)
+        windows = segment_windows(rec, 100.0)
         for i, w in enumerate(windows):
             assert w[0, 0] == i * 102
 
@@ -44,12 +44,6 @@ class TestSegmentWindows:
     def test_partial_window_dropped(self):
         assert len(segment_windows(recording(203), 100.0)) == 1
 
-    def test_overlapping_step(self):
-        rec = recording(1024)
-        windows = segment_windows(rec, 100.0, 50.0)
-        # step of 51 samples: (1024 - 102) // 51 + 1
-        assert len(windows) == 19
-
     def test_window_under_two_samples_rejected(self):
         with pytest.raises(ValueError):
             segment_windows(recording(100, rate=10.0), 100.0)
@@ -57,29 +51,28 @@ class TestSegmentWindows:
     @given(
         n_samples=st.integers(1, 3000),
         window_len=st.integers(2, 200),
-        step_len=st.integers(1, 250),
+        n_channels=st.integers(1, 3),
     )
     @settings(max_examples=300)
-    def test_window_count_matches_enumeration(self, n_samples, window_len, step_len):
+    def test_windows_tile_the_recording(self, n_samples, window_len, n_channels):
         # 1000 Hz makes the ms-to-sample conversion exact
-        rec = recording(n_samples, rate=1000.0)
-        expected = 0
-        start = 0
-        while start + window_len <= n_samples:
-            expected += 1
-            start += step_len
-        if expected == 0:
+        samples = np.arange(n_samples * n_channels, dtype=float).reshape(n_samples, n_channels)
+        rec = EmgRecording(samples, 1000.0)
+        n = n_samples // window_len
+        if n == 0:
             with pytest.raises(EmptyInputError):
-                segment_windows(rec, float(window_len), float(step_len))
+                segment_windows(rec, float(window_len))
         else:
-            windows = segment_windows(rec, float(window_len), float(step_len))
-            assert len(windows) == expected
-            assert all(w.shape[0] == window_len for w in windows)
+            windows = segment_windows(rec, float(window_len))
+            assert len(windows) == n
+            np.testing.assert_array_equal(
+                np.array(windows), samples[: n * window_len].reshape(n, window_len, n_channels)
+            )
 
 
 class TestMav:
     def test_signed_samples(self):
-        fv = mav(np.array([1.0, -1.0, 2.0, -2.0]))
+        fv = mav(np.array([[1.0], [-1.0], [2.0], [-2.0]]))
         assert fv.values[0] == 1.5
         assert fv.kind is FeatureKind.MAV
 
@@ -87,7 +80,12 @@ class TestMav:
         assert mav(np.zeros((4, 2))).values.tolist() == [0.0, 0.0]
 
     def test_two_samples(self):
-        assert mav(np.array([3.0, 4.0])).values[0] == 3.5
+        assert mav(np.array([[3.0], [4.0]])).values[0] == 3.5
+
+    @pytest.mark.parametrize("window", [np.array([3.0, 4.0]), np.zeros((0, 2)), np.zeros((2, 2, 1))])
+    def test_window_must_be_non_empty_and_2d(self, window):
+        with pytest.raises(EmptyInputError, match="^window must be a non-empty 2-D array$"):
+            mav(window)
 
     def test_per_channel(self):
         window = np.array([[1.0, -4.0], [-3.0, 0.0]])
@@ -157,7 +155,7 @@ finite_windows = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False).filter(lambda x: x == 0.0 or abs(x) > 1e-20),
     min_size=3,
     max_size=40,
-).map(lambda xs: np.array(xs))
+).map(lambda xs: np.array(xs)[:, None])
 
 
 class TestScaleCovariance:

@@ -101,7 +101,7 @@ def prototype(samples):
     """
     n = len(samples[0].features.values) if samples else 2
     rows = samples + [sample(np.eye(n)[0], direction=Direction.NEGATIVE)]
-    return train_table(TrainingTable.of_samples(rows, n), n).dofs[D1].proto_pos
+    return train_table(TrainingTable.of_samples(rows, n)).dofs[D1].proto_pos
 
 
 class TestBuildPrototype:
@@ -161,7 +161,7 @@ class TestBuildPrototype:
         # cancel exactly at equal angles
         table = signed_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [20.0, 20.0, -30.0])
         with pytest.raises(DegeneratePrototypeError, match="d1 positive"):
-            train_table(table, 2)
+            train_table(table)
 
     @pytest.mark.parametrize("eps, degenerate", [(1.5e-12, True), (3e-12, False)])
     def test_cancellation_threshold(self, eps, degenerate):
@@ -170,9 +170,9 @@ class TestBuildPrototype:
         table = signed_table([[1.0, 0.0], [-1.0, eps], [0.0, 1.0]], [20.0, 20.0, -30.0])
         if degenerate:
             with pytest.raises(DegeneratePrototypeError):
-                train_table(table, 2)
+                train_table(table)
         else:
-            model = train_table(table, 2)
+            model = train_table(table)
             np.testing.assert_array_equal(model.dofs[D1].proto_pos.amplitudes, [0.0, 1.0])
 
 
@@ -388,7 +388,7 @@ class TestTrainedInvariants:
 
 
 def curve(samples, sizes):
-    return overlap_curve(TrainingTable.of_samples(samples, 3), sizes, 3)
+    return overlap_curve(TrainingTable.of_samples(samples, 3), sizes)
 
 
 class TestOverlapCurve:

@@ -54,3 +54,10 @@ def test_quickstart_and_library_snippets_run(tmp_path, monkeypatch):
         exec(compile(snippet, "README.md", "exec"), namespace)
     assert namespace["model"].n_channels == 8
     assert len(namespace["batch"]) == 8216
+
+
+def test_stated_src_line_count_is_current():
+    [stated] = re.findall(r"`src/` holds (\d+) lines of Python\.", README)
+    # wc -l counts newline characters
+    counted = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "qmyo").glob("*.py"))
+    assert int(stated) == counted

@@ -294,7 +294,7 @@ class TestTableTrainingEqualsThePerSampleCode:
             return
         expected = outcome(reference_train, as_rows(samples), ds.n_channels, dofs)
         table = training_table(ds)
-        assert outcome(train_table, table, ds.n_channels, dofs) == expected
+        assert outcome(train_table, table, dofs) == expected
         assert outcome(train, samples, ds.n_channels, dofs) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -302,7 +302,7 @@ class TestTableTrainingEqualsThePerSampleCode:
     def test_training_on_signed_rows(self, table, dofs):
         n_channels = table.features.shape[1]
         expected = outcome(reference_train, reference_rows(table), n_channels, dofs)
-        assert outcome(train_table, table, n_channels, dofs) == expected
+        assert outcome(train_table, table, dofs) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(signed_tables(), st.integers(1, 8))
@@ -313,7 +313,7 @@ class TestTableTrainingEqualsThePerSampleCode:
         if expected[0] == "ok":
             subset = subset_per_action(table, size)
             want = outcome(reference_train, reference_subset(rows, size), n_channels)
-            assert outcome(train_table, subset, n_channels) == want
+            assert outcome(train_table, subset) == want
 
 
 def make_table(rows, angles, direct=None):
@@ -336,11 +336,12 @@ class TestTrainTable:
     @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan])
     def test_zero_or_nan_angle_rejected(self, bad):
         with pytest.raises(ValueError, match="training angle must be > 0"):
-            train_table(make_table([[1.0, 0.0], [0.0, 1.0]], [1.0, bad]), 2)
+            train_table(make_table([[1.0, 0.0], [0.0, 1.0]], [1.0, bad]))
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(DimensionError, match="^sample has 2 channels, expected 3$"):
-            train_table(make_table([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0]), 3)
+    def test_model_width_is_the_table_width(self):
+        for width in (1, 2, 5):
+            model = train_table(make_table(np.ones((2, width)), [1.0, -1.0]))
+            assert type(model.n_channels) is int and model.n_channels == width
 
     def test_samples_round_trip(self):
         t = make_table([[1.0, 0.0], [0.0, 1.0]], [1.5, -2.5], direct=[True, False])
@@ -352,7 +353,7 @@ class TestTrainTable:
         t = make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [2.0, 2.0, -1.0])
         expected = outcome(reference_train, reference_rows(t), 2)
         assert expected[:2] == ("raised", DegeneratePrototypeError)
-        assert outcome(train_table, t, 2) == expected
+        assert outcome(train_table, t) == expected
 
     def test_list_and_table_give_the_same_synthetic_dataset(self):
         mixing = default_mixing_model(noise_sigma=0.1, seed=4)
