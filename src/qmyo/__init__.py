@@ -41,7 +41,6 @@ from .errors import (
     ModelFileError,
     QmyoError,
     UndefinedDenominatorError,
-    ZeroSignalError,
 )
 from .evaluation import (
     BlockErrorReport,

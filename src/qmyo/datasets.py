@@ -32,21 +32,23 @@ from .synthetic import TestSet
 
 logger = logging.getLogger(__name__)
 
-_ANGLE_COLUMNS = [f"{dof.value}_angle" for dof in Dof]
-_TAIL_COLUMNS = _ANGLE_COLUMNS + ["phase", "block"]
+_TAIL_COLUMNS = [f"{dof.value}_angle" for dof in DOFS] + ["phase", "block"]
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
 class FeatureDataset:
     """Tabular feature windows with ground truth, phases and block ids.
 
+    ``angles`` is (N, 3), one signed angle column per DOF in ``DOFS``
+    order, as in the CSV; ``direct`` marks the direct-phase rows.
     ``lines`` holds each row's file line when a row may span lines;
     without it, row ``i`` is named as line ``i + 2``, after the header.
     """
 
     features: np.ndarray
-    angles: dict[Dof, np.ndarray]
-    phases: list[MovementPhase]
+    angles: np.ndarray
+    direct: np.ndarray
     block_ids: np.ndarray
     source: str = ""
     lines: list[int] | None = None
@@ -58,20 +60,18 @@ class FeatureDataset:
                 f"features must be 2-D (rows x channels), got ndim={features.ndim}"
             )
         n = features.shape[0]
-        angles = {}
-        for dof in Dof:
-            column = np.asarray(self.angles.get(dof, np.zeros(n)), dtype=float)
-            if column.shape != (n,):
-                raise DatasetSchemaError(
-                    f"{dof.value} angle column has {column.shape[0]} rows, expected {n}"
-                )
-            angles[dof] = column
-        table = np.column_stack([angles[dof] for dof in DOFS])
-        if (bad := ~np.isfinite(table)).any():
+        angles = np.asarray(self.angles, dtype=float)
+        direct = np.asarray(self.direct, dtype=bool)
+        block_ids = np.asarray(self.block_ids, dtype=int)
+        for name, column, shape in (("angles", angles, (n, len(DOFS))),
+                                    ("direct", direct, (n,)), ("block_ids", block_ids, (n,))):
+            if column.shape != shape:
+                raise DatasetSchemaError(f"{name} has shape {column.shape}, expected {shape}")
+        if (bad := ~np.isfinite(angles)).any():
             row, k = np.argwhere(bad)[0]
             raise DatasetSchemaError(
                 f"{self.where(row)}: {DOFS[k].value}_angle value "
-                f"{float(table[row, k])!r} is not finite"
+                f"{float(angles[row, k])!r} is not finite"
             )
         if (bad := ~(np.isfinite(features) & (features >= 0))).any():
             row, column = np.argwhere(bad)[0]
@@ -79,9 +79,6 @@ class FeatureDataset:
                 f"{self.where(row)}: ch{column + 1} value "
                 f"{float(features[row, column])!r} is not a finite, non-negative mav feature"
             )
-        block_ids = np.asarray(self.block_ids, dtype=int)
-        if block_ids.shape != (n,) or len(self.phases) != n:
-            raise DatasetSchemaError("phase and block columns must match the row count")
         starts = run_starts(block_ids)
         later = np.ones(len(starts), dtype=bool)  # runs that are not the first of their id
         later[np.unique(block_ids[starts], return_index=True)[1]] = False
@@ -91,6 +88,7 @@ class FeatureDataset:
                                      f"{block_ids[row]} appears in non-contiguous runs")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "direct", direct)
         object.__setattr__(self, "block_ids", block_ids)
 
     def where(self, row: int) -> str:
@@ -114,8 +112,7 @@ def training_table(ds: FeatureDataset) -> TrainingTable:
     a logged count; rows activating more than one DOF are rejected, since
     operator learning is defined on single-DOF data only.
     """
-    table = np.column_stack([ds.angles[dof] for dof in DOFS])
-    active = table != 0.0
+    active = ds.angles != 0.0
     if (multi := np.flatnonzero(active.sum(axis=1) > 1)).size:
         names = ", ".join(dof.value for dof, on in zip(DOFS, active[multi[0]]) if on)
         raise DatasetSchemaError(f"{ds.where(multi[0])}: training rows "
@@ -123,20 +120,13 @@ def training_table(ds: FeatureDataset) -> TrainingTable:
     rows, columns = np.nonzero(active)  # rows ascend, one column each
     if n_rest := ds.n_rows - len(rows):
         logger.info("skipped %d rest rows while collecting training samples", n_rest)
-    direct = np.fromiter((p is MovementPhase.DIRECT for p in ds.phases), bool, ds.n_rows)
-    return TrainingTable(ds.features[rows], columns, table[rows, columns], direct[rows])
+    return TrainingTable(ds.features[rows], columns, ds.angles[rows, columns], ds.direct[rows])
 
 
 def from_training_table(table: TrainingTable, source: str = "") -> FeatureDataset:
     """Pack training rows into a dataset (all rows in block 0)."""
-    phases = (MovementPhase.RETURN, MovementPhase.DIRECT)
-    return FeatureDataset(
-        features=table.features,
-        angles={dof: np.where(table.dof_index == k, table.angles, 0.0) for k, dof in enumerate(DOFS)},
-        phases=[phases[direct] for direct in table.direct.tolist()],
-        block_ids=np.zeros(table.n_rows, dtype=int),
-        source=source,
-    )
+    angles = np.where(table.dof_index[:, None] == np.arange(len(DOFS)), table.angles[:, None], 0.0)
+    return FeatureDataset(table.features, angles, table.direct, np.zeros(table.n_rows, dtype=int), source)
 
 
 def from_training_samples(
@@ -147,17 +137,14 @@ def from_training_samples(
 
 
 def from_test_set(ts: TestSet, source: str = "") -> FeatureDataset:
-    """Pack a generated test set into a dataset."""
+    """Pack a generated test set into a dataset, every row direct-phase."""
     n = len(ts.values)
     if n == 0:
         raise DatasetSchemaError("test set has no windows")
-    return FeatureDataset(
-        features=ts.values,
-        angles={dof: values.copy() for dof, values in ts.truth.items()},
-        phases=[MovementPhase.DIRECT] * n,
-        block_ids=ts.block_ids,
-        source=source,
-    )
+    angles = np.zeros((n, len(DOFS)))
+    for dof, values in ts.truth.items():
+        angles[:, DOFS.index(dof)] = values
+    return FeatureDataset(ts.values, angles, np.ones(n, dtype=bool), ts.block_ids, source)
 
 
 def _header(n_channels: int) -> list[str]:
@@ -166,9 +153,9 @@ def _header(n_channels: int) -> list[str]:
 
 def save_feature_dataset(ds: FeatureDataset, path) -> None:
     columns = [float_cells(column) for column in ds.features.T]
-    columns += [float_cells(ds.angles[dof]) for dof in Dof]
-    # the plain attribute, not the much slower ``value`` property
-    columns += [[phase._value_ for phase in ds.phases], map(str, ds.block_ids.tolist())]
+    columns += [float_cells(column) for column in ds.angles.T]
+    phases = (MovementPhase.RETURN.value, MovementPhase.DIRECT.value)
+    columns += [[phases[direct] for direct in ds.direct.tolist()], map(str, ds.block_ids.tolist())]
     write_rows(path, _header(ds.n_channels), columns)
 
 
@@ -181,26 +168,34 @@ def _header_problem(header: list[str]) -> str | None:
     return None
 
 
-def _phase(cell: str) -> MovementPhase:
-    return MovementPhase(cell.strip())  # the enum's ValueError names a bad cell
+def _direct(cell: str) -> bool:
+    return MovementPhase(cell.strip()) is MovementPhase.DIRECT  # the enum's ValueError names a bad cell
+
+
+def _block(cell: str) -> int:
+    block = int(cell)  # int's ValueError names a bad cell
+    if not _INT64.min <= block <= _INT64.max:
+        raise ValueError(f"block id {block} is outside the int64 range")
+    return block
 
 
 def load_feature_dataset(path) -> FeatureDataset:
     """Read a feature dataset CSV, validating the header and every row."""
-    header, table, (phases, block_rows), lines = read_table(path, _header_problem, (_phase, int))
-    if not phases:
+    header, table, (direct, block_ids), lines = read_table(path, _header_problem, (_direct, _block))
+    if not direct:
         raise EmptyInputError(f"{path}: no rows after header")
     n_channels = len(header) - len(_TAIL_COLUMNS)
     ds = FeatureDataset(
         features=np.array(table[:, :n_channels]),
-        angles={dof: np.array(table[:, n_channels + k]) for k, dof in enumerate(Dof)},
-        phases=phases,
-        block_ids=np.array(block_rows, dtype=int),
+        angles=np.array(table[:, n_channels:]),
+        direct=direct,
+        block_ids=block_ids,
         source=str(path),
         lines=lines,
     )
-    counts = ", ".join(f"{phase.value}: {phases.count(phase)}" for phase in MovementPhase)
-    logger.info("loaded %d rows (%s) from %s", len(phases), counts, path)
+    n_direct = int(ds.direct.sum())
+    logger.info("loaded %d rows (direct: %d, return: %d) from %s",
+                ds.n_rows, n_direct, ds.n_rows - n_direct, path)
     return ds
 
 

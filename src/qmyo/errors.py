@@ -42,10 +42,6 @@ class InsufficientTrainingError(DataError):
     """Training data is missing a required degree of freedom or direction."""
 
 
-class ZeroSignalError(ModelError):
-    """An all-zero feature vector cannot be encoded as a unit state."""
-
-
 class DimensionError(ModelError):
     """Vector or matrix dimensions do not match."""
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import DecodedBatch, decode_batch
 from .datasets import FeatureDataset, training_table
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, UndefinedDenominatorError
 from .evaluation import (
     BlockErrorReport,
     block_errors,
@@ -118,11 +118,17 @@ def evaluate_model(
     dofs = model.sorted_dofs()
     decoded = decode_batch(test.features, model)
     estimate = {dof: decoded.angle[:, k] for k, dof in enumerate(dofs)}
-    truth = {dof: test.angles[dof] for dof in dofs}
+    truth = {dof: test.angles[:, DOFS.index(dof)] for dof in dofs}
+    r2_per_dof = {}
+    for dof in dofs:
+        try:
+            r2_per_dof[dof] = r_squared_dof(truth[dof], estimate[dof])
+        except UndefinedDenominatorError as exc:
+            raise UndefinedDenominatorError(f"{dof.value}: {exc}") from None
     return SizeResult(
         training_size=training_size,
         overlaps={dof: model.dofs[dof].overlap for dof in dofs},
-        r2_per_dof={dof: r_squared_dof(truth[dof], estimate[dof]) for dof in dofs},
+        r2_per_dof=r2_per_dof,
         r2_global=r_squared_global(truth, estimate),
         blocks=block_errors(truth, estimate, test.block_ids, model.decode_config),
         decoded=decoded,

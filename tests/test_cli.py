@@ -916,8 +916,7 @@ def test_three_dof_synth_train_evaluate(tmp_path, capsys):
         "--per-action", 40, "--blocks", 33, "--windows", 330,
     ) == 0
     test = load_feature_dataset(test_csv)
-    for dof in Dof:
-        assert np.ptp(test.angles[dof]) > 0, dof
+    assert (np.ptp(test.angles, axis=0) > 0).all()
     assert run("train", "--data", train_csv, "--out", model_json) == 0
     assert run("evaluate", "--test", test_csv, "--model", model_json) == 0
     out = capsys.readouterr().out
@@ -993,3 +992,30 @@ def test_dataset_error_after_a_multi_line_cell_names_the_file_line(tmp_path, cap
     assert run("train", "--data", path, "--out", tmp_path / "m.json") == 2
     line = 6 if "block id" in message else 5
     assert capsys.readouterr().err == f"qmyo: data error: {path}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("block", ["99999999999999999999", "-9223372036854775809"])
+def test_block_id_beyond_int64_is_data_error(tmp_path, capsys, block):
+    lines = V1_TRAIN.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0] + f",{block}"]) + "\n")
+    for argv in (["train", "--data", bad, "--out", tmp_path / "m.json"],
+                 ["evaluate", "--test", bad, "--model", V1_MODEL]):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"qmyo: data error: {bad}:{len(lines)}: block id {block} is outside the int64 range\n")
+
+
+def test_constant_truth_on_a_trained_dof_names_the_dof(tmp_path, capsys):
+    # a d1/d2 model scored on a d1/d3 test set, where d2 never moves
+    files = {name: tmp_path / f"{name}.csv" for name in ("train", "test", "unused")}
+    for dofs, train_out, test_out in ((["d1", "d2"], files["train"], files["unused"]),
+                                      (["d1", "d3"], files["unused"], files["test"])):
+        assert run("synth", "--train-out", train_out, "--test-out", test_out, "--dofs", *dofs,
+                   "--per-action", 20, "--blocks", 11, "--windows", 110, "--seed", 3) == 0
+    model_json = tmp_path / "m.json"
+    assert run("train", "--data", files["train"], "--out", model_json) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--test", files["test"], "--model", model_json) == 3
+    assert capsys.readouterr().err == (
+        "qmyo: model error: d2: true trajectory is constant; the performance index is undefined\n")

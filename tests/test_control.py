@@ -491,6 +491,10 @@ class TestDecodeBatch:
         with pytest.raises(DimensionError):
             decode_batch(np.ones((2, 4)), MODELS["2dof"])
 
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(DimensionError, match=r"^features must be 2-D \(windows x channels\), got \(5,\)$"):
+            decode_batch(np.ones(5), MODELS["2dof"])
+
     def test_degenerate_overlap_rejected(self):
         nearly = QuantumState(np.array([1.0, 1e-9]) / np.linalg.norm([1.0, 1e-9]))
         model = train(

@@ -23,7 +23,7 @@ from qmyo.datasets import (
 )
 from qmyo.errors import DatasetParseError
 from qmyo.features import EmgRecording, load_recording, save_recording
-from qmyo.operators import Dof, MovementPhase
+from qmyo.operators import DOFS, Dof
 from qmyo.synthetic import generate_raw_emg, generate_training_table, orthogonal_mixing_model
 
 # Mutations of a written file's text. The first three leave a file the
@@ -127,8 +127,8 @@ def dataset_outcome(path, fast):
     with nullcontext() if fast else row_reader(), logged("qmyo.datasets") as messages:
         kind, ds, warned = outcome(load_feature_dataset, path)
     if kind == "ok":
-        ds = (ds.features.shape, ds.features.tobytes(), [ds.angles[dof].tobytes() for dof in Dof],
-              ds.phases, ds.block_ids.tolist())
+        ds = (ds.features.shape, ds.features.tobytes(), ds.angles.tobytes(), ds.direct.tolist(),
+              ds.block_ids.tolist())
     return kind, ds, messages, warned
 
 
@@ -142,12 +142,13 @@ def feature_datasets(draw):
     n = draw(st.integers(1, 8))
     n_channels = draw(st.integers(1, 3))
     values = draw(st.lists(magnitudes, min_size=n * n_channels, max_size=n * n_channels))
-    angles = {dof: np.array(draw(st.lists(floats | st.just(0.0), min_size=n, max_size=n)))
-              for dof in draw(st.sets(st.sampled_from(list(Dof))))}
+    angles = np.zeros((n, len(DOFS)))
+    for k in draw(st.sets(st.sampled_from(range(len(DOFS))))):
+        angles[:, k] = draw(st.lists(floats | st.just(0.0), min_size=n, max_size=n))
     return FeatureDataset(
         features=np.array(values).reshape(n, n_channels),
         angles=angles,
-        phases=draw(st.lists(st.sampled_from(list(MovementPhase)), min_size=n, max_size=n)),
+        direct=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
         block_ids=np.array(sorted(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))),
     )
 
@@ -162,8 +163,8 @@ class TestFastParseEqualsRowReader:
             load_feature_dataset(path)
         kind, loaded, _, warned = dataset_outcome(path, fast=True)
         assert (kind, loaded, warned) == ("ok", (
-            ds.features.shape, ds.features.tobytes(), [ds.angles[dof].tobytes() for dof in Dof],
-            ds.phases, ds.block_ids.tolist()), [])
+            ds.features.shape, ds.features.tobytes(), ds.angles.tobytes(), ds.direct.tolist(),
+            ds.block_ids.tolist()), [])
         text, kinds = data.draw(mutated(path.read_bytes().decode()))
         path.write_bytes(text.encode())
         assert dataset_outcome(path, fast=True) == dataset_outcome(path, fast=False)

@@ -2,6 +2,7 @@
 
 import csv
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qmyo.errors import DatasetParseError, DatasetSchemaError, EmptyInputError
 from qmyo.evaluation import block_errors, run_starts
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
+    DOFS,
     DecodeConfig,
     Direction,
     Dof,
@@ -45,35 +47,42 @@ def small_dataset():
     features = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     return FeatureDataset(
         features=features,
-        angles={D1: np.array([10.0, -20.0, 0.0])},
-        phases=[MovementPhase.DIRECT, MovementPhase.DIRECT, MovementPhase.RETURN],
+        angles=np.array([[10.0, 0.0, 0.0], [-20.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        direct=np.array([True, True, False]),
         block_ids=np.array([0, 0, 1]),
     )
 
 
+def angle_columns(n, **columns):
+    """(n, 3) angles, zero but for the named DOF columns (``d1=...``)."""
+    angles = np.zeros((n, len(DOFS)))
+    for name, values in columns.items():
+        angles[:, DOFS.index(Dof(name))] = values
+    return angles
+
+
 class TestDatasetValidation:
-    def test_missing_angle_columns_default_to_zero(self):
-        ds = small_dataset()
-        assert not ds.angles[D2].any()
-        assert not ds.angles[D3].any()
+    def test_angles_need_one_column_per_dof(self):
+        for shape in [(3,), (3, 2), (3, 4)]:
+            with pytest.raises(DatasetSchemaError, match=re.escape(f"angles has shape {shape}, expected (3, 3)")):
+                FeatureDataset(np.zeros((3, 1)), np.zeros(shape), np.ones(3, dtype=bool),
+                               np.zeros(3, dtype=int))
 
     def test_non_contiguous_blocks_rejected(self):
         with pytest.raises(DatasetSchemaError):
             FeatureDataset(
                 features=np.zeros((3, 1)),
-                angles={},
-                phases=[MovementPhase.DIRECT] * 3,
+                angles=np.zeros((3, 3)),
+                direct=np.ones(3, dtype=bool),
                 block_ids=np.array([0, 1, 0]),
             )
 
     def test_row_count_mismatch_rejected(self):
-        with pytest.raises(DatasetSchemaError):
-            FeatureDataset(
-                features=np.zeros((3, 1)),
-                angles={D1: np.zeros(2)},
-                phases=[MovementPhase.DIRECT] * 3,
-                block_ids=np.zeros(3, dtype=int),
-            )
+        columns = {"angles": np.zeros((3, 3)), "direct": np.ones(3, dtype=bool),
+                   "block_ids": np.zeros(3, dtype=int)}
+        for name, column in columns.items():
+            with pytest.raises(DatasetSchemaError, match=f"^{name} has shape "):
+                FeatureDataset(features=np.zeros((3, 1)), **(columns | {name: column[:2]}))
 
 
 class TestCsvRoundTrip:
@@ -81,17 +90,16 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(0)
         ds = FeatureDataset(
             features=np.abs(rng.normal(size=(20, 5))) ** 3,
-            angles={D1: rng.normal(size=20), D3: rng.normal(size=20)},
-            phases=[MovementPhase.DIRECT] * 10 + [MovementPhase.RETURN] * 10,
+            angles=angle_columns(20, d1=rng.normal(size=20), d3=rng.normal(size=20)),
+            direct=np.repeat([True, False], 10),
             block_ids=np.repeat([0, 1, 2, 3], 5),
         )
         path = tmp_path / "data.csv"
         save_feature_dataset(ds, path)
         loaded = load_feature_dataset(path)
         np.testing.assert_array_equal(loaded.features, ds.features)
-        for dof in Dof:
-            np.testing.assert_array_equal(loaded.angles[dof], ds.angles[dof])
-        assert loaded.phases == ds.phases
+        np.testing.assert_array_equal(loaded.angles, ds.angles)
+        np.testing.assert_array_equal(loaded.direct, ds.direct)
         np.testing.assert_array_equal(loaded.block_ids, ds.block_ids)
 
     def test_header_shape(self, tmp_path):
@@ -158,8 +166,8 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetSchemaError, match=r"^<dataset>:2: ch1 value -1\.0 is not a finite"):
             FeatureDataset(
                 features=np.array([[-1.0, 2.0]]),
-                angles={},
-                phases=[MovementPhase.DIRECT],
+                angles=np.zeros((1, 3)),
+                direct=np.ones(1, dtype=bool),
                 block_ids=np.zeros(1, dtype=int),
             )
 
@@ -199,8 +207,8 @@ class TestTrainingSampleConversion:
     def test_multi_dof_row_rejected(self):
         ds = FeatureDataset(
             features=np.ones((1, 2)),
-            angles={D1: np.array([10.0]), D3: np.array([5.0])},
-            phases=[MovementPhase.DIRECT],
+            angles=np.array([[10.0, 0.0, 5.0]]),
+            direct=np.ones(1, dtype=bool),
             block_ids=np.zeros(1, dtype=int),
         )
         with pytest.raises(DatasetSchemaError, match="exactly one"):
@@ -221,7 +229,7 @@ class TestTrainingSampleConversion:
 def errors_of_constant_estimates(ds, dofs, value):
     """Block errors of a dataset's blocks when every window decodes to ``value``."""
     estimate = {dof: np.full(ds.n_rows, value) for dof in dofs}
-    report = block_errors({dof: ds.angles[dof] for dof in dofs}, estimate, ds.block_ids,
+    report = block_errors({dof: ds.angles[:, DOFS.index(dof)] for dof in dofs}, estimate, ds.block_ids,
                           DecodeConfig())
     return report.error_counts
 
@@ -230,8 +238,8 @@ class TestBlocks:
     def test_intended_direction_from_sign_of_sum(self):
         ds = FeatureDataset(
             features=np.zeros((4, 1)),
-            angles={D1: np.array([5.0, 6.0, -3.0, -4.0])},
-            phases=[MovementPhase.DIRECT] * 4,
+            angles=angle_columns(4, d1=[5.0, 6.0, -3.0, -4.0]),
+            direct=np.ones(4, dtype=bool),
             block_ids=np.array([0, 0, 1, 1]),
         )
         assert errors_of_constant_estimates(ds, [D1], 1.0) == {D1: 1}  # block 1 intends negative
@@ -241,8 +249,8 @@ class TestBlocks:
     def test_rest_blocks_have_no_intended_entries(self):
         ds = FeatureDataset(
             features=np.zeros((2, 1)),
-            angles={},
-            phases=[MovementPhase.DIRECT] * 2,
+            angles=np.zeros((2, 3)),
+            direct=np.ones(2, dtype=bool),
             block_ids=np.array([7, 7]),
         )
         assert errors_of_constant_estimates(ds, [D1, D3], 0.0) == {D1: 0, D3: 0}
@@ -322,8 +330,8 @@ def reference_save(ds, path):
             "d1_angle", "d2_angle", "d3_angle", "phase", "block"])
         for i in range(ds.n_rows):
             row = [repr(float(v)) for v in ds.features[i]]
-            row += [repr(float(ds.angles[dof][i])) for dof in Dof]
-            row.append(ds.phases[i].value)
+            row += [repr(float(v)) for v in ds.angles[i]]
+            row.append("direct" if ds.direct[i] else "return")
             row.append(str(int(ds.block_ids[i])))
             writer.writerow(row)
 
@@ -332,7 +340,7 @@ def reference_samples(ds):
     """Samples as (values, dof, direction, angle, phase), and the rest count."""
     samples, n_rest = [], 0
     for i in range(ds.n_rows):
-        active = [(dof, ds.angles[dof][i]) for dof in Dof if ds.angles[dof][i] != 0.0]
+        active = [(dof, ds.angles[i, k]) for k, dof in enumerate(Dof) if ds.angles[i, k] != 0.0]
         if not active:
             n_rest += 1
             continue
@@ -344,7 +352,8 @@ def reference_samples(ds):
             )
         dof, signed = active[0]
         direction = Direction.POSITIVE if signed > 0 else Direction.NEGATIVE
-        samples.append((ds.features[i].tobytes(), dof, direction, abs(float(signed)), ds.phases[i]))
+        phase = MovementPhase.DIRECT if ds.direct[i] else MovementPhase.RETURN
+        samples.append((ds.features[i].tobytes(), dof, direction, abs(float(signed)), phase))
     return samples, n_rest
 
 
@@ -352,14 +361,13 @@ def random_dataset(rng, n, multi_row=None):
     """Rows activating one DOF, or none (rest); ``multi_row`` activates two."""
     which = rng.integers(-1, 3, size=n)
     signed = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 40.0, size=n)
-    angles = {dof: np.where(which == k, signed, 0.0) for k, dof in enumerate(Dof)}
+    angles = np.where(which[:, None] == np.arange(len(Dof)), signed[:, None], 0.0)
     if multi_row is not None:
-        angles[D1][multi_row], angles[D3][multi_row] = 5.0, -7.0
-    phases = [MovementPhase.DIRECT if p else MovementPhase.RETURN for p in rng.random(n) < 0.8]
+        angles[multi_row, [0, 2]] = 5.0, -7.0  # d1 and d3
     return FeatureDataset(
         features=rng.lognormal(sigma=3.0, size=(n, 6)),
         angles=angles,
-        phases=phases,
+        direct=rng.random(n) < 0.8,
         block_ids=np.repeat(np.arange(n // 10 + 1), 10)[:n],
     )
 
@@ -370,12 +378,12 @@ class TestArrayNativeDataPlane:
         features = rng.lognormal(sigma=5.0, size=(40, 4))
         features[0] = [-0.0, 1e-300, 1e300, 5e-324]
         features[1] = [0.0, 0.1, 1.0 / 3.0, 2.0**-1074]
-        angles = {D1: rng.normal(scale=20.0, size=40), D3: np.zeros(40)}
-        angles[D1][:4] = [-0.0, 1e-300, -1e300, 1e16]
+        angles = angle_columns(40, d1=rng.normal(scale=20.0, size=40))
+        angles[:4, 0] = [-0.0, 1e-300, -1e300, 1e16]
         ds = FeatureDataset(
             features=features,
             angles=angles,
-            phases=[MovementPhase.DIRECT, MovementPhase.RETURN] * 20,
+            direct=np.tile([True, False], 20),
             block_ids=np.repeat([0, 3, -2, 12345678901], 10),
         )
         save_feature_dataset(ds, tmp_path / "new.csv")
@@ -412,8 +420,7 @@ class TestArrayNativeDataPlane:
     @pytest.mark.parametrize("multi_row", [0, 17, 299])
     def test_first_multi_dof_row_is_named_as_the_loop_names_it(self, multi_row):
         ds = random_dataset(np.random.default_rng(9), 300, multi_row=multi_row)
-        ds.angles[D2][150] = 1.0  # a later multi-DOF row must not be the one named
-        ds.angles[D1][150] = 1.0
+        ds.angles[150, [0, 1]] = 1.0  # a later multi-DOF row, d1 and d2, must not be the one named
         with pytest.raises(DatasetSchemaError) as expected:
             reference_samples(ds)
         with pytest.raises(DatasetSchemaError) as got:
@@ -423,9 +430,10 @@ class TestArrayNativeDataPlane:
 
     def test_all_rest_and_empty_datasets(self):
         ds = random_dataset(np.random.default_rng(1), 20)
-        rest = FeatureDataset(ds.features, {}, ds.phases, ds.block_ids)
+        rest = FeatureDataset(ds.features, np.zeros((20, 3)), ds.direct, ds.block_ids)
         assert training_table(rest).samples() == []
-        empty = FeatureDataset(np.zeros((0, 3)), {}, [], np.zeros(0, dtype=int))
+        empty = FeatureDataset(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool),
+                               np.zeros(0, dtype=int))
         assert training_table(empty).samples() == []
 
     @pytest.mark.parametrize(
@@ -442,6 +450,8 @@ class TestArrayNativeDataPlane:
              "bad.csv:4: invalid literal for int() with base 10: '1#'"),
             ("1.0,2.0,0,0,0,direct,1.5", DatasetParseError,
              "bad.csv:4: invalid literal for int() with base 10: '1.5'"),
+            ("1.0,2.0,0,0,0,direct,9223372036854775808", DatasetParseError,
+             "bad.csv:4: block id 9223372036854775808 is outside the int64 range"),
             ("1.0,2.0,0,0,0,direct,0", DatasetSchemaError,
              "bad.csv:4: block id 0 appears in non-contiguous runs"),
         ],
@@ -463,20 +473,20 @@ class TestArrayNativeDataPlane:
         with pytest.raises(DatasetSchemaError) as exc:
             FeatureDataset(
                 features=np.zeros((7, 1)),
-                angles={},
-                phases=[MovementPhase.DIRECT] * 7,
+                angles=np.zeros((7, 3)),
+                direct=np.ones(7, dtype=bool),
                 block_ids=np.array([4, 4, 9, 2, 9, 4, 2]),
                 source="x.csv",
             )
         assert str(exc.value) == "x.csv:6: block id 9 appears in non-contiguous runs"
 
-    def test_phases_are_the_enum_members(self, tmp_path):
+    def test_columns_load_as_contiguous_arrays(self, tmp_path):
         ds = random_dataset(np.random.default_rng(4), 30)
         save_feature_dataset(ds, tmp_path / "d.csv")
         loaded = load_feature_dataset(tmp_path / "d.csv")
-        assert all(a is b for a, b in zip(loaded.phases, ds.phases))
-        assert loaded.features.flags.c_contiguous
-        assert all(loaded.angles[dof].flags.c_contiguous for dof in Dof)
+        assert loaded.direct.dtype == bool and loaded.direct.tolist() == ds.direct.tolist()
+        assert loaded.angles.shape == (30, 3)
+        assert all(column.flags.c_contiguous for column in (loaded.features, loaded.angles))
 
     def test_non_contiguous_check_equals_the_per_row_loop(self):
         def reference(block_ids):
@@ -493,7 +503,7 @@ class TestArrayNativeDataPlane:
             n = int(rng.integers(0, 12))
             block_ids = rng.integers(-2, 3, size=n)
             expected = reference(block_ids)
-            args = (np.zeros((n, 1)), {}, [MovementPhase.DIRECT] * n, block_ids)
+            args = (np.zeros((n, 1)), np.zeros((n, 3)), np.ones(n, dtype=bool), block_ids)
             if expected is None:
                 FeatureDataset(*args)
             else:

@@ -72,8 +72,8 @@ class TestRunExperiment:
         model = train_table(subset_per_action(training_table(train_ds), 5))
         empty = type(test_ds)(
             features=np.zeros((0, test_ds.n_channels)),
-            angles={},
-            phases=[],
+            angles=np.zeros((0, 3)),
+            direct=np.zeros(0, dtype=bool),
             block_ids=np.zeros(0, dtype=int),
         )
         with pytest.raises(ConfigurationError):

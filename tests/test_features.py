@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmyo.errors import DatasetParseError, DatasetSchemaError, EmptyInputError
+from qmyo.errors import DatasetParseError, DatasetSchemaError, DimensionError, EmptyInputError
 from qmyo.features import (
     EmgRecording,
     FeatureKind,
@@ -47,6 +47,11 @@ class TestSegmentWindows:
     def test_window_under_two_samples_rejected(self):
         with pytest.raises(ValueError):
             segment_windows(recording(100, rate=10.0), 100.0)
+
+    @pytest.mark.parametrize("window_ms", [0.0, -100.0, float("nan")])
+    def test_non_positive_window_rejected(self, window_ms):
+        with pytest.raises(ValueError, match=f"^window_ms must be > 0, got {window_ms}$"):
+            segment_windows(recording(1024), window_ms)
 
     @given(
         n_samples=st.integers(1, 3000),
@@ -190,6 +195,14 @@ class TestRecordingValidation:
     def test_feature_vector_rejects_negative_mav(self):
         with pytest.raises(ValueError):
             FeatureVector(np.array([-1.0]), FeatureKind.MAV)
+
+    def test_zero_channels_rejected(self):
+        with pytest.raises(DimensionError, match="^recording needs at least one channel$"):
+            EmgRecording(np.zeros((4, 0)), 1024.0)
+
+    def test_feature_vector_must_be_one_dimensional(self):
+        with pytest.raises(DimensionError, match="^feature values must be 1-D, got ndim=2$"):
+            FeatureVector(np.ones((2, 2)), FeatureKind.MAV)
 
 
 class TestRecordingCsv:

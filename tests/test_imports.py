@@ -1,6 +1,6 @@
-"""Every name a source module imports at module level is used in it, and
+"""Every name a source module imports at module level is used in it,
 every module-level private name a source module defines is read somewhere
-in the package.
+in the package, and every error class without a subclass is raised in it.
 
 ``__init__.py`` is skipped by the import check: its imports are the
 package's public names.
@@ -10,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from qmyo import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qmyo"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -119,3 +121,39 @@ def test_a_private_name_only_assigned_counts_as_unused():
     defined = private_definitions(tree)
     assert set(defined) == {"_TABLE", "_SEEN", "_LEFT", "_helper", "_Kind"}
     assert set(defined) - read_names(tree) == {"_LEFT", "_helper"}
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """Names of the exceptions raised by name: ``raise E(...)``, ``raise E``, ``raise m.E``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_leaf_error_is_raised():
+    leaves = [cls.__name__ for cls in vars(errors).values()
+              if isinstance(cls, type) and issubclass(cls, Exception)
+              and cls.__module__ == errors.__name__ and not cls.__subclasses__()]
+    raised = set().union(*(raised_names(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in SRC.glob("*.py")))
+    unraised = sorted(set(leaves) - raised)
+    assert leaves and not unraised, f"errors.py classes nothing raises: {', '.join(unraised)}"
+
+
+def test_raised_names_reads_calls_bare_names_and_attributes():
+    tree = ast.parse(
+        "try:\n"
+        "    raise A('x')\n"
+        "except A:\n"
+        "    raise\n"
+        "raise B\n"
+        "raise errors.C('y') from None\n"
+        "D('built, not raised')\n"
+    )
+    assert raised_names(tree) == {"A", "B", "C"}

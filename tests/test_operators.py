@@ -104,6 +104,18 @@ def prototype(samples):
     return train_table(TrainingTable.of_samples(rows, n)).dofs[D1].proto_pos
 
 
+class TestTrainingSampleValidation:
+    @pytest.mark.parametrize("direction, angle, message", [
+        (Direction.REST, 30.0, "training samples must have a positive or negative direction"),
+        (Direction.POSITIVE, 0.0, "training angle must be > 0, got 0.0"),
+        (Direction.NEGATIVE, -5.0, "training angle must be > 0, got -5.0"),
+        (Direction.POSITIVE, math.nan, "training angle must be > 0, got nan"),
+    ])
+    def test_rest_or_non_positive_angle_rejected(self, direction, angle, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample([1.0, 0.0], direction=direction, angle=angle)
+
+
 class TestBuildPrototype:
     def test_single_sample_is_itself(self):
         proto = prototype([sample([2.0, 1.0], angle=17.0)])
@@ -439,6 +451,9 @@ class TestOverlapCurve:
             curve(samples, [len(samples) + 1])
         with pytest.raises(ValueError):
             curve(samples, [])
+        for sizes in ([0, 2], [-1, 2]):
+            with pytest.raises(ValueError, match=r"^batch sizes must be positive, got \[-?\d, 2\]$"):
+                curve(samples, sizes)
 
     def test_every_prefix_trains_the_largest_prefixs_dofs(self):
         rng = np.random.default_rng(5)

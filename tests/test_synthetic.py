@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qmyo.errors import DimensionError
 from qmyo.evaluation import block_errors, run_starts
 from qmyo.features import mav, segment_windows
 from qmyo.operators import DecodeConfig, Direction, Dof, MovementPhase, train
@@ -62,6 +63,15 @@ class TestMixingModelValidation:
         with pytest.raises(Exception):
             MixingModel(mixing=np.eye(4)[:, :3], dofs=(D1, D3))
 
+    @pytest.mark.parametrize("mixing, dofs, error, message", [
+        (np.ones(2), (D1,), DimensionError, r"mixing must be 2-D, got ndim=1"),
+        (np.eye(4), (D1, D1), ValueError, r"dofs must be non-empty and unique, got .*"),
+        (np.eye(2), (), ValueError, r"dofs must be non-empty and unique, got \(\)"),
+    ])
+    def test_mixing_shape_and_dofs_checked(self, mixing, dofs, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            MixingModel(mixing=mixing, dofs=dofs)
+
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_negative_or_nan_noise_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
@@ -113,6 +123,10 @@ class TestGenerateFeatures:
     def test_unknown_dof_rejected(self):
         with pytest.raises(ValueError):
             generate_features(tiny_model(), {D2: 5.0}, 1)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+            generate_features(tiny_model(), {D1: 5.0}, -1)
 
 
 class TestSingleDofRayProperty:
@@ -217,6 +231,17 @@ class TestGenerateTestScenario:
         with pytest.raises(ValueError):
             ScenarioBlock(angles={D1: (-5.0, 5.0)}, n_windows=3)
 
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="^block needs at least 1 window, got 0$"):
+            ScenarioBlock(angles={D1: (5.0, 5.0)}, n_windows=0)
+
+    def test_both_builders_need_two_dofs(self):
+        one_dof = MixingModel(mixing=np.eye(2), dofs=(D1,))
+        with pytest.raises(ValueError, match="^the default scenario needs at least two DOFs$"):
+            default_scenario((D1,))
+        with pytest.raises(ValueError, match="^the matched scenario needs at least two DOFs$"):
+            matched_scenario(one_dof, {(D1, POS): 40.0, (D1, NEG): 40.0})
+
     def test_deterministic(self):
         model = tiny_model(noise_sigma=0.3, seed=4)
         scenario = default_scenario(dofs=(D1, D3), n_blocks=6, total_windows=60)
@@ -271,6 +296,10 @@ class TestDefaultModels:
     def test_baseline_keeps_every_entry_positive(self):
         model = default_mixing_model(baseline=0.02)
         assert np.all(model.mixing > 0)
+
+    def test_negative_baseline_rejected(self):
+        with pytest.raises(ValueError, match="^baseline must be >= 0, got -0.1$"):
+            default_mixing_model(baseline=-0.1)
 
     def test_channel_guard(self):
         with pytest.raises(ValueError):
@@ -349,6 +378,11 @@ class TestScenarioPins:
 
 
 class TestGenerateRawEmg:
+    @pytest.mark.parametrize("duration_s, sample_rate", [(0.0, 1024.0), (-1.0, 1024.0), (1.0, 0.0)])
+    def test_non_positive_duration_or_rate_rejected(self, duration_s, sample_rate):
+        with pytest.raises(ValueError, match="^duration_s and sample_rate must be > 0$"):
+            generate_raw_emg(tiny_model(), {D1: 10.0}, duration_s, sample_rate)
+
     def test_window_mav_tracks_mixing(self):
         model = tiny_model()
         rec = generate_raw_emg(model, {D1: 20.0}, duration_s=4.0)
