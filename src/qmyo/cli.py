@@ -257,8 +257,9 @@ def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
         return datasets.load_feature_dataset(args.data).features
     _require_file(parser, args.raw)
     rate, window_ms = settings.get("sample_rate"), settings.get("window_ms")
-    if window_ms * rate / 1000.0 < 2:
-        raise ConfigurationError(f"a {window_ms} ms window spans under 2 samples at {rate} Hz")
+    if not 2 <= (length := window_ms * rate / 1000.0) < math.inf:
+        span = "under 2" if length < 2 else "unbounded"
+        raise ConfigurationError(f"a {window_ms} ms window spans {span} samples at {rate} Hz")
     rec = features.load_recording(args.raw, sample_rate=rate)
     windows = features.segment_windows(rec, window_ms)
     return np.stack([features.mav(w).values for w in windows])

@@ -72,11 +72,11 @@ class DecisionMap(Mapping):
     """Read-only mapping of one window's DOFs to their decisions.
 
     Holds the batch's sorted DOF tuple, which every window shares, and
-    one (D, 6) float row per window: e₊, e₋, sign code, |angle|, raw
-    angle and clamp flag for each DOF in that order. Each read builds a
-    new, equal :class:`DofDecision` from the row. It compares, iterates
-    and prints like the dict of the same items; ``dict(m)`` is a
-    mutable copy.
+    the window's own (6, D) block of the batch's decision array: e₊, e₋,
+    sign code, |angle|, raw angle and clamp flag, one column per DOF.
+    Each read builds a new, equal :class:`DofDecision` from the column.
+    It compares, iterates and prints like the dict of the same items;
+    ``dict(m)`` is a mutable copy.
     """
 
     __slots__ = ("_dofs", "_row")
@@ -90,7 +90,7 @@ class DecisionMap(Mapping):
             k = self._dofs.index(dof)
         except ValueError:
             raise KeyError(dof) from None
-        p, n, code, angle, raw, clamped = self._row[k].tolist()
+        p, n, code, angle, raw, clamped = self._row[:, k].tolist()
         return DofDecision(p, n, SIGN_DIRECTIONS[code], angle, raw, clamped != 0.0)
 
     def __iter__(self):
@@ -141,23 +141,26 @@ class DecodedAction:
 class DecodedBatch:
     """Decoded outcomes of N windows, one column per DOF in ``dofs`` order.
 
-    Per-DOF arrays are (N, D). ``direction`` holds int8 sign codes (1
-    positive, -1 negative, 0 rest), ``angle`` the signed, clamped angle
-    and ``raw_angle`` the unsigned angle before clamping. The completion
-    expectations and their negative mask are computed on each read.
+    ``decisions`` is one (6, N, D) float array, field-major: e₊, e₋,
+    sign code (1 positive, -1 negative, 0 rest), |angle|, raw angle
+    before clamping and clamp flag, each a contiguous (N, D) block. The
+    (N, D) arrays below are views of it or are computed from it on each
+    read, so bind one to a name rather than reading it per DOF.
     """
 
     dofs: tuple[Dof, ...]
-    expectation_pos: np.ndarray
-    expectation_neg: np.ndarray
-    direction: np.ndarray
-    angle: np.ndarray
-    raw_angle: np.ndarray
-    angle_clamped: np.ndarray
+    decisions: np.ndarray
     zero_signal: np.ndarray
 
     def __len__(self) -> int:
         return self.zero_signal.shape[0]
+
+    expectation_pos = property(lambda self: self.decisions[0], doc="(N, D) e₊, a view.")
+    expectation_neg = property(lambda self: self.decisions[1], doc="(N, D) e₋, a view.")
+    direction = property(lambda self: self.decisions[2].astype(np.int8), doc="(N, D) int8 codes.")
+    angle = property(lambda self: self.decisions[2] * self.decisions[3], doc="(N, D) signed angle.")
+    raw_angle = property(lambda self: self.decisions[4], doc="(N, D) unclamped |angle|, a view.")
+    angle_clamped = property(lambda self: self.decisions[5] != 0.0, doc="(N, D) clamp mask.")
 
     @property
     def expectation_zero(self) -> np.ndarray:
@@ -183,57 +186,48 @@ class DecodedBatch:
         return residuals
 
     def action(self, i: int) -> DecodedAction:
-        """Row ``i`` as a :class:`DecodedAction`."""
-        row = np.stack((self.expectation_pos[i], self.expectation_neg[i], self.direction[i],
-                        np.abs(self.angle[i]), self.raw_angle[i], self.angle_clamped[i]), axis=1)
-        return DecodedAction(DecisionMap(self.dofs, row),
+        """Row ``i`` as a :class:`DecodedAction`, holding a copy of its (6, D) block."""
+        return DecodedAction(DecisionMap(self.dofs, self.decisions[:, i].copy()),
                              _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
-
-
-def _expectations(states: np.ndarray, prototypes: np.ndarray):
-    """Direction expectations e± = (ψ·p±)², each (N, D).
-
-    One vector-matrix product per row against the (C, 2D) prototype
-    matrix, so a window gets the same bits alone or in a batch.
-    """
-    amplitudes = (np.ascontiguousarray(states)[:, None, :] @ prototypes)[:, 0, :]
-    squared = amplitudes * amplitudes
-    return squared[:, 0::2], squared[:, 1::2]
 
 
 def _decide(
     states: np.ndarray, zero_signal: np.ndarray, tables: DecodeTables, cfg: DecodeConfig
 ) -> DecodedBatch:
-    """Expectations, directions and angles for (N, C) unit states.
+    """Expectations, directions and angles for (N, C) unit states in C order.
 
-    Zero-signal rows are all-zero states, so they measure e± = 0 and
-    e₀ = 1 and land at rest without a special case. Within
-    ``cfg.rest_threshold`` of a tie a DOF is at rest; otherwise the
-    angle is the margin times the winner's maximal training angle over
-    (1 - overlap), clamped to that maximum.
+    The expectations are e± = (ψ·p±)², one vector-matrix product per row
+    against the (C, 2D) prototype matrix, so a window gets the same bits
+    alone or in a batch. Zero-signal rows are all-zero states, so they
+    measure e± = 0 and e₀ = 1 and land at rest without a special case.
+    Within ``cfg.rest_threshold`` of a tie a DOF is at rest; otherwise
+    the angle is the margin times the winner's maximal training angle
+    over (1 - overlap), clamped to that maximum.
     """
     if tables.max_overlap >= 1.0 - cfg.overlap_epsilon:
         raise DegenerateOperatorsError(
             f"prototype overlap {tables.max_overlap!r} leaves no margin; "
             "the direction pair is unlearnable"
         )
-    e_pos, e_neg = _expectations(states, tables.prototypes)
-    margin = e_pos - e_neg
-    size = np.abs(margin)
-    moving = size > cfg.rest_threshold
-    direction = (np.sign(margin) * moving).astype(np.int8)  # no -0.0 at rest
+    n, d = len(states), len(tables.dofs)
+    decisions = np.empty((6, n, d))
+    # The prototype columns alternate positive and negative per DOF.
+    amplitudes = (states[:, None, :] @ tables.prototypes).reshape(n, d, 2)
+    np.square(amplitudes.transpose(2, 0, 1), out=decisions[:2])
+    e_pos, e_neg, code, angle, raw_angle, clamped = decisions
+    # Later fields serve as scratch until written: the margin in code,
+    # |margin| in raw_angle and the moving mask, as 1.0 or 0.0, in clamped.
+    margin = np.subtract(e_pos, e_neg, out=code)
     theta_max = np.where(margin > 0, tables.theta_pos_max, tables.theta_neg_max)
-    raw_angle = size * theta_max / tables.span * moving  # 0 at rest
-    return DecodedBatch(
-        dofs=tables.dofs,
-        expectation_pos=e_pos,
-        expectation_neg=e_neg,
-        direction=direction,
-        angle=direction * np.minimum(raw_angle, theta_max),
-        raw_angle=raw_angle,
-        angle_clamped=raw_angle > theta_max,
-        zero_signal=zero_signal,
-    )
+    size = np.abs(margin, out=raw_angle)
+    moving = np.greater(size, cfg.rest_threshold, out=clamped)
+    np.sign(np.multiply(margin, moving, out=code), out=code)  # +0.0 at rest
+    np.multiply(size, theta_max, out=raw_angle)
+    np.divide(raw_angle, tables.span, out=raw_angle)
+    np.multiply(raw_angle, moving, out=raw_angle)  # 0 at rest
+    np.minimum(raw_angle, theta_max, out=angle)
+    np.greater(raw_angle, theta_max, out=clamped)
+    return DecodedBatch(tables.dofs, decisions, zero_signal)
 
 
 def _decode_rows(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
@@ -251,14 +245,15 @@ def decode_batch(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
 
     Feature values must be finite and non-negative. All-zero rows cannot
     be normalized; they decode as every DOF at rest with the zero-signal
-    flag set and no residual activations.
+    flag set and no residual activations. Rows decode in C order, so a
+    row's bits do not depend on the array's memory layout.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise DimensionError(f"features must be 2-D (windows x channels), got {features.shape}")
     if features.size and not (features.min() >= 0.0 and features.max() < np.inf):
         raise ValueError("feature values must be finite and non-negative")
-    return _decode_rows(features, model)
+    return _decode_rows(np.ascontiguousarray(features), model)
 
 
 def decode_features(fv: FeatureVector, model: ControllerModel) -> DecodedAction:

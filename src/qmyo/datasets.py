@@ -210,16 +210,17 @@ def save_decode_csv(decoded, dofs: list[Dof], path) -> None:
     header = ["window"]
     labels = {sign: direction.value for sign, direction in SIGN_DIRECTIONS.items()}
     columns = [map(str, range(len(decoded)))]
-    e_zero = decoded.expectation_zero
+    e_zero = decoded.expectation_zero  # like the next three, computed on each read
+    direction, angle, clamped = decoded.direction, decoded.angle, decoded.angle_clamped
     for k, dof in enumerate(dofs):
         header += [f"{dof.value}_{name}" for name in _DECODE_FIELDS]
         columns += [
             float_cells(decoded.expectation_pos[:, k]),
             float_cells(decoded.expectation_neg[:, k]),
             float_cells(e_zero[:, k]),
-            map(labels.__getitem__, decoded.direction[:, k].tolist()),
-            float_cells(decoded.angle[:, k]),
-            ["1" if v else "0" for v in decoded.angle_clamped[:, k].tolist()],
+            map(labels.__getitem__, direction[:, k].tolist()),
+            float_cells(angle[:, k]),
+            ["1" if v else "0" for v in clamped[:, k].tolist()],
         ]
     header += [f"residual_{dof.value}" for dof in Dof]
     residuals = decoded.residuals()

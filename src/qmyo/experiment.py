@@ -117,7 +117,8 @@ def evaluate_model(
         )
     dofs = model.sorted_dofs()
     decoded = decode_batch(test.features, model)
-    estimate = {dof: decoded.angle[:, k] for k, dof in enumerate(dofs)}
+    angle = decoded.angle
+    estimate = {dof: angle[:, k] for k, dof in enumerate(dofs)}
     truth = {dof: test.angles[:, DOFS.index(dof)] for dof in dofs}
     r2_per_dof = {}
     for dof in dofs:

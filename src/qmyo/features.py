@@ -58,7 +58,8 @@ class FeatureVector:
         if values.ndim != 1:
             raise DimensionError(f"feature values must be 1-D, got ndim={values.ndim}")
         # min and max are NaN if any value is NaN, which fails the test
-        if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
+        if values.size and not (np.minimum.reduce(values) >= 0.0
+                                and np.maximum.reduce(values) < np.inf):
             raise ValueError("feature values must be finite and non-negative")
         object.__setattr__(self, "values", values)
 
@@ -75,12 +76,12 @@ def segment_windows(rec: EmgRecording, window_ms: float) -> list[np.ndarray]:
     """
     if not window_ms > 0:
         raise ValueError(f"window_ms must be > 0, got {window_ms}")
-    window_len = int(window_ms * rec.sample_rate / 1000.0)
-    if window_len < 2:
+    if not 2 <= (length := window_ms * rec.sample_rate / 1000.0) < np.inf:
         raise ValueError(
-            f"window of {window_ms} ms spans {window_len} samples at "
-            f"{rec.sample_rate} Hz; need at least 2"
+            f"window of {window_ms} ms spans {length!r} samples at "
+            f"{rec.sample_rate} Hz; need at least 2 and finitely many"
         )
+    window_len = int(length)
     if rec.n_samples < window_len:
         raise EmptyInputError(
             f"recording has {rec.n_samples} samples, shorter than one "
@@ -95,10 +96,10 @@ def segment_windows(rec: EmgRecording, window_ms: float) -> list[np.ndarray]:
 def mav(window: np.ndarray) -> FeatureVector:
     """Mean absolute value per channel of an (n_samples, n_channels) window."""
     w = np.asarray(window, dtype=float)
-    if w.ndim != 2 or w.shape[0] == 0:
+    if w.ndim != 2 or w.size == 0:
         raise EmptyInputError("window must be a non-empty 2-D array")
     # the same sum and division as np.mean, without its Python-level dispatch
-    return FeatureVector(np.abs(w).sum(axis=0) / w.shape[0], FeatureKind.MAV)
+    return FeatureVector(np.add.reduce(np.abs(w), axis=0) / w.shape[0], FeatureKind.MAV)
 
 
 def _channel_header(n_channels: int) -> list[str]:

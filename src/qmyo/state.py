@@ -48,12 +48,13 @@ def encode_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     encodes to the same bits alone or in a batch.
     """
     values = np.asarray(values, dtype=float)
-    peak = np.abs(values).max(axis=1)
+    peak = np.maximum.reduce(np.abs(values), axis=1)
     zero = peak == 0.0
     # Adding the mask makes the divisor 1 on all-zero rows, exact elsewhere.
     scaled = values / (peak + zero)[:, None]
     norm = np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
-    return scaled / (norm + zero)[:, None], zero
+    scaled /= (norm + zero)[:, None]
+    return scaled, zero
 
 
 def inner_product(a: QuantumState, b: QuantumState) -> float:

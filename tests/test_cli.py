@@ -259,6 +259,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["qmyo: data error: a 1.0 ms window spans under 2 samples at 1024.0 Hz"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--window-ms", "1e308"], "a 1e+308 ms window spans unbounded samples at 1024.0 Hz"),
+        (["--sample-rate", "1e200", "--window-ms", "1e200"],
+         "a 1e+200 ms window spans unbounded samples at 1e+200 Hz"),
+        (["--config", None], "a 1e+308 ms window spans unbounded samples at 1024.0 Hz"),
+    ])
+    def test_unbounded_window_is_data_error(self, tmp_path, capsys, flags, message):
+        raw_csv, cfg = tmp_path / "raw.csv", tmp_path / "settings.cfg"
+        save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
+        cfg.write_text("window_ms = 1e308\n")  # read where the flags name no file
+        code = run("decode", "--model", V1_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
+                   *[cfg if flag is None else flag for flag in flags])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"qmyo: data error: {message}"]
+        assert not (tmp_path / "d.csv").exists()
+
     def test_zero_size_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("train", "--data", V1_TRAIN, "--out", tmp_path / "m.json", "--size", 0)

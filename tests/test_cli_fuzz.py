@@ -19,7 +19,7 @@ from qmyo.features import save_recording
 from qmyo.synthetic import generate_raw_emg, orthogonal_mixing_model
 
 # Drawn values: mostly valid, so runs get past argument parsing, else odd.
-ODD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e-9", "1e300"]
+ODD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e-9", "1e300", "1e308"]
 ODD_COUNTS = ["nan", "inf", "-1", "0", "1.5"]
 ODD_LISTS = [[], ["0"], ["3", "3"], ["5", "2"], ["d1", "d1"], ["d4"], [""]]
 

@@ -456,6 +456,12 @@ class TestDecodeBatch:
                                   (ops.p_zero, batch.expectation_zero)):
                         assert psi @ op.matrix @ psi == pytest.approx(e[i, k], rel=0, abs=1e-12)
 
+    def test_memory_order_keeps_the_bits(self):
+        features = np.random.default_rng(13).uniform(0.0, 1.0, (300, 6))
+        want = decode_batch(features[::2], MODELS["3dof"]).decisions.tobytes()
+        for layout in (np.asfortranarray(features)[::2], features[::2].copy()):
+            assert decode_batch(layout, MODELS["3dof"]).decisions.tobytes() == want
+
     def test_margin_exactly_at_threshold_is_rest(self):
         model = MODELS["2dof"]
         features = np.array([[0.9, 0.1, 0.3, 0.0, 0.2]])
@@ -609,6 +615,15 @@ class TestDecisionRecords:
         for i in range(len(batch)):
             for k, decision in enumerate(batch.action(i).per_dof.values()):
                 assert decision.angle.hex() == float(abs(batch.angle[i, k])).hex()
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_actions_own_their_rows(self, n):
+        features = np.random.default_rng(12).uniform(0.0, 1.0, (n, 6))
+        batch = decode_batch(features, MODELS["3dof"])
+        rows = [batch.action(i).per_dof._row for i in range(n)]
+        rows.append(decode_features(FeatureVector(features[0], FeatureKind.MAV),
+                                    MODELS["3dof"]).per_dof._row)
+        assert all(row.base is None and row.shape == (6, 3) for row in rows)
 
     def test_held_actions_stay_small(self):
         model = MODELS["3dof"]

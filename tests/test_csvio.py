@@ -312,7 +312,9 @@ def test_model_and_three_dof_reports_keep_their_bytes(tmp_path, capsys):
     """The sha256 of the report a model file gets, and of a three-DOF experiment's.
 
     The model report has no seed line and a ``-`` config hash; the
-    three-DOF CSV pins the column order of every DOF's cells.
+    three-DOF CSVs pin the column order of every DOF's cells, and the
+    decoded one every expectation, decision and residual of the largest
+    size's model.
     """
     def run(*argv):
         assert main([str(a) for a in argv]) == 0, argv
@@ -327,15 +329,17 @@ def test_model_and_three_dof_reports_keep_their_bytes(tmp_path, capsys):
         "--windows", 330, "--noise-sigma", 0.1, "--seed", 3)
     run("evaluate", "--test", tmp_path / "test3.csv", "--train-data", tmp_path / "train3.csv",
         "--sizes", 10, 40, "--seed", 3, "--report-out", tmp_path / "three.txt",
-        "--csv-out", tmp_path / "three.csv")
+        "--csv-out", tmp_path / "three.csv", "--decode-out", tmp_path / "three_decoded.csv")
     capsys.readouterr()
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("model.txt", "model.csv", "three.txt", "three.csv")}
+               for name in ("model.txt", "model.csv", "three.txt", "three.csv",
+                            "three_decoded.csv")}
     assert digests == {
         "model.txt": "94461470b847e6f0e909d8f91345cbc7b49a6930dd199d3187ccd18693380400",
         "model.csv": "7d153408ec3b268833ce5ac5dec3352d3884c6f83753e18852cd05eda11dced3",
         "three.txt": "528e37a855b4751d1947593ae285979155af3e760ed6654c233b2d104c4ad516",
         "three.csv": "6135a211d0564a34facda3e6032196f34609282e9701f744f73e3ca8e8aa9b11",
+        "three_decoded.csv": "f69b09426f82a937130a71ccc1f4c9240ee1931477daf4106b42b936550d788f",
     }
 
 

@@ -48,6 +48,11 @@ class TestSegmentWindows:
         with pytest.raises(ValueError):
             segment_windows(recording(100, rate=10.0), 100.0)
 
+    @pytest.mark.parametrize("window_ms, rate", [(1e308, 1024.0), (1e200, 1e200), (np.inf, 1.0)])
+    def test_unbounded_window_rejected(self, window_ms, rate):
+        with pytest.raises(ValueError, match="samples at .* Hz; need at least 2 and finitely many$"):
+            segment_windows(recording(1024, rate=rate), window_ms)
+
     @pytest.mark.parametrize("window_ms", [0.0, -100.0, float("nan")])
     def test_non_positive_window_rejected(self, window_ms):
         with pytest.raises(ValueError, match=f"^window_ms must be > 0, got {window_ms}$"):
@@ -87,7 +92,8 @@ class TestMav:
     def test_two_samples(self):
         assert mav(np.array([[3.0], [4.0]])).values[0] == 3.5
 
-    @pytest.mark.parametrize("window", [np.array([3.0, 4.0]), np.zeros((0, 2)), np.zeros((2, 2, 1))])
+    @pytest.mark.parametrize("window", [np.array([3.0, 4.0]), np.zeros((0, 2)), np.zeros((3, 0)),
+                                        np.zeros((2, 2, 1))])
     def test_window_must_be_non_empty_and_2d(self, window):
         with pytest.raises(EmptyInputError, match="^window must be a non-empty 2-D array$"):
             mav(window)
