@@ -21,7 +21,7 @@ import numpy as np
 from . import datasets, experiment, features, operators, synthetic
 from .control import decode_batch
 from .errors import ConfigurationError, DataError, ModelError, undecodable
-from .operators import BLOCK_VOTES, DecodeConfig, Dof
+from .operators import DecodeConfig, Dof
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with status 1 on usage errors."""
@@ -70,7 +70,7 @@ _SETTINGS = {
     "sample_rate": (1024.0, _positive_float),
     "rest_threshold": (DecodeConfig.rest_threshold, _non_negative_float),
     "overlap_epsilon": (DecodeConfig.overlap_epsilon, _fraction),
-    "block_vote": (DecodeConfig.block_vote, _one_of(BLOCK_VOTES)),
+    "block_vote": (experiment.ExperimentConfig.block_vote, _one_of(experiment.BLOCK_VOTES)),
     "seed": (0, _non_negative_int),
     "channels": (8, _positive_int),
     "noise_sigma": (0.0, _non_negative_float),
@@ -257,9 +257,10 @@ def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
         return datasets.load_feature_dataset(args.data).features
     _require_file(parser, args.raw)
     rate, window_ms = settings.get("sample_rate"), settings.get("window_ms")
-    if not 2 <= (length := window_ms * rate / 1000.0) < math.inf:
-        span = "under 2" if length < 2 else "unbounded"
-        raise ConfigurationError(f"a {window_ms} ms window spans {span} samples at {rate} Hz")
+    length = window_ms * rate / 1000.0
+    settings.require(parser, 2 <= length < math.inf,
+                     f"a {window_ms} ms window spans {'under 2' if length < 2 else 'unbounded'} "
+                     f"samples at {rate} Hz", "window_ms", "sample_rate")
     rec = features.load_recording(args.raw, sample_rate=rate)
     windows = features.segment_windows(rec, window_ms)
     return np.stack([features.mav(w).values for w in windows])
@@ -280,8 +281,9 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
     _require_file(parser, args.test)
     settings = _Settings(args)
     test_ds = datasets.load_feature_dataset(args.test)
+    vote = settings.get("block_vote")
     if args.model:
-        report = experiment.report_for_model(_load_model(parser, args, settings), test_ds)
+        report = experiment.report_for_model(_load_model(parser, args, settings), test_ds, vote)
     else:
         _require_file(parser, args.train_data)
         sizes, dofs = settings.sizes(parser), settings.dofs(parser)
@@ -291,6 +293,7 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
             training_sizes=sizes,
             seed=settings.get("seed"),
             dofs=dofs,
+            block_vote=vote,
         )
         report = experiment.run_experiment(cfg, train_ds, test_ds)
     text = experiment.render_report_text(report)
@@ -337,7 +340,7 @@ def _cmd_inspect_model(parser: _Parser, args) -> int:
     print(f"channels: {model.n_channels}")
     print(
         f"decode_config: rest_threshold={cfg.rest_threshold!r} "
-        f"overlap_epsilon={cfg.overlap_epsilon!r} block_vote={cfg.block_vote}"
+        f"overlap_epsilon={cfg.overlap_epsilon!r}"
     )
     for dof in model.sorted_dofs():
         ops = model.dofs[dof]
@@ -379,7 +382,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dofs", nargs="+", type=Dof)
     p.add_argument("--size", type=_positive_int, help="samples per action (default: all)")
     _add_config_options(p)
-    p.add_argument("--block-vote", dest="block_vote", choices=BLOCK_VOTES)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("decode", help="decode feature windows or a raw recording")
@@ -405,7 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--decode-out", dest="decode_out")
     _add_config_options(p)
-    p.add_argument("--block-vote", dest="block_vote", choices=BLOCK_VOTES)
+    p.add_argument("--block-vote", dest="block_vote", choices=experiment.BLOCK_VOTES)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("learning-curve", help="prototype overlap vs training size")

@@ -141,10 +141,7 @@ def from_test_set(ts: TestSet, source: str = "") -> FeatureDataset:
     n = len(ts.values)
     if n == 0:
         raise DatasetSchemaError("test set has no windows")
-    angles = np.zeros((n, len(DOFS)))
-    for dof, values in ts.truth.items():
-        angles[:, DOFS.index(dof)] = values
-    return FeatureDataset(ts.values, angles, np.ones(n, dtype=bool), ts.block_ids, source)
+    return FeatureDataset(ts.values, ts.truth, np.ones(n, dtype=bool), ts.block_ids, source)
 
 
 def _header(n_channels: int) -> list[str]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedDenominatorError
-from .operators import DecodeConfig, Dof
+from .operators import Dof
 
 
 def _squared_sums(truth, estimate) -> tuple[float, float]:
@@ -85,14 +85,14 @@ def block_errors(
     truth: dict[Dof, np.ndarray],
     estimate: dict[Dof, np.ndarray],
     block_ids: np.ndarray,
-    cfg: DecodeConfig,
+    vote: str = "majority",
 ) -> BlockErrorReport:
     """Count per-DOF direction mistakes block by block.
 
     Blocks are the runs of equal ``block_ids``. A block's intended
     direction on a DOF is the sign of its summed true angles (zero sum
     means rest). Each window votes with the sign of its estimate. Under
-    the default majority vote, a block errs on a DOF when the most common
+    the default ``vote``, "majority", a block errs on a DOF when the most common
     decoded direction across its windows differs from the intended one
     (ties break in favor of positive, then negative, then rest); under
     "any" when some window misses the intended direction, under "all"
@@ -116,12 +116,14 @@ def block_errors(
         sums = np.array([true[start:stop].sum() for start, stop in bounds])
         intended = np.where(sums > 0, 0, np.where(sums < 0, 1, 2))
         hits = tally[np.arange(len(intended)), intended]
-        if cfg.block_vote == "any":
+        if vote == "any":
             wrong = hits < stops - starts
-        elif cfg.block_vote == "all":
+        elif vote == "all":
             wrong = hits == 0
-        else:
+        elif vote == "majority":
             wrong = tally.argmax(axis=1) != intended
+        else:
+            raise ValueError(f"unknown block_vote rule: {vote!r}")
         counts[dof] = int(wrong.sum())
         misclassified |= wrong
     return BlockErrorReport(

@@ -33,16 +33,22 @@ from .operators import (
 )
 
 
+BLOCK_VOTES = ("majority", "any", "all")  # rules for counting a block's error from its windows
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
     training_sizes: tuple[int, ...] = (500, 2000)
     seed: int = 0
     dofs: tuple[Dof, ...] | None = None
+    block_vote: str = "majority"
 
     def __post_init__(self):
         if not self.training_sizes or any(s < 1 for s in self.training_sizes):
             raise ValueError(f"training sizes must be positive, got {self.training_sizes}")
+        if self.block_vote not in BLOCK_VOTES:
+            raise ValueError(f"unknown block_vote rule: {self.block_vote!r}")
 
     def hash(self) -> str:
         """Digest of every setting, the decode ones flat beside the others."""
@@ -105,9 +111,9 @@ def subset_per_action(table: TrainingTable, size: int) -> TrainingTable:
 
 
 def evaluate_model(
-    model: ControllerModel, test: FeatureDataset, training_size: int = 0
+    model: ControllerModel, test: FeatureDataset, training_size: int = 0, vote: str = "majority"
 ) -> SizeResult:
-    """Decode a test dataset against one model and score it."""
+    """Decode a test dataset against one model and score it, its blocks under ``vote``."""
     if test.n_rows == 0:
         raise ConfigurationError("test dataset is empty")
     if test.n_channels != model.n_channels:
@@ -131,7 +137,7 @@ def evaluate_model(
         overlaps={dof: model.dofs[dof].overlap for dof in dofs},
         r2_per_dof=r2_per_dof,
         r2_global=r_squared_global(truth, estimate),
-        blocks=block_errors(truth, estimate, test.block_ids, model.decode_config),
+        blocks=block_errors(truth, estimate, test.block_ids, vote),
         decoded=decoded,
     )
 
@@ -164,13 +170,15 @@ def run_experiment(
     results = []
     for size in cfg.training_sizes:
         model = train_table(subset_per_action(pool, size), dofs=dofs, config=cfg.decode)
-        results.append(evaluate_model(model, test_ds, training_size=size))
+        results.append(evaluate_model(model, test_ds, size, cfg.block_vote))
     return _report(cfg, dofs, test_ds, results)
 
 
-def report_for_model(model: ControllerModel, test: FeatureDataset) -> ExperimentReport:
+def report_for_model(
+    model: ControllerModel, test: FeatureDataset, vote: str = "majority"
+) -> ExperimentReport:
     """Single-model evaluation report (training size reported as 0)."""
-    return _report(None, model.dofs, test, [evaluate_model(model, test)])
+    return _report(None, model.dofs, test, [evaluate_model(model, test, vote=vote)])
 
 
 def _size_fields(res: SizeResult, dofs: list[Dof], sep: str = ",") -> dict[str, str]:

@@ -31,10 +31,9 @@ from .state import QuantumState, encode_rows, inner_product
 
 logger = logging.getLogger(__name__)
 
-COMPLETENESS_TOL = 1e-10
 OVERLAP_TOL = 1e-12
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class Dof(enum.Enum):
@@ -106,9 +105,6 @@ class Operator:
         return float(np.trace(self.matrix))
 
 
-BLOCK_VOTES = ("majority", "any", "all")  # rules for counting a block's error from its windows
-
-
 @dataclass(frozen=True)
 class DecodeConfig:
     """Thresholds used when turning expectation values into decisions.
@@ -116,13 +112,11 @@ class DecodeConfig:
     ``rest_threshold`` is the deadzone on the difference of the two
     direction expectations below which a DOF is reported at rest.
     ``overlap_epsilon`` guards the 1/(1 - overlap) singularity of the
-    proportional angle formula. ``block_vote`` selects how a block-level
-    classification error is counted from its windows.
+    proportional angle formula.
     """
 
     rest_threshold: float = 0.05
     overlap_epsilon: float = 1e-6
-    block_vote: str = "majority"
 
     def __post_init__(self):
         # the --rest-threshold flag's rule; JSON true in a model file would read as 1
@@ -134,8 +128,6 @@ class DecodeConfig:
             raise ValueError(
                 f"overlap_epsilon must be in (0, 1), got {self.overlap_epsilon}"
             )
-        if self.block_vote not in BLOCK_VOTES:
-            raise ValueError(f"unknown block_vote rule: {self.block_vote!r}")
 
 
 @dataclass(frozen=True)
@@ -422,7 +414,7 @@ def overlap_curve(
 
 
 def model_to_dict(model: ControllerModel) -> dict:
-    """Plain-JSON model (format 2) at full float precision; the overlap is
+    """Plain-JSON model (format 3) at full float precision; the overlap is
     stored for readers that do not derive it."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
@@ -441,25 +433,22 @@ def model_to_dict(model: ControllerModel) -> dict:
     }
 
 
-# Format 1 also stored the operator triple, which format 2 derives.
-_V1_MATRICES = {"p_positive": "p_pos", "p_negative": "p_neg", "p_zero": "p_zero"}
-
-
-def _check_stored(key: str, name: str, stored, derived, tol: float) -> None:
-    """Reject a stored derived quantity that the prototypes do not reproduce."""
-    stored, derived = np.asarray(stored, dtype=float), np.asarray(derived, dtype=float)
-    dev = float(np.max(np.abs(stored - derived))) if stored.shape == derived.shape else np.inf
-    if not dev <= tol:
-        raise ValueError(f"{key}: stored {name} deviates from the prototypes by {dev!r}")
+# Format 2 also stored the evaluation's block vote, one of these rules.
+_V2_BLOCK_VOTES = ("majority", "any", "all")
 
 
 def model_from_dict(doc: dict) -> ControllerModel:
-    """Model from a format 2 or 1 document. The stored overlap, and in format
-    1 the operator matrices, must match the prototypes; then they are dropped."""
+    """Model from a format 3 or 2 document. The stored overlap must match the
+    prototypes, and format 2's block vote must name a rule; then both are dropped."""
     version = doc["format_version"]
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if version not in (2, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version: {version!r}")
-    cfg = DecodeConfig(**doc["decode_config"])
+    thresholds = doc["decode_config"]
+    if version == 2:
+        thresholds = {**thresholds}
+        if (vote := thresholds.pop("block_vote", "majority")) not in _V2_BLOCK_VOTES:
+            raise ValueError(f"unknown block_vote rule: {vote!r}")
+    cfg = DecodeConfig(**thresholds)
     dofs: dict[Dof, DofOperators] = {}
     for key, entry in doc["dofs"].items():
         angles = [entry["theta_positive_max"], entry["theta_negative_max"]]
@@ -471,11 +460,8 @@ def model_from_dict(doc: dict) -> ControllerModel:
             theta_pos_max=float(angles[0]),
             theta_neg_max=float(angles[1]),
         )
-        _check_stored(key, "overlap", entry["overlap"], ops.overlap, OVERLAP_TOL)
-        if version == 1:
-            for name, attr in _V1_MATRICES.items():
-                derived = getattr(ops, attr).matrix
-                _check_stored(key, name, entry[name], derived, COMPLETENESS_TOL)
+        if not (dev := abs(float(entry["overlap"]) - ops.overlap)) <= OVERLAP_TOL:
+            raise ValueError(f"{key}: stored overlap deviates from the prototypes by {dev!r}")
         dofs[Dof(key)] = ops
     n_channels = doc["n_channels"]
     if type(n_channels) is not int:  # JSON true is a bool, 8.5 and Infinity are floats

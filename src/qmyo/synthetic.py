@@ -102,11 +102,12 @@ class ScenarioBlock:
 
 @dataclass(frozen=True)
 class TestSet:
-    """Generated evaluation inputs: (N, C) MAV feature values, ground truth
-    and each window's block id (the scenario's block index)."""
+    """Generated evaluation inputs: (N, C) MAV feature values, (N, 3) signed
+    ground-truth angles in ``DOFS`` order (0 for a DOF outside the mixing
+    model) and each window's block id (the scenario's block index)."""
 
     values: np.ndarray
-    truth: dict[Dof, np.ndarray]
+    truth: np.ndarray
     block_ids: np.ndarray
     n_clipped: int
 
@@ -225,7 +226,7 @@ def generate_test_scenario(model: MixingModel, scenario: list[ScenarioBlock]) ->
     """
     if not scenario:
         raise ValueError("scenario needs at least one block")
-    values, truths, n_clipped = [], [], 0
+    values, truth, n_clipped = [], [], 0
     for index, block in enumerate(scenario):
         n, windows = block.n_windows, np.arange(block.n_windows)
         angles = {dof: np.full(n, block.angle_at(dof, windows), dtype=float) for dof in model.dofs}
@@ -233,12 +234,10 @@ def generate_test_scenario(model: MixingModel, scenario: list[ScenarioBlock]) ->
         block_values, clipped = _realize(model, _activation(model, angles, n), _noise(model, rng, n))
         values.append(block_values)
         n_clipped += clipped
-        truths.append(angles)
-    truth = {dof: np.concatenate([angles[dof] for angles in truths]) for dof in model.dofs}
+        truth.append(np.column_stack([angles.get(dof, np.zeros(n)) for dof in DOFS]))
     block_ids = np.repeat(np.arange(len(scenario)), [b.n_windows for b in scenario])
-    return TestSet(
-        values=np.concatenate(values), truth=truth, block_ids=block_ids, n_clipped=n_clipped
-    )
+    return TestSet(values=np.concatenate(values), truth=np.concatenate(truth),
+                   block_ids=block_ids, n_clipped=n_clipped)
 
 
 def default_mixing_model(

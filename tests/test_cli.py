@@ -34,7 +34,7 @@ from qmyo.operators import TrainingSample
 
 D1 = Dof.FLEXION_EXTENSION
 DATA = Path(__file__).parent / "data"
-V1_MODEL = DATA / "model_v1.json"  # format 1, 4 channels, d1 and d3
+V2_MODEL = DATA / "model_v2.json"  # format 2, 4 channels, d1 and d3
 V1_TRAIN = DATA / "model_v1_train.csv"  # the 4-channel rows it was trained on
 
 
@@ -178,7 +178,7 @@ class TestExitCodes:
         argv = {
             "synth": ["synth", "--train-out", first, "--test-out", bad,
                       "--per-action", 5, "--blocks", 3, "--windows", 12],
-            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V1_MODEL,
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V2_MODEL,
                          "--report-out", first, "--csv-out", bad],
         }[command]
         assert run(*argv) == 1
@@ -193,6 +193,15 @@ class TestExitCodes:
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("block_vote = any\n")  # one config file serves every command
         assert run(*self.argv("decode", tmp_path, "--config", cfg)) == 0
+
+    def test_train_takes_no_block_vote(self, tmp_path, capsys):
+        line = self.usage_error(capsys, self.argv("train", tmp_path, "--block-vote", "any"))
+        assert line == "qmyo: error: unrecognized arguments: --block-vote any"
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("block_vote = any\n")  # accepted, and not written to the model
+        assert run(*self.argv("train", tmp_path, "--config", cfg)) == 0
+        assert "block_vote" not in (tmp_path / "m.json").read_text()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_repeated_config_key_is_data_error(self, tmp_path, capsys, command):
@@ -245,19 +254,22 @@ class TestExitCodes:
 
     def test_zero_window_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run("decode", "--model", V1_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
+            run("decode", "--model", V2_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
                 "--window-ms", 0)
         assert exc.value.code == 1
         assert "argument --window-ms: invalid positive float value: '0'" in capsys.readouterr().err
 
     def test_window_under_two_samples_is_data_error(self, tmp_path, capsys):
-        raw_csv = tmp_path / "raw.csv"
+        """A flag's window is a usage error; the same window from a config file is a data error."""
+        raw_csv, cfg = tmp_path / "raw.csv", tmp_path / "settings.cfg"
         save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
-        code = run("decode", "--model", V1_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
-                   "--window-ms", 1)
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["qmyo: data error: a 1.0 ms window spans under 2 samples at 1024.0 Hz"]
+        argv = ["decode", "--model", V2_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv"]
+        message = "a 1.0 ms window spans under 2 samples at 1024.0 Hz"
+        assert self.usage_error(capsys, argv + ["--window-ms", 1]) == (
+            f"qmyo: error: argument --window-ms: {message}")
+        cfg.write_text("seed = 1\nwindow_ms = 1\n")
+        assert self.data_error(capsys, argv + ["--config", cfg]) == f"{cfg}:2: {message}"
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--window-ms", "1e308"], "a 1e+308 ms window spans unbounded samples at 1024.0 Hz"),
@@ -266,13 +278,17 @@ class TestExitCodes:
         (["--config", None], "a 1e+308 ms window spans unbounded samples at 1024.0 Hz"),
     ])
     def test_unbounded_window_is_data_error(self, tmp_path, capsys, flags, message):
+        """Exit 2 naming the file line when a config file sets the window, else exit 1."""
         raw_csv, cfg = tmp_path / "raw.csv", tmp_path / "settings.cfg"
         save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
         cfg.write_text("window_ms = 1e308\n")  # read where the flags name no file
-        code = run("decode", "--model", V1_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
-                   *[cfg if flag is None else flag for flag in flags])
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [f"qmyo: data error: {message}"]
+        argv = ["decode", "--model", V2_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
+                *[cfg if flag is None else flag for flag in flags]]
+        if "--config" in flags:
+            assert self.data_error(capsys, argv) == f"{cfg}:1: {message}"
+        else:
+            line = self.usage_error(capsys, argv)
+            assert line == f"qmyo: error: argument --window-ms: {message}"
         assert not (tmp_path / "d.csv").exists()
 
     def test_zero_size_is_usage_error(self, tmp_path, capsys):
@@ -290,7 +306,7 @@ class TestExitCodes:
     def test_non_positive_config_value_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("window_ms = -5\n")
-        code = run("decode", "--model", V1_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
+        code = run("decode", "--model", V2_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
                    "--config", cfg)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
@@ -337,9 +353,9 @@ class TestExitCodes:
     def argv(command, tmp_path, *extra):
         return {
             "train": ["train", "--data", V1_TRAIN, "--out", tmp_path / "m.json"],
-            "decode": ["decode", "--model", V1_MODEL, "--data", V1_TRAIN,
+            "decode": ["decode", "--model", V2_MODEL, "--data", V1_TRAIN,
                        "--out", tmp_path / "d.csv"],
-            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V1_MODEL],
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V2_MODEL],
             "synth": ["synth", "--train-out", tmp_path / "a.csv", "--test-out", tmp_path / "b.csv"],
         }[command] + list(extra)
 
@@ -390,7 +406,7 @@ class TestExitCodes:
             save_recording(generate_raw_emg(mixing, {D1: 20.0}, 0.5), bad)
             text, bad_line = bad.read_bytes(), 300
             assert len(text) > 8192
-            argv = ["decode", "--model", V1_MODEL, "--raw", bad, "--out", tmp_path / "d.csv"]
+            argv = ["decode", "--model", V2_MODEL, "--raw", bad, "--out", tmp_path / "d.csv"]
         else:  # the byte starts its line
             text, bad_line = b"seed = 3\n.5 = x\nchannels = 8\n", 2
             argv = self.argv("train", tmp_path, "--config", bad)
@@ -407,7 +423,7 @@ class TestExitCodes:
         big.write_text(f'{header}\r\n"{"1" * 200_000}",0\r\n')
         argv = {
             "dataset": ["train", "--data", big, "--out", tmp_path / "m.json"],
-            "recording": ["decode", "--model", V1_MODEL, "--raw", big, "--out", tmp_path / "d.csv"],
+            "recording": ["decode", "--model", V2_MODEL, "--raw", big, "--out", tmp_path / "d.csv"],
         }[kind]
         line = self.data_error(capsys, argv)
         assert line == f"{big}:2: field larger than field limit (131072)"
@@ -618,7 +634,7 @@ class TestModelThresholds:
 
     def test_one_flag_keeps_the_models_other_thresholds(self, files, capsys):
         strict = self.report(capsys, files, "strict.json")
-        assert self.report(capsys, files, "strict.json", "--block-vote", "majority") == strict
+        assert self.report(capsys, files, "strict.json", "--overlap-epsilon", 1e-6) == strict
         assert strict != self.report(capsys, files, "plain.json")
         outputs = []
         for flags in ([], ["--overlap-epsilon", 1e-6]):
@@ -628,6 +644,19 @@ class TestModelThresholds:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         capsys.readouterr()
+
+    def test_format_2_vote_is_dropped(self, files, capsys):
+        """A format-2 file's stored vote is not used: the flag, else the config file, else majority."""
+        doc = json.loads((files / "plain.json").read_text())
+        doc["format_version"], doc["decode_config"]["block_vote"] = 2, "any"
+        (files / "any.json").write_text(json.dumps(doc))
+        (files / "any.cfg").write_text("block_vote = any\n")
+        majority = self.report(capsys, files, "plain.json")
+        assert self.report(capsys, files, "any.json") == majority
+        by_flag = self.report(capsys, files, "any.json", "--block-vote", "any")
+        by_file = self.report(capsys, files, "any.json", "--config", files / "any.cfg")
+        assert by_flag == by_file == self.report(capsys, files, "plain.json", "--block-vote", "any")
+        assert by_flag != majority
 
 
 class TestDeterministicArtifacts:
@@ -662,9 +691,20 @@ class TestDeterministicArtifacts:
         capsys.readouterr()
 
 
-def _v2_doc():
-    """The format-1 fixture's model, as format 2 writes it."""
-    return json.loads(json.dumps(model_to_dict(load_model(V1_MODEL))))
+def _model_doc(version):
+    """The format-2 fixture's model as a ``version`` document: the file itself for
+    2, as format 3 writes it for 3, and for 1 with the operator triple added."""
+    if version == 3:
+        return json.loads(json.dumps(model_to_dict(load_model(V2_MODEL))))
+    doc = json.loads(V2_MODEL.read_text())
+    if version == 1:
+        model = load_model(V2_MODEL)
+        for key, entry in doc["dofs"].items():
+            ops = model.dofs[Dof(key)]
+            for name, op in (("p_positive", ops.p_pos), ("p_negative", ops.p_neg),
+                             ("p_zero", ops.p_zero)):
+                entry[name] = op.matrix.tolist()
+    return doc | {"format_version": version}
 
 
 def _set(path, value):
@@ -710,28 +750,34 @@ MODEL_MUTATIONS = {
     "bool-angle": _set(("dofs", "d3", "theta_negative_max"), True),
     "infinite-channels": _set(("n_channels",), math.inf),
     "fractional-channels": _set(("n_channels",), 4.5),
-    "unknown-version": _set(("format_version",), 3),
+    "unknown-version": _set(("format_version",), 4),
     "missing-version": _drop("format_version"),
     "overlap": _set(("dofs", "d1", "overlap"), lambda v: v + 1e-6),
+    "unknown-block-vote": _set(("decode_config", "block_vote"), "most"),
     "p_zero": _set(("dofs", "d3", "p_zero", 2, 1), lambda v: v + 1e-6),
     "p_positive-shape": _set(("dofs", "d3", "p_positive"), lambda m: m[:3]),
 }
 
 
 def _model_cases():
-    for version in (1, 2):
+    for version in (1, 2, 3):
         for name in MODEL_MUTATIONS:
-            if version == 2 and name.startswith("p_"):
-                continue  # format 2 stores no operator matrices
+            if version > 1 and name.startswith("p_"):
+                continue  # only format 1 stored operator matrices
             yield version, name
 
 
+# Mutations after which the document is no JSON object with a format version.
+_VERSIONLESS = ("malformed", "truncated", "not-an-object", "unknown-version", "missing-version")
+
+
 class TestModelFileErrors:
-    """Whatever is wrong with a model file, every command reading it exits 2."""
+    """Whatever is wrong with a model file, every command reading it exits 2; so
+    does any format-1 file, which no longer loads."""
 
     @staticmethod
     def write_model(tmp_path, version, mutation=None):
-        doc = json.loads(V1_MODEL.read_text()) if version == 1 else _v2_doc()
+        doc = _model_doc(version)
         mutate = MODEL_MUTATIONS.get(mutation)
         if mutation in ("malformed", "truncated", "not-an-object"):
             text = mutate(json.dumps(doc, indent=1))
@@ -752,7 +798,7 @@ class TestModelFileErrors:
         }[command]
 
     @pytest.mark.parametrize("command", ["inspect-model", "decode", "evaluate"])
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [2, 3])
     def test_valid_files_load(self, tmp_path, capsys, version, command):
         model = self.write_model(tmp_path, version)
         assert run(*self.argv(command, model, tmp_path)) == 0
@@ -769,8 +815,11 @@ class TestModelFileErrors:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"qmyo: data error: {model}: ")
+        if version == 1 and mutation not in _VERSIONLESS:
+            assert lines[0].endswith(": unsupported model format version: 1")
 
     def test_tampered_p_zero_from_the_shell(self, tmp_path):
+        """Format 1 no longer loads, so its stored matrices are never read."""
         model = self.write_model(tmp_path, 1, "p_zero")
         src = str(Path(__file__).parents[1] / "src")
         proc = subprocess.run(
@@ -778,9 +827,7 @@ class TestModelFileErrors:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert "Traceback" not in proc.stderr
-        [line] = proc.stderr.splitlines()
-        assert line.startswith(f"qmyo: data error: {model}: d3: stored p_zero deviates from")
+        assert proc.stderr == f"qmyo: data error: {model}: unsupported model format version: 1\n"
 
 
 def _key_paths(node, path=()):
@@ -799,7 +846,7 @@ _ODD_VALUES = (_DROP, None, "x", [], {}, -1, 0, 1e308, math.nan, math.inf, -math
 def test_mutated_model_files_end_in_an_exit_code(tmp_path, capsys):
     """Each key path of a model dropped or set to an odd JSON value: inspect-model
     succeeds quietly or exits 1-3 with one ``qmyo:`` line, and nothing warns."""
-    doc, path = _v2_doc(), tmp_path / "model.json"
+    doc, path = _model_doc(3), tmp_path / "model.json"
     failures, runs = [], 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -838,7 +885,7 @@ def shell(cwd, *argv):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    proc = shell(tmp_path, "inspect-model", "--model", V1_MODEL)
+    proc = shell(tmp_path, "inspect-model", "--model", V2_MODEL)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("channels: 4\n")
     assert "[d3]" in proc.stdout
@@ -861,7 +908,7 @@ def test_bad_input_prints_one_line_from_the_shell(tmp_path, command, text):
         bad = TestModelFileErrors.write_model(tmp_path, 2, "truncated")
     else:
         (bad := tmp_path / "bad.csv").write_bytes(text.encode())
-    proc = shell(tmp_path, *command.format(bad=bad, model=V1_MODEL).split())
+    proc = shell(tmp_path, *command.format(bad=bad, model=V2_MODEL).split())
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"qmyo: data error: {bad}: ")
@@ -945,7 +992,7 @@ def test_reader_closing_the_pipe_early_exits_1_without_traceback(tmp_path, unbuf
     env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
     with open(tmp_path / "stderr.txt", "w") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qmyo", "inspect-model", "--model", str(V1_MODEL)],
+            [sys.executable, "-m", "qmyo", "inspect-model", "--model", str(V2_MODEL)],
             stdout=subprocess.PIPE, stderr=err, env=env, cwd=tmp_path,
         )
         proc.stdout.close()  # the reader leaves before the first line is written
@@ -1016,7 +1063,7 @@ def test_block_id_beyond_int64_is_data_error(tmp_path, capsys, block):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0] + f",{block}"]) + "\n")
     for argv in (["train", "--data", bad, "--out", tmp_path / "m.json"],
-                 ["evaluate", "--test", bad, "--model", V1_MODEL]):
+                 ["evaluate", "--test", bad, "--model", V2_MODEL]):
         assert run(*argv) == 2
         assert capsys.readouterr().err == (
             f"qmyo: data error: {bad}:{len(lines)}: block id {block} is outside the int64 range\n")

@@ -75,7 +75,7 @@ def _flags(files):
         "--rest-threshold": number("0", "0.01", "0.5"),
         "--overlap-epsilon": number("1e-9", "0.5"),
     }
-    vote = {"--block-vote": token(["majority", "any", "all"], ["most"])}  # decode has none
+    vote = {"--block-vote": token(["majority", "any", "all"], ["most"])}  # evaluate's alone
     return {
         "synth": ({"--train-out": write("a.csv"), "--test-out": write("b.csv"),
                    "--per-action": count("2", "5"), "--blocks": count("3", "5"),
@@ -87,7 +87,7 @@ def _flags(files):
                    "--geometry": token(["masking", "orthogonal"], ["x"])}),
         "train": ({"--data": read("tr.csv"), "--out": write("m.json")},
                   {},
-                  {"--dofs": dofs, "--size": count("1", "3"), **thresholds, **vote}),
+                  {"--dofs": dofs, "--size": count("1", "3"), **thresholds}),
         "decode": ({"--model": read("m.json"), "--out": write("d.csv")},
                    {"--data": read("te.csv"), "--raw": read("raw.csv")},
                    {"--sample-rate": number("1024", "200"), "--window-ms": number("50", "300"),

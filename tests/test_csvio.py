@@ -300,7 +300,7 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path, capsys):
                for path in sorted(tmp_path.iterdir())}
     assert digests == {
         "decoded.csv": "775b1abf72ae0bca58dc3843aa3c1f3b60e83116e0a40515558ff2252c151ea8",
-        "model.json": "85479bec07af8d1a17d7b5e1428fa3f9272d360684d8a360ac15d8f49bcb558f",
+        "model.json": "3c2c8abd781ae951241c655e6778ed9f8de35717a55256972f56ebb1380dced5",
         "report.csv": "804e1d81d3762b8b48caced3664d7ae5ef71c8ac1cc94ea8e3b04fa06ab220ad",
         "report.txt": "e6457bdeedea88dce832c8f7532f1738c346f970fcae21eb5017f414f9bf9c9f",
         "test.csv": "b1cc5f26a59743c4ad4115de4e749f6a641d00d44ef3c92868080d1c1b6fddc6",

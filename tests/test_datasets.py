@@ -22,7 +22,6 @@ from qmyo.evaluation import block_errors, run_starts
 from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
     DOFS,
-    DecodeConfig,
     Direction,
     Dof,
     MovementPhase,
@@ -229,8 +228,7 @@ class TestTrainingSampleConversion:
 def errors_of_constant_estimates(ds, dofs, value):
     """Block errors of a dataset's blocks when every window decodes to ``value``."""
     estimate = {dof: np.full(ds.n_rows, value) for dof in dofs}
-    report = block_errors({dof: ds.angles[:, DOFS.index(dof)] for dof in dofs}, estimate, ds.block_ids,
-                          DecodeConfig())
+    report = block_errors({dof: ds.angles[:, DOFS.index(dof)] for dof in dofs}, estimate, ds.block_ids)
     return report.error_counts
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from qmyo.errors import UndefinedDenominatorError
 from qmyo.evaluation import block_errors, r_squared_dof, r_squared_global
-from qmyo.operators import DecodeConfig, Direction, Dof
+from qmyo.operators import Direction, Dof
 
 D1 = Dof.FLEXION_EXTENSION
 D3 = Dof.PRONATION_SUPINATION
@@ -183,8 +183,7 @@ class TestBlockErrors:
         n = len(d1_estimates)
         half = n // 2
         truth = {D1: np.array([10.0] * half + [-10.0] * (n - half))}
-        return block_errors(truth, {D1: np.array(d1_estimates)}, ids(half, n - half),
-                            DecodeConfig())
+        return block_errors(truth, {D1: np.array(d1_estimates)}, ids(half, n - half))
 
     def test_all_correct(self):
         report = self.two_block_errors([9.0, 11.0, 10.0, -9.0, -11.0, -10.0])
@@ -199,54 +198,58 @@ class TestBlockErrors:
     def test_three_of_five_wrong_is_an_error(self):
         truth = {D3: np.full(5, 10.0)}
         estimate = {D3: np.array([10.0, -10.0, -10.0, -10.0, 10.0])}
-        report = block_errors(truth, estimate, ids(5), DecodeConfig())
+        report = block_errors(truth, estimate, ids(5))
         assert report.error_counts[D3] == 1
 
     def test_two_of_five_wrong_is_not(self):
         truth = {D3: np.full(5, 10.0)}
         estimate = {D3: np.array([10.0, -10.0, -10.0, 10.0, 10.0])}
-        assert block_errors(truth, estimate, ids(5), DecodeConfig()).error_counts[D3] == 0
+        assert block_errors(truth, estimate, ids(5)).error_counts[D3] == 0
 
     def test_window_order_within_block_is_irrelevant(self):
         rng = np.random.default_rng(5)
         estimates = np.array([12.0, -3.0, 8.0, 9.0, -1.0, 7.0])
         truth = {D1: np.full(6, 10.0)}
-        base = block_errors(truth, {D1: estimates}, ids(6), DecodeConfig())
+        base = block_errors(truth, {D1: estimates}, ids(6))
         for _ in range(10):
             shuffled = estimates.copy()
             rng.shuffle(shuffled)
-            report = block_errors(truth, {D1: shuffled}, ids(6), DecodeConfig())
+            report = block_errors(truth, {D1: shuffled}, ids(6))
             assert report.error_counts == base.error_counts
 
     def test_rest_intended_blocks(self):
         truth = {D1: np.zeros(4)}
         estimate = {D1: np.array([0.0, 0.0, 0.0, 5.0])}
-        assert block_errors(truth, estimate, ids(4), DecodeConfig()).error_counts[D1] == 0
+        assert block_errors(truth, estimate, ids(4)).error_counts[D1] == 0
 
     def test_any_vote(self):
         truth = {D1: np.full(4, 10.0)}
         estimate = {D1: np.array([10.0, 10.0, 10.0, -1.0])}
         for vote, errors in (("any", 1), ("majority", 0)):
-            report = block_errors(truth, estimate, ids(4), DecodeConfig(block_vote=vote))
+            report = block_errors(truth, estimate, ids(4), vote)
             assert report.error_counts[D1] == errors
 
     def test_all_vote(self):
         truth = {D1: np.full(4, 10.0)}
         estimate = {D1: np.array([-10.0, -10.0, -10.0, 1.0])}
         for vote, errors in (("all", 0), ("majority", 1)):
-            report = block_errors(truth, estimate, ids(4), DecodeConfig(block_vote=vote))
+            report = block_errors(truth, estimate, ids(4), vote)
             assert report.error_counts[D1] == errors
+
+    def test_unknown_vote_rejected(self):
+        with pytest.raises(ValueError, match="^unknown block_vote rule: 'plurality'$"):
+            block_errors({D1: np.ones(2)}, {D1: np.ones(2)}, ids(2), "plurality")
 
     def test_misclassified_once_even_with_two_dof_mistakes(self):
         truth = {D1: np.full(3, 10.0), D3: np.full(3, 10.0)}
         estimate = {D1: np.full(3, -10.0), D3: np.full(3, -10.0)}
-        report = block_errors(truth, estimate, ids(3), DecodeConfig())
+        report = block_errors(truth, estimate, ids(3))
         assert report.error_counts == {D1: 1, D3: 1}
         assert report.misclassified_blocks == [0]
         assert report.n_misclassified == 1
 
 
-def per_window_vote(truth, estimate, block_ids, cfg):
+def per_window_vote(truth, estimate, block_ids, vote):
     """Block errors counted one window and one block at a time."""
     order = (POS, NEG, Direction.REST)
 
@@ -267,9 +270,9 @@ def per_window_vote(truth, estimate, block_ids, cfg):
         for dof in dofs:
             intended = direction(sum(truth[dof][start:stop].tolist()))
             votes = [direction(v) for v in estimate[dof][start:stop]]
-            if cfg.block_vote == "any":
+            if vote == "any":
                 wrong = any(d is not intended for d in votes)
-            elif cfg.block_vote == "all":
+            elif vote == "all":
                 wrong = all(d is not intended for d in votes)
             else:
                 tally = {d: votes.count(d) for d in order}
@@ -286,7 +289,6 @@ class TestVectorisedVote:
     @pytest.mark.parametrize("vote", ["majority", "any", "all"])
     def test_matches_per_window_vote(self, vote):
         rng = np.random.default_rng(6)
-        cfg = DecodeConfig(block_vote=vote)
         for _ in range(200):
             sizes = rng.integers(1, 7, size=rng.integers(1, 8))
             # distinct labels in any order, so adjacent blocks differ
@@ -296,9 +298,9 @@ class TestVectorisedVote:
             truth = {dof: rng.choice([-3.0, -1.0, 0.0, 0.0, 2.0, 3.0], size=n) for dof in (D1, D3)}
             # few distinct values, so ties between directions are common
             estimate = {dof: rng.choice([-5.0, -0.0, 0.0, 5.0], size=n) for dof in (D1, D3)}
-            report = block_errors(truth, estimate, block_ids, cfg)
+            report = block_errors(truth, estimate, block_ids, vote)
             assert (report.error_counts, report.misclassified_blocks) == per_window_vote(
-                truth, estimate, block_ids, cfg
+                truth, estimate, block_ids, vote
             )
 
     @pytest.mark.parametrize(
@@ -314,7 +316,7 @@ class TestVectorisedVote:
     def test_majority_tie_order(self, estimates, intended, wrong):
         n = len(estimates)
         truth = {D1: np.full(n, {POS: 1.0, NEG: -1.0, Direction.REST: 0.0}[intended])}
-        report = block_errors(truth, {D1: np.array(estimates)}, ids(n), DecodeConfig())
+        report = block_errors(truth, {D1: np.array(estimates)}, ids(n))
         assert report.error_counts[D1] == int(wrong)
 
 

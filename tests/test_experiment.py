@@ -125,8 +125,8 @@ class TestDeterminism:
 
     def test_config_hash_keeps_its_digests(self):
         """The text report prints the hash, so its document keeps its bytes."""
-        strict = ExperimentConfig(decode=DecodeConfig(0.6, 1e-3, "any"),
-                                  training_sizes=(20, 60), seed=9, dofs=(D3, D1))
+        strict = ExperimentConfig(decode=DecodeConfig(0.6, 1e-3), training_sizes=(20, 60),
+                                  seed=9, dofs=(D3, D1), block_vote="any")
         assert [cfg.hash() for cfg in (ExperimentConfig(),
                                        ExperimentConfig(training_sizes=(10,), seed=1),
                                        strict)] == [
@@ -166,3 +166,5 @@ class TestReportRendering:
             ExperimentConfig(training_sizes=())
         with pytest.raises(ValueError):
             ExperimentConfig(training_sizes=(0,))
+        with pytest.raises(ValueError, match="^unknown block_vote rule: 'plurality'$"):
+            ExperimentConfig(block_vote="plurality")

@@ -1,14 +1,18 @@
 """Prototype construction, operator triples, training and persistence."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import logging
 import math
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qmyo import control
 from qmyo.control import decode_batch
 from qmyo.datasets import load_feature_dataset, training_table
 from qmyo.errors import (
@@ -43,11 +47,11 @@ D1 = Dof.FLEXION_EXTENSION
 D2 = Dof.RADIAL_ULNAR
 D3 = Dof.PRONATION_SUPINATION
 
-# A 4-channel d1/d3 model in format 1 (prototypes plus the three operator
-# matrices), written by `qmyo train --data model_v1_train.csv
-# --rest-threshold 0.02` before format 2 existed.
+# A 4-channel d1/d3 model in format 2 (its decode config also holds the block
+# vote), trained by `qmyo train --data model_v1_train.csv --rest-threshold 0.02`
+# in format 1 and saved again in format 2 with every prototype bit kept.
 DATA = Path(__file__).parent / "data"
-V1_MODEL = DATA / "model_v1.json"
+V2_MODEL = DATA / "model_v2.json"
 V1_TRAIN = DATA / "model_v1_train.csv"
 
 
@@ -468,24 +472,17 @@ class TestOverlapCurve:
 
 
 class TestModelValidation:
-    def test_v1_mismatched_overlap_rejected(self, tmp_path):
-        doc = json.loads(V1_MODEL.read_text())
-        doc["dofs"]["d1"]["overlap"] = 0.5
-        with pytest.raises(ModelFileError, match="d1: stored overlap"):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_mismatched_overlap_rejected(self, tmp_path, version):
+        doc = json.loads(V2_MODEL.read_text())
+        if version == 3:
+            doc = model_to_dict(load_model(V2_MODEL))
+        doc["dofs"]["d1"]["overlap"] += 1e-11
+        with pytest.raises(ModelFileError, match="d1: stored overlap deviates from the prototypes"):
             load_model(write_json(tmp_path / "model.json", doc))
-
-    @pytest.mark.parametrize("name", ["p_positive", "p_negative", "p_zero"])
-    def test_v1_tampered_operator_rejected(self, tmp_path, name):
-        doc = json.loads(V1_MODEL.read_text())
-        doc["dofs"]["d3"][name][1][2] += 1e-9
-        with pytest.raises(ModelFileError, match=f"d3: stored {name}"):
-            load_model(write_json(tmp_path / "model.json", doc))
-
-    def test_v1_operator_within_tolerance_accepted(self, tmp_path):
-        doc = json.loads(V1_MODEL.read_text())
-        doc["dofs"]["d3"]["p_zero"][1][2] += 1e-11
-        model = load_model(write_json(tmp_path / "model.json", doc))
-        assert model.dofs[D3].p_zero.matrix[1][2] != doc["dofs"]["d3"]["p_zero"][1][2]
+        doc["dofs"]["d1"]["overlap"] -= 1e-11 - 1e-13  # within 1e-12 of the prototypes' overlap
+        assert load_model(write_json(tmp_path / "model.json", doc)).dofs[D1].overlap != (
+            doc["dofs"]["d1"]["overlap"])
 
     def test_dof_holds_only_primary_quantities(self):
         names = [f.name for f in dataclasses.fields(DofOperators)]
@@ -503,8 +500,6 @@ class TestModelValidation:
         assert DecodeConfig(rest_threshold=1e308).rest_threshold == 1e308  # as the flag allows
         with pytest.raises(ValueError):
             DecodeConfig(overlap_epsilon=0.0)
-        with pytest.raises(ValueError):
-            DecodeConfig(block_vote="plurality")
 
     def test_model_requires_matching_dimensions(self):
         model = random_model(np.random.default_rng(1), n_channels=4)
@@ -535,15 +530,33 @@ class TestPersistence:
     def test_unsupported_version_rejected(self, tmp_path):
         model = random_model(np.random.default_rng(8))
         doc = model_to_dict(model)
-        doc["format_version"] = 99
-        path = write_json(tmp_path / "model.json", doc)
-        with pytest.raises(ModelFileError, match="model.json: .*version: 99"):
-            load_model(path)
+        for version in (99, 1):
+            doc["format_version"] = version
+            path = write_json(tmp_path / "model.json", doc)
+            with pytest.raises(ModelFileError, match=f"model.json: .*version: {version}$"):
+                load_model(path)
+
+    def test_format_3_holds_no_block_vote(self, tmp_path):
+        doc = model_to_dict(random_model(np.random.default_rng(8)))
+        doc["decode_config"]["block_vote"] = "majority"
+        with pytest.raises(ModelFileError, match="block_vote"):
+            load_model(write_json(tmp_path / "model.json", doc))
+
+    def test_model_file_holds_only_decoder_inputs(self):
+        """Each DecodeConfig field is read by the decoder, and the file's
+        decode_config holds exactly those fields."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(control._decide)))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg"}
+        names = {f.name for f in dataclasses.fields(DecodeConfig)}
+        assert names == read == {"rest_threshold", "overlap_epsilon"}
+        doc = model_to_dict(random_model(np.random.default_rng(8)))
+        assert set(doc["decode_config"]) == names
 
     def test_document_carries_version_field(self):
         model = random_model(np.random.default_rng(8))
         doc = model_to_dict(model)
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert sorted(doc["dofs"]["d1"]) == [
             "overlap",
             "prototype_negative",
@@ -553,13 +566,14 @@ class TestPersistence:
         ]
 
 
-class TestFormatV1:
-    """Format-1 files still load: their stored operators are checked, then dropped."""
+class TestFormatV2:
+    """Format-2 files still load: their stored block vote is checked, then dropped."""
 
     def test_loads_stored_prototypes_angles_and_overlap(self):
-        doc = json.loads(V1_MODEL.read_text())
-        model = load_model(V1_MODEL)
+        doc = json.loads(V2_MODEL.read_text())
+        model = load_model(V2_MODEL)
         assert model.n_channels == 4 and sorted(model.dofs) == [D1, D3]
+        assert doc["decode_config"]["block_vote"] == "majority"
         assert model.decode_config == DecodeConfig(rest_threshold=0.02)
         for key, entry in doc["dofs"].items():
             ops = model.dofs[Dof(key)]
@@ -568,17 +582,26 @@ class TestFormatV1:
             assert ops.theta_pos_max == entry["theta_positive_max"]
             assert ops.theta_neg_max == entry["theta_negative_max"]
             assert ops.overlap == entry["overlap"]
-            for name, op in (("p_positive", ops.p_pos), ("p_negative", ops.p_neg), ("p_zero", ops.p_zero)):
-                np.testing.assert_array_equal(op.matrix, entry[name])
 
-    def test_decodes_like_its_v2_copy(self, tmp_path):
-        v1 = load_model(V1_MODEL)
-        save_model(v1, tmp_path / "model.json")
-        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 2
-        v2 = load_model(tmp_path / "model.json")
+    @pytest.mark.parametrize("vote", ["any", "plurality", None])
+    def test_stored_vote_must_name_a_rule(self, tmp_path, vote):
+        doc = json.loads(V2_MODEL.read_text())
+        doc["decode_config"]["block_vote"] = vote
+        path = write_json(tmp_path / "model.json", doc)
+        if vote == "any":
+            assert load_model(path).decode_config == DecodeConfig(rest_threshold=0.02)
+        else:
+            with pytest.raises(ModelFileError, match=f"unknown block_vote rule: {vote!r}$"):
+                load_model(path)
+
+    def test_decodes_like_its_v3_copy(self, tmp_path):
+        v2 = load_model(V2_MODEL)
+        save_model(v2, tmp_path / "model.json")
+        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 3
+        v3 = load_model(tmp_path / "model.json")
         features = np.random.default_rng(21).uniform(0.0, 1.0, size=(64, 4))
         features[7] = 0.0
-        a, b = decode_batch(features, v1), decode_batch(features, v2)
+        a, b = decode_batch(features, v2), decode_batch(features, v3)
         for name in ("expectation_pos", "expectation_neg", "expectation_zero", "direction",
                      "angle", "raw_angle", "angle_clamped", "zero_negative", "zero_signal"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -586,11 +609,11 @@ class TestFormatV1:
     def test_retraining_reproduces_the_stored_model(self):
         # prototypes are now normalize(sum of angle * state), without first
         # dividing the angles by their total; the results agree to rounding
-        v1 = load_model(V1_MODEL)
+        v2 = load_model(V2_MODEL)
         samples = training_table(load_feature_dataset(V1_TRAIN)).samples()
         model = train(samples, 4, config=DecodeConfig(rest_threshold=0.02))
         for dof, ops in model.dofs.items():
-            stored = v1.dofs[dof]
+            stored = v2.dofs[dof]
             for mine, theirs in ((ops.proto_pos, stored.proto_pos), (ops.proto_neg, stored.proto_neg)):
                 np.testing.assert_allclose(mine.amplitudes, theirs.amplitudes, rtol=0, atol=1e-15)
             assert (ops.theta_pos_max, ops.theta_neg_max) == (stored.theta_pos_max, stored.theta_neg_max)

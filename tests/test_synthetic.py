@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qmyo.errors import DimensionError
 from qmyo.evaluation import block_errors, run_starts
 from qmyo.features import mav, segment_windows
-from qmyo.operators import DecodeConfig, Direction, Dof, MovementPhase, train
+from qmyo.operators import Direction, Dof, MovementPhase, train
 from qmyo.state import QuantumState, encode_rows, inner_product
 from qmyo.synthetic import (
     MixingModel,
@@ -192,13 +192,12 @@ class TestGenerateTestScenario:
         expected, _ = generate_features(model, {D1: 12.0}, 1)
         for fv in test_set.features:
             np.testing.assert_allclose(fv.values, expected[0].values, atol=1e-12)
-        np.testing.assert_array_equal(test_set.truth[D1], [12.0] * 4)
-        np.testing.assert_array_equal(test_set.truth[D3], [0.0] * 4)
+        np.testing.assert_array_equal(test_set.truth, [[12.0, 0.0, 0.0]] * 4)
 
     def test_ramp_profile(self):
         scenario = [ScenarioBlock(angles={D1: (10.0, 30.0)}, n_windows=5)]
         test_set = generate_test_scenario(tiny_model(), scenario)
-        np.testing.assert_allclose(test_set.truth[D1], [10.0, 15.0, 20.0, 25.0, 30.0])
+        np.testing.assert_allclose(test_set.truth[:, 0], [10.0, 15.0, 20.0, 25.0, 30.0])
 
     def test_intended_directions(self):
         scenario = [
@@ -209,10 +208,11 @@ class TestGenerateTestScenario:
         np.testing.assert_array_equal(test_set.block_ids, [0, 0, 1, 1])
         # windows decoded as block 0: d1 positive, d3 negative; block 1: rest
         decoded = {D1: np.array([1.0, 1.0, 0.0, 0.0]), D3: np.array([-1.0, -1.0, 0.0, 0.0])}
-        report = block_errors(test_set.truth, decoded, test_set.block_ids, DecodeConfig())
+        truth = {D1: test_set.truth[:, 0], D3: test_set.truth[:, 2]}
+        report = block_errors(truth, decoded, test_set.block_ids)
         assert report.misclassified_blocks == []
         flipped = {dof: -values for dof, values in decoded.items()}
-        report = block_errors(test_set.truth, flipped, test_set.block_ids, DecodeConfig())
+        report = block_errors(truth, flipped, test_set.block_ids)
         assert report.misclassified_blocks == [0]
 
     def test_empty_scenario_rejected(self):
@@ -494,8 +494,7 @@ def reference_training_set(model, per_action_count, angle_range=(5.0, 40.0)):
 
 
 def reference_scenario(model, scenario):
-    features, block_ids, n_clipped = [], [], 0
-    truth = {dof: [] for dof in model.dofs}
+    features, truth, block_ids, n_clipped = [], [], [], 0
     for index, block in enumerate(scenario):
         rng = np.random.default_rng([model.seed, 1, index])
         for j in range(block.n_windows):
@@ -503,10 +502,9 @@ def reference_scenario(model, scenario):
             windows, clipped = reference_features(model, angles, 1, rng)
             features.append(windows[0])
             n_clipped += clipped
-            for dof in model.dofs:
-                truth[dof].append(angles[dof])
+            truth.append([angles.get(dof, 0.0) for dof in DOFS_3])
             block_ids.append(index)
-    return features, {dof: np.array(v) for dof, v in truth.items()}, block_ids, n_clipped
+    return features, np.array(truth), block_ids, n_clipped
 
 
 DOFS_3 = (D1, D2, D3)
@@ -595,10 +593,8 @@ class TestVectorisedGeneration:
             features, truth, block_ids, n_clipped = reference_scenario(model, scenario)
             got = generate_test_scenario(model, scenario)
             assert bits(fv.values for fv in got.features) == bits(features)
-            assert got.truth.keys() == truth.keys()
-            for dof in truth:
-                assert got.truth[dof].dtype == truth[dof].dtype
-                assert got.truth[dof].tobytes() == truth[dof].tobytes()
+            assert (got.truth.dtype, got.truth.shape) == (truth.dtype, truth.shape)
+            assert got.truth.tobytes() == truth.tobytes()
             assert got.block_ids.tolist() == block_ids
             assert got.n_clipped == n_clipped
         if name == "tiny-clipping":
