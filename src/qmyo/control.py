@@ -8,8 +8,8 @@ for prototype overlap, gives the proportional angle command. With three
 trained DOFs the three completion expectations additionally yield
 residual activations through a fixed 3x3 linear system.
 
-:func:`decode_batch` decodes an (N, C) feature array in one pass;
-:func:`decode_features` is a one-row call of the same kernel.
+:func:`decode_batch` decodes an (N, C) feature array in one pass, one row
+in Python floats to the same bits; :func:`decode_features` is a one-row call.
 """
 
 from collections.abc import Mapping
@@ -210,9 +210,12 @@ def _decide(
             "the direction pair is unlearnable"
         )
     n, d = len(states), len(tables.dofs)
-    decisions = np.empty((6, n, d))
     # The prototype columns alternate positive and negative per DOF.
     amplitudes = (states[:, None, :] @ tables.prototypes).reshape(n, d, 2)
+    if n == 1:  # numpy's per-call cost would dominate a (1, D) row
+        rows = _decide_row(amplitudes[0].tolist(), tables.scalars, cfg.rest_threshold)
+        return DecodedBatch(tables.dofs, np.array(rows).T.copy().reshape(6, 1, d), zero_signal)
+    decisions = np.empty((6, n, d))
     np.square(amplitudes.transpose(2, 0, 1), out=decisions[:2])
     e_pos, e_neg, code, angle, raw_angle, clamped = decisions
     # Later fields serve as scratch until written: the margin in code,
@@ -228,6 +231,23 @@ def _decide(
     np.minimum(raw_angle, theta_max, out=angle)
     np.greater(raw_angle, theta_max, out=clamped)
     return DecodedBatch(tables.dofs, decisions, zero_signal)
+
+
+def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> list[tuple]:
+    """One window's (6,) decisions per DOF from its (D, 2) amplitudes: the array
+    kernel's IEEE operations in its order, in Python floats, so the bits match."""
+    rows = []
+    for (a_pos, a_neg), (theta_pos, theta_neg, span) in zip(amplitudes, scalars):
+        e_pos, e_neg = a_pos * a_pos, a_neg * a_neg
+        margin = e_pos - e_neg
+        theta = theta_pos if margin > 0 else theta_neg
+        size = abs(margin)
+        moving = 1.0 if size > rest_threshold else 0.0
+        signed = margin * moving
+        raw = size * theta / span * moving
+        rows.append((e_pos, e_neg, float((signed > 0) - (signed < 0)),  # +0.0 at rest
+                     min(raw, theta), raw, float(raw > theta)))
+    return rows
 
 
 def _decode_rows(features: np.ndarray, model: ControllerModel) -> DecodedBatch:

@@ -68,8 +68,9 @@ class FeatureVector:
         return self.values.shape[0]
 
 
-def segment_windows(rec: EmgRecording, window_ms: float) -> list[np.ndarray]:
-    """Cut a recording into consecutive, non-overlapping windows.
+def segment_windows(rec: EmgRecording, window_ms: float) -> np.ndarray:
+    """Cut a recording into consecutive, non-overlapping windows: one
+    (n_windows, window_len, n_channels) array, a view of C-ordered samples.
 
     The window length is floored to whole samples and a trailing partial
     window is dropped rather than padded.
@@ -87,10 +88,8 @@ def segment_windows(rec: EmgRecording, window_ms: float) -> list[np.ndarray]:
             f"recording has {rec.n_samples} samples, shorter than one "
             f"{window_len}-sample window"
         )
-    return [
-        rec.samples[start : start + window_len]
-        for start in range(0, rec.n_samples - window_len + 1, window_len)
-    ]
+    n = rec.n_samples // window_len
+    return rec.samples[: n * window_len].reshape(n, window_len, rec.n_channels)
 
 
 def mav(window: np.ndarray) -> FeatureVector:

@@ -128,6 +128,9 @@ class DecodeConfig:
             raise ValueError(
                 f"overlap_epsilon must be in (0, 1), got {self.overlap_epsilon}"
             )
+        # held as floats, as both decode kernels read them; an int past float range raises
+        object.__setattr__(self, "rest_threshold", float(self.rest_threshold))
+        object.__setattr__(self, "overlap_epsilon", float(self.overlap_epsilon))
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,8 @@ class DecodeTables(NamedTuple):
 
     DOFs are in sorted order; ``prototypes`` is (C, 2D) with each DOF's
     positive then negative prototype as columns, the other arrays (D,);
-    ``span`` is 1 - overlap, the denominator of the angle formula.
+    ``span`` is 1 - overlap, the denominator of the angle formula;
+    ``scalars`` holds each DOF's (θ₊, θ₋, span) as Python floats.
     """
 
     dofs: tuple[Dof, ...]
@@ -211,6 +215,7 @@ class DecodeTables(NamedTuple):
     theta_neg_max: np.ndarray
     span: np.ndarray
     max_overlap: float
+    scalars: tuple[tuple[float, float, float], ...]
 
     @classmethod
     def of(cls, dofs: dict[Dof, DofOperators]) -> "DecodeTables":
@@ -225,6 +230,8 @@ class DecodeTables(NamedTuple):
             theta_neg_max=np.array([o.theta_neg_max for o in ops]),
             span=1.0 - np.array([o.overlap for o in ops]),
             max_overlap=max(o.overlap for o in ops),
+            scalars=tuple((float(o.theta_pos_max), float(o.theta_neg_max), 1.0 - o.overlap)
+                          for o in ops),
         )
 
 
@@ -481,6 +488,6 @@ def load_model(path) -> ControllerModel:
     try:
         with open(path) as fh:
             return model_from_dict(json.load(fh))
-    except (ValueError, LookupError, TypeError, AttributeError, QmyoError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, OverflowError, QmyoError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ModelFileError(f"{path}: {reason}") from exc

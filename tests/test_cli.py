@@ -1,6 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
 import copy
+import itertools
 import json
 import math
 import os
@@ -747,6 +748,10 @@ MODEL_MUTATIONS = {
     "nan-threshold": _set(("decode_config", "rest_threshold"), math.nan),
     "bool-threshold": _set(("decode_config", "rest_threshold"), True),
     "infinite-threshold": _set(("decode_config", "rest_threshold"), math.inf),
+    "huge-threshold": _set(("decode_config", "rest_threshold"), 10**400),
+    "huge-angle": _set(("dofs", "d1", "theta_positive_max"), 10**400),
+    "huge-prototype": _set(("dofs", "d1", "prototype_positive", 0), 10**400),
+    "huge-overlap": _set(("dofs", "d3", "overlap"), 10**400),
     "bool-angle": _set(("dofs", "d3", "theta_negative_max"), True),
     "infinite-channels": _set(("n_channels",), math.inf),
     "fractional-channels": _set(("n_channels",), 4.5),
@@ -840,26 +845,33 @@ def _key_paths(node, path=()):
 
 
 _DROP = object()
-_ODD_VALUES = (_DROP, None, "x", [], {}, -1, 0, 1e308, math.nan, math.inf, -math.inf, True)
+# 10**400 is a JSON integer that no float holds.
+_ODD_VALUES = (_DROP, None, "x", [], {}, -1, 0, 1e308, 10**400, math.nan, math.inf, -math.inf,
+               True)
 
 
 def test_mutated_model_files_end_in_an_exit_code(tmp_path, capsys):
-    """Each key path of a model dropped or set to an odd JSON value: inspect-model
-    succeeds quietly or exits 1-3 with one ``qmyo:`` line, and nothing warns."""
+    """Each key path of a model dropped or set to an odd JSON value: inspect-model,
+    and decode where a decode threshold changed, succeed quietly or exit 1-3 with
+    one ``qmyo:`` line, and nothing warns."""
     doc, path = _model_doc(3), tmp_path / "model.json"
+    inspect = ("inspect-model", "--model", path)
+    decode = ("decode", "--model", path, "--data", V1_TRAIN, "--out", tmp_path / "d.csv")
     failures, runs = [], 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for key_path in _key_paths(doc):
-            for value in _ODD_VALUES:
+            # inspect-model reads the thresholds without deciding anything with them
+            argvs = (inspect, decode) if key_path[0] == "decode_config" else (inspect,)
+            for value, argv in itertools.product(_ODD_VALUES, argvs):
                 mutated = copy.deepcopy(doc)
                 (_drop(*key_path) if value is _DROP else _set(key_path, value))(mutated)
                 path.write_text(json.dumps(mutated))
-                shown = "dropped" if value is _DROP else repr(value)
-                case = f"{'/'.join(map(str, key_path))} {shown}"
+                shown = "dropped" if value is _DROP else "10**400" if value == 10**400 else repr(value)
+                case = f"{argv[0]} {'/'.join(map(str, key_path))} {shown}"
                 runs += 1
                 try:
-                    code = run("inspect-model", "--model", path)
+                    code = run(*argv)
                 except Exception as exc:  # the shell would print a traceback
                     code = exc
                 lines = capsys.readouterr().err.splitlines()

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmyo.control import (
@@ -27,6 +27,7 @@ from qmyo.operators import (
     ControllerModel,
     DecodeConfig,
     Direction,
+    DOFS,
     Dof,
     DofOperators,
     SIGN_DIRECTIONS,
@@ -528,6 +529,94 @@ class TestDecodeBatch:
         inside = dataclasses.replace(model, decode_config=DecodeConfig(overlap_epsilon=safe))
         assert decode_batch(np.ones((1, 2)), inside).direction.shape == (1, 1)
         assert decode_features(window, inside).per_dof[D1].expectation_pos > 0
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model of 1-3 DOFs and 2-8 feature rows to decode one at a time.
+
+    A DOF's negative prototype is random or a near copy of its positive one,
+    and ``overlap_epsilon`` may put 1 - ε one ulp above the largest overlap.
+    The rest threshold is 0, 0.05, near 1 or exactly one decoded margin.
+    A row is random, a prototype, all zero or zero on some channels, scaled
+    by 10^-300 to 10^300.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n_channels = draw(st.integers(2, 6))
+    dofs = {}
+    for dof in draw(st.lists(st.sampled_from(DOFS), min_size=1, max_size=3, unique=True)):
+        pos = rng.uniform(0.01, 1.0, n_channels)
+        neg = rng.uniform(0.0, 1.0, n_channels)
+        if draw(st.booleans(), label=f"{dof.value} near copy"):
+            neg = pos + draw(st.sampled_from([1e-2, 1e-4, 1e-6])) * neg
+        dofs[dof] = triple(unit(*pos), unit(*neg), *rng.uniform(1.0, 90.0, 2).tolist())
+    overlap, epsilon = max(ops.overlap for ops in dofs.values()), 1e-6
+    if overlap >= 0.5 and (overlap >= 1.0 - epsilon or draw(st.booleans(), label="tight guard")):
+        epsilon = 1.0 - float(np.nextafter(overlap, 1.0))  # exact, as overlap >= 0.5
+    assume(epsilon > 0.0)
+    threshold = draw(st.sampled_from([0.0, 0.05, 1.0 - 1e-9, None]), label="rest threshold")
+    model = ControllerModel(dofs, n_channels, DecodeConfig(threshold or 0.0, epsilon))
+    prototypes = [p.amplitudes for ops in dofs.values() for p in (ops.proto_pos, ops.proto_neg)]
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "prototype", "zero", "sparse"]),
+                              min_size=2, max_size=8)):
+        row = rng.uniform(0.0, 1.0, n_channels)
+        if kind == "prototype":
+            row = prototypes[rng.integers(len(prototypes))]
+        elif kind == "zero":
+            row = np.zeros(n_channels)
+        elif kind == "sparse":
+            row = row * (rng.uniform(size=n_channels) < 0.5)
+        rows.append(row * 10.0 ** draw(st.integers(-300, 300), label="exponent"))
+    features = np.array(rows)
+    if threshold is None:  # the deadzone edge exactly on the first row's first margin
+        probe = decode_batch(features, model)
+        margin = float(abs(probe.expectation_pos[0, 0] - probe.expectation_neg[0, 0]))
+        model = dataclasses.replace(model, decode_config=DecodeConfig(margin, epsilon))
+    return model, features
+
+
+class TestFloatKernel:
+    """A one-row batch decodes in Python floats, to the bits of the array kernel."""
+
+    @given(case=kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_row_equals_the_array_kernel_bit_for_bit(self, case):
+        model, features = case
+        batch = decode_batch(features, model)  # two or more rows: the array kernel
+        for i, row in enumerate(features):
+            want = batch.decisions[:, i].tobytes()
+            one = decode_batch(features[i : i + 1], model)
+            assert one.decisions.shape == (6, 1, len(model.dofs))
+            assert one.decisions[:, 0].tobytes() == want
+            assert one.zero_signal.tolist() == [batch.zero_signal[i]]
+            action = decode_features(FeatureVector(row, FeatureKind.MAV), model)
+            assert action.per_dof._row.tobytes() == want
+            assert action == batch.action(i)
+
+    @given(case=kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_matches_the_plain_formula(self, case):
+        model, features = case
+        threshold = model.decode_config.rest_threshold
+        for i, expected in enumerate(plain_decode(features, model)):
+            one = decode_batch(features[i : i + 1], model)
+            if expected is None:
+                assert one.zero_signal[0] and not one.decisions.any()
+                continue
+            for k, (e_pos, e_neg, _, sign, angle, raw, clamped) in enumerate(expected[0]):
+                ops = model.dofs[one.dofs[k]]
+                assert one.expectation_pos[0, k] == pytest.approx(e_pos, rel=0, abs=1e-12)
+                assert one.expectation_neg[0, k] == pytest.approx(e_neg, rel=0, abs=1e-12)
+                if abs(abs(e_pos - e_neg) - threshold) < 3e-12:
+                    continue  # either side of the deadzone edge is right
+                # a margin off by 2e-12 moves the angle by that much over (1 - overlap)
+                tol = 2e-12 * max(ops.theta_pos_max, ops.theta_neg_max) / (1.0 - ops.overlap)
+                assert one.direction[0, k] == sign
+                assert one.angle[0, k] == pytest.approx(angle, rel=1e-12, abs=tol)
+                assert one.raw_angle[0, k] == pytest.approx(raw, rel=1e-12, abs=tol)
+                if abs(raw - (ops.theta_pos_max if sign > 0 else ops.theta_neg_max)) > tol:
+                    assert one.angle_clamped[0, k] == clamped
 
 
 class TestDecisionRecords:

@@ -501,6 +501,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             DecodeConfig(overlap_epsilon=0.0)
 
+    def test_decode_config_holds_floats(self):
+        cfg = DecodeConfig(rest_threshold=0, overlap_epsilon=np.float32(0.5))
+        assert (type(cfg.rest_threshold), type(cfg.overlap_epsilon)) == (float, float)
+        assert cfg == DecodeConfig(0.0, 0.5)
+        with pytest.raises(OverflowError):  # load_model reports it as a model file error
+            DecodeConfig(rest_threshold=10**400)
+
     def test_model_requires_matching_dimensions(self):
         model = random_model(np.random.default_rng(1), n_channels=4)
         with pytest.raises(DimensionError):
