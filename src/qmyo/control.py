@@ -8,10 +8,12 @@ for prototype overlap, gives the proportional angle command. With three
 trained DOFs the three completion expectations additionally yield
 residual activations through a fixed 3x3 linear system.
 
-:func:`decode_batch` decodes an (N, C) feature array in one pass, one row
-in Python floats to the same bits; :func:`decode_features` is a one-row call.
+:func:`decode_batch` decodes an (N, C) feature array in one pass;
+:func:`decode_features` decodes one window in Python floats and 1-D
+products, to the same bits.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -204,17 +206,9 @@ def _decide(
     the angle is the margin times the winner's maximal training angle
     over (1 - overlap), clamped to that maximum.
     """
-    if tables.max_overlap >= 1.0 - cfg.overlap_epsilon:
-        raise DegenerateOperatorsError(
-            f"prototype overlap {tables.max_overlap!r} leaves no margin; "
-            "the direction pair is unlearnable"
-        )
     n, d = len(states), len(tables.dofs)
     # The prototype columns alternate positive and negative per DOF.
     amplitudes = (states[:, None, :] @ tables.prototypes).reshape(n, d, 2)
-    if n == 1:  # numpy's per-call cost would dominate a (1, D) row
-        rows = _decide_row(amplitudes[0].tolist(), tables.scalars, cfg.rest_threshold)
-        return DecodedBatch(tables.dofs, np.array(rows).T.copy().reshape(6, 1, d), zero_signal)
     decisions = np.empty((6, n, d))
     np.square(amplitudes.transpose(2, 0, 1), out=decisions[:2])
     e_pos, e_neg, code, angle, raw_angle, clamped = decisions
@@ -250,14 +244,21 @@ def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> list
     return rows
 
 
-def _decode_rows(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
-    if features.shape[1] != model.n_channels:
+def _checked(model: ControllerModel, n_channels: int) -> tuple[DecodeTables, DecodeConfig]:
+    """The model's decode tables and config, once the feature width matches
+    and the prototype overlap leaves a margin."""
+    if n_channels != model.n_channels:
         raise DimensionError(
-            f"{features.shape[1]} feature channels do not match the "
+            f"{n_channels} feature channels do not match the "
             f"{model.n_channels}-channel model"
         )
-    states, zero_signal = encode_rows(features)
-    return _decide(states, zero_signal, model.decode_tables, model.decode_config)
+    tables, cfg = model.decode_tables, model.decode_config
+    if tables.max_overlap >= 1.0 - cfg.overlap_epsilon:
+        raise DegenerateOperatorsError(
+            f"prototype overlap {tables.max_overlap!r} leaves no margin; "
+            "the direction pair is unlearnable"
+        )
+    return tables, cfg
 
 
 def decode_batch(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
@@ -273,9 +274,20 @@ def decode_batch(features: np.ndarray, model: ControllerModel) -> DecodedBatch:
         raise DimensionError(f"features must be 2-D (windows x channels), got {features.shape}")
     if features.size and not (features.min() >= 0.0 and features.max() < np.inf):
         raise ValueError("feature values must be finite and non-negative")
-    return _decode_rows(np.ascontiguousarray(features), model)
+    tables, cfg = _checked(model, features.shape[1])
+    states, zero_signal = encode_rows(np.ascontiguousarray(features))
+    return _decide(states, zero_signal, tables, cfg)
 
 
 def decode_features(fv: FeatureVector, model: ControllerModel) -> DecodedAction:
-    """Encode and decode one feature window (validated when it was built)."""
-    return _decode_rows(fv.values[None, :], model).action(0)
+    """Decode one feature window (validated when it was built) to the bits of its
+    :func:`decode_batch` row, with 1-D products and :func:`_decide_row`."""
+    states = fv.values  # an all-zero row stays as it is, as in encode_rows
+    tables, cfg = _checked(model, states.shape[0])
+    if peak := max(states.tolist()):  # non-negative, so 0.0 only on an all-zero row
+        scaled = states / peak
+        states = scaled / math.sqrt(np.dot(scaled, scaled))
+    amplitudes = (states @ tables.prototypes).reshape(-1, 2).tolist()
+    rows = _decide_row(amplitudes, tables.scalars, cfg.rest_threshold)
+    return DecodedAction(DecisionMap(tables.dofs, np.array(rows).T.copy()),
+                         _SIGNAL if peak else _NO_SIGNAL)

@@ -444,21 +444,32 @@ def model_to_dict(model: ControllerModel) -> dict:
 _V2_BLOCK_VOTES = ("majority", "any", "all")
 
 
+def _float_range(value, name: str):
+    """``value`` unchanged, unless it is an integer past float range."""
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name}: int too large to convert to float") from None
+    return value
+
+
 def model_from_dict(doc: dict) -> ControllerModel:
     """Model from a format 3 or 2 document. The stored overlap must match the
     prototypes, and format 2's block vote must name a rule; then both are dropped."""
     version = doc["format_version"]
     if version not in (2, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version: {version!r}")
-    thresholds = doc["decode_config"]
+    thresholds = {key: _float_range(value, f"decode_config.{key}")
+                  for key, value in doc["decode_config"].items()}
     if version == 2:
-        thresholds = {**thresholds}
         if (vote := thresholds.pop("block_vote", "majority")) not in _V2_BLOCK_VOTES:
             raise ValueError(f"unknown block_vote rule: {vote!r}")
     cfg = DecodeConfig(**thresholds)
     dofs: dict[Dof, DofOperators] = {}
     for key, entry in doc["dofs"].items():
-        angles = [entry["theta_positive_max"], entry["theta_negative_max"]]
+        angles = [_float_range(entry[name], f"{key}: {name}")
+                  for name in ("theta_positive_max", "theta_negative_max")]
         if any(type(angle) is bool for angle in angles):  # JSON true would read as 1
             raise ValueError(f"{key}: maximal angles must be numbers, got {angles!r}")
         ops = DofOperators(
@@ -467,7 +478,8 @@ def model_from_dict(doc: dict) -> ControllerModel:
             theta_pos_max=float(angles[0]),
             theta_neg_max=float(angles[1]),
         )
-        if not (dev := abs(float(entry["overlap"]) - ops.overlap)) <= OVERLAP_TOL:
+        overlap = float(_float_range(entry["overlap"], f"{key}: overlap"))
+        if not (dev := abs(overlap - ops.overlap)) <= OVERLAP_TOL:
             raise ValueError(f"{key}: stored overlap deviates from the prototypes by {dev!r}")
         dofs[Dof(key)] = ops
     n_channels = doc["n_channels"]

@@ -194,7 +194,8 @@ def generate_training_table(
             rng.standard_normal(out=row)
     angles = low + (high - low) * uniform
     if noisy:
-        noise = 0.0 + model.noise_sigma * noise
+        with np.errstate(over="ignore"):  # an inf row is refused as a data error later
+            noise = 0.0 + model.noise_sigma * noise
     activation = np.zeros((n, 2 * len(model.dofs)))
     columns = [_column(model.dofs, dof, direction) for dof, direction in actions]
     activation[np.arange(n), np.tile(columns, per_action_count)] = angles

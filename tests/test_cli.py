@@ -212,6 +212,15 @@ class TestExitCodes:
         assert line == f"{cfg}:3: repeats setting 'seed' from line 1"
         assert [path.name for path in tmp_path.iterdir()] == ["settings.cfg"]
 
+    def test_noise_past_float_range_is_data_error(self, tmp_path, capsys):
+        """Noise scaled past float range is refused as a data error, without
+        an overflow warning (which pytest raises as an error)."""
+        argv = self.argv("synth", tmp_path, "--noise-sigma", "1e308", "--per-action", 2,
+                         "--blocks", 3, "--windows", 6)
+        line = self.data_error(capsys, argv)
+        assert line.startswith("synthetic:") and "value inf is not a finite" in line
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("ch1,d1_angle,d2_angle,d3_angle,phase,block\noops,0,0,0,direct,0\n")
@@ -822,6 +831,23 @@ class TestModelFileErrors:
         assert lines[0].startswith(f"qmyo: data error: {model}: ")
         if version == 1 and mutation not in _VERSIONLESS:
             assert lines[0].endswith(": unsupported model format version: 1")
+
+    @pytest.mark.parametrize("key_path,name", [
+        (("decode_config", "rest_threshold"), "decode_config.rest_threshold"),
+        (("decode_config", "overlap_epsilon"), "decode_config.overlap_epsilon"),
+        (("dofs", "d1", "theta_positive_max"), "d1: theta_positive_max"),
+        (("dofs", "d3", "theta_negative_max"), "d3: theta_negative_max"),
+        (("dofs", "d3", "overlap"), "d3: overlap"),
+    ])
+    def test_integer_past_float_range_names_its_key(self, tmp_path, capsys, key_path, name):
+        doc = _model_doc(3)
+        _set(key_path, 10**400)(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("inspect-model", "--model", model) == 2
+        assert capsys.readouterr().err == (
+            f"qmyo: data error: {model}: {name}: int too large to convert to float\n"
+        )
 
     def test_tampered_p_zero_from_the_shell(self, tmp_path):
         """Format 1 no longer loads, so its stored matrices are never read."""

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qmyo import control
 from qmyo.control import (
     DecodeDiagnostics,
     DecodedAction,
@@ -535,14 +536,18 @@ class TestDecodeBatch:
 def kernel_cases(draw):
     """A model of 1-3 DOFs and 2-8 feature rows to decode one at a time.
 
+    Channel counts run from 2 to 40 and often sit on or just past the
+    widths where BLAS dot and gemv kernels change their unrolling.
     A DOF's negative prototype is random or a near copy of its positive one,
     and ``overlap_epsilon`` may put 1 - ε one ulp above the largest overlap.
     The rest threshold is 0, 0.05, near 1 or exactly one decoded margin.
     A row is random, a prototype, all zero or zero on some channels, scaled
-    by 10^-300 to 10^300.
+    by 10^-300 to 10^300; or -0.0 on some channels, or whole multiples of
+    the smallest subnormal, 5e-324.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    n_channels = draw(st.integers(2, 6))
+    n_channels = draw(st.one_of(st.sampled_from([4, 8, 16, 32, 33]), st.integers(2, 40)),
+                      label="channels")
     dofs = {}
     for dof in draw(st.lists(st.sampled_from(DOFS), min_size=1, max_size=3, unique=True)):
         pos = rng.uniform(0.01, 1.0, n_channels)
@@ -558,8 +563,8 @@ def kernel_cases(draw):
     model = ControllerModel(dofs, n_channels, DecodeConfig(threshold or 0.0, epsilon))
     prototypes = [p.amplitudes for ops in dofs.values() for p in (ops.proto_pos, ops.proto_neg)]
     rows = []
-    for kind in draw(st.lists(st.sampled_from(["random", "prototype", "zero", "sparse"]),
-                              min_size=2, max_size=8)):
+    kinds = ["random", "prototype", "zero", "sparse", "negative zero", "subnormal"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=8)):
         row = rng.uniform(0.0, 1.0, n_channels)
         if kind == "prototype":
             row = prototypes[rng.integers(len(prototypes))]
@@ -567,6 +572,11 @@ def kernel_cases(draw):
             row = np.zeros(n_channels)
         elif kind == "sparse":
             row = row * (rng.uniform(size=n_channels) < 0.5)
+        elif kind == "negative zero":  # all -0.0 is a zero-signal row
+            row = np.where(rng.uniform(size=n_channels) < 0.5, -0.0, row * rng.integers(0, 2))
+        elif kind == "subnormal":
+            rows.append(rng.integers(0, 9, n_channels) * 5e-324)
+            continue
         rows.append(row * 10.0 ** draw(st.integers(-300, 300), label="exponent"))
     features = np.array(rows)
     if threshold is None:  # the deadzone edge exactly on the first row's first margin
@@ -577,13 +587,14 @@ def kernel_cases(draw):
 
 
 class TestFloatKernel:
-    """A one-row batch decodes in Python floats, to the bits of the array kernel."""
+    """One window decodes in Python floats and 1-D products, to the bits of
+    the array kernel."""
 
     @given(case=kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_one_row_equals_the_array_kernel_bit_for_bit(self, case):
         model, features = case
-        batch = decode_batch(features, model)  # two or more rows: the array kernel
+        batch = decode_batch(features, model)  # two or more rows
         for i, row in enumerate(features):
             want = batch.decisions[:, i].tobytes()
             one = decode_batch(features[i : i + 1], model)
@@ -593,30 +604,48 @@ class TestFloatKernel:
             action = decode_features(FeatureVector(row, FeatureKind.MAV), model)
             assert action.per_dof._row.tobytes() == want
             assert action == batch.action(i)
+            assert action.diagnostics is batch.action(i).diagnostics
 
     @given(case=kernel_cases())
     @settings(max_examples=150, deadline=None)
     def test_one_row_matches_the_plain_formula(self, case):
         model, features = case
         threshold = model.decode_config.rest_threshold
-        for i, expected in enumerate(plain_decode(features, model)):
-            one = decode_batch(features[i : i + 1], model)
+        for row, expected in zip(features, plain_decode(features, model)):
+            action = decode_features(FeatureVector(row, FeatureKind.MAV), model)
             if expected is None:
-                assert one.zero_signal[0] and not one.decisions.any()
+                assert action.diagnostics.zero_signal and not action.per_dof._row.any()
                 continue
-            for k, (e_pos, e_neg, _, sign, angle, raw, clamped) in enumerate(expected[0]):
-                ops = model.dofs[one.dofs[k]]
-                assert one.expectation_pos[0, k] == pytest.approx(e_pos, rel=0, abs=1e-12)
-                assert one.expectation_neg[0, k] == pytest.approx(e_neg, rel=0, abs=1e-12)
+            for (dof, decision), (e_pos, e_neg, _, sign, angle, raw, clamped) in zip(
+                action.per_dof.items(), expected[0]
+            ):
+                ops = model.dofs[dof]
+                assert decision.expectation_pos == pytest.approx(e_pos, rel=0, abs=1e-12)
+                assert decision.expectation_neg == pytest.approx(e_neg, rel=0, abs=1e-12)
                 if abs(abs(e_pos - e_neg) - threshold) < 3e-12:
                     continue  # either side of the deadzone edge is right
                 # a margin off by 2e-12 moves the angle by that much over (1 - overlap)
                 tol = 2e-12 * max(ops.theta_pos_max, ops.theta_neg_max) / (1.0 - ops.overlap)
-                assert one.direction[0, k] == sign
-                assert one.angle[0, k] == pytest.approx(angle, rel=1e-12, abs=tol)
-                assert one.raw_angle[0, k] == pytest.approx(raw, rel=1e-12, abs=tol)
+                assert decision.direction is SIGN_DIRECTIONS[sign]
+                assert decision.signed_angle() == pytest.approx(angle, rel=1e-12, abs=tol)
+                assert decision.raw_angle == pytest.approx(raw, rel=1e-12, abs=tol)
                 if abs(raw - (ops.theta_pos_max if sign > 0 else ops.theta_neg_max)) > tol:
-                    assert one.angle_clamped[0, k] == clamped
+                    assert decision.angle_clamped == clamped
+
+    def test_one_window_skips_the_batch_path(self, monkeypatch):
+        """decode_features reaches its decision without encode_rows, _decide or
+        DecodedBatch.action, so routing it back through them fails here."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the one-window path reached the batch path")
+
+        model = MODELS["3dof"]
+        windows = [FeatureVector(np.array(v), FeatureKind.MAV)
+                   for v in ([0.9, 0.1, 0.3, 0.0, 0.2, 0.4], [0.0] * 6)]
+        want = [decode_features(fv, model) for fv in windows]
+        monkeypatch.setattr(control, "encode_rows", refuse)
+        monkeypatch.setattr(control, "_decide", refuse)
+        monkeypatch.setattr(DecodedBatch, "action", refuse)
+        assert [decode_features(fv, model) for fv in windows] == want
 
 
 class TestDecisionRecords:

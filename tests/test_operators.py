@@ -6,7 +6,6 @@ import inspect
 import json
 import logging
 import math
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -550,9 +549,9 @@ class TestPersistence:
             load_model(write_json(tmp_path / "model.json", doc))
 
     def test_model_file_holds_only_decoder_inputs(self):
-        """Each DecodeConfig field is read by the decoder, and the file's
-        decode_config holds exactly those fields."""
-        tree = ast.parse(textwrap.dedent(inspect.getsource(control._decide)))
+        """Each DecodeConfig field is read by the decoder (the control module),
+        and the file's decode_config holds exactly those fields."""
+        tree = ast.parse(inspect.getsource(control))
         read = {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg"}
         names = {f.name for f in dataclasses.fields(DecodeConfig)}
