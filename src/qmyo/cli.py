@@ -262,8 +262,14 @@ def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
                      f"a {window_ms} ms window spans {'under 2' if length < 2 else 'unbounded'} "
                      f"samples at {rate} Hz", "window_ms", "sample_rate")
     rec = features.load_recording(args.raw, sample_rate=rate)
-    windows = features.segment_windows(rec, window_ms)
-    return np.stack([features.mav(w).values for w in windows])
+    rows = []
+    try:
+        with np.errstate(over="ignore"):  # a MAV past float range fails FeatureVector's check
+            for window in features.segment_windows(rec, window_ms):
+                rows.append(features.mav(window).values)
+    except ValueError as exc:
+        raise DataError(f"{args.raw}: window {len(rows)}: {exc}") from None
+    return np.stack(rows)
 
 
 def _cmd_decode(parser: _Parser, args) -> int:

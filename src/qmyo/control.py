@@ -74,9 +74,9 @@ class DecisionMap(Mapping):
     """Read-only mapping of one window's DOFs to their decisions.
 
     Holds the batch's sorted DOF tuple, which every window shares, and
-    the window's own (6, D) block of the batch's decision array: e₊, e₋,
-    sign code, |angle|, raw angle and clamp flag, one column per DOF.
-    Each read builds a new, equal :class:`DofDecision` from the column.
+    the window's own flat, field-major row of 6·D decisions (e₊, e₋, sign
+    code, |angle|, raw angle, clamp flag), DOF k's at k, k + D, ... Each
+    read builds a new, equal :class:`DofDecision` from them.
     It compares, iterates and prints like the dict of the same items;
     ``dict(m)`` is a mutable copy.
     """
@@ -92,7 +92,7 @@ class DecisionMap(Mapping):
             k = self._dofs.index(dof)
         except ValueError:
             raise KeyError(dof) from None
-        p, n, code, angle, raw, clamped = self._row[:, k].tolist()
+        p, n, code, angle, raw, clamped = self._row[k::len(self._dofs)].tolist()
         return DofDecision(p, n, SIGN_DIRECTIONS[code], angle, raw, clamped != 0.0)
 
     def __iter__(self):
@@ -188,8 +188,8 @@ class DecodedBatch:
         return residuals
 
     def action(self, i: int) -> DecodedAction:
-        """Row ``i`` as a :class:`DecodedAction`, holding a copy of its (6, D) block."""
-        return DecodedAction(DecisionMap(self.dofs, self.decisions[:, i].copy()),
+        """Row ``i`` as a :class:`DecodedAction`, holding its (6, D) block as a flat copy."""
+        return DecodedAction(DecisionMap(self.dofs, self.decisions[:, i].flatten()),
                              _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
 
 
@@ -227,21 +227,26 @@ def _decide(
     return DecodedBatch(tables.dofs, decisions, zero_signal)
 
 
-def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> list[tuple]:
-    """One window's (6,) decisions per DOF from its (D, 2) amplitudes: the array
-    kernel's IEEE operations in its order, in Python floats, so the bits match."""
-    rows = []
-    for (a_pos, a_neg), (theta_pos, theta_neg, span) in zip(amplitudes, scalars):
-        e_pos, e_neg = a_pos * a_pos, a_neg * a_neg
-        margin = e_pos - e_neg
+def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> np.ndarray:
+    """One window's flat, field-major (6·D,) decisions from its amplitudes, each DOF's
+    + then −: the array kernel's IEEE operations in its order, in Python floats, same bits."""
+    e_pos, e_neg, codes, angles, raws, clamped = [], [], [], [], [], []
+    pairs = iter(amplitudes)
+    for a_pos, a_neg, (theta_pos, theta_neg, span) in zip(pairs, pairs, scalars):
+        p, n = a_pos * a_pos, a_neg * a_neg
+        margin = p - n
         theta = theta_pos if margin > 0 else theta_neg
         size = abs(margin)
         moving = 1.0 if size > rest_threshold else 0.0
         signed = margin * moving
         raw = size * theta / span * moving
-        rows.append((e_pos, e_neg, float((signed > 0) - (signed < 0)),  # +0.0 at rest
-                     min(raw, theta), raw, float(raw > theta)))
-    return rows
+        e_pos.append(p)
+        e_neg.append(n)
+        codes.append(float((signed > 0) - (signed < 0)))  # +0.0 at rest
+        angles.append(min(raw, theta))
+        raws.append(raw)
+        clamped.append(float(raw > theta))
+    return np.array(e_pos + e_neg + codes + angles + raws + clamped)
 
 
 def _checked(model: ControllerModel, n_channels: int) -> tuple[DecodeTables, DecodeConfig]:
@@ -285,9 +290,7 @@ def decode_features(fv: FeatureVector, model: ControllerModel) -> DecodedAction:
     states = fv.values  # an all-zero row stays as it is, as in encode_rows
     tables, cfg = _checked(model, states.shape[0])
     if peak := max(states.tolist()):  # non-negative, so 0.0 only on an all-zero row
-        scaled = states / peak
-        states = scaled / math.sqrt(np.dot(scaled, scaled))
-    amplitudes = (states @ tables.prototypes).reshape(-1, 2).tolist()
-    rows = _decide_row(amplitudes, tables.scalars, cfg.rest_threshold)
-    return DecodedAction(DecisionMap(tables.dofs, np.array(rows).T.copy()),
-                         _SIGNAL if peak else _NO_SIGNAL)
+        scaled = states / peak  # the bound .dot: np.dot's ddot and @'s dgemv, less dispatch
+        states = scaled / math.sqrt(scaled.dot(scaled))
+    row = _decide_row(states.dot(tables.prototypes).tolist(), tables.scalars, cfg.rest_threshold)
+    return DecodedAction(DecisionMap(tables.dofs, row), _SIGNAL if peak else _NO_SIGNAL)

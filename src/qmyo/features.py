@@ -57,9 +57,9 @@ class FeatureVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise DimensionError(f"feature values must be 1-D, got ndim={values.ndim}")
-        # min and max are NaN if any value is NaN, which fails the test
-        if values.size and not (np.minimum.reduce(values) >= 0.0
-                                and np.maximum.reduce(values) < np.inf):
+        # a NaN makes the max NaN and fails the first test; then Python's min is exact
+        if values.size and not (np.maximum.reduce(values) < np.inf
+                                and min(values.tolist()) >= 0.0):
             raise ValueError("feature values must be finite and non-negative")
         object.__setattr__(self, "values", values)
 

@@ -454,6 +454,16 @@ def _float_range(value, name: str):
     return value
 
 
+def _stored_prototype(values, name: str) -> QuantumState:
+    """The unit state a model file stores; a fault names its key."""
+    try:
+        if isinstance(values, list) and any(type(v) is bool for v in values):  # true reads as 1
+            raise ValueError("amplitudes must be numbers, not true or false")
+        return QuantumState(np.array(values, dtype=float))
+    except (ValueError, TypeError, OverflowError, DimensionError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def model_from_dict(doc: dict) -> ControllerModel:
     """Model from a format 3 or 2 document. The stored overlap must match the
     prototypes, and format 2's block vote must name a rule; then both are dropped."""
@@ -473,8 +483,8 @@ def model_from_dict(doc: dict) -> ControllerModel:
         if any(type(angle) is bool for angle in angles):  # JSON true would read as 1
             raise ValueError(f"{key}: maximal angles must be numbers, got {angles!r}")
         ops = DofOperators(
-            proto_pos=QuantumState(np.array(entry["prototype_positive"], dtype=float)),
-            proto_neg=QuantumState(np.array(entry["prototype_negative"], dtype=float)),
+            proto_pos=_stored_prototype(entry["prototype_positive"], f"{key}: prototype_positive"),
+            proto_neg=_stored_prototype(entry["prototype_negative"], f"{key}: prototype_negative"),
             theta_pos_max=float(angles[0]),
             theta_neg_max=float(angles[1]),
         )

@@ -338,6 +338,22 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith(f"qmyo: data error: {raw_csv}:41: samples must be finite")
 
+    def test_raw_window_whose_mav_overflows_is_data_error(self, tmp_path, capsys):
+        """Finite samples can sum past float range; the window's MAV is then
+        refused as a data error that names it, without an overflow warning."""
+        raw_csv = tmp_path / "raw.csv"
+        samples = np.full((3 * 102, 4), 0.5)  # three 102-sample windows at the defaults
+        samples[102:204] = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
+        raw_csv.write_text("ch1,ch2,ch3,ch4\n"
+                           + "".join(",".join(map(repr, row)) + "\n" for row in samples.tolist()))
+        out_csv = tmp_path / "d.csv"
+        assert run("decode", "--model", V2_MODEL, "--raw", raw_csv, "--out", out_csv) == 2
+        assert capsys.readouterr().err == (
+            f"qmyo: data error: {raw_csv}: window 1: "
+            "feature values must be finite and non-negative\n"
+        )
+        assert not out_csv.exists()
+
     @staticmethod
     def usage_error(capsys, argv):
         """Run ``argv``, expect exit 1, and return its one ``qmyo`` error line."""
@@ -848,6 +864,38 @@ class TestModelFileErrors:
         assert capsys.readouterr().err == (
             f"qmyo: data error: {model}: {name}: int too large to convert to float\n"
         )
+
+    @pytest.mark.parametrize("name", ["prototype_positive", "prototype_negative"])
+    @pytest.mark.parametrize("cell,reason", [
+        (10**400, "int too large to convert to float"),
+        (math.nan, "amplitudes must be finite"),
+        (0.0, "state is not unit norm: sum of squares = "),
+    ], ids=["huge", "nan", "non-unit"])
+    def test_prototype_fault_names_its_key(self, tmp_path, capsys, name, cell, reason):
+        doc = _model_doc(3)
+        proto = doc["dofs"]["d3"][name]
+        proto[int(np.argmax(np.abs(proto)))] = cell  # 0.0 there leaves a non-unit state
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("inspect-model", "--model", model) == 2
+        assert capsys.readouterr().err.startswith(f"qmyo: data error: {model}: d3: {name}: {reason}")
+
+    def test_true_in_a_unit_prototype_is_refused(self, tmp_path, capsys):
+        """A JSON true where the prototype holds 1 would read as 1.0 and load."""
+        doc = _model_doc(3)
+        proto = doc["dofs"]["d1"]["prototype_positive"]
+        proto[:] = [True] + [0] * (len(proto) - 1)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        doc["dofs"]["d1"]["prototype_positive"] = [1.0] + [0.0] * (len(proto) - 1)
+        doc["dofs"]["d1"]["overlap"] = doc["dofs"]["d1"]["prototype_negative"][0] ** 2
+        model_ok = tmp_path / "model_ok.json"
+        model_ok.write_text(json.dumps(doc))
+        assert run("inspect-model", "--model", model_ok) == 0
+        capsys.readouterr()
+        assert run("inspect-model", "--model", model) == 2
+        assert capsys.readouterr().err == (f"qmyo: data error: {model}: d1: prototype_positive: "
+                                           "amplitudes must be numbers, not true or false\n")
 
     def test_tampered_p_zero_from_the_shell(self, tmp_path):
         """Format 1 no longer loads, so its stored matrices are never read."""

@@ -132,7 +132,8 @@ class TestFeatureVectorCheck:
     @pytest.mark.parametrize(
         "values",
         [[], [-0.0], [0.0, -0.0], [np.nan], [1.0, np.nan], [np.inf], [-np.inf], [-np.inf, np.nan],
-         [-1.0, np.nan], [-1.0], [1e308, -5e-324], [5e-324]],
+         [-1.0, np.nan], [-1.0], [1e308, -5e-324], [5e-324], [0.0, np.nan], [2.0, np.nan, 1.0],
+         [-0.0, np.nan]],
     )
     def test_edge_cases(self, values, kind):
         values = np.array(values, dtype=float)
