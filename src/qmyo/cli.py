@@ -201,11 +201,11 @@ def _load_model(parser: _Parser, args, settings: _Settings):
 
 def _cmd_synth(parser: _Parser, args) -> int:
     settings = _Settings(args)
-    dofs, channels = tuple(settings.get("dofs")), settings.get("channels")
+    dofs, channels = settings.dofs(parser) or settings.get("dofs"), settings.get("channels")
     low, high = settings.get("angle_min"), settings.get("angle_max")
     blocks, windows = settings.get("blocks"), settings.get("windows")
     for ok, message, *names in [
-        (len(set(dofs)) == len(dofs) > 1, "needs two or more distinct DOFs", "dofs"),
+        (len(dofs) > 1, "needs two or more distinct DOFs", "dofs"),
         (channels >= 4 * len(dofs),
          f"{channels} channels cannot host {2 * len(dofs)} disjoint dominant pairs",
          "channels", "dofs"),

@@ -207,6 +207,7 @@ def _decide(
     over (1 - overlap), clamped to that maximum.
     """
     n, d = len(states), len(tables.dofs)
+    theta_pos, theta_neg, span = np.array(tables.scalars).T  # (D,) each
     # The prototype columns alternate positive and negative per DOF.
     amplitudes = (states[:, None, :] @ tables.prototypes).reshape(n, d, 2)
     decisions = np.empty((6, n, d))
@@ -215,12 +216,12 @@ def _decide(
     # Later fields serve as scratch until written: the margin in code,
     # |margin| in raw_angle and the moving mask, as 1.0 or 0.0, in clamped.
     margin = np.subtract(e_pos, e_neg, out=code)
-    theta_max = np.where(margin > 0, tables.theta_pos_max, tables.theta_neg_max)
+    theta_max = np.where(margin > 0, theta_pos, theta_neg)
     size = np.abs(margin, out=raw_angle)
     moving = np.greater(size, cfg.rest_threshold, out=clamped)
     np.sign(np.multiply(margin, moving, out=code), out=code)  # +0.0 at rest
     np.multiply(size, theta_max, out=raw_angle)
-    np.divide(raw_angle, tables.span, out=raw_angle)
+    np.divide(raw_angle, span, out=raw_angle)
     np.multiply(raw_angle, moving, out=raw_angle)  # 0 at rest
     np.minimum(raw_angle, theta_max, out=angle)
     np.greater(raw_angle, theta_max, out=clamped)

@@ -204,16 +204,13 @@ class DecodeTables(NamedTuple):
     """What the decoder reads of a set of DOF operators, as arrays.
 
     DOFs are in sorted order; ``prototypes`` is (C, 2D) with each DOF's
-    positive then negative prototype as columns, the other arrays (D,);
-    ``span`` is 1 - overlap, the denominator of the angle formula;
-    ``scalars`` holds each DOF's (θ₊, θ₋, span) as Python floats.
+    positive then negative prototype as columns; ``scalars`` holds each
+    DOF's (θ₊, θ₋, span) as Python floats, where the span 1 - overlap is
+    the denominator of the angle formula.
     """
 
     dofs: tuple[Dof, ...]
     prototypes: np.ndarray
-    theta_pos_max: np.ndarray
-    theta_neg_max: np.ndarray
-    span: np.ndarray
     max_overlap: float
     scalars: tuple[tuple[float, float, float], ...]
 
@@ -226,9 +223,6 @@ class DecodeTables(NamedTuple):
             prototypes=np.stack(
                 [p.amplitudes for o in ops for p in (o.proto_pos, o.proto_neg)], axis=1
             ),
-            theta_pos_max=np.array([o.theta_pos_max for o in ops]),
-            theta_neg_max=np.array([o.theta_neg_max for o in ops]),
-            span=1.0 - np.array([o.overlap for o in ops]),
             max_overlap=max(o.overlap for o in ops),
             scalars=tuple((float(o.theta_pos_max), float(o.theta_neg_max), 1.0 - o.overlap)
                           for o in ops),
@@ -294,9 +288,9 @@ class TrainingTable(NamedTuple):
         ]
 
 
-def _prototype(rows: np.ndarray, weights: np.ndarray, dof: Dof, direction: Direction) -> QuantumState:
-    """normalize(Σ wᵢ ψᵢ) over the encoded rows, all with signal, of one (DOF, direction) group."""
-    combined = weights @ encode_rows(rows)[0]
+def _prototype(states: np.ndarray, weights: np.ndarray, dof: Dof, direction: Direction) -> QuantumState:
+    """normalize(Σ wᵢ ψᵢ) over the states, all with signal, of one (DOF, direction) group."""
+    combined = weights @ states
     norm = float(np.linalg.norm(combined))
     if norm < 1e-12 * weights.sum():
         raise DegeneratePrototypeError(
@@ -348,11 +342,11 @@ def train_table(
     n_dropped = len(direct) - int(direct.sum())
     if n_dropped:
         logger.info("dropped %d return-phase samples from training", n_dropped)
-    signal = (features != 0.0).any(axis=1)
-    n_zero = int((direct & ~signal).sum())
+    states, zero = encode_rows(features)
+    n_zero = int((direct & zero).sum())
     if n_zero:
         logger.info("dropped %d zero-signal samples from training", n_zero)
-    usable = direct & signal
+    usable = direct & ~zero
 
     if dofs is None:
         dofs = table.dofs(usable)
@@ -370,8 +364,8 @@ def train_table(
                     f"no {direction.value} training samples for {dof.value}"
                 )
         trained[dof] = DofOperators(
-            proto_pos=_prototype(features[pos], magnitude[pos], dof, Direction.POSITIVE),
-            proto_neg=_prototype(features[neg], magnitude[neg], dof, Direction.NEGATIVE),
+            proto_pos=_prototype(states[pos], magnitude[pos], dof, Direction.POSITIVE),
+            proto_neg=_prototype(states[neg], magnitude[neg], dof, Direction.NEGATIVE),
             theta_pos_max=float(magnitude[pos].max()),
             theta_neg_max=float(magnitude[neg].max()),
         )
@@ -444,24 +438,27 @@ def model_to_dict(model: ControllerModel) -> dict:
 _V2_BLOCK_VOTES = ("majority", "any", "all")
 
 
-def _float_range(value, name: str):
-    """``value`` unchanged, unless it is an integer past float range."""
-    if type(value) is int:
-        try:
-            float(value)
-        except OverflowError:
-            raise ValueError(f"{name}: int too large to convert to float") from None
-    return value
-
-
-def _stored_prototype(values, name: str) -> QuantumState:
-    """The unit state a model file stores; a fault names its key."""
+def _number(value, key: str) -> float:
+    """A number a model file stores, as a float. Only a JSON int or float
+    passes (true, a string, null or a list does not), and an int only
+    within float range; a fault names ``key``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{key}: must be a number, got {json.dumps(value)}")
     try:
-        if isinstance(values, list) and any(type(v) is bool for v in values):  # true reads as 1
-            raise ValueError("amplitudes must be numbers, not true or false")
-        return QuantumState(np.array(values, dtype=float))
-    except (ValueError, TypeError, OverflowError, DimensionError) as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key}: int too large to convert to float") from None
+
+
+def _stored_prototype(values, key: str) -> QuantumState:
+    """The unit state a model file stores; a fault names its key."""
+    if type(values) is not list:
+        raise ValueError(f"{key}: must be a list of numbers, got {json.dumps(values)}")
+    cells = np.array([_number(v, key) for v in values])
+    try:
+        return QuantumState(cells)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def model_from_dict(doc: dict) -> ControllerModel:
@@ -470,25 +467,21 @@ def model_from_dict(doc: dict) -> ControllerModel:
     version = doc["format_version"]
     if version not in (2, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format version: {version!r}")
-    thresholds = {key: _float_range(value, f"decode_config.{key}")
-                  for key, value in doc["decode_config"].items()}
+    thresholds = dict(doc["decode_config"])
     if version == 2:
         if (vote := thresholds.pop("block_vote", "majority")) not in _V2_BLOCK_VOTES:
             raise ValueError(f"unknown block_vote rule: {vote!r}")
-    cfg = DecodeConfig(**thresholds)
+    cfg = DecodeConfig(**{key: _number(value, f"decode_config.{key}")
+                          for key, value in thresholds.items()})
     dofs: dict[Dof, DofOperators] = {}
     for key, entry in doc["dofs"].items():
-        angles = [_float_range(entry[name], f"{key}: {name}")
-                  for name in ("theta_positive_max", "theta_negative_max")]
-        if any(type(angle) is bool for angle in angles):  # JSON true would read as 1
-            raise ValueError(f"{key}: maximal angles must be numbers, got {angles!r}")
         ops = DofOperators(
             proto_pos=_stored_prototype(entry["prototype_positive"], f"{key}: prototype_positive"),
             proto_neg=_stored_prototype(entry["prototype_negative"], f"{key}: prototype_negative"),
-            theta_pos_max=float(angles[0]),
-            theta_neg_max=float(angles[1]),
+            theta_pos_max=_number(entry["theta_positive_max"], f"{key}: theta_positive_max"),
+            theta_neg_max=_number(entry["theta_negative_max"], f"{key}: theta_negative_max"),
         )
-        overlap = float(_float_range(entry["overlap"], f"{key}: overlap"))
+        overlap = _number(entry["overlap"], f"{key}: overlap")
         if not (dev := abs(overlap - ops.overlap)) <= OVERLAP_TOL:
             raise ValueError(f"{key}: stored overlap deviates from the prototypes by {dev!r}")
         dofs[Dof(key)] = ops

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .features import EmgRecording, FeatureKind, FeatureVector
-from .operators import DOFS, SIGN_DIRECTIONS, Direction, Dof, TrainingSample, TrainingTable
+from .operators import DOFS, Direction, Dof, TrainingSample, TrainingTable
 
 # The moving directions in mixing-column order, with the sign of their angles.
-_SIGNS = {direction: float(code) for code, direction in SIGN_DIRECTIONS.items() if code}
+_SIGNS = {Direction.POSITIVE: 1.0, Direction.NEGATIVE: -1.0}
 
 
 def _column(dofs: tuple[Dof, ...], dof: Dof, direction: Direction) -> int:

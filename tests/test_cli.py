@@ -402,7 +402,8 @@ class TestExitCodes:
              "argument --channels: 4 channels cannot host 4 disjoint dominant pairs"),
             ("synth", ["--dofs", "d1", "d2", "d3"],
              "argument --dofs: 8 channels cannot host 6 disjoint dominant pairs"),
-            ("synth", ["--dofs", "d1", "d1"], "argument --dofs: needs two or more distinct DOFs"),
+            ("synth", ["--dofs", "d1", "d1"],
+             "argument --dofs: names a DOF more than once, got d1 d1"),
             ("synth", ["--dofs", "d3"], "argument --dofs: needs two or more distinct DOFs"),
             ("synth", ["--angle-min", 50],
              "argument --angle-min: angle_min 50.0 is not below angle_max 40.0"),
@@ -545,6 +546,7 @@ class TestExitCodes:
             ("evaluate", "block_vote = most", "must be one of majority, any, all, got most"),
             ("synth", "channels = 4", "4 channels cannot host 4 disjoint dominant pairs"),
             ("synth", "dofs = d1,d2,d3", "8 channels cannot host 6 disjoint dominant pairs"),
+            ("synth", "dofs = d1,d2,d3,d3", "names a DOF more than once, got d1 d2 d3 d3"),
             ("synth", "angle_min = 50", "angle_min 50.0 is not below angle_max 40.0"),
             ("synth", "windows = 20", "cannot spread 20 windows over 55 blocks"),
             ("synth", "geometry = round", "must be one of masking, orthogonal, got round"),
@@ -563,7 +565,7 @@ class TestExitCodes:
         cfg.write_text("channels = 12\n")
         line = self.usage_error(capsys, self.argv("synth", tmp_path, "--config", cfg,
                                                   "--dofs", "d1", "d2", "d3", "d3"))
-        assert line == "qmyo: error: argument --dofs: needs two or more distinct DOFs"
+        assert line == "qmyo: error: argument --dofs: names a DOF more than once, got d1 d2 d3 d3"
         line = self.usage_error(capsys, self.argv("synth", tmp_path, "--config", cfg,
                                                   "--channels", 8, "--dofs", "d1", "d2", "d3"))
         assert line.endswith("--channels: 8 channels cannot host 6 disjoint dominant pairs")
@@ -778,6 +780,11 @@ MODEL_MUTATIONS = {
     "huge-prototype": _set(("dofs", "d1", "prototype_positive", 0), 10**400),
     "huge-overlap": _set(("dofs", "d3", "overlap"), 10**400),
     "bool-angle": _set(("dofs", "d3", "theta_negative_max"), True),
+    "string-angle": _set(("dofs", "d1", "theta_positive_max"), "40"),
+    "string-overlap": _set(("dofs", "d3", "overlap"), str),
+    "string-prototype": _set(("dofs", "d1", "prototype_negative", 0), str),
+    "null-threshold": _set(("decode_config", "rest_threshold"), None),
+    "number-prototype": _set(("dofs", "d3", "prototype_positive"), 0.5),
     "infinite-channels": _set(("n_channels",), math.inf),
     "fractional-channels": _set(("n_channels",), 4.5),
     "unknown-version": _set(("format_version",), 4),
@@ -865,6 +872,33 @@ class TestModelFileErrors:
             f"qmyo: data error: {model}: {name}: int too large to convert to float\n"
         )
 
+    @pytest.mark.parametrize("key_path,value,reason", [
+        (("dofs", "d1", "theta_positive_max"), "40",
+         'd1: theta_positive_max: must be a number, got "40"'),
+        (("dofs", "d3", "theta_negative_max"), None,
+         "d3: theta_negative_max: must be a number, got null"),
+        (("dofs", "d3", "overlap"), "0.01", 'd3: overlap: must be a number, got "0.01"'),
+        (("dofs", "d1", "prototype_negative", 0), "0.5",
+         'd1: prototype_negative: must be a number, got "0.5"'),
+        (("dofs", "d3", "prototype_positive"), 0.5,
+         "d3: prototype_positive: must be a list of numbers, got 0.5"),
+        (("decode_config", "rest_threshold"), None,
+         "decode_config.rest_threshold: must be a number, got null"),
+        (("decode_config", "overlap_epsilon"), "1e-6",
+         'decode_config.overlap_epsilon: must be a number, got "1e-6"'),
+        (("decode_config", "rest_threshold"), [0.05],
+         "decode_config.rest_threshold: must be a number, got [0.05]"),
+    ], ids=["string-angle", "null-angle", "string-overlap", "string-cell", "number-prototype",
+            "null-threshold", "string-threshold", "list-threshold"])
+    def test_non_number_names_its_key(self, tmp_path, capsys, key_path, value, reason):
+        """Only a JSON int or float reads as a number; "40" no longer reads as 40.0."""
+        doc = _model_doc(3)
+        _set(key_path, value)(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("inspect-model", "--model", model) == 2
+        assert capsys.readouterr().err == f"qmyo: data error: {model}: {reason}\n"
+
     @pytest.mark.parametrize("name", ["prototype_positive", "prototype_negative"])
     @pytest.mark.parametrize("cell,reason", [
         (10**400, "int too large to convert to float"),
@@ -895,7 +929,7 @@ class TestModelFileErrors:
         capsys.readouterr()
         assert run("inspect-model", "--model", model) == 2
         assert capsys.readouterr().err == (f"qmyo: data error: {model}: d1: prototype_positive: "
-                                           "amplitudes must be numbers, not true or false\n")
+                                           "must be a number, got true\n")
 
     def test_tampered_p_zero_from_the_shell(self, tmp_path):
         """Format 1 no longer loads, so its stored matrices are never read."""

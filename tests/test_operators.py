@@ -24,6 +24,7 @@ from qmyo.features import FeatureKind, FeatureVector
 from qmyo.operators import (
     ControllerModel,
     DecodeConfig,
+    DecodeTables,
     Direction,
     Dof,
     DofOperators,
@@ -558,6 +559,14 @@ class TestPersistence:
         assert names == read == {"rest_threshold", "overlap_epsilon"}
         doc = model_to_dict(random_model(np.random.default_rng(8)))
         assert set(doc["decode_config"]) == names
+
+    def test_decoder_reads_every_decode_table(self):
+        """The decoder (the control module) reads each DecodeTables field as
+        ``tables.<field>``, so no field is a second, unread copy of another."""
+        tree = ast.parse(inspect.getsource(control))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tables"}
+        assert read == set(DecodeTables._fields) == {"dofs", "prototypes", "max_overlap", "scalars"}
 
     def test_document_carries_version_field(self):
         model = random_model(np.random.default_rng(8))
