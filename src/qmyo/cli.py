@@ -166,7 +166,6 @@ class _Settings:
 def _require_file(parser: _Parser, path):
     if not os.path.isfile(path):
         parser.error(f"file not found: {path}")
-    return path
 
 
 def _check_outputs(*paths):
@@ -340,8 +339,7 @@ def _cmd_learning_curve(parser: _Parser, args) -> int:
 
 
 def _cmd_inspect_model(parser: _Parser, args) -> int:
-    _require_file(parser, args.model)
-    model = operators.load_model(args.model)
+    model = _load_model(parser, args, _Settings(args))
     cfg = model.decode_config
     print(f"channels: {model.n_channels}")
     print(

@@ -119,15 +119,11 @@ class DecodeConfig:
     overlap_epsilon: float = 1e-6
 
     def __post_init__(self):
-        # the --rest-threshold flag's rule; JSON true in a model file would read as 1
+        # the --rest-threshold flag's rule; the bool check serves Python callers (_number refuses true)
         if isinstance(self.rest_threshold, bool) or not 0 <= self.rest_threshold < np.inf:
-            raise ValueError(
-                f"rest_threshold must be finite and >= 0, got {self.rest_threshold!r}"
-            )
+            raise ValueError(f"rest_threshold must be finite and >= 0, got {self.rest_threshold!r}")
         if not 0 < self.overlap_epsilon < 1:
-            raise ValueError(
-                f"overlap_epsilon must be in (0, 1), got {self.overlap_epsilon}"
-            )
+            raise ValueError(f"overlap_epsilon must be in (0, 1), got {self.overlap_epsilon}")
         # held as floats, as both decode kernels read them; an int past float range raises
         object.__setattr__(self, "rest_threshold", float(self.rest_threshold))
         object.__setattr__(self, "overlap_epsilon", float(self.overlap_epsilon))
@@ -149,8 +145,10 @@ class DofOperators:
             raise DimensionError(
                 f"prototype dimensions differ: {self.proto_pos.dim} vs {self.proto_neg.dim}"
             )
-        if not (0 < self.theta_pos_max < np.inf and 0 < self.theta_neg_max < np.inf):
-            raise ValueError("maximal training angles must be finite and > 0")
+        for key, theta in (("theta_positive_max", self.theta_pos_max),
+                           ("theta_negative_max", self.theta_neg_max)):
+            if not 0 < theta < np.inf:
+                raise ValueError(f"{key}: must be finite and > 0, got {theta}")
 
     @property
     def dim(self) -> int:
@@ -290,9 +288,12 @@ class TrainingTable(NamedTuple):
 
 def _prototype(states: np.ndarray, weights: np.ndarray, dof: Dof, direction: Direction) -> QuantumState:
     """normalize(Σ wᵢ ψᵢ) over the states, all with signal, of one (DOF, direction) group."""
-    combined = weights @ states
-    norm = float(np.linalg.norm(combined))
-    if norm < 1e-12 * weights.sum():
+    with np.errstate(over="ignore"):  # a sum past float range is refused below
+        combined = weights @ states
+        norm, floor = float(np.linalg.norm(combined)), 1e-12 * weights.sum()
+    if not norm < np.inf:
+        raise DegeneratePrototypeError(f"{dof.value} {direction.value}: weighted state sum overflows")
+    if norm < floor:
         raise DegeneratePrototypeError(
             f"{dof.value} {direction.value}: weighted state sum cancelled to norm {norm!r}"
         )
@@ -434,8 +435,9 @@ def model_to_dict(model: ControllerModel) -> dict:
     }
 
 
-# Format 2 also stored the evaluation's block vote, one of these rules.
-_V2_BLOCK_VOTES = ("majority", "any", "all")
+def _reason(exc: Exception) -> str:
+    """A model-file fault in words; a KeyError names the missing key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _number(value, key: str) -> float:
@@ -462,28 +464,26 @@ def _stored_prototype(values, key: str) -> QuantumState:
 
 
 def model_from_dict(doc: dict) -> ControllerModel:
-    """Model from a format 3 or 2 document. The stored overlap must match the
-    prototypes, and format 2's block vote must name a rule; then both are dropped."""
+    """Model from a format-3 document, whose version is the JSON int 3. The stored
+    overlap must match the prototypes; a fault in a DOF's entry names the DOF."""
     version = doc["format_version"]
-    if version not in (2, MODEL_FORMAT_VERSION):
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
-    thresholds = dict(doc["decode_config"])
-    if version == 2:
-        if (vote := thresholds.pop("block_vote", "majority")) not in _V2_BLOCK_VOTES:
-            raise ValueError(f"unknown block_vote rule: {vote!r}")
     cfg = DecodeConfig(**{key: _number(value, f"decode_config.{key}")
-                          for key, value in thresholds.items()})
+                          for key, value in doc["decode_config"].items()})
     dofs: dict[Dof, DofOperators] = {}
     for key, entry in doc["dofs"].items():
-        ops = DofOperators(
-            proto_pos=_stored_prototype(entry["prototype_positive"], f"{key}: prototype_positive"),
-            proto_neg=_stored_prototype(entry["prototype_negative"], f"{key}: prototype_negative"),
-            theta_pos_max=_number(entry["theta_positive_max"], f"{key}: theta_positive_max"),
-            theta_neg_max=_number(entry["theta_negative_max"], f"{key}: theta_negative_max"),
-        )
-        overlap = _number(entry["overlap"], f"{key}: overlap")
-        if not (dev := abs(overlap - ops.overlap)) <= OVERLAP_TOL:
-            raise ValueError(f"{key}: stored overlap deviates from the prototypes by {dev!r}")
+        try:
+            ops = DofOperators(
+                proto_pos=_stored_prototype(entry["prototype_positive"], "prototype_positive"),
+                proto_neg=_stored_prototype(entry["prototype_negative"], "prototype_negative"),
+                theta_pos_max=_number(entry["theta_positive_max"], "theta_positive_max"),
+                theta_neg_max=_number(entry["theta_negative_max"], "theta_negative_max"),
+            )
+            if not (dev := abs(_number(entry["overlap"], "overlap") - ops.overlap)) <= OVERLAP_TOL:
+                raise ValueError(f"stored overlap deviates from the prototypes by {dev!r}")
+        except (LookupError, TypeError, ValueError, QmyoError) as exc:
+            raise ValueError(f"{key}: {_reason(exc)}") from None
         dofs[Dof(key)] = ops
     n_channels = doc["n_channels"]
     if type(n_channels) is not int:  # JSON true is a bool, 8.5 and Infinity are floats
@@ -504,5 +504,4 @@ def load_model(path) -> ControllerModel:
         with open(path) as fh:
             return model_from_dict(json.load(fh))
     except (ValueError, LookupError, TypeError, AttributeError, OverflowError, QmyoError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ModelFileError(f"{path}: {reason}") from exc
+        raise ModelFileError(f"{path}: {_reason(exc)}") from exc

@@ -35,7 +35,7 @@ from qmyo.operators import TrainingSample
 
 D1 = Dof.FLEXION_EXTENSION
 DATA = Path(__file__).parent / "data"
-V2_MODEL = DATA / "model_v2.json"  # format 2, 4 channels, d1 and d3
+V3_MODEL = DATA / "model_v3.json"  # format 3, 4 channels, d1 and d3
 V1_TRAIN = DATA / "model_v1_train.csv"  # the 4-channel rows it was trained on
 
 
@@ -179,7 +179,7 @@ class TestExitCodes:
         argv = {
             "synth": ["synth", "--train-out", first, "--test-out", bad,
                       "--per-action", 5, "--blocks", 3, "--windows", 12],
-            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V2_MODEL,
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V3_MODEL,
                          "--report-out", first, "--csv-out", bad],
         }[command]
         assert run(*argv) == 1
@@ -264,7 +264,7 @@ class TestExitCodes:
 
     def test_zero_window_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run("decode", "--model", V2_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
+            run("decode", "--model", V3_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
                 "--window-ms", 0)
         assert exc.value.code == 1
         assert "argument --window-ms: invalid positive float value: '0'" in capsys.readouterr().err
@@ -273,7 +273,7 @@ class TestExitCodes:
         """A flag's window is a usage error; the same window from a config file is a data error."""
         raw_csv, cfg = tmp_path / "raw.csv", tmp_path / "settings.cfg"
         save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
-        argv = ["decode", "--model", V2_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv"]
+        argv = ["decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv"]
         message = "a 1.0 ms window spans under 2 samples at 1024.0 Hz"
         assert self.usage_error(capsys, argv + ["--window-ms", 1]) == (
             f"qmyo: error: argument --window-ms: {message}")
@@ -292,7 +292,7 @@ class TestExitCodes:
         raw_csv, cfg = tmp_path / "raw.csv", tmp_path / "settings.cfg"
         save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
         cfg.write_text("window_ms = 1e308\n")  # read where the flags name no file
-        argv = ["decode", "--model", V2_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
+        argv = ["decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
                 *[cfg if flag is None else flag for flag in flags]]
         if "--config" in flags:
             assert self.data_error(capsys, argv) == f"{cfg}:1: {message}"
@@ -316,7 +316,7 @@ class TestExitCodes:
     def test_non_positive_config_value_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("window_ms = -5\n")
-        code = run("decode", "--model", V2_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
+        code = run("decode", "--model", V3_MODEL, "--raw", V1_TRAIN, "--out", tmp_path / "d.csv",
                    "--config", cfg)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
@@ -347,7 +347,7 @@ class TestExitCodes:
         raw_csv.write_text("ch1,ch2,ch3,ch4\n"
                            + "".join(",".join(map(repr, row)) + "\n" for row in samples.tolist()))
         out_csv = tmp_path / "d.csv"
-        assert run("decode", "--model", V2_MODEL, "--raw", raw_csv, "--out", out_csv) == 2
+        assert run("decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", out_csv) == 2
         assert capsys.readouterr().err == (
             f"qmyo: data error: {raw_csv}: window 1: "
             "feature values must be finite and non-negative\n"
@@ -379,9 +379,9 @@ class TestExitCodes:
     def argv(command, tmp_path, *extra):
         return {
             "train": ["train", "--data", V1_TRAIN, "--out", tmp_path / "m.json"],
-            "decode": ["decode", "--model", V2_MODEL, "--data", V1_TRAIN,
+            "decode": ["decode", "--model", V3_MODEL, "--data", V1_TRAIN,
                        "--out", tmp_path / "d.csv"],
-            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V2_MODEL],
+            "evaluate": ["evaluate", "--test", V1_TRAIN, "--model", V3_MODEL],
             "synth": ["synth", "--train-out", tmp_path / "a.csv", "--test-out", tmp_path / "b.csv"],
         }[command] + list(extra)
 
@@ -433,7 +433,7 @@ class TestExitCodes:
             save_recording(generate_raw_emg(mixing, {D1: 20.0}, 0.5), bad)
             text, bad_line = bad.read_bytes(), 300
             assert len(text) > 8192
-            argv = ["decode", "--model", V2_MODEL, "--raw", bad, "--out", tmp_path / "d.csv"]
+            argv = ["decode", "--model", V3_MODEL, "--raw", bad, "--out", tmp_path / "d.csv"]
         else:  # the byte starts its line
             text, bad_line = b"seed = 3\n.5 = x\nchannels = 8\n", 2
             argv = self.argv("train", tmp_path, "--config", bad)
@@ -450,7 +450,7 @@ class TestExitCodes:
         big.write_text(f'{header}\r\n"{"1" * 200_000}",0\r\n')
         argv = {
             "dataset": ["train", "--data", big, "--out", tmp_path / "m.json"],
-            "recording": ["decode", "--model", V2_MODEL, "--raw", big, "--out", tmp_path / "d.csv"],
+            "recording": ["decode", "--model", V3_MODEL, "--raw", big, "--out", tmp_path / "d.csv"],
         }[kind]
         line = self.data_error(capsys, argv)
         assert line == f"{big}:2: field larger than field limit (131072)"
@@ -673,19 +673,6 @@ class TestModelThresholds:
         assert outputs[0] == outputs[1]
         capsys.readouterr()
 
-    def test_format_2_vote_is_dropped(self, files, capsys):
-        """A format-2 file's stored vote is not used: the flag, else the config file, else majority."""
-        doc = json.loads((files / "plain.json").read_text())
-        doc["format_version"], doc["decode_config"]["block_vote"] = 2, "any"
-        (files / "any.json").write_text(json.dumps(doc))
-        (files / "any.cfg").write_text("block_vote = any\n")
-        majority = self.report(capsys, files, "plain.json")
-        assert self.report(capsys, files, "any.json") == majority
-        by_flag = self.report(capsys, files, "any.json", "--block-vote", "any")
-        by_file = self.report(capsys, files, "any.json", "--config", files / "any.cfg")
-        assert by_flag == by_file == self.report(capsys, files, "plain.json", "--block-vote", "any")
-        assert by_flag != majority
-
 
 class TestDeterministicArtifacts:
     def test_same_seed_same_files(self, tmp_path, capsys):
@@ -720,13 +707,14 @@ class TestDeterministicArtifacts:
 
 
 def _model_doc(version):
-    """The format-2 fixture's model as a ``version`` document: the file itself for
-    2, as format 3 writes it for 3, and for 1 with the operator triple added."""
-    if version == 3:
-        return json.loads(json.dumps(model_to_dict(load_model(V2_MODEL))))
-    doc = json.loads(V2_MODEL.read_text())
-    if version == 1:
-        model = load_model(V2_MODEL)
+    """The fixture's model as a ``version`` document: the file itself for 3, with
+    the block vote format 2 also stored for 2, with the operator triple format 1
+    also stored for 1, and with only the version changed for 2.0, 3.0 or true."""
+    doc = json.loads(V3_MODEL.read_text())
+    if type(version) is int and version == 2:
+        doc["decode_config"]["block_vote"] = "majority"
+    elif type(version) is int and version == 1:
+        model = load_model(V3_MODEL)
         for key, entry in doc["dofs"].items():
             ops = model.dofs[Dof(key)]
             for name, op in (("p_positive", ops.p_pos), ("p_negative", ops.p_neg),
@@ -797,6 +785,8 @@ MODEL_MUTATIONS = {
 
 
 def _model_cases():
+    """Each mutation of a format-3 file, and of a format-1 and a format-2 file,
+    which no longer load whatever else is wrong with them."""
     for version in (1, 2, 3):
         for name in MODEL_MUTATIONS:
             if version > 1 and name.startswith("p_"):
@@ -810,7 +800,7 @@ _VERSIONLESS = ("malformed", "truncated", "not-an-object", "unknown-version", "m
 
 class TestModelFileErrors:
     """Whatever is wrong with a model file, every command reading it exits 2; so
-    does any format-1 file, which no longer loads."""
+    does any format-1 or format-2 file, which no longer loads."""
 
     @staticmethod
     def write_model(tmp_path, version, mutation=None):
@@ -835,11 +825,22 @@ class TestModelFileErrors:
         }[command]
 
     @pytest.mark.parametrize("command", ["inspect-model", "decode", "evaluate"])
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [3])  # each format that loads
     def test_valid_files_load(self, tmp_path, capsys, version, command):
         model = self.write_model(tmp_path, version)
         assert run(*self.argv(command, model, tmp_path)) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["inspect-model", "decode", "evaluate"])
+    @pytest.mark.parametrize("version", [1, 2, 2.0, 3.0, True], ids=["1", "2", "2.0", "3.0", "true"])
+    def test_only_the_integer_3_loads(self, tmp_path, capsys, version, command):
+        """Only the JSON int 3 loads: formats 1 and 2 no longer do, and 2.0, 3.0
+        and true are refused too, though they compare equal to an int version."""
+        model = self.write_model(tmp_path, version)
+        assert run(*self.argv(command, model, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"qmyo: data error: {model}: unsupported model format version: {version!r}\n"
+        )
 
     @pytest.mark.parametrize("command", ["inspect-model", "decode", "evaluate"])
     @pytest.mark.parametrize("version,mutation", list(_model_cases()))
@@ -852,8 +853,8 @@ class TestModelFileErrors:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"qmyo: data error: {model}: ")
-        if version == 1 and mutation not in _VERSIONLESS:
-            assert lines[0].endswith(": unsupported model format version: 1")
+        if version != 3 and mutation not in _VERSIONLESS:
+            assert lines[0].endswith(f": unsupported model format version: {version}")
 
     @pytest.mark.parametrize("key_path,name", [
         (("decode_config", "rest_threshold"), "decode_config.rest_threshold"),
@@ -913,6 +914,25 @@ class TestModelFileErrors:
         model.write_text(json.dumps(doc))
         assert run("inspect-model", "--model", model) == 2
         assert capsys.readouterr().err.startswith(f"qmyo: data error: {model}: d3: {name}: {reason}")
+
+    @pytest.mark.parametrize("mutation,reason", [
+        (_drop("dofs", "d3", "theta_positive_max"), "d3: missing key 'theta_positive_max'"),
+        (_set(("dofs", "d3", "prototype_negative"), [0.6, 0.8, 0.0]),
+         "d3: prototype dimensions differ: 4 vs 3"),
+        (_set(("dofs", "d3", "theta_positive_max"), 0),
+         "d3: theta_positive_max: must be finite and > 0, got 0.0"),
+        (_set(("dofs", "d1", "theta_negative_max"), -1e308),
+         "d1: theta_negative_max: must be finite and > 0, got -1e+308"),
+    ], ids=["missing-angle", "prototype-lengths", "zero-angle", "negative-angle"])
+    def test_dof_fault_names_its_dof(self, tmp_path, capsys, mutation, reason):
+        """Every fault in a DOF's entry is named by its DOF, once."""
+        doc = _model_doc(3)
+        mutation(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        for argv in (self.argv(command, model, tmp_path) for command in ("inspect-model", "decode")):
+            assert run(*argv) == 2
+            assert capsys.readouterr().err == f"qmyo: data error: {model}: {reason}\n"
 
     def test_true_in_a_unit_prototype_is_refused(self, tmp_path, capsys):
         """A JSON true where the prototype holds 1 would read as 1.0 and load."""
@@ -1005,7 +1025,7 @@ def shell(cwd, *argv):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    proc = shell(tmp_path, "inspect-model", "--model", V2_MODEL)
+    proc = shell(tmp_path, "inspect-model", "--model", V3_MODEL)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("channels: 4\n")
     assert "[d3]" in proc.stdout
@@ -1025,10 +1045,10 @@ def test_bad_input_prints_one_line_from_the_shell(tmp_path, command, text):
     """A shell sees exit 2 and one ``qmyo:`` stderr line naming the file, and
     no warning a logger or numpy would print beside it."""
     if text is None:
-        bad = TestModelFileErrors.write_model(tmp_path, 2, "truncated")
+        bad = TestModelFileErrors.write_model(tmp_path, 3, "truncated")
     else:
         (bad := tmp_path / "bad.csv").write_bytes(text.encode())
-    proc = shell(tmp_path, *command.format(bad=bad, model=V2_MODEL).split())
+    proc = shell(tmp_path, *command.format(bad=bad, model=V3_MODEL).split())
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"qmyo: data error: {bad}: ")
@@ -1112,7 +1132,7 @@ def test_reader_closing_the_pipe_early_exits_1_without_traceback(tmp_path, unbuf
     env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
     with open(tmp_path / "stderr.txt", "w") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qmyo", "inspect-model", "--model", str(V2_MODEL)],
+            [sys.executable, "-m", "qmyo", "inspect-model", "--model", str(V3_MODEL)],
             stdout=subprocess.PIPE, stderr=err, env=env, cwd=tmp_path,
         )
         proc.stdout.close()  # the reader leaves before the first line is written
@@ -1160,6 +1180,26 @@ def test_non_finite_training_angle_is_data_error(tmp_path, capsys, value):
         assert err == f"qmyo: data error: {bad}:4: d1_angle value {float(value)!r} is not finite\n"
 
 
+@pytest.mark.parametrize("line,value,direction", [(2, "1e308", "positive"),
+                                                   (3, "-1e308", "negative")])
+def test_training_angle_whose_weighted_sum_overflows_is_model_error(
+        tmp_path, capsys, line, value, direction):
+    """A finite angle whose weighted state sum passes float range ends in one line."""
+    lines = V1_TRAIN.read_text().splitlines()
+    cells = lines[line - 1].split(",")  # the first d1 row of that direction
+    assert float(cells[4]) * float(value) > 0
+    cells[4] = value
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(lines[:line - 1] + [",".join(cells)] + lines[line:]) + "\n")
+    for argv in (["train", "--data", big, "--out", tmp_path / "m.json"],
+                 ["evaluate", "--test", V1_TRAIN, "--train-data", big, "--sizes", 2],
+                 ["learning-curve", "--data", big, "--sizes", 10, 20]):
+        assert run(*argv) == 3
+        assert capsys.readouterr() == (
+            "", f"qmyo: model error: d1 {direction}: weighted state sum overflows\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("rows, message", [
     ([b"1,-1,5,0,0,direct,0"], "ch2 value -1.0 is not a finite, non-negative mav feature"),
     ([b"1,1,nan,0,0,direct,0"], "d1_angle value nan is not finite"),
@@ -1183,7 +1223,7 @@ def test_block_id_beyond_int64_is_data_error(tmp_path, capsys, block):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0] + f",{block}"]) + "\n")
     for argv in (["train", "--data", bad, "--out", tmp_path / "m.json"],
-                 ["evaluate", "--test", bad, "--model", V2_MODEL]):
+                 ["evaluate", "--test", bad, "--model", V3_MODEL]):
         assert run(*argv) == 2
         assert capsys.readouterr().err == (
             f"qmyo: data error: {bad}:{len(lines)}: block id {block} is outside the int64 range\n")

@@ -47,11 +47,11 @@ D1 = Dof.FLEXION_EXTENSION
 D2 = Dof.RADIAL_ULNAR
 D3 = Dof.PRONATION_SUPINATION
 
-# A 4-channel d1/d3 model in format 2 (its decode config also holds the block
-# vote), trained by `qmyo train --data model_v1_train.csv --rest-threshold 0.02`
-# in format 1 and saved again in format 2 with every prototype bit kept.
+# A 4-channel d1/d3 model in format 3, trained by `qmyo train --data
+# model_v1_train.csv --rest-threshold 0.02` in format 1 and saved again in
+# formats 2 and 3 with every prototype, angle, overlap and threshold bit kept.
 DATA = Path(__file__).parent / "data"
-V2_MODEL = DATA / "model_v2.json"
+V3_MODEL = DATA / "model_v3.json"
 V1_TRAIN = DATA / "model_v1_train.csv"
 
 
@@ -177,6 +177,21 @@ class TestBuildPrototype:
         # cancel exactly at equal angles
         table = signed_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [20.0, 20.0, -30.0])
         with pytest.raises(DegeneratePrototypeError, match="d1 positive"):
+            train_table(table)
+
+    @pytest.mark.parametrize("angles", [[1e308, 20.0, -30.0], [1e308, 1e308, -30.0]],
+                             ids=["one-huge", "two-huge"])
+    def test_overflowing_sum_is_refused(self, angles):
+        """A weighted sum past float range is a model error, not a non-unit state."""
+        table = signed_table([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], angles)
+        with pytest.raises(DegeneratePrototypeError) as caught:
+            train_table(table)
+        assert str(caught.value) == "d1 positive: weighted state sum overflows"
+
+    def test_cancelled_sum_past_float_range_is_refused(self):
+        # the angle total overflows while the weighted states cancel to zero
+        table = signed_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1e308, 1e308, -30.0])
+        with pytest.raises(DegeneratePrototypeError, match="^d1 positive: .* cancelled to norm 0.0$"):
             train_table(table)
 
     @pytest.mark.parametrize("eps, degenerate", [(1.5e-12, True), (3e-12, False)])
@@ -472,11 +487,10 @@ class TestOverlapCurve:
 
 
 class TestModelValidation:
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [3])  # each format that loads
     def test_mismatched_overlap_rejected(self, tmp_path, version):
-        doc = json.loads(V2_MODEL.read_text())
-        if version == 3:
-            doc = model_to_dict(load_model(V2_MODEL))
+        doc = json.loads(V3_MODEL.read_text())
+        assert doc["format_version"] == version
         doc["dofs"]["d1"]["overlap"] += 1e-11
         with pytest.raises(ModelFileError, match="d1: stored overlap deviates from the prototypes"):
             load_model(write_json(tmp_path / "model.json", doc))
@@ -492,6 +506,18 @@ class TestModelValidation:
         for theta in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 DofOperators(QuantumState(np.ones(1)), QuantumState(np.ones(1)), theta, 1.0)
+
+    @pytest.mark.parametrize("thetas,reason", [
+        ((0.0, 1.0), "theta_positive_max: must be finite and > 0, got 0.0"),
+        ((1.0, -2.5), "theta_negative_max: must be finite and > 0, got -2.5"),
+        ((math.inf, 1.0), "theta_positive_max: must be finite and > 0, got inf"),
+        ((1.0, math.nan), "theta_negative_max: must be finite and > 0, got nan"),
+    ])
+    def test_maximal_angle_fault_names_its_key(self, thetas, reason):
+        state = QuantumState(np.ones(1))
+        with pytest.raises(ValueError) as caught:
+            DofOperators(state, state, *thetas)
+        assert str(caught.value) == reason
 
     def test_decode_config_validation(self):
         for threshold in (-0.1, math.inf, math.nan, True):
@@ -537,11 +563,12 @@ class TestPersistence:
     def test_unsupported_version_rejected(self, tmp_path):
         model = random_model(np.random.default_rng(8))
         doc = model_to_dict(model)
-        for version in (99, 1):
+        for version in (99, 1, 2, 2.0, 3.0, True, "3"):  # only the JSON int 3 loads
             doc["format_version"] = version
             path = write_json(tmp_path / "model.json", doc)
-            with pytest.raises(ModelFileError, match=f"model.json: .*version: {version}$"):
+            with pytest.raises(ModelFileError) as caught:
                 load_model(path)
+            assert str(caught.value) == f"{path}: unsupported model format version: {version!r}"
 
     def test_format_3_holds_no_block_vote(self, tmp_path):
         doc = model_to_dict(random_model(np.random.default_rng(8)))
@@ -581,42 +608,26 @@ class TestPersistence:
         ]
 
 
+def test_every_model_fixture_loads():
+    """Each model file under tests/data loads, so a change of the model format
+    converts the fixtures in the same change."""
+    fixtures = sorted(DATA.glob("*.json"))
+    assert fixtures
+    for path in fixtures:
+        load_model(path)
+
+
 class TestFormatV2:
-    """Format-2 files still load: their stored block vote is checked, then dropped."""
-
-    def test_loads_stored_prototypes_angles_and_overlap(self):
-        doc = json.loads(V2_MODEL.read_text())
-        model = load_model(V2_MODEL)
-        assert model.n_channels == 4 and sorted(model.dofs) == [D1, D3]
-        assert doc["decode_config"]["block_vote"] == "majority"
-        assert model.decode_config == DecodeConfig(rest_threshold=0.02)
-        for key, entry in doc["dofs"].items():
-            ops = model.dofs[Dof(key)]
-            assert ops.proto_pos.amplitudes.tolist() == entry["prototype_positive"]
-            assert ops.proto_neg.amplitudes.tolist() == entry["prototype_negative"]
-            assert ops.theta_pos_max == entry["theta_positive_max"]
-            assert ops.theta_neg_max == entry["theta_negative_max"]
-            assert ops.overlap == entry["overlap"]
-
-    @pytest.mark.parametrize("vote", ["any", "plurality", None])
-    def test_stored_vote_must_name_a_rule(self, tmp_path, vote):
-        doc = json.loads(V2_MODEL.read_text())
-        doc["decode_config"]["block_vote"] = vote
-        path = write_json(tmp_path / "model.json", doc)
-        if vote == "any":
-            assert load_model(path).decode_config == DecodeConfig(rest_threshold=0.02)
-        else:
-            with pytest.raises(ModelFileError, match=f"unknown block_vote rule: {vote!r}$"):
-                load_model(path)
+    """The fixture, first saved in format 2, converted to format 3 bit for bit."""
 
     def test_decodes_like_its_v3_copy(self, tmp_path):
-        v2 = load_model(V2_MODEL)
-        save_model(v2, tmp_path / "model.json")
+        stored = load_model(V3_MODEL)
+        save_model(stored, tmp_path / "model.json")
         assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 3
-        v3 = load_model(tmp_path / "model.json")
+        copied = load_model(tmp_path / "model.json")
         features = np.random.default_rng(21).uniform(0.0, 1.0, size=(64, 4))
         features[7] = 0.0
-        a, b = decode_batch(features, v2), decode_batch(features, v3)
+        a, b = decode_batch(features, stored), decode_batch(features, copied)
         for name in ("expectation_pos", "expectation_neg", "expectation_zero", "direction",
                      "angle", "raw_angle", "angle_clamped", "zero_negative", "zero_signal"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -624,11 +635,12 @@ class TestFormatV2:
     def test_retraining_reproduces_the_stored_model(self):
         # prototypes are now normalize(sum of angle * state), without first
         # dividing the angles by their total; the results agree to rounding
-        v2 = load_model(V2_MODEL)
+        fixture = load_model(V3_MODEL)
         samples = training_table(load_feature_dataset(V1_TRAIN)).samples()
         model = train(samples, 4, config=DecodeConfig(rest_threshold=0.02))
+        assert model.decode_config == fixture.decode_config
         for dof, ops in model.dofs.items():
-            stored = v2.dofs[dof]
+            stored = fixture.dofs[dof]
             for mine, theirs in ((ops.proto_pos, stored.proto_pos), (ops.proto_neg, stored.proto_neg)):
                 np.testing.assert_allclose(mine.amplitudes, theirs.amplitudes, rtol=0, atol=1e-15)
             assert (ops.theta_pos_max, ops.theta_neg_max) == (stored.theta_pos_max, stored.theta_neg_max)
