@@ -238,16 +238,20 @@ def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> np.n
         margin = p - n
         theta = theta_pos if margin > 0 else theta_neg
         size = abs(margin)
-        moving = 1.0 if size > rest_threshold else 0.0
-        signed = margin * moving
-        raw = size * theta / span * moving
         e_pos.append(p)
         e_neg.append(n)
-        codes.append(float((signed > 0) - (signed < 0)))  # +0.0 at rest
-        angles.append(min(raw, theta))
+        if size > rest_threshold:  # the array kernel's 0/1 mask; x·1.0 is x, margin != 0
+            raw = size * theta / span
+            codes.append(1.0 if margin > 0 else -1.0)
+            angles.append(theta if raw > theta else raw)
+            clamped.append(1.0 if raw > theta else 0.0)
+        else:  # raw is +0.0, or NaN as inf·0, and so not above θ > 0
+            raw = size * theta / span * 0.0
+            codes.append(0.0)
+            angles.append(raw)
+            clamped.append(0.0)
         raws.append(raw)
-        clamped.append(float(raw > theta))
-    return np.array(e_pos + e_neg + codes + angles + raws + clamped)
+    return np.array([*e_pos, *e_neg, *codes, *angles, *raws, *clamped])  # one list, extended
 
 
 def _checked(model: ControllerModel, n_channels: int) -> tuple[DecodeTables, DecodeConfig]:
@@ -291,7 +295,7 @@ def decode_features(fv: FeatureVector, model: ControllerModel) -> DecodedAction:
     states = fv.values  # an all-zero row stays as it is, as in encode_rows
     tables, cfg = _checked(model, states.shape[0])
     if peak := max(states.tolist()):  # non-negative, so 0.0 only on an all-zero row
-        scaled = states / peak  # the bound .dot: np.dot's ddot and @'s dgemv, less dispatch
-        states = scaled / math.sqrt(scaled.dot(scaled))
+        states = states / peak  # the bound .dot: np.dot's ddot and @'s dgemv, less dispatch
+        states /= math.sqrt(states.dot(states))
     row = _decide_row(states.dot(tables.prototypes).tolist(), tables.scalars, cfg.rest_threshold)
     return DecodedAction(DecisionMap(tables.dofs, row), _SIGNAL if peak else _NO_SIGNAL)

@@ -35,7 +35,8 @@ class EmgRecording:
             raise DimensionError("recording needs at least one channel")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-        object.__setattr__(self, "samples", samples)
+        if samples is not self.samples:
+            object.__setattr__(self, "samples", samples)
 
     @property
     def n_samples(self) -> int:
@@ -57,11 +58,12 @@ class FeatureVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise DimensionError(f"feature values must be 1-D, got ndim={values.ndim}")
-        # a NaN makes the max NaN and fails the first test; then Python's min is exact
-        if values.size and not (np.maximum.reduce(values) < np.inf
-                                and min(values.tolist()) >= 0.0):
+        # sum is NaN iff a cell is (an overflow is inf == inf); else min and max are exact
+        if (cells := values.tolist()) and not (min(cells) >= 0.0 and max(cells) < np.inf
+                                               and (total := sum(cells)) == total):
             raise ValueError("feature values must be finite and non-negative")
-        object.__setattr__(self, "values", values)
+        if values is not self.values:
+            object.__setattr__(self, "values", values)
 
     @property
     def n_channels(self) -> int:
@@ -97,8 +99,9 @@ def mav(window: np.ndarray) -> FeatureVector:
     w = np.asarray(window, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise EmptyInputError("window must be a non-empty 2-D array")
-    # the same sum and division as np.mean, without its Python-level dispatch
-    return FeatureVector(np.add.reduce(np.abs(w), axis=0) / w.shape[0], FeatureKind.MAV)
+    total = np.add.reduce(np.abs(w), axis=0)  # np.mean's sum and in-place division, less dispatch
+    total /= w.shape[0]
+    return FeatureVector(total, FeatureKind.MAV)
 
 
 def _channel_header(n_channels: int) -> list[str]:

@@ -452,6 +452,13 @@ def _number(value, key: str) -> float:
         raise ValueError(f"{key}: int too large to convert to float") from None
 
 
+def _object(value, key: str) -> dict:
+    """A JSON object a model file stores; a fault names ``key``."""
+    if type(value) is not dict:
+        raise ValueError(f"{key}: must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _stored_prototype(values, key: str) -> QuantumState:
     """The unit state a model file stores; a fault names its key."""
     if type(values) is not list:
@@ -466,13 +473,14 @@ def _stored_prototype(values, key: str) -> QuantumState:
 def model_from_dict(doc: dict) -> ControllerModel:
     """Model from a format-3 document, whose version is the JSON int 3. The stored
     overlap must match the prototypes; a fault in a DOF's entry names the DOF."""
-    version = doc["format_version"]
+    version = _object(doc, "top level")["format_version"]
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
     cfg = DecodeConfig(**{key: _number(value, f"decode_config.{key}")
-                          for key, value in doc["decode_config"].items()})
+                          for key, value in _object(doc["decode_config"], "decode_config").items()})
     dofs: dict[Dof, DofOperators] = {}
-    for key, entry in doc["dofs"].items():
+    for key, entry in _object(doc["dofs"], "dofs").items():
+        _object(entry, key)
         try:
             ops = DofOperators(
                 proto_pos=_stored_prototype(entry["prototype_positive"], "prototype_positive"),

@@ -900,6 +900,24 @@ class TestModelFileErrors:
         assert run("inspect-model", "--model", model) == 2
         assert capsys.readouterr().err == f"qmyo: data error: {model}: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["inspect-model", "decode", "evaluate"])
+    @pytest.mark.parametrize("mutate,reason", [
+        (_set(("decode_config",), 0.05), "decode_config: must be a JSON object, got 0.05"),
+        (_set(("dofs",), ["d1"]), 'dofs: must be a JSON object, got ["d1"]'),
+        (_set(("dofs", "d1"), 5), "d1: must be a JSON object, got 5"),
+        (_set(("dofs", "d3"), None), "d3: must be a JSON object, got null"),
+        (lambda doc: [1, 2], "top level: must be a JSON object, got [1, 2]"),
+    ], ids=["number-config", "list-dofs", "number-entry", "null-entry", "list-document"])
+    def test_non_object_names_its_key(self, tmp_path, capsys, command, mutate, reason):
+        """A config, DOF table, DOF entry or document that is no JSON object is
+        refused with a reason that names its key."""
+        doc = _model_doc(3)
+        doc = mutate(doc) or doc
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run(*self.argv(command, model, tmp_path)) == 2
+        assert capsys.readouterr().err == f"qmyo: data error: {model}: {reason}\n"
+
     @pytest.mark.parametrize("name", ["prototype_positive", "prototype_negative"])
     @pytest.mark.parametrize("cell,reason", [
         (10**400, "int too large to convert to float"),

@@ -538,23 +538,40 @@ def kernel_cases(draw):
 
     Channel counts run from 2 to 40 and often sit on or just past the
     widths where BLAS dot and gemv kernels change their unrolling.
-    A DOF's negative prototype is random or a near copy of its positive one,
-    and ``overlap_epsilon`` may put 1 - ε one ulp above the largest overlap.
+    A DOF's negative prototype is random, a near copy of its positive one or
+    that one with channels 0 and 1 swapped, and ``overlap_epsilon`` may put
+    1 - ε one ulp above the largest overlap. Or the DOF's prototypes are e₀
+    and 0.6·e₀ + 0.8·e₁, whose e₀ row decodes a margin equal to 1 − overlap,
+    and θ₊ puts that row's raw angle one ulp below or above θ₊.
     The rest threshold is 0, 0.05, near 1 or exactly one decoded margin.
-    A row is random, a prototype, all zero or zero on some channels, scaled
-    by 10^-300 to 10^300; or -0.0 on some channels, or whole multiples of
-    the smallest subnormal, 5e-324.
+    A row is random, a prototype, all zero or zero on some channels, e₀, or
+    equal on channels 0 and 1 and zero elsewhere (an exact tie for a swapped
+    pair), scaled by 10^-300 to 10^300; or -0.0 on some channels, or whole
+    multiples of the smallest subnormal, 5e-324.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     n_channels = draw(st.one_of(st.sampled_from([4, 8, 16, 32, 33]), st.integers(2, 40)),
                       label="channels")
+    axes = np.eye(n_channels)
     dofs = {}
     for dof in draw(st.lists(st.sampled_from(DOFS), min_size=1, max_size=3, unique=True)):
         pos = rng.uniform(0.01, 1.0, n_channels)
         neg = rng.uniform(0.0, 1.0, n_channels)
-        if draw(st.booleans(), label=f"{dof.value} near copy"):
+        thetas = rng.uniform(1.0, 90.0, 2).tolist()
+        pair = draw(st.sampled_from(["random", "near copy", "swapped", "clamp edge"]),
+                    label=f"{dof.value} prototypes")
+        if pair == "near copy":
             neg = pos + draw(st.sampled_from([1e-2, 1e-4, 1e-6])) * neg
-        dofs[dof] = triple(unit(*pos), unit(*neg), *rng.uniform(1.0, 90.0, 2).tolist())
+        elif pair == "clamp edge":  # raw = θ·span / span, one ulp off θ on the drawn side
+            pos, neg, span = axes[0], 0.6 * axes[0] + 0.8 * axes[1], 1.0 - 0.6 * 0.6
+            side = draw(st.sampled_from([-math.inf, math.inf]), label="raw angle side")
+            while (theta := rng.uniform(1.0, 90.0)) * span / span != np.nextafter(theta, side):
+                pass
+            thetas[0] = theta
+        proto_pos = unit(*pos)
+        proto_neg = (QuantumState(proto_pos.amplitudes[[1, 0, *range(2, n_channels)]])
+                     if pair == "swapped" else unit(*neg))
+        dofs[dof] = triple(proto_pos, proto_neg, *thetas)
     overlap, epsilon = max(ops.overlap for ops in dofs.values()), 1e-6
     if overlap >= 0.5 and (overlap >= 1.0 - epsilon or draw(st.booleans(), label="tight guard")):
         epsilon = 1.0 - float(np.nextafter(overlap, 1.0))  # exact, as overlap >= 0.5
@@ -563,11 +580,15 @@ def kernel_cases(draw):
     model = ControllerModel(dofs, n_channels, DecodeConfig(threshold or 0.0, epsilon))
     prototypes = [p.amplitudes for ops in dofs.values() for p in (ops.proto_pos, ops.proto_neg)]
     rows = []
-    kinds = ["random", "prototype", "zero", "sparse", "negative zero", "subnormal"]
+    kinds = ["random", "prototype", "zero", "sparse", "negative zero", "subnormal", "e0", "tie"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=8)):
         row = rng.uniform(0.0, 1.0, n_channels)
         if kind == "prototype":
             row = prototypes[rng.integers(len(prototypes))]
+        elif kind == "e0":
+            row = axes[0]
+        elif kind == "tie":
+            row = row[0] * (axes[0] + axes[1])
         elif kind == "zero":
             row = np.zeros(n_channels)
         elif kind == "sparse":
@@ -631,6 +652,22 @@ class TestFloatKernel:
                 assert decision.raw_angle == pytest.approx(raw, rel=1e-12, abs=tol)
                 if abs(raw - (ops.theta_pos_max if sign > 0 else ops.theta_neg_max)) > tol:
                     assert decision.angle_clamped == clamped
+
+    def test_overflowing_raw_angle_keeps_the_array_kernel_bits(self):
+        """size·θ / (1 − overlap) past float range is inf: a moving DOF clamps it to θ,
+        and at rest it is inf·0, NaN, in both kernels."""
+        proto_neg = QuantumState(np.array([0.99, math.sqrt(1.0 - 0.99**2)]))
+        model = ControllerModel({D1: triple(unit(1.0, 0.0), proto_neg, 1e308, 1e308)}, 2,
+                                DecodeConfig(0.05, 1e-6))
+        features = np.array([[1.0, 1.0], [0.9, 0.2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = decode_batch(features, model)
+        code, angle, raw, clamped = batch.decisions[2:, :, 0].tolist()
+        assert (code, angle[0], raw[0], clamped) == ([-1.0, 0.0], 1e308, math.inf, [1.0, 0.0])
+        assert math.isnan(angle[1]) and math.isnan(raw[1])
+        for i, row in enumerate(features):
+            action = decode_features(FeatureVector(row, FeatureKind.MAV), model)
+            assert action.per_dof._row.tobytes() == batch.decisions[:, i].tobytes()
 
     def test_one_window_skips_the_batch_path(self, monkeypatch):
         """decode_features reaches its decision without encode_rows, _decide or

@@ -133,7 +133,9 @@ class TestFeatureVectorCheck:
         "values",
         [[], [-0.0], [0.0, -0.0], [np.nan], [1.0, np.nan], [np.inf], [-np.inf], [-np.inf, np.nan],
          [-1.0, np.nan], [-1.0], [1e308, -5e-324], [5e-324], [0.0, np.nan], [2.0, np.nan, 1.0],
-         [-0.0, np.nan]],
+         [-0.0, np.nan],
+         # a sum overflowing on valid cells, then with a NaN; NaN first; mixed infinities
+         [1e308, 1e308], [1e308, 1e308, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [-0.0, -0.0]],
     )
     def test_edge_cases(self, values, kind):
         values = np.array(values, dtype=float)
