@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOperatorsError, DimensionError
+from .errors import DimensionError
 from .features import FeatureVector
 from .operators import (
     DOFS,
@@ -42,7 +42,7 @@ class DofDecision:
     direction: Direction
     angle: float
     raw_angle: float
-    angle_clamped: bool
+    angle_clamped = property(lambda self: self.raw_angle > self.angle, doc="Raw angle > |angle|.")
 
     @property
     def expectation_zero(self) -> float:
@@ -74,9 +74,9 @@ class DecisionMap(Mapping):
     """Read-only mapping of one window's DOFs to their decisions.
 
     Holds the batch's sorted DOF tuple, which every window shares, and
-    the window's own flat, field-major row of 6·D decisions (e₊, e₋, sign
-    code, |angle|, raw angle, clamp flag), DOF k's at k, k + D, ... Each
-    read builds a new, equal :class:`DofDecision` from them.
+    the window's own flat, field-major row of 5·D decisions (e₊, e₋, sign
+    code, |angle|, raw angle), DOF k's at k, k + D, ... Each read builds a
+    new, equal :class:`DofDecision` from them.
     It compares, iterates and prints like the dict of the same items;
     ``dict(m)`` is a mutable copy.
     """
@@ -92,8 +92,8 @@ class DecisionMap(Mapping):
             k = self._dofs.index(dof)
         except ValueError:
             raise KeyError(dof) from None
-        p, n, code, angle, raw, clamped = self._row[k::len(self._dofs)].tolist()
-        return DofDecision(p, n, SIGN_DIRECTIONS[code], angle, raw, clamped != 0.0)
+        p, n, code, angle, raw = self._row[k::len(self._dofs)].tolist()
+        return DofDecision(p, n, SIGN_DIRECTIONS[code], angle, raw)
 
     def __iter__(self):
         return iter(self._dofs)
@@ -143,9 +143,9 @@ class DecodedAction:
 class DecodedBatch:
     """Decoded outcomes of N windows, one column per DOF in ``dofs`` order.
 
-    ``decisions`` is one (6, N, D) float array, field-major: e₊, e₋,
-    sign code (1 positive, -1 negative, 0 rest), |angle|, raw angle
-    before clamping and clamp flag, each a contiguous (N, D) block. The
+    ``decisions`` is one (5, N, D) float array, field-major: e₊, e₋,
+    sign code (1 positive, -1 negative, 0 rest), |angle| and raw angle
+    before clamping, each a contiguous (N, D) block. The
     (N, D) arrays below are views of it or are computed from it on each
     read, so bind one to a name rather than reading it per DOF.
     """
@@ -162,7 +162,7 @@ class DecodedBatch:
     direction = property(lambda self: self.decisions[2].astype(np.int8), doc="(N, D) int8 codes.")
     angle = property(lambda self: self.decisions[2] * self.decisions[3], doc="(N, D) signed angle.")
     raw_angle = property(lambda self: self.decisions[4], doc="(N, D) unclamped |angle|, a view.")
-    angle_clamped = property(lambda self: self.decisions[5] != 0.0, doc="(N, D) clamp mask.")
+    angle_clamped = property(lambda self: self.decisions[4] > self.decisions[3], doc="(N, D) mask.")
 
     @property
     def expectation_zero(self) -> np.ndarray:
@@ -188,7 +188,7 @@ class DecodedBatch:
         return residuals
 
     def action(self, i: int) -> DecodedAction:
-        """Row ``i`` as a :class:`DecodedAction`, holding its (6, D) block as a flat copy."""
+        """Row ``i`` as a :class:`DecodedAction`, holding its (5, D) block as a flat copy."""
         return DecodedAction(DecisionMap(self.dofs, self.decisions[:, i].flatten()),
                              _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
 
@@ -202,7 +202,7 @@ def _decide(
     against the (C, 2D) prototype matrix, so a window gets the same bits
     alone or in a batch. Zero-signal rows are all-zero states, so they
     measure e± = 0 and e₀ = 1 and land at rest without a special case.
-    Within ``cfg.rest_threshold`` of a tie a DOF is at rest; otherwise
+    Within ``cfg.rest_threshold`` of a tie a DOF is at rest at 0°; otherwise
     the angle is the margin times the winner's maximal training angle
     over (1 - overlap), clamped to that maximum.
     """
@@ -210,65 +210,55 @@ def _decide(
     theta_pos, theta_neg, span = np.array(tables.scalars).T  # (D,) each
     # The prototype columns alternate positive and negative per DOF.
     amplitudes = (states[:, None, :] @ tables.prototypes).reshape(n, d, 2)
-    decisions = np.empty((6, n, d))
+    decisions = np.empty((5, n, d))
     np.square(amplitudes.transpose(2, 0, 1), out=decisions[:2])
-    e_pos, e_neg, code, angle, raw_angle, clamped = decisions
+    e_pos, e_neg, code, angle, raw_angle = decisions
     # Later fields serve as scratch until written: the margin in code,
-    # |margin| in raw_angle and the moving mask, as 1.0 or 0.0, in clamped.
+    # |margin| in raw_angle and the moving mask, as 1.0 or 0.0, in angle.
     margin = np.subtract(e_pos, e_neg, out=code)
     theta_max = np.where(margin > 0, theta_pos, theta_neg)
     size = np.abs(margin, out=raw_angle)
-    moving = np.greater(size, cfg.rest_threshold, out=clamped)
+    moving = np.greater(size, cfg.rest_threshold, out=angle)
     np.sign(np.multiply(margin, moving, out=code), out=code)  # +0.0 at rest
-    np.multiply(size, theta_max, out=raw_angle)
-    np.divide(raw_angle, span, out=raw_angle)
-    np.multiply(raw_angle, moving, out=raw_angle)  # 0 at rest
+    np.multiply(size, moving, out=raw_angle)  # +0.0 at rest
+    np.multiply(raw_angle, theta_max, out=raw_angle)
+    with np.errstate(over="ignore"):  # a raw angle past float range is inf, clamped to θ
+        np.divide(raw_angle, span, out=raw_angle)
     np.minimum(raw_angle, theta_max, out=angle)
-    np.greater(raw_angle, theta_max, out=clamped)
     return DecodedBatch(tables.dofs, decisions, zero_signal)
 
 
 def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> np.ndarray:
-    """One window's flat, field-major (6·D,) decisions from its amplitudes, each DOF's
+    """One window's flat, field-major (5·D,) decisions from its amplitudes, each DOF's
     + then −: the array kernel's IEEE operations in its order, in Python floats, same bits."""
-    e_pos, e_neg, codes, angles, raws, clamped = [], [], [], [], [], []
+    e_pos, e_neg, codes, angles, raws = [], [], [], [], []
     pairs = iter(amplitudes)
     for a_pos, a_neg, (theta_pos, theta_neg, span) in zip(pairs, pairs, scalars):
         p, n = a_pos * a_pos, a_neg * a_neg
         margin = p - n
-        theta = theta_pos if margin > 0 else theta_neg
         size = abs(margin)
         e_pos.append(p)
         e_neg.append(n)
-        if size > rest_threshold:  # the array kernel's 0/1 mask; x·1.0 is x, margin != 0
+        code = angle = raw = 0.0  # at rest, as the array kernel's 0/1 mask gives
+        if size > rest_threshold:  # the mask's 1.0; x·1.0 is x, and margin != 0
+            theta = theta_pos if margin > 0 else theta_neg
             raw = size * theta / span
-            codes.append(1.0 if margin > 0 else -1.0)
-            angles.append(theta if raw > theta else raw)
-            clamped.append(1.0 if raw > theta else 0.0)
-        else:  # raw is +0.0, or NaN as inf·0, and so not above θ > 0
-            raw = size * theta / span * 0.0
-            codes.append(0.0)
-            angles.append(raw)
-            clamped.append(0.0)
+            code = 1.0 if margin > 0 else -1.0
+            angle = theta if raw > theta else raw
+        codes.append(code)
+        angles.append(angle)
         raws.append(raw)
-    return np.array([*e_pos, *e_neg, *codes, *angles, *raws, *clamped])  # one list, extended
+    return np.array([*e_pos, *e_neg, *codes, *angles, *raws])  # one list, extended
 
 
 def _checked(model: ControllerModel, n_channels: int) -> tuple[DecodeTables, DecodeConfig]:
-    """The model's decode tables and config, once the feature width matches
-    and the prototype overlap leaves a margin."""
+    """The model's decode tables and config, once the feature width matches."""
     if n_channels != model.n_channels:
         raise DimensionError(
             f"{n_channels} feature channels do not match the "
             f"{model.n_channels}-channel model"
         )
-    tables, cfg = model.decode_tables, model.decode_config
-    if tables.max_overlap >= 1.0 - cfg.overlap_epsilon:
-        raise DegenerateOperatorsError(
-            f"prototype overlap {tables.max_overlap!r} leaves no margin; "
-            "the direction pair is unlearnable"
-        )
-    return tables, cfg
+    return model.decode_tables, model.decode_config
 
 
 def decode_batch(features: np.ndarray, model: ControllerModel) -> DecodedBatch:

@@ -116,11 +116,6 @@ def evaluate_model(
     """Decode a test dataset against one model and score it, its blocks under ``vote``."""
     if test.n_rows == 0:
         raise ConfigurationError("test dataset is empty")
-    if test.n_channels != model.n_channels:
-        raise DimensionError(
-            f"test dataset has {test.n_channels} channels, model expects "
-            f"{model.n_channels}"
-        )
     dofs = model.sorted_dofs()
     decoded = decode_batch(test.features, model)
     angle = decoded.angle

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DegenerateOperatorsError,
     DegeneratePrototypeError,
     DimensionError,
     InsufficientTrainingError,
@@ -195,7 +196,7 @@ class ControllerModel:
 
     @cached_property
     def decode_tables(self) -> "DecodeTables":
-        return DecodeTables.of(self.dofs)
+        return DecodeTables.of(self.dofs, self.decode_config.overlap_epsilon)
 
 
 class DecodeTables(NamedTuple):
@@ -209,19 +210,23 @@ class DecodeTables(NamedTuple):
 
     dofs: tuple[Dof, ...]
     prototypes: np.ndarray
-    max_overlap: float
     scalars: tuple[tuple[float, float, float], ...]
 
     @classmethod
-    def of(cls, dofs: dict[Dof, DofOperators]) -> "DecodeTables":
+    def of(cls, dofs: dict[Dof, DofOperators], overlap_epsilon: float) -> "DecodeTables":
         order = tuple(sorted(dofs))
         ops = [dofs[d] for d in order]
+        max_overlap = max(o.overlap for o in ops)
+        if max_overlap >= 1.0 - overlap_epsilon:
+            raise DegenerateOperatorsError(
+                f"prototype overlap {max_overlap!r} leaves no margin; "
+                "the direction pair is unlearnable"
+            )
         return cls(
             dofs=order,
             prototypes=np.stack(
                 [p.amplitudes for o in ops for p in (o.proto_pos, o.proto_neg)], axis=1
             ),
-            max_overlap=max(o.overlap for o in ops),
             scalars=tuple((float(o.theta_pos_max), float(o.theta_neg_max), 1.0 - o.overlap)
                           for o in ops),
         )

@@ -241,6 +241,26 @@ class TestExitCodes:
         assert code == 3
         assert "model error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "decode"])
+    def test_channel_mismatch_prints_the_decoders_line(self, tmp_path, capsys, command):
+        """evaluate --model and decode --data refuse a test set of another width
+        with the one line of the decoder's own channel check."""
+        wide, narrow = (orthogonal_mixing_model(n_channels=c, seed=9) for c in (12, 8))
+        model_json, narrow_csv = tmp_path / "model.json", tmp_path / "narrow.csv"
+        save_model(train(generate_training_set(wide, 5), wide.n_channels), model_json)
+        save_feature_dataset(
+            from_training_samples(generate_training_set(narrow, 5), narrow.n_channels), narrow_csv
+        )
+        argv = {
+            "evaluate": ["evaluate", "--test", narrow_csv, "--model", model_json],
+            "decode": ["decode", "--model", model_json, "--data", narrow_csv,
+                       "--out", tmp_path / "d.csv"],
+        }[command]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == (
+            "qmyo: model error: 8 feature channels do not match the 12-channel model\n"
+        )
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.25"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "decode"])
     def test_bad_feature_value_is_data_error(self, tmp_path, synth_files, capsys, command, value):

@@ -517,7 +517,7 @@ class TestDecodeBatch:
         # 1 - ε is exact for ε = 1 - o with o >= 0.5, so the guard meets the
         # overlap itself; the next ε down puts 1 - ε one ulp above it
         model = ControllerModel({D1: triple(unit(1.0, 0.0), unit(1.0, 1e-3))}, 2)
-        overlap = model.decode_tables.max_overlap
+        overlap = model.dofs[D1].overlap
         above = np.nextafter(overlap, 1.0)
         edge, safe = 1.0 - overlap, 1.0 - above
         assert 1.0 - edge == overlap and 1.0 - safe == above and safe < edge
@@ -530,6 +530,17 @@ class TestDecodeBatch:
         inside = dataclasses.replace(model, decode_config=DecodeConfig(overlap_epsilon=safe))
         assert decode_batch(np.ones((1, 2)), inside).direction.shape == (1, 1)
         assert decode_features(window, inside).per_dof[D1].expectation_pos > 0
+
+    def test_degenerate_model_refuses_every_decode(self):
+        """The decode tables are built, and their overlap margin checked, once per
+        model; a model that fails the check is refused again on each later call."""
+        model = ControllerModel({D1: triple(unit(1.0, 0.0), unit(1.0, 1e-9))}, 2)
+        window = FeatureVector(np.array([1.0, 1.0]), FeatureKind.MAV)
+        for _ in range(2):
+            with pytest.raises(DegenerateOperatorsError, match="leaves no margin"):
+                decode_batch(np.ones((1, 2)), model)
+            with pytest.raises(DegenerateOperatorsError, match="leaves no margin"):
+                decode_features(window, model)
 
 
 @st.composite
@@ -619,7 +630,7 @@ class TestFloatKernel:
         for i, row in enumerate(features):
             want = batch.decisions[:, i].tobytes()
             one = decode_batch(features[i : i + 1], model)
-            assert one.decisions.shape == (6, 1, len(model.dofs))
+            assert one.decisions.shape == (5, 1, len(model.dofs))
             assert one.decisions[:, 0].tobytes() == want
             assert one.zero_signal.tolist() == [batch.zero_signal[i]]
             action = decode_features(FeatureVector(row, FeatureKind.MAV), model)
@@ -654,17 +665,17 @@ class TestFloatKernel:
                     assert decision.angle_clamped == clamped
 
     def test_overflowing_raw_angle_keeps_the_array_kernel_bits(self):
-        """size·θ / (1 − overlap) past float range is inf: a moving DOF clamps it to θ,
-        and at rest it is inf·0, NaN, in both kernels."""
+        """size·θ / (1 − overlap) past float range is inf: a moving DOF clamps it to θ
+        without a warning, and a resting DOF is at +0.0, in both kernels."""
         proto_neg = QuantumState(np.array([0.99, math.sqrt(1.0 - 0.99**2)]))
         model = ControllerModel({D1: triple(unit(1.0, 0.0), proto_neg, 1e308, 1e308)}, 2,
                                 DecodeConfig(0.05, 1e-6))
         features = np.array([[1.0, 1.0], [0.9, 0.2]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = decode_batch(features, model)
-        code, angle, raw, clamped = batch.decisions[2:, :, 0].tolist()
-        assert (code, angle[0], raw[0], clamped) == ([-1.0, 0.0], 1e308, math.inf, [1.0, 0.0])
-        assert math.isnan(angle[1]) and math.isnan(raw[1])
+        batch = decode_batch(features, model)  # a warning fails the test
+        code, angle, raw = batch.decisions[2:, :, 0].tolist()
+        assert (code, angle, raw) == ([-1.0, 0.0], [1e308, 0.0], [math.inf, 0.0])
+        assert math.copysign(1.0, angle[1]) == math.copysign(1.0, raw[1]) == 1.0
+        assert batch.angle_clamped[:, 0].tolist() == [True, False]
         for i, row in enumerate(features):
             action = decode_features(FeatureVector(row, FeatureKind.MAV), model)
             assert action.per_dof._row.tobytes() == batch.decisions[:, i].tobytes()
@@ -697,6 +708,7 @@ class TestDecisionRecords:
             assert not hasattr(record, "__dict__")
         for cls in (DofDecision, DecodeDiagnostics, DecodedAction, DecodedBatch):
             assert "expectation_zero" not in {f.name for f in dataclasses.fields(cls)}
+        assert "angle_clamped" not in {f.name for f in dataclasses.fields(DofDecision)}
         assert [f.name for f in dataclasses.fields(DecodedAction)] == ["per_dof", "diagnostics"]
 
     def test_windows_share_the_diagnostics(self):
@@ -778,7 +790,7 @@ class TestDecisionRecords:
         rows = [batch.action(i).per_dof._row for i in range(n)]
         rows.append(decode_features(FeatureVector(features[0], FeatureKind.MAV),
                                     MODELS["3dof"]).per_dof._row)
-        assert all(row.base is None and row.shape == (6 * 3,) for row in rows)
+        assert all(row.base is None and row.shape == (5 * 3,) for row in rows)
 
     def test_held_actions_stay_small(self):
         model = MODELS["3dof"]
@@ -795,7 +807,7 @@ class TestDecisionRecords:
             per_action = (tracemalloc.get_traced_memory()[0] - before) / len(held)
         finally:
             tracemalloc.stop()
-        assert per_action <= 400
+        assert per_action <= 352
 
     def test_per_dof_behaves_like_the_dict_of_its_decisions(self):
         action = decode_batch(np.array([[0.9, 0.1, 0.3, 0.0, 0.2, 0.4]]), MODELS["3dof"]).action(0)

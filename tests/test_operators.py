@@ -6,6 +6,7 @@ import inspect
 import json
 import logging
 import math
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -577,13 +578,19 @@ class TestPersistence:
             load_model(write_json(tmp_path / "model.json", doc))
 
     def test_model_file_holds_only_decoder_inputs(self):
-        """Each DecodeConfig field is read by the decoder (the control module),
-        and the file's decode_config holds exactly those fields."""
+        """Each DecodeConfig field is read by the decode layer: the rest threshold
+        by the decoder (the control module), the overlap margin where the decode
+        tables are built. The file's decode_config holds exactly those fields."""
         tree = ast.parse(inspect.getsource(control))
         read = {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg"}
+        built = ast.parse(textwrap.dedent(inspect.getsource(ControllerModel.decode_tables.func)))
+        passed = {node.attr for node in ast.walk(built)
+                  if isinstance(node, ast.Attribute)
+                  and getattr(node.value, "attr", None) == "decode_config"}
+        assert read == {"rest_threshold"} and passed == {"overlap_epsilon"}
         names = {f.name for f in dataclasses.fields(DecodeConfig)}
-        assert names == read == {"rest_threshold", "overlap_epsilon"}
+        assert names == read | passed
         doc = model_to_dict(random_model(np.random.default_rng(8)))
         assert set(doc["decode_config"]) == names
 
@@ -593,7 +600,7 @@ class TestPersistence:
         tree = ast.parse(inspect.getsource(control))
         read = {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tables"}
-        assert read == set(DecodeTables._fields) == {"dofs", "prototypes", "max_overlap", "scalars"}
+        assert read == set(DecodeTables._fields) == {"dofs", "prototypes", "scalars"}
 
     def test_document_carries_version_field(self):
         model = random_model(np.random.default_rng(8))
