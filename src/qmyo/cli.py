@@ -261,10 +261,14 @@ def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
                      f"a {window_ms} ms window spans {'under 2' if length < 2 else 'unbounded'} "
                      f"samples at {rate} Hz", "window_ms", "sample_rate")
     rec = features.load_recording(args.raw, sample_rate=rate)
+    try:
+        windows = features.segment_windows(rec, window_ms)
+    except DataError as exc:  # shorter than one window
+        raise DataError(f"{args.raw}: {exc}") from None
     rows = []
     try:
         with np.errstate(over="ignore"):  # a MAV past float range fails FeatureVector's check
-            for window in features.segment_windows(rec, window_ms):
+            for window in windows:
                 rows.append(features.mav(window).values)
     except ValueError as exc:
         raise DataError(f"{args.raw}: window {len(rows)}: {exc}") from None

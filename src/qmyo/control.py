@@ -14,6 +14,7 @@ products, to the same bits.
 """
 
 import math
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -75,15 +76,15 @@ class DecisionMap(Mapping):
 
     Holds the batch's sorted DOF tuple, which every window shares, and
     the window's own flat, field-major row of 5·D decisions (e₊, e₋, sign
-    code, |angle|, raw angle), DOF k's at k, k + D, ... Each read builds a
-    new, equal :class:`DofDecision` from them.
+    code, |angle|, raw angle) as the bytes of native doubles, DOF k's at
+    k, k + D, ... Each read builds a new, equal :class:`DofDecision` from them.
     It compares, iterates and prints like the dict of the same items;
     ``dict(m)`` is a mutable copy.
     """
 
     __slots__ = ("_dofs", "_row")
 
-    def __init__(self, dofs: tuple[Dof, ...], row: np.ndarray):
+    def __init__(self, dofs: tuple[Dof, ...], row: bytes):
         self._dofs = dofs
         self._row = row
 
@@ -92,7 +93,7 @@ class DecisionMap(Mapping):
             k = self._dofs.index(dof)
         except ValueError:
             raise KeyError(dof) from None
-        p, n, code, angle, raw = self._row[k::len(self._dofs)].tolist()
+        p, n, code, angle, raw = memoryview(self._row).cast("d")[k::len(self._dofs)].tolist()
         return DofDecision(p, n, SIGN_DIRECTIONS[code], angle, raw)
 
     def __iter__(self):
@@ -188,8 +189,8 @@ class DecodedBatch:
         return residuals
 
     def action(self, i: int) -> DecodedAction:
-        """Row ``i`` as a :class:`DecodedAction`, holding its (5, D) block as a flat copy."""
-        return DecodedAction(DecisionMap(self.dofs, self.decisions[:, i].flatten()),
+        """Row ``i`` as a :class:`DecodedAction`, holding its (5, D) block's bytes."""
+        return DecodedAction(DecisionMap(self.dofs, self.decisions[:, i].tobytes()),
                              _NO_SIGNAL if self.zero_signal[i] else _SIGNAL)
 
 
@@ -228,9 +229,9 @@ def _decide(
     return DecodedBatch(tables.dofs, decisions, zero_signal)
 
 
-def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> np.ndarray:
-    """One window's flat, field-major (5·D,) decisions from its amplitudes, each DOF's
-    + then −: the array kernel's IEEE operations in its order, in Python floats, same bits."""
+def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> bytes:
+    """One window's flat, field-major 5·D decisions, packed doubles, from its amplitudes, each
+    DOF's + then −: the array kernel's IEEE operations in its order, in Python floats, same bits."""
     e_pos, e_neg, codes, angles, raws = [], [], [], [], []
     pairs = iter(amplitudes)
     for a_pos, a_neg, (theta_pos, theta_neg, span) in zip(pairs, pairs, scalars):
@@ -248,7 +249,7 @@ def _decide_row(amplitudes: list, scalars: tuple, rest_threshold: float) -> np.n
         codes.append(code)
         angles.append(angle)
         raws.append(raw)
-    return np.array([*e_pos, *e_neg, *codes, *angles, *raws])  # one list, extended
+    return struct.pack(f"{5 * len(codes)}d", *e_pos, *e_neg, *codes, *angles, *raws)
 
 
 def _checked(model: ControllerModel, n_channels: int) -> tuple[DecodeTables, DecodeConfig]:

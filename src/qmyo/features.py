@@ -58,9 +58,9 @@ class FeatureVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise DimensionError(f"feature values must be 1-D, got ndim={values.ndim}")
-        # sum is NaN iff a cell is (an overflow is inf == inf); else min and max are exact
-        if (cells := values.tolist()) and not (min(cells) >= 0.0 and max(cells) < np.inf
-                                               and (total := sum(cells)) == total):
+        # sum is NaN iff a cell is; max runs only when a finite-celled sum overflowed
+        if (cells := values.tolist()) and not (min(cells) >= 0.0 and (
+                (total := sum(cells)) < np.inf or total == total and max(cells) < np.inf)):
             raise ValueError("feature values must be finite and non-negative")
         if values is not self.values:
             object.__setattr__(self, "values", values)
@@ -95,11 +95,14 @@ def segment_windows(rec: EmgRecording, window_ms: float) -> np.ndarray:
 
 
 def mav(window: np.ndarray) -> FeatureVector:
-    """Mean absolute value per channel of an (n_samples, n_channels) window."""
+    """Mean absolute value per channel of an (n_samples, n_channels) window: ``np.mean``'s
+    bits on C-ordered windows of two or more channels, as :func:`segment_windows` yields.
+    1-channel and F-ordered windows, which ``np.mean`` sums pairwise, may differ in the last bits.
+    """
     w = np.asarray(window, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise EmptyInputError("window must be a non-empty 2-D array")
-    total = np.add.reduce(np.abs(w), axis=0)  # np.mean's sum and in-place division, less dispatch
+    total = np.einsum("ij->j", np.abs(w))  # one inner-loop call, not one per row
     total /= w.shape[0]
     return FeatureVector(total, FeatureKind.MAV)
 

@@ -374,6 +374,17 @@ class TestExitCodes:
         )
         assert not out_csv.exists()
 
+    def test_raw_recording_shorter_than_one_window_names_the_file(self, tmp_path, capsys):
+        raw_csv = tmp_path / "raw.csv"
+        raw_csv.write_text("ch1,ch2,ch3,ch4\n0.5,0.25,0.5,0.25\n")
+        out_csv = tmp_path / "d.csv"
+        assert run("decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", out_csv) == 2
+        assert capsys.readouterr().err == (
+            f"qmyo: data error: {raw_csv}: recording has 1 samples, "
+            "shorter than one 102-sample window\n"
+        )
+        assert not out_csv.exists()
+
     @staticmethod
     def usage_error(capsys, argv):
         """Run ``argv``, expect exit 1, and return its one ``qmyo`` error line."""

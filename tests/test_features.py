@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmyo.errors import DatasetParseError, DatasetSchemaError, DimensionError, EmptyInputError
 from qmyo.features import (
@@ -15,6 +16,8 @@ from qmyo.features import (
     save_recording,
     segment_windows,
 )
+from qmyo.operators import DOFS
+from qmyo.synthetic import default_mixing_model, generate_raw_emg
 
 
 def recording(n_samples, n_channels=1, rate=1024.0, fill=0.0):
@@ -134,8 +137,9 @@ class TestFeatureVectorCheck:
         [[], [-0.0], [0.0, -0.0], [np.nan], [1.0, np.nan], [np.inf], [-np.inf], [-np.inf, np.nan],
          [-1.0, np.nan], [-1.0], [1e308, -5e-324], [5e-324], [0.0, np.nan], [2.0, np.nan, 1.0],
          [-0.0, np.nan],
-         # a sum overflowing on valid cells, then with a NaN; NaN first; mixed infinities
-         [1e308, 1e308], [1e308, 1e308, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [-0.0, -0.0]],
+         # a sum overflowing on valid cells, then with a NaN or an inf; NaN first; mixed infinities
+         [1e308, 1e308], [1e308, 1e308, np.nan], [1e308, 1e308, np.inf], [np.nan, 1.0],
+         [np.inf, -np.inf], [-0.0, -0.0]],
     )
     def test_edge_cases(self, values, kind):
         values = np.array(values, dtype=float)
@@ -147,21 +151,50 @@ class TestFeatureVectorCheck:
                 FeatureVector(values, kind)
 
 
+def window_values(min_channels, max_channels, extra_columns=0):
+    """(n, c + extra_columns) float windows, 1 to 70 rows, magnitudes up to 1e300."""
+    return st.tuples(st.integers(1, 70), st.integers(min_channels, max_channels)).flatmap(
+        lambda shape: arrays(float, (shape[0], shape[1] + extra_columns),
+                             elements=st.floats(-1e300, 1e300, allow_nan=False)))
+
+
 class TestMavBits:
-    @given(
-        window=st.lists(
-            st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=3, max_size=3),
-            min_size=1, max_size=70,
-        )
-    )
+    """On C-ordered windows of two or more channels, the layout segment_windows
+    yields, mav keeps np.mean's bits; elsewhere it stays within rounding."""
+
+    @given(w=window_values(2, 40))
     @settings(max_examples=300)
-    def test_equals_numpy_mean_bit_for_bit(self, window):
-        w = np.array(window)
+    def test_equals_numpy_mean_bit_for_bit(self, w):
+        assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
+
+    @given(big=window_values(2, 40, extra_columns=2))
+    @settings(max_examples=200)
+    def test_row_sliced_window_equals_numpy_mean_bit_for_bit(self, big):
+        w = big[:, 1:-1]  # rows strided past the window's own columns
         assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
 
     def test_long_window_uses_the_same_pairwise_sum(self):
         w = np.random.default_rng(3).lognormal(sigma=4.0, size=(1000, 16))
         assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
+
+    @pytest.mark.parametrize("n_channels", [8, 12, 16])
+    def test_every_segmented_window_equals_numpy_mean_bit_for_bit(self, n_channels):
+        dofs = DOFS[: n_channels // 4]
+        mixing = default_mixing_model(n_channels, dofs, noise_sigma=0.1, seed=n_channels)
+        angles = {dof: 30.0 * (-1) ** k for k, dof in enumerate(dofs)}
+        rec = generate_raw_emg(mixing, angles, 2.0, rng=np.random.default_rng(n_channels))
+        windows = segment_windows(rec, 100.0)
+        assert len(windows) == 20 and windows[0].flags.c_contiguous
+        for w in windows:
+            assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
+
+    @given(w=window_values(1, 40))
+    @settings(max_examples=200)
+    def test_one_channel_and_f_ordered_windows_stay_within_rounding(self, w):
+        """np.mean sums these pairwise, so their last bits may differ."""
+        for window in (w[:, :1], np.asfortranarray(w)):
+            np.testing.assert_allclose(mav(window).values, np.mean(np.abs(window), axis=0),
+                                       rtol=len(window) * 2.0**-52, atol=0)
 
 
 # keep magnitudes in the normal float range so scaling cannot underflow
