@@ -4,6 +4,8 @@ import csv
 import hashlib
 import io
 import logging
+import math
+import tracemalloc
 import warnings
 from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from unittest import mock
@@ -220,6 +222,90 @@ class TestFastParseEqualsRowReader:
         with pytest.raises(DatasetParseError) as rows:
             load_recording(quoted)
         assert str(rows.value) == f"{quoted}:4: samples must be finite, got ch1 = -inf"
+
+
+# Row counts on and either side of the writer's 1024-row block edges, and
+# column counts of both parities.
+BLOCK_ROWS = [0, 1, 1023, 1024, 1025, 2049]
+WIDTHS = [1, 2, 13, 16, 22]
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and ``rows``, floats as ``repr``."""
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([header] + [
+        [repr(cell) if isinstance(cell, float) else cell for cell in row] for row in rows])
+    return out.getvalue().encode()
+
+
+def float_table(n_rows, n_columns, seed):
+    """Floats of every magnitude, with every special value spread over the columns."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((n_rows, n_columns)) * 10.0 ** rng.integers(
+        -320, 300, (n_rows, n_columns))
+    table.flat[::7] = np.resize(SPECIAL, table.flat[::7].size)
+    return table
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_ROWS)
+class TestBlockEdges:
+    """Written bytes equal ``csv.writer``'s across the writer's block edges."""
+
+    @pytest.mark.parametrize("n_columns", WIDTHS)
+    def test_write_rows(self, tmp_path, n_rows, n_columns):
+        table = float_table(n_rows, n_columns, seed=n_rows + n_columns).tolist()
+        kinds = [  # float, int and label cells by turns
+            lambda i, j: table[i][j], lambda i, j: str(i * 7919 - 10**6), lambda i, j: "ab"[i % 2]]
+        rows = [[kinds[j % 3](i, j) for j in range(n_columns)] for i in range(n_rows)]
+        header = [f"c{j}" for j in range(n_columns)]
+        columns = [[repr(row[j]) if isinstance(row[j], float) else row[j] for row in rows]
+                   for j in range(n_columns)]
+        csvio.write_rows(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(header, rows)
+
+    @pytest.mark.parametrize("n_columns", WIDTHS)
+    def test_save_recording(self, tmp_path, n_rows, n_columns):
+        samples = float_table(n_rows, n_columns, seed=n_rows * n_columns)
+        save_recording(EmgRecording(samples, 1024.0), tmp_path / "r.csv")
+        header = [f"ch{j + 1}" for j in range(n_columns)]
+        assert (tmp_path / "r.csv").read_bytes() == csv_writer_bytes(header, samples.tolist())
+
+    @pytest.mark.parametrize("n_channels", [8, 11, 17])  # 13, 16 and 22 columns
+    def test_save_feature_dataset(self, tmp_path, n_rows, n_channels):
+        rng = np.random.default_rng([n_rows, n_channels])
+        finite = np.nan_to_num(float_table(n_rows, n_channels + 3, seed=n_channels),
+                               nan=0.0, posinf=1e308, neginf=-1e308)
+        # runs of ids at both ends of the int64 range
+        steps, limits = np.cumsum(rng.integers(0, 2, n_rows)), np.iinfo(np.int64)
+        block_ids = np.where(np.arange(n_rows) < n_rows // 2,
+                             limits.min + steps, limits.max - n_rows + steps)
+        ds = FeatureDataset(np.abs(finite[:, :n_channels]), finite[:, n_channels:],
+                            rng.random(n_rows) < 0.5, block_ids)
+        save_feature_dataset(ds, tmp_path / "d.csv")
+        rows = [values + ["direct" if direct else "return", str(block)] for values, direct, block
+                in zip(np.hstack([ds.features, ds.angles]).tolist(), ds.direct, block_ids.tolist())]
+        assert (tmp_path / "d.csv").read_bytes() == csv_writer_bytes(
+            datasets._header(n_channels), rows)
+
+
+def test_a_save_holds_a_block_not_the_file(tmp_path):
+    """Saving a 100,000-row, 8-channel dataset traces well under the file's size:
+    the text is written a part at a time, never held whole."""
+    rng = np.random.default_rng(8)
+    n = 100_000
+    angles = np.zeros((n, len(DOFS)))
+    angles[:, 0] = rng.uniform(-40.0, 40.0, n)
+    ds = FeatureDataset(rng.random((n, 8)), angles, rng.random(n) < 0.5, np.arange(n) // 150)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        save_feature_dataset(ds, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 16e6
+    assert peak < 8e6
 
 
 @given(data=st.data())

@@ -34,6 +34,7 @@ from qmyo.synthetic import (
     default_scenario,
     generate_test_scenario,
     generate_training_set,
+    generate_training_table,
     orthogonal_mixing_model,
 )
 
@@ -292,12 +293,15 @@ class TestDecodeCsv:
 
     def test_cells_match_the_per_window_decisions(self, tmp_path):
         mixing = default_mixing_model(n_channels=12, dofs=(D1, D2, D3), noise_sigma=0.1, seed=4)
-        samples = generate_training_set(mixing, 5)
-        model = train(samples, mixing.n_channels)
-        features = np.stack([s.features.values for s in samples] + [np.zeros(12)])
+        model = train(generate_training_set(mixing, 5), mixing.n_channels)
+        # 1106 rows, so the file spans two 1024-row blocks; zero-signal
+        # windows sit on both sides of the block edge
+        features = generate_training_table(mixing, 184).features
+        features = np.insert(features, [1023, 1023], 0.0, axis=0)
         path = tmp_path / "decoded.csv"
         save_decode_csv(decode_batch(features, model), model.sorted_dofs(), path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == len(features) == 1106
         for i, (row, values) in enumerate(zip(rows, features)):
             action = decode_features(FeatureVector(values, FeatureKind.MAV), model)
             expected = [str(i)]
@@ -316,7 +320,8 @@ class TestDecodeCsv:
                 repr(residuals[dof]) for dof in (D1, D2, D3)
             ]
             assert row == expected
-        assert rows[-1][-3:] == ["", "", ""]  # zero-signal window
+        assert rows[1023][-3:] == rows[1024][-3:] == ["", "", ""]  # zero-signal windows
+        assert "" not in rows[1022] + rows[1025]
 
 
 # The per-row code the array-native writer and converter replaced, kept as
