@@ -168,14 +168,21 @@ def _require_file(parser: _Parser, path):
         parser.error(f"file not found: {path}")
 
 
-def _check_outputs(*paths):
-    """Fail as opening would, before anything is written, for a given
-    output path that is a directory or lies in a missing one."""
-    for path in filter(None, paths):
+def _check_outputs(parser: _Parser, args, outputs, inputs):
+    """Fail before anything is written: as opening would, for an output path that is
+    a directory or lies in a missing one, and with a usage error for one naming, by
+    real path, an input or an earlier output. The paths are given by flag name."""
+    flags = {os.path.realpath(path): name for name in inputs
+             if (path := getattr(args, name, None)) is not None}
+    for name in outputs:
+        if (path := getattr(args, name)) is None:
+            continue
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if (first := flags.setdefault(os.path.realpath(path), name)) != name:
+            parser.error(f"argument --{name}: names the same file as --{first}".replace("_", "-"))
 
 
 def _reject_unread(parser: _Parser, args, mode, *names):
@@ -220,7 +227,7 @@ def _cmd_synth(parser: _Parser, args) -> int:
                   seed=settings.get("seed"))
     table = synthetic.generate_training_table(model, settings.get("per_action"), (low, high))
     train_ds = datasets.from_training_table(table, source="synthetic")
-    _check_outputs(args.train_out, args.test_out)
+    _check_outputs(parser, args, ["train_out", "test_out"], ["config"])
     datasets.save_feature_dataset(train_ds, args.train_out)
     print(f"wrote {train_ds.n_rows} training rows to {args.train_out}")
 
@@ -242,6 +249,7 @@ def _cmd_train(parser: _Parser, args) -> int:
     if args.size is not None:
         table = experiment.subset_per_action(table, args.size)
     model = operators.train_table(table, dofs=settings.dofs(parser), config=settings.decode_config())
+    _check_outputs(parser, args, ["out"], ["data", "config"])
     operators.save_model(model, args.out)
     print(f"trained {len(model.dofs)} DOF(s) on {table.n_rows} samples -> {args.out}")
     for dof in model.sorted_dofs():
@@ -280,6 +288,7 @@ def _cmd_decode(parser: _Parser, args) -> int:
     settings = _Settings(args)
     model = _load_model(parser, args, settings)
     decoded = decode_batch(_feature_windows(parser, args, settings), model)
+    _check_outputs(parser, args, ["out"], ["model", "data", "raw", "config"])
     datasets.save_decode_csv(decoded, model.sorted_dofs(), args.out)
     print(f"decoded {len(decoded)} windows -> {args.out}")
     return 0
@@ -306,7 +315,8 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         )
         report = experiment.run_experiment(cfg, train_ds, test_ds)
     text = experiment.render_report_text(report)
-    _check_outputs(args.report_out, args.csv_out, args.decode_out)
+    _check_outputs(parser, args, ["report_out", "csv_out", "decode_out"],
+                   ["test", "model", "train_data", "config"])
     if args.report_out:
         with open(args.report_out, "w") as fh:
             fh.write(text)
@@ -335,6 +345,7 @@ def _cmd_learning_curve(parser: _Parser, args) -> int:
         for i, size in enumerate(sizes)
     ]
     text = "\n".join(",".join(row) for row in rows) + "\n"
+    _check_outputs(parser, args, ["out"], ["data"])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -16,21 +16,24 @@ import numpy as np
 from .errors import DatasetParseError, DatasetSchemaError, undecodable
 
 LINE_END = "\r\n"  # csv.writer's terminator
-_CHUNK = 1024  # values turned into Python floats at a time, which bounds a write's memory
-
-
-def float_cells(values: np.ndarray):
-    """The ``repr`` of each float in a 1-D array, as ``csv.writer`` writes a float."""
-    return chain.from_iterable(
-        map(repr, values[start:start + _CHUNK].tolist()) for start in range(0, len(values), _CHUNK)
-    )
+BLOCK = 1024  # rows joined at a time, which bounds a write's memory
 
 
 def write_rows(path, header: list[str], columns) -> None:
-    """Write ``header`` and one line per row of ``columns``, iterables of cell strings."""
+    """Write ``header`` and one line per row of ``columns``: 1-D arrays, their numbers
+    written with ``repr`` and ``"U"`` strings as they are, or sequences of cell strings.
+    Each block of rows is one cell list, filled a column at a time and joined in one call."""
+    n, k = len(columns[0]), len(columns)
+    row = [None, ","] * (k - 1) + [None, LINE_END]  # a value slot, then its separator
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + LINE_END)
-        fh.writelines(",".join(row) + LINE_END for row in zip(*columns))
+        for start in range(0, n, BLOCK):
+            cells = row * min(BLOCK, n - start)
+            for j, column in enumerate(columns):
+                if isinstance(part := column[start:start + BLOCK], np.ndarray):
+                    part = part.tolist() if part.dtype.kind == "U" else map(repr, part.tolist())
+                cells[2 * j::2 * k] = part
+            fh.write("".join(cells))
 
 
 def read_table(path, check_header, parsers=()):

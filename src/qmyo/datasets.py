@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import float_cells, read_table, write_rows
+from .csvio import read_table, write_rows
 from .errors import DatasetSchemaError, EmptyInputError
 from .evaluation import run_starts
 from .operators import (
@@ -149,11 +149,8 @@ def _header(n_channels: int) -> list[str]:
 
 
 def save_feature_dataset(ds: FeatureDataset, path) -> None:
-    columns = [float_cells(column) for column in ds.features.T]
-    columns += [float_cells(column) for column in ds.angles.T]
-    phases = (MovementPhase.RETURN.value, MovementPhase.DIRECT.value)
-    columns += [[phases[direct] for direct in ds.direct.tolist()], map(str, ds.block_ids.tolist())]
-    write_rows(path, _header(ds.n_channels), columns)
+    phases = np.where(ds.direct, MovementPhase.DIRECT.value, MovementPhase.RETURN.value)
+    write_rows(path, _header(ds.n_channels), [*ds.features.T, *ds.angles.T, phases, ds.block_ids])
 
 
 def _header_problem(header: list[str]) -> str | None:
@@ -204,25 +201,15 @@ def save_decode_csv(decoded, dofs: list[Dof], path) -> None:
 
     ``decoded`` is a :class:`~qmyo.control.DecodedBatch` over ``dofs``.
     """
-    header = ["window"]
-    labels = {sign: direction.value for sign, direction in SIGN_DIRECTIONS.items()}
-    columns = [map(str, range(len(decoded)))]
-    e_zero = decoded.expectation_zero  # like the next three, computed on each read
-    direction, angle, clamped = decoded.direction, decoded.angle, decoded.angle_clamped
-    for k, dof in enumerate(dofs):
-        header += [f"{dof.value}_{name}" for name in _DECODE_FIELDS]
-        columns += [
-            float_cells(decoded.expectation_pos[:, k]),
-            float_cells(decoded.expectation_neg[:, k]),
-            float_cells(e_zero[:, k]),
-            map(labels.__getitem__, direction[:, k].tolist()),
-            float_cells(angle[:, k]),
-            ["1" if v else "0" for v in clamped[:, k].tolist()],
-        ]
-    header += [f"residual_{dof.value}" for dof in Dof]
+    n = len(decoded)
+    labels = np.array([SIGN_DIRECTIONS[sign].value for sign in (-1, 0, 1)])
+    fields = [decoded.expectation_pos, decoded.expectation_neg, decoded.expectation_zero,
+              labels[decoded.direction + 1], decoded.angle, decoded.angle_clamped.astype(np.int8)]
+    header = ["window", *(f"{dof.value}_{name}" for dof in dofs for name in _DECODE_FIELDS),
+              *(f"residual_{dof.value}" for dof in Dof)]
+    columns = [np.arange(n), *(field[:, k] for k in range(len(dofs)) for field in fields)]
+    # a model without three DOFs has no residuals; NaN, for a zero-signal window, is an empty cell
     residuals = decoded.residuals()
-    if residuals is None:
-        residuals = np.full((len(decoded), len(Dof)), np.nan)
-    # NaN, for a zero-signal window or a model without three DOFs, is an empty cell
-    columns += [["" if math.isnan(v) else repr(v) for v in col] for col in residuals.T.tolist()]
+    columns += [[""] * n] * len(Dof) if residuals is None else [
+        ["" if math.isnan(v) else repr(v) for v in col] for col in residuals.T.tolist()]
     write_rows(path, header, columns)

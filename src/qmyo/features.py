@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import float_cells, read_table, write_rows
+from .csvio import read_table, write_rows
 from .errors import DatasetParseError, DimensionError, EmptyInputError
 
 
@@ -136,5 +136,4 @@ def load_recording(path, sample_rate: float = 1024.0) -> EmgRecording:
 
 def save_recording(rec: EmgRecording, path) -> None:
     """Write a raw recording CSV in the format :func:`load_recording` reads."""
-    columns = [float_cells(column) for column in rec.samples.T]
-    write_rows(path, _channel_header(rec.n_channels), columns)
+    write_rows(path, _channel_header(rec.n_channels), list(rec.samples.T))

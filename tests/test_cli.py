@@ -188,6 +188,37 @@ class TestExitCodes:
         assert (out, err.splitlines()) == ("", [f"qmyo: {reason}: {bad}"])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("case", [
+        "synth", "synth-config", "train", "decode", "evaluate", "learning-curve"])
+    def test_output_naming_an_input_or_another_output_writes_nothing(self, tmp_path, capsys, case):
+        """Paths compare by real path, here through a link and a ``.``, before any write."""
+        kept, link, cfg = tmp_path / "kept.csv", tmp_path / "link.csv", tmp_path / "settings.cfg"
+        kept.write_bytes(V1_TRAIN.read_bytes())
+        link.symlink_to(kept)
+        cfg.write_text("seed = 2\n")
+        synth = ["synth", "--per-action", 5, "--blocks", 3, "--windows", 12]
+        argv, message = {
+            "synth": (synth + ["--train-out", kept, "--test-out", link],
+                      "--test-out: names the same file as --train-out"),
+            "synth-config": (synth + ["--config", cfg, "--train-out", tmp_path / "." / cfg.name,
+                                      "--test-out", tmp_path / "test.csv"],
+                             "--train-out: names the same file as --config"),
+            "train": (["train", "--data", kept, "--out", link],
+                      "--out: names the same file as --data"),
+            "decode": (["decode", "--model", V3_MODEL, "--data", kept, "--out", link],
+                       "--out: names the same file as --data"),
+            "evaluate": (["evaluate", "--test", kept, "--model", V3_MODEL,
+                          "--report-out", tmp_path / "r.txt", "--decode-out", link],
+                         "--decode-out: names the same file as --test"),
+            "learning-curve": (["learning-curve", "--data", kept, "--sizes", 2, "--out", link],
+                               "--out: names the same file as --data"),
+        }[case]
+        assert self.usage_error(capsys, argv).endswith(f"error: argument {message}")
+        assert kept.read_bytes() == V1_TRAIN.read_bytes()
+        assert cfg.read_text() == "seed = 2\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "kept.csv", "link.csv", "settings.cfg"]
+
     def test_decode_takes_no_block_vote(self, tmp_path, capsys):
         line = self.usage_error(capsys, self.argv("decode", tmp_path, "--block-vote", "any"))
         assert line == "qmyo: error: unrecognized arguments: --block-vote any"
