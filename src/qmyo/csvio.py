@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DatasetParseError, DatasetSchemaError, undecodable
 
 LINE_END = "\r\n"  # csv.writer's terminator
-BLOCK = 1024  # rows joined at a time, which bounds a write's memory
+_BLOCK = 1024  # rows joined at a time, which bounds a write's memory
 
 
 def write_rows(path, header: list[str], columns) -> None:
@@ -27,10 +27,10 @@ def write_rows(path, header: list[str], columns) -> None:
     row = [None, ","] * (k - 1) + [None, LINE_END]  # a value slot, then its separator
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + LINE_END)
-        for start in range(0, n, BLOCK):
-            cells = row * min(BLOCK, n - start)
+        for start in range(0, n, _BLOCK):
+            cells = row * min(_BLOCK, n - start)
             for j, column in enumerate(columns):
-                if isinstance(part := column[start:start + BLOCK], np.ndarray):
+                if isinstance(part := column[start:start + _BLOCK], np.ndarray):
                     part = part.tolist() if part.dtype.kind == "U" else map(repr, part.tolist())
                 cells[2 * j::2 * k] = part
             fh.write("".join(cells))
