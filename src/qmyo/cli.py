@@ -51,7 +51,9 @@ _GEOMETRIES = ("masking", "orthogonal")
 
 
 def _one_of(choices):
-    return _checked(str, "choice", f"one of {', '.join(choices)}", choices.__contains__)
+    parse = _checked(str, "choice", f"one of {', '.join(choices)}", choices.__contains__)
+    parse.choices = choices  # its flag keeps argparse's own choices check
+    return parse
 
 
 def _listed(cast):
@@ -63,8 +65,9 @@ def _listed(cast):
     return parse
 
 
-# Each setting's built-in default, and the cast that parses and checks its
-# config-file value as the flag's type does on the command line.
+# Each setting's built-in default, and the cast that parses and checks one value of
+# its flag and config-file line. A tuple default marks a list: one or more values
+# after the flag, comma-separated in the file.
 _SETTINGS = {
     "window_ms": (100.0, _positive_float),
     "sample_rate": (1024.0, _positive_float),
@@ -80,9 +83,18 @@ _SETTINGS = {
     "blocks": (55, _positive_int),
     "windows": (8216, _positive_int),
     "geometry": ("masking", _one_of(_GEOMETRIES)),
-    "sizes": ((500, 2000), _listed(_positive_int)),
-    "dofs": ((Dof.FLEXION_EXTENSION, Dof.PRONATION_SUPINATION), _listed(Dof)),
+    "sizes": ((500, 2000), _positive_int),
+    "dofs": ((Dof.FLEXION_EXTENSION, Dof.PRONATION_SUPINATION), Dof),
 }
+
+
+def _add_settings(sub: _Parser, *names, **kwargs):
+    """Each named setting's flag, built from its ``_SETTINGS`` entry."""
+    for name in names:
+        default, cast = _SETTINGS[name]
+        check = {"choices": cast.choices} if hasattr(cast, "choices") else {"type": cast}
+        sub.add_argument(f"--{name.replace('_', '-')}",
+                         nargs="+" if type(default) is tuple else None, **check, **kwargs)
 
 
 def _read_config(path) -> tuple[dict, dict]:
@@ -105,8 +117,9 @@ def _read_config(path) -> tuple[dict, dict]:
             raise DataError(f"{path}:{lineno}: unknown setting {key!r}")
         if key in lines:
             raise DataError(f"{path}:{lineno}: repeats setting {key!r} from line {lines[key]}")
+        default, cast = _SETTINGS[key]
         try:
-            settings[key] = _SETTINGS[key][1](raw.strip())
+            settings[key] = (_listed(cast) if type(default) is tuple else cast)(raw.strip())
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         lines[key] = lineno
@@ -116,8 +129,8 @@ def _read_config(path) -> tuple[dict, dict]:
 class _Settings:
     """CLI > config file > defaults resolution for one invocation."""
 
-    def __init__(self, args):
-        self.args = args
+    def __init__(self, parser: _Parser, args):
+        self.parser, self.args = parser, args
         config = getattr(args, "config", None)
         self.file_cfg, self.file_lines = _read_config(config) if config else ({}, {})
 
@@ -130,13 +143,13 @@ class _Settings:
         value = self.given(name)
         return value if value is not None else _SETTINGS[name][0]
 
-    def require(self, parser: _Parser, ok: bool, message: str, *names):
+    def require(self, ok: bool, message: str, *names):
         """Unless ``ok``: usage error for a flag in ``names``, else data error at its file line."""
         if ok:
             return
         for name in names:
             if getattr(self.args, name, None) is not None:
-                parser.error(f"argument --{name.replace('_', '-')}: {message}")
+                self.parser.error(f"argument --{name.replace('_', '-')}: {message}")
         line = next(self.file_lines[name] for name in names if name in self.file_lines)
         raise ConfigurationError(f"{self.args.config}:{line}: {message}")
 
@@ -146,34 +159,33 @@ class _Settings:
                       if (value := self.given(f.name)) is not None}
         return replace(base, **thresholds)
 
-    def sizes(self, parser: _Parser) -> tuple[int, ...]:
+    def sizes(self) -> tuple[int, ...]:
         """The training sizes, which must be strictly increasing."""
         sizes = tuple(self.get("sizes"))
-        self.require(parser, list(sizes) == sorted(set(sizes)),
+        self.require(list(sizes) == sorted(set(sizes)),
                      f"must be strictly increasing, got {' '.join(map(str, sizes))}", "sizes")
         return sizes
 
-    def dofs(self, parser: _Parser) -> tuple[Dof, ...] | None:
+    def dofs(self) -> tuple[Dof, ...] | None:
         """The DOFs a flag or the config file names, which must be distinct, else None."""
         if (dofs := self.given("dofs")) is not None:
             dofs = tuple(dofs)
-            self.require(parser, len(set(dofs)) == len(dofs),
+            self.require(len(set(dofs)) == len(dofs),
                          f"names a DOF more than once, got {' '.join(d.value for d in dofs)}",
                          "dofs")
         return dofs
 
 
-def _require_file(parser: _Parser, path):
-    if not os.path.isfile(path):
-        parser.error(f"file not found: {path}")
-
-
-def _check_outputs(parser: _Parser, args, outputs, inputs):
-    """Fail before anything is written: as opening would, for an output path that is
-    a directory or lies in a missing one, and with a usage error for one naming, by
-    real path, an input or an earlier output. The paths are given by flag name."""
-    flags = {os.path.realpath(path): name for name in inputs
-             if (path := getattr(args, name, None)) is not None}
+def _check_paths(parser: _Parser, args, inputs, outputs):
+    """Fail before any file is read: with a usage error for an input path that names
+    no file; as opening would, for an output path that is a directory or lies in a
+    missing one; and with a usage error for one naming, by real path, an input or an
+    earlier output. The paths are given by flag name."""
+    given = [(name, path) for name in inputs if (path := getattr(args, name)) is not None]
+    for name, path in given:
+        if not os.path.isfile(path):
+            parser.error(f"file not found: {path}")
+    flags = {os.path.realpath(path): name for name, path in given}
     for name in outputs:
         if (path := getattr(args, name)) is None:
             continue
@@ -192,22 +204,16 @@ def _reject_unread(parser: _Parser, args, mode, *names):
             parser.error(f"argument --{name.replace('_', '-')}: not allowed with argument --{mode}")
 
 
-def _add_config_options(sub: _Parser):
-    sub.add_argument("--config", metavar="FILE", help="flat key=value settings file")
-    sub.add_argument("--rest-threshold", dest="rest_threshold", type=_non_negative_float)
-    sub.add_argument("--overlap-epsilon", dest="overlap_epsilon", type=_fraction)
-
-
-def _load_model(parser: _Parser, args, settings: _Settings):
+def _load_model(args, settings: _Settings):
     """The model file; a decode threshold given by flag or config file replaces its own."""
-    _require_file(parser, args.model)
     model = operators.load_model(args.model)
     return replace(model, decode_config=settings.decode_config(model.decode_config))
 
 
 def _cmd_synth(parser: _Parser, args) -> int:
-    settings = _Settings(args)
-    dofs, channels = settings.dofs(parser) or settings.get("dofs"), settings.get("channels")
+    _check_paths(parser, args, ["config"], ["train_out", "test_out"])
+    settings = _Settings(parser, args)
+    dofs, channels = settings.dofs() or settings.get("dofs"), settings.get("channels")
     low, high = settings.get("angle_min"), settings.get("angle_max")
     blocks, windows = settings.get("blocks"), settings.get("windows")
     for ok, message, *names in [
@@ -220,14 +226,13 @@ def _cmd_synth(parser: _Parser, args) -> int:
         (blocks <= windows, f"cannot spread {windows} windows over {blocks} blocks",
          "blocks", "windows"),
     ]:
-        settings.require(parser, ok, message, *names)
+        settings.require(ok, message, *names)
     build = {"masking": synthetic.default_mixing_model,
              "orthogonal": synthetic.orthogonal_mixing_model}[settings.get("geometry")]
     model = build(n_channels=channels, dofs=dofs, noise_sigma=settings.get("noise_sigma"),
                   seed=settings.get("seed"))
     table = synthetic.generate_training_table(model, settings.get("per_action"), (low, high))
     train_ds = datasets.from_training_table(table, source="synthetic")
-    _check_outputs(parser, args, ["train_out", "test_out"], ["config"])
     datasets.save_feature_dataset(train_ds, args.train_out)
     print(f"wrote {train_ds.n_rows} training rows to {args.train_out}")
 
@@ -242,14 +247,15 @@ def _cmd_synth(parser: _Parser, args) -> int:
 
 
 def _cmd_train(parser: _Parser, args) -> int:
-    _require_file(parser, args.data)
-    settings = _Settings(args)
-    ds = datasets.load_feature_dataset(args.data)
-    table = datasets.training_table(ds)
+    _check_paths(parser, args, ["data", "config"], ["out"])
+    settings = _Settings(parser, args)
+    dofs = settings.dofs()
+    table = datasets.training_table(datasets.load_feature_dataset(args.data))
+    if dofs is not None:
+        table = table.of_dofs(dofs)
     if args.size is not None:
         table = experiment.subset_per_action(table, args.size)
-    model = operators.train_table(table, dofs=settings.dofs(parser), config=settings.decode_config())
-    _check_outputs(parser, args, ["out"], ["data", "config"])
+    model = operators.train_table(table, dofs=dofs, config=settings.decode_config())
     operators.save_model(model, args.out)
     print(f"trained {len(model.dofs)} DOF(s) on {table.n_rows} samples -> {args.out}")
     for dof in model.sorted_dofs():
@@ -257,38 +263,36 @@ def _cmd_train(parser: _Parser, args) -> int:
     return 0
 
 
-def _feature_windows(parser: _Parser, args, settings: _Settings) -> np.ndarray:
-    """(N, C) feature rows from a dataset CSV or the MAV windows of a recording."""
-    if args.data:
-        _require_file(parser, args.data)
-        return datasets.load_feature_dataset(args.data).features
-    _require_file(parser, args.raw)
-    rate, window_ms = settings.get("sample_rate"), settings.get("window_ms")
-    length = window_ms * rate / 1000.0
-    settings.require(parser, 2 <= length < math.inf,
-                     f"a {window_ms} ms window spans {'under 2' if length < 2 else 'unbounded'} "
-                     f"samples at {rate} Hz", "window_ms", "sample_rate")
-    rec = features.load_recording(args.raw, sample_rate=rate)
+def _mav_rows(path, rate: float, window_ms: float) -> np.ndarray:
+    """(N, C) MAV feature rows of a recording's windows."""
+    rec = features.load_recording(path, sample_rate=rate)
     try:
         windows = features.segment_windows(rec, window_ms)
     except DataError as exc:  # shorter than one window
-        raise DataError(f"{args.raw}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     rows = []
     try:
         with np.errstate(over="ignore"):  # a MAV past float range fails FeatureVector's check
             for window in windows:
                 rows.append(features.mav(window).values)
     except ValueError as exc:
-        raise DataError(f"{args.raw}: window {len(rows)}: {exc}") from None
+        raise DataError(f"{path}: window {len(rows)}: {exc}") from None
     return np.stack(rows)
 
 
 def _cmd_decode(parser: _Parser, args) -> int:
     _reject_unread(parser, args, "data", "sample_rate", "window_ms")
-    settings = _Settings(args)
-    model = _load_model(parser, args, settings)
-    decoded = decode_batch(_feature_windows(parser, args, settings), model)
-    _check_outputs(parser, args, ["out"], ["model", "data", "raw", "config"])
+    _check_paths(parser, args, ["model", "data", "raw", "config"], ["out"])
+    settings = _Settings(parser, args)
+    rate, window_ms = settings.get("sample_rate"), settings.get("window_ms")
+    length = window_ms * rate / 1000.0
+    settings.require(args.data is not None or 2 <= length < math.inf,
+                     f"a {window_ms} ms window spans {'under 2' if length < 2 else 'unbounded'} "
+                     f"samples at {rate} Hz", "window_ms", "sample_rate")
+    model = _load_model(args, settings)
+    windows = (datasets.load_feature_dataset(args.data).features if args.data
+               else _mav_rows(args.raw, rate, window_ms))
+    decoded = decode_batch(windows, model)
     datasets.save_decode_csv(decoded, model.sorted_dofs(), args.out)
     print(f"decoded {len(decoded)} windows -> {args.out}")
     return 0
@@ -296,27 +300,24 @@ def _cmd_decode(parser: _Parser, args) -> int:
 
 def _cmd_evaluate(parser: _Parser, args) -> int:
     _reject_unread(parser, args, "model", "sizes", "dofs", "seed")
-    _require_file(parser, args.test)
-    settings = _Settings(args)
-    test_ds = datasets.load_feature_dataset(args.test)
+    _check_paths(parser, args, ["test", "model", "train_data", "config"],
+                 ["report_out", "csv_out", "decode_out"])
+    settings = _Settings(parser, args)
     vote = settings.get("block_vote")
+    cfg = None if args.model else experiment.ExperimentConfig(
+        decode=settings.decode_config(),
+        training_sizes=settings.sizes(),
+        seed=settings.get("seed"),
+        dofs=settings.dofs(),
+        block_vote=vote,
+    )
+    test_ds = datasets.load_feature_dataset(args.test)
     if args.model:
-        report = experiment.report_for_model(_load_model(parser, args, settings), test_ds, vote)
+        report = experiment.report_for_model(_load_model(args, settings), test_ds, vote)
     else:
-        _require_file(parser, args.train_data)
-        sizes, dofs = settings.sizes(parser), settings.dofs(parser)
         train_ds = datasets.load_feature_dataset(args.train_data)
-        cfg = experiment.ExperimentConfig(
-            decode=settings.decode_config(),
-            training_sizes=sizes,
-            seed=settings.get("seed"),
-            dofs=dofs,
-            block_vote=vote,
-        )
         report = experiment.run_experiment(cfg, train_ds, test_ds)
     text = experiment.render_report_text(report)
-    _check_outputs(parser, args, ["report_out", "csv_out", "decode_out"],
-                   ["test", "model", "train_data", "config"])
     if args.report_out:
         with open(args.report_out, "w") as fh:
             fh.write(text)
@@ -330,11 +331,10 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
 
 
 def _cmd_learning_curve(parser: _Parser, args) -> int:
-    _require_file(parser, args.data)
-    settings = _Settings(args)
-    sizes, dofs = settings.sizes(parser), settings.dofs(parser)
-    ds = datasets.load_feature_dataset(args.data)
-    table = datasets.training_table(ds)
+    _check_paths(parser, args, ["data"], ["out"])
+    settings = _Settings(parser, args)
+    sizes, dofs = settings.sizes(), settings.dofs()
+    table = datasets.training_table(datasets.load_feature_dataset(args.data))
     if (largest := sizes[-1]) > table.n_rows:
         raise ConfigurationError(f"{args.data}: size {largest} exceeds its {table.n_rows} samples")
     curves = operators.overlap_curve(table, list(sizes), dofs=dofs)
@@ -345,7 +345,6 @@ def _cmd_learning_curve(parser: _Parser, args) -> int:
         for i, size in enumerate(sizes)
     ]
     text = "\n".join(",".join(row) for row in rows) + "\n"
-    _check_outputs(parser, args, ["out"], ["data"])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -354,7 +353,8 @@ def _cmd_learning_curve(parser: _Parser, args) -> int:
 
 
 def _cmd_inspect_model(parser: _Parser, args) -> int:
-    model = _load_model(parser, args, _Settings(args))
+    _check_paths(parser, args, ["model"], [])
+    model = operators.load_model(args.model)
     cfg = model.decode_config
     print(f"channels: {model.n_channels}")
     print(
@@ -376,32 +376,25 @@ def _cmd_inspect_model(parser: _Parser, args) -> int:
 
 
 def build_parser() -> _Parser:
+    """The top-level parser; each command's own parser checks its arguments."""
     parser = _Parser(prog="qmyo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic train/test datasets")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
-    p.add_argument("--channels", type=_positive_int)
-    p.add_argument("--dofs", nargs="+", type=Dof)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=_non_negative_float)
-    p.add_argument("--seed", type=_non_negative_int)
-    p.add_argument("--per-action", dest="per_action", type=_positive_int)
-    p.add_argument("--angle-min", dest="angle_min", type=_positive_float)
-    p.add_argument("--angle-max", dest="angle_max", type=_positive_float)
-    p.add_argument("--blocks", type=_positive_int)
-    p.add_argument("--windows", type=_positive_int)
-    p.add_argument("--geometry", choices=_GEOMETRIES)
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_synth)
+    _add_settings(p, "channels", "dofs", "noise_sigma", "seed", "per_action", "angle_min",
+                  "angle_max", "blocks", "windows", "geometry")
+    p.add_argument("--config", metavar="FILE", help="flat key=value settings file")
+    p.set_defaults(func=_cmd_synth, parser=p)
 
     p = sub.add_parser("train", help="learn measurement operators from a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dofs", nargs="+", type=Dof)
     p.add_argument("--size", type=_positive_int, help="samples per action (default: all)")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_train)
+    _add_settings(p, "dofs", "rest_threshold", "overlap_epsilon")
+    p.add_argument("--config", metavar="FILE", help="flat key=value settings file")
+    p.set_defaults(func=_cmd_train, parser=p)
 
     p = sub.add_parser("decode", help="decode feature windows or a raw recording")
     p.add_argument("--model", required=True)
@@ -409,45 +402,42 @@ def build_parser() -> _Parser:
     group.add_argument("--data", help="feature dataset CSV")
     group.add_argument("--raw", help="raw recording CSV (ch1..chN)")
     p.add_argument("--out", required=True)
-    p.add_argument("--sample-rate", dest="sample_rate", type=_positive_float)
-    p.add_argument("--window-ms", dest="window_ms", type=_positive_float)
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_decode)
+    _add_settings(p, "sample_rate", "window_ms", "rest_threshold", "overlap_epsilon")
+    p.add_argument("--config", metavar="FILE", help="flat key=value settings file")
+    p.set_defaults(func=_cmd_decode, parser=p)
 
     p = sub.add_parser("evaluate", help="score a model or run a sized experiment")
     p.add_argument("--test", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model")
-    group.add_argument("--train-data", dest="train_data")
-    p.add_argument("--sizes", nargs="+", type=_positive_int)
-    p.add_argument("--dofs", nargs="+", type=Dof)
-    p.add_argument("--seed", type=_non_negative_int)
-    p.add_argument("--report-out", dest="report_out")
-    p.add_argument("--csv-out", dest="csv_out")
-    p.add_argument("--decode-out", dest="decode_out")
-    _add_config_options(p)
-    p.add_argument("--block-vote", dest="block_vote", choices=experiment.BLOCK_VOTES)
-    p.set_defaults(func=_cmd_evaluate)
+    group.add_argument("--train-data")
+    p.add_argument("--report-out")
+    p.add_argument("--csv-out")
+    p.add_argument("--decode-out")
+    _add_settings(p, "sizes", "dofs", "seed", "rest_threshold", "overlap_epsilon", "block_vote")
+    p.add_argument("--config", metavar="FILE", help="flat key=value settings file")
+    p.set_defaults(func=_cmd_evaluate, parser=p)
 
     p = sub.add_parser("learning-curve", help="prototype overlap vs training size")
     p.add_argument("--data", required=True)
-    p.add_argument("--sizes", nargs="+", type=_positive_int, required=True)
-    p.add_argument("--dofs", nargs="+", type=Dof)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_learning_curve)
+    _add_settings(p, "sizes", required=True)
+    _add_settings(p, "dofs")
+    p.set_defaults(func=_cmd_learning_curve, parser=p)
 
     p = sub.add_parser("inspect-model", help="print operator spectra and overlaps")
     p.add_argument("--model", required=True)
-    p.set_defaults(func=_cmd_inspect_model)
+    p.set_defaults(func=_cmd_inspect_model, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported by the command's own parser, as its other usage errors
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        code = args.func(parser, args)
+        code = args.func(args.parser, args)
         sys.stdout.flush()  # a reader that left early shows here when stdout is buffered
         return code
     except BrokenPipeError:

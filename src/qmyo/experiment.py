@@ -161,7 +161,7 @@ def run_experiment(
         )
     table = training_table(train_ds)
     dofs = list(cfg.dofs) if cfg.dofs is not None else table.dofs()
-    pool = table.rows(np.isin(table.dof_index, [DOFS.index(dof) for dof in dofs]))
+    pool = table.of_dofs(dofs)
     results = []
     for size in cfg.training_sizes:
         model = train_table(subset_per_action(pool, size), dofs=dofs, config=cfg.decode)

@@ -178,18 +178,21 @@ class ControllerModel:
     """All per-DOF operator sets plus the decode configuration."""
 
     dofs: dict[Dof, DofOperators]
-    n_channels: int
     decode_config: DecodeConfig = field(default_factory=DecodeConfig)
 
     def __post_init__(self):
         if not self.dofs:
             raise InsufficientTrainingError("model has no trained DOFs")
+        first = min(self.dofs)
         for dof, ops in self.dofs.items():
-            if ops.dim != self.n_channels:
-                raise DimensionError(
-                    f"{dof.value}: operators are {ops.dim}-dimensional, "
-                    f"model expects {self.n_channels} channels"
-                )
+            if ops.dim != self.dofs[first].dim:
+                raise DimensionError(f"{dof.value}: operators are {ops.dim}-dimensional, "
+                                     f"{first.value}'s are {self.dofs[first].dim}-dimensional")
+
+    @cached_property
+    def n_channels(self) -> int:
+        """The prototypes' dimension, which every DOF shares."""
+        return next(iter(self.dofs.values())).dim
 
     def sorted_dofs(self) -> list[Dof]:
         return sorted(self.dofs)
@@ -250,6 +253,10 @@ class TrainingTable(NamedTuple):
     def rows(self, index) -> "TrainingTable":
         """The rows a mask, slice or index array selects, in order."""
         return TrainingTable(*(column[index] for column in self))
+
+    def of_dofs(self, dofs) -> "TrainingTable":
+        """The rows of the given DOFs, in order."""
+        return self.rows(np.isin(self.dof_index, [DOFS.index(dof) for dof in dofs]))
 
     def dofs(self, rows=slice(None)) -> list[Dof]:
         """DOFs with at least one of the selected rows, sorted."""
@@ -375,11 +382,7 @@ def train_table(
             theta_pos_max=float(magnitude[pos].max()),
             theta_neg_max=float(magnitude[neg].max()),
         )
-    return ControllerModel(
-        dofs=trained,
-        n_channels=features.shape[1],
-        decode_config=config if config is not None else DecodeConfig(),
-    )
+    return ControllerModel(trained, config if config is not None else DecodeConfig())
 
 
 def overlap_curve(
@@ -477,7 +480,7 @@ def _stored_prototype(values, key: str) -> QuantumState:
 
 def model_from_dict(doc: dict) -> ControllerModel:
     """Model from a format-3 document, whose version is the JSON int 3. The stored
-    overlap must match the prototypes; a fault in a DOF's entry names the DOF."""
+    overlap and channel count must match the prototypes; a fault in a DOF's entry names the DOF."""
     version = _object(doc, "top level")["format_version"]
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
@@ -501,7 +504,10 @@ def model_from_dict(doc: dict) -> ControllerModel:
     n_channels = doc["n_channels"]
     if type(n_channels) is not int:  # JSON true is a bool, 8.5 and Infinity are floats
         raise ValueError(f"n_channels must be an integer, got {n_channels!r}")
-    return ControllerModel(dofs=dofs, n_channels=n_channels, decode_config=cfg)
+    model = ControllerModel(dofs, cfg)
+    if n_channels != model.n_channels:
+        raise ValueError(f"n_channels is {n_channels}, the prototypes have {model.n_channels}")
+    return model
 
 
 def save_model(model: ControllerModel, path) -> None:

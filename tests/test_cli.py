@@ -1,5 +1,6 @@
 """Command-line interface behavior and exit codes."""
 
+import argparse
 import copy
 import itertools
 import json
@@ -13,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmyo.cli import main
+from qmyo.cli import build_parser, main
 from qmyo.features import save_recording
 from qmyo.operators import (
+    DOFS,
     Direction,
     Dof,
     load_model,
@@ -23,15 +25,22 @@ from qmyo.operators import (
     save_model,
     train,
 )
-from qmyo.synthetic import generate_raw_emg, generate_training_set, orthogonal_mixing_model
+from qmyo.synthetic import (
+    default_mixing_model,
+    generate_raw_emg,
+    generate_training_set,
+    generate_training_table,
+    orthogonal_mixing_model,
+)
 from qmyo.datasets import (
     from_training_samples,
+    from_training_table,
     load_feature_dataset,
     save_feature_dataset,
     training_table,
 )
 from qmyo.features import FeatureKind, FeatureVector
-from qmyo.operators import TrainingSample
+from qmyo.operators import TrainingSample, TrainingTable
 
 D1 = Dof.FLEXION_EXTENSION
 DATA = Path(__file__).parent / "data"
@@ -153,6 +162,95 @@ class TestSmokePath:
         assert "theta_positive_max" in out
 
 
+# Each subcommand's flags as the parser held them when every flag was written out by
+# hand: option -> (dest, nargs, type name, choices, required, default); and its
+# mutually exclusive groups as (options, required).
+_PARSER_SHAPE = {
+    "synth": ({
+        "--train-out": ("train_out", None, None, None, True, None),
+        "--test-out": ("test_out", None, None, None, True, None),
+        "--channels": ("channels", None, "positive int", None, False, None),
+        "--dofs": ("dofs", "+", "Dof", None, False, None),
+        "--noise-sigma": ("noise_sigma", None, "non-negative float", None, False, None),
+        "--seed": ("seed", None, "non-negative int", None, False, None),
+        "--per-action": ("per_action", None, "positive int", None, False, None),
+        "--angle-min": ("angle_min", None, "positive float", None, False, None),
+        "--angle-max": ("angle_max", None, "positive float", None, False, None),
+        "--blocks": ("blocks", None, "positive int", None, False, None),
+        "--windows": ("windows", None, "positive int", None, False, None),
+        "--geometry": ("geometry", None, None, ("masking", "orthogonal"), False, None),
+        "--config": ("config", None, None, None, False, None),
+    }, []),
+    "train": ({
+        "--data": ("data", None, None, None, True, None),
+        "--out": ("out", None, None, None, True, None),
+        "--dofs": ("dofs", "+", "Dof", None, False, None),
+        "--size": ("size", None, "positive int", None, False, None),
+        "--config": ("config", None, None, None, False, None),
+        "--rest-threshold": ("rest_threshold", None, "non-negative float", None, False, None),
+        "--overlap-epsilon": ("overlap_epsilon", None, "(0, 1) float", None, False, None),
+    }, []),
+    "decode": ({
+        "--model": ("model", None, None, None, True, None),
+        "--data": ("data", None, None, None, False, None),
+        "--raw": ("raw", None, None, None, False, None),
+        "--out": ("out", None, None, None, True, None),
+        "--sample-rate": ("sample_rate", None, "positive float", None, False, None),
+        "--window-ms": ("window_ms", None, "positive float", None, False, None),
+        "--config": ("config", None, None, None, False, None),
+        "--rest-threshold": ("rest_threshold", None, "non-negative float", None, False, None),
+        "--overlap-epsilon": ("overlap_epsilon", None, "(0, 1) float", None, False, None),
+    }, [(("--data", "--raw"), True)]),
+    "evaluate": ({
+        "--test": ("test", None, None, None, True, None),
+        "--model": ("model", None, None, None, False, None),
+        "--train-data": ("train_data", None, None, None, False, None),
+        "--sizes": ("sizes", "+", "positive int", None, False, None),
+        "--dofs": ("dofs", "+", "Dof", None, False, None),
+        "--seed": ("seed", None, "non-negative int", None, False, None),
+        "--report-out": ("report_out", None, None, None, False, None),
+        "--csv-out": ("csv_out", None, None, None, False, None),
+        "--decode-out": ("decode_out", None, None, None, False, None),
+        "--config": ("config", None, None, None, False, None),
+        "--rest-threshold": ("rest_threshold", None, "non-negative float", None, False, None),
+        "--overlap-epsilon": ("overlap_epsilon", None, "(0, 1) float", None, False, None),
+        "--block-vote": ("block_vote", None, None, ("majority", "any", "all"), False, None),
+    }, [(("--model", "--train-data"), True)]),
+    "learning-curve": ({
+        "--data": ("data", None, None, None, True, None),
+        "--sizes": ("sizes", "+", "positive int", None, True, None),
+        "--dofs": ("dofs", "+", "Dof", None, False, None),
+        "--out": ("out", None, None, None, False, None),
+    }, []),
+    "inspect-model": ({
+        "--model": ("model", None, None, None, True, None),
+    }, []),
+}
+
+
+def _subparsers():
+    """Each subcommand's parser by name."""
+    [action] = [action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(_PARSER_SHAPE))
+def test_parser_accepts_the_same_flags(command):
+    assert list(_subparsers()) == list(_PARSER_SHAPE)
+    sub = _subparsers()[command]
+    flags = {}
+    for action in sub._actions:
+        if not isinstance(action, argparse._HelpAction):
+            [option] = action.option_strings
+            flags[option] = (action.dest, action.nargs, getattr(action.type, "__name__", None),
+                             None if action.choices is None else tuple(action.choices),
+                             action.required, action.default)
+    groups = [(tuple(action.option_strings[0] for action in group._group_actions), group.required)
+              for group in sub._mutually_exclusive_groups]
+    assert (flags, groups) == _PARSER_SHAPE[command]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -167,9 +265,12 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_directory_path_is_usage_error(self, tmp_path, capsys):
-        for flags in (["--out", tmp_path], ["--out", tmp_path / "m.json", "--config", tmp_path]):
-            assert run("train", "--data", V1_TRAIN, *flags) == 1
-            assert capsys.readouterr().err.splitlines() == [f"qmyo: Is a directory: {tmp_path}"]
+        assert run("train", "--data", V1_TRAIN, "--out", tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [f"qmyo: Is a directory: {tmp_path}"]
+        # an input flag, --config too, must name a file
+        line = self.usage_error(capsys, ["train", "--data", V1_TRAIN, "--out", tmp_path / "m.json",
+                                         "--config", tmp_path])
+        assert line == f"qmyo train: error: file not found: {tmp_path}"
 
     @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
     @pytest.mark.parametrize("command", ["synth", "evaluate"])
@@ -221,14 +322,14 @@ class TestExitCodes:
 
     def test_decode_takes_no_block_vote(self, tmp_path, capsys):
         line = self.usage_error(capsys, self.argv("decode", tmp_path, "--block-vote", "any"))
-        assert line == "qmyo: error: unrecognized arguments: --block-vote any"
+        assert line == "qmyo decode: error: unrecognized arguments: --block-vote any"
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("block_vote = any\n")  # one config file serves every command
         assert run(*self.argv("decode", tmp_path, "--config", cfg)) == 0
 
     def test_train_takes_no_block_vote(self, tmp_path, capsys):
         line = self.usage_error(capsys, self.argv("train", tmp_path, "--block-vote", "any"))
-        assert line == "qmyo: error: unrecognized arguments: --block-vote any"
+        assert line == "qmyo train: error: unrecognized arguments: --block-vote any"
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("block_vote = any\n")  # accepted, and not written to the model
         assert run(*self.argv("train", tmp_path, "--config", cfg)) == 0
@@ -327,7 +428,7 @@ class TestExitCodes:
         argv = ["decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv"]
         message = "a 1.0 ms window spans under 2 samples at 1024.0 Hz"
         assert self.usage_error(capsys, argv + ["--window-ms", 1]) == (
-            f"qmyo: error: argument --window-ms: {message}")
+            f"qmyo decode: error: argument --window-ms: {message}")
         cfg.write_text("seed = 1\nwindow_ms = 1\n")
         assert self.data_error(capsys, argv + ["--config", cfg]) == f"{cfg}:2: {message}"
         assert not (tmp_path / "d.csv").exists()
@@ -349,7 +450,7 @@ class TestExitCodes:
             assert self.data_error(capsys, argv) == f"{cfg}:1: {message}"
         else:
             line = self.usage_error(capsys, argv)
-            assert line == f"qmyo: error: argument --window-ms: {message}"
+            assert line == f"qmyo decode: error: argument --window-ms: {message}"
         assert not (tmp_path / "d.csv").exists()
 
     def test_zero_size_is_usage_error(self, tmp_path, capsys):
@@ -423,7 +524,7 @@ class TestExitCodes:
             run(*argv)
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and err.startswith("usage: qmyo")
+        assert "Traceback" not in err and err.startswith(f"usage: qmyo {argv[0]} ")
         [line] = [line for line in err.splitlines() if line.startswith("qmyo")]
         return line
 
@@ -519,14 +620,16 @@ class TestExitCodes:
 
     def test_decreasing_learning_curve_sizes_are_usage_error(self, tmp_path, capsys):
         line = self.usage_error(capsys, ["learning-curve", "--data", V1_TRAIN, "--sizes", 10, 5])
-        assert line == "qmyo: error: argument --sizes: must be strictly increasing, got 10 5"
+        assert line == ("qmyo learning-curve: error: "
+                        "argument --sizes: must be strictly increasing, got 10 5")
 
     @pytest.mark.parametrize("sizes", [[150, 50], [50, 50]])
     def test_unsorted_evaluate_sizes_are_usage_error(self, tmp_path, capsys, sizes):
         line = self.usage_error(capsys, ["evaluate", "--test", V1_TRAIN, "--train-data", V1_TRAIN,
                                          "--decode-out", tmp_path / "d.csv", "--sizes", *sizes])
         got = " ".join(map(str, sizes))
-        assert line == f"qmyo: error: argument --sizes: must be strictly increasing, got {got}"
+        assert line == ("qmyo evaluate: error: "
+                        f"argument --sizes: must be strictly increasing, got {got}")
         assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize(
@@ -545,7 +648,8 @@ class TestExitCodes:
                          out, *flags)
         line = self.usage_error(capsys, argv)
         mode = "model" if command == "evaluate" else "data"
-        assert line == f"qmyo: error: argument {flags[0]}: not allowed with argument --{mode}"
+        assert line == (f"qmyo {command}: error: "
+                        f"argument {flags[0]}: not allowed with argument --{mode}")
         assert not out.exists()
 
     def test_config_keys_a_mode_never_reads_stay_accepted(self, tmp_path, capsys):
@@ -584,7 +688,8 @@ class TestExitCodes:
     def test_repeated_flag_dof_is_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         line = self.usage_error(capsys, self.dof_argv(command, out) + ["--dofs", "d1", "d3", "d1"])
-        assert line == "qmyo: error: argument --dofs: names a DOF more than once, got d1 d3 d1"
+        assert line == (f"qmyo {command}: error: "
+                        "argument --dofs: names a DOF more than once, got d1 d3 d1")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -627,7 +732,8 @@ class TestExitCodes:
         cfg.write_text("channels = 12\n")
         line = self.usage_error(capsys, self.argv("synth", tmp_path, "--config", cfg,
                                                   "--dofs", "d1", "d2", "d3", "d3"))
-        assert line == "qmyo: error: argument --dofs: names a DOF more than once, got d1 d2 d3 d3"
+        assert line == ("qmyo synth: error: "
+                        "argument --dofs: names a DOF more than once, got d1 d2 d3 d3")
         line = self.usage_error(capsys, self.argv("synth", tmp_path, "--config", cfg,
                                                   "--channels", 8, "--dofs", "d1", "d2", "d3"))
         assert line.endswith("--channels: 8 channels cannot host 6 disjoint dominant pairs")
@@ -642,6 +748,61 @@ class TestExitCodes:
         save_feature_dataset(ds, csv_path)
         assert run("train", "--data", csv_path, "--out", tmp_path / "m.json") == 2
         capsys.readouterr()
+
+
+# Each command with one path or setting broken, and its stderr: an output in a missing
+# directory; an input that is missing (the last one read, so every input is checked
+# first); or a setting that breaks its rule. Nothing may be read or generated.
+_BEFORE_WORK = [
+    ("synth --train-out {tmp}/a.csv --test-out {bad}", "output"),
+    ("synth --train-out {tmp}/a.csv --test-out {tmp}/b.csv --config {bad}", "input"),
+    ("train --data {data} --out {bad}", "output"),
+    ("train --data {data} --out {tmp}/m.json --config {bad}", "input"),
+    ("train --data {data} --out {tmp}/m.json --dofs d1 d1",
+     "argument --dofs: names a DOF more than once, got d1 d1"),
+    ("decode --model {model} --data {data} --out {bad}", "output"),
+    ("decode --model {model} --data {bad} --out {tmp}/d.csv", "input"),
+    ("decode --model {model} --raw {data} --out {bad}", "output"),
+    ("decode --model {model} --raw {bad} --out {tmp}/d.csv", "input"),
+    ("decode --model {model} --raw {data} --out {tmp}/d.csv --window-ms 1",
+     "argument --window-ms: a 1.0 ms window spans under 2 samples at 1024.0 Hz"),
+    ("evaluate --test {data} --model {model} --report-out {tmp}/r.txt --decode-out {bad}", "output"),
+    ("evaluate --test {data} --model {bad}", "input"),
+    ("evaluate --test {data} --train-data {data} --csv-out {bad}", "output"),
+    ("evaluate --test {data} --train-data {bad}", "input"),
+    ("evaluate --test {data} --train-data {data} --sizes 5 3",
+     "argument --sizes: must be strictly increasing, got 5 3"),
+    ("evaluate --test {data} --train-data {data} --dofs d3 d3",
+     "argument --dofs: names a DOF more than once, got d3 d3"),
+    ("learning-curve --data {data} --sizes 2 --out {bad}", "output"),
+    ("learning-curve --data {bad} --sizes 2", "input"),
+    ("inspect-model --model {bad}", "input"),
+]
+
+
+@pytest.mark.parametrize("command, fault", _BEFORE_WORK)
+def test_every_check_runs_before_any_file_is_read(tmp_path, monkeypatch, capsys, command, fault):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read or generated data before the argument checks")
+
+    for module, name in [("datasets", "load_feature_dataset"), ("operators", "load_model"),
+                         ("features", "load_recording"), ("synthetic", "generate_training_table")]:
+        monkeypatch.setattr(f"qmyo.{module}.{name}", forbidden)
+    bad = tmp_path / "missing" / "x.csv" if fault == "output" else tmp_path / "absent.csv"
+    argv = command.format(tmp=tmp_path, bad=bad, data=V1_TRAIN, model=V3_MODEL).split()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if fault == "output":
+        want = [f"qmyo: file not found: {bad}"]
+    else:
+        usage = _subparsers()[argv[0]].format_usage().splitlines()
+        message = f"file not found: {bad}" if fault == "input" else fault
+        want = usage + [f"qmyo {argv[0]}: error: {message}"]
+    assert (code, out, err.splitlines()) == (1, "", want)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -1189,6 +1350,27 @@ def test_train_and_evaluate_resolve_dofs_flag_then_config_then_data(
     assert run("evaluate", "--test", three_dof_train_csv, "--train-data", three_dof_train_csv,
                "--sizes", 10, "--config", cfg, *flags) == 0
     assert f"dofs: {want}\n" in capsys.readouterr().out
+
+
+def test_train_dofs_subsets_and_counts_only_their_rows(tmp_path, capsys):
+    """With --dofs, --size and the printed count take the named DOFs' rows alone: d3's
+    short supply is not refused, and the model is the one d1's rows alone give."""
+    mixing = default_mixing_model(noise_sigma=0.1, seed=4)
+    d1_rows, d3_rows = (table.rows(table.dof_index == DOFS.index(dof)) for table, dof in (
+        (generate_training_table(mixing, 40), D1),
+        (generate_training_table(mixing, 20), Dof.PRONATION_SUPINATION)))
+    printed, models = [], []
+    for name, table in (("both", TrainingTable(*map(np.concatenate, zip(d1_rows, d3_rows)))),
+                        ("d1", d1_rows)):
+        data, model_json = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        save_feature_dataset(from_training_table(table), data)
+        for size, count in ((["--size", 30], 60), ([], 80)):
+            assert run("train", "--data", data, "--out", model_json, "--dofs", "d1", *size) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"trained 1 DOF(s) on {count} samples -> {model_json}\n")
+            printed.append(out.replace(str(model_json), "m.json"))
+        models.append(model_json.read_bytes())
+    assert printed[:2] == printed[2:] and models[0] == models[1]
 
 
 def test_three_dof_synth_train_evaluate(tmp_path, capsys):

@@ -79,7 +79,7 @@ def orthogonal_model(n_dofs=2, theta=40.0, n_channels=None, config=None):
 
 def decide(state, ops, cfg=DecodeConfig()):
     """One DOF's decision on a state (non-negative amplitudes), from a one-row batch."""
-    model = ControllerModel({D1: ops}, ops.dim, cfg)
+    model = ControllerModel({D1: ops}, cfg)
     return decode_batch(state.amplitudes[None, :], model).action(0).per_dof[D1]
 
 
@@ -516,7 +516,7 @@ class TestDecodeBatch:
     def test_overlap_guard_edge(self):
         # 1 - ε is exact for ε = 1 - o with o >= 0.5, so the guard meets the
         # overlap itself; the next ε down puts 1 - ε one ulp above it
-        model = ControllerModel({D1: triple(unit(1.0, 0.0), unit(1.0, 1e-3))}, 2)
+        model = ControllerModel({D1: triple(unit(1.0, 0.0), unit(1.0, 1e-3))})
         overlap = model.dofs[D1].overlap
         above = np.nextafter(overlap, 1.0)
         edge, safe = 1.0 - overlap, 1.0 - above
@@ -534,7 +534,7 @@ class TestDecodeBatch:
     def test_degenerate_model_refuses_every_decode(self):
         """The decode tables are built, and their overlap margin checked, once per
         model; a model that fails the check is refused again on each later call."""
-        model = ControllerModel({D1: triple(unit(1.0, 0.0), unit(1.0, 1e-9))}, 2)
+        model = ControllerModel({D1: triple(unit(1.0, 0.0), unit(1.0, 1e-9))})
         window = FeatureVector(np.array([1.0, 1.0]), FeatureKind.MAV)
         for _ in range(2):
             with pytest.raises(DegenerateOperatorsError, match="leaves no margin"):
@@ -588,7 +588,7 @@ def kernel_cases(draw):
         epsilon = 1.0 - float(np.nextafter(overlap, 1.0))  # exact, as overlap >= 0.5
     assume(epsilon > 0.0)
     threshold = draw(st.sampled_from([0.0, 0.05, 1.0 - 1e-9, None]), label="rest threshold")
-    model = ControllerModel(dofs, n_channels, DecodeConfig(threshold or 0.0, epsilon))
+    model = ControllerModel(dofs, DecodeConfig(threshold or 0.0, epsilon))
     prototypes = [p.amplitudes for ops in dofs.values() for p in (ops.proto_pos, ops.proto_neg)]
     rows = []
     kinds = ["random", "prototype", "zero", "sparse", "negative zero", "subnormal", "e0", "tie"]
@@ -669,7 +669,7 @@ class TestFloatKernel:
         """size·θ / (1 − overlap) past float range is inf: a moving DOF clamps it to θ
         without a warning, and a resting DOF is at +0.0, in both kernels."""
         proto_neg = QuantumState(np.array([0.99, math.sqrt(1.0 - 0.99**2)]))
-        model = ControllerModel({D1: triple(unit(1.0, 0.0), proto_neg, 1e308, 1e308)}, 2,
+        model = ControllerModel({D1: triple(unit(1.0, 0.0), proto_neg, 1e308, 1e308)},
                                 DecodeConfig(0.05, 1e-6))
         features = np.array([[1.0, 1.0], [0.9, 0.2]])
         batch = decode_batch(features, model)  # a warning fails the test

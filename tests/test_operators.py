@@ -536,9 +536,21 @@ class TestModelValidation:
             DecodeConfig(rest_threshold=10**400)
 
     def test_model_requires_matching_dimensions(self):
-        model = random_model(np.random.default_rng(1), n_channels=4)
-        with pytest.raises(DimensionError):
-            ControllerModel(dofs=model.dofs, n_channels=5)
+        """The channel count is the prototypes' dimension, which every DOF must share."""
+        narrow, wide = (random_model(np.random.default_rng(1), n_channels=n) for n in (4, 5))
+        assert ControllerModel({D1: narrow.dofs[D1]}).n_channels == 4
+        with pytest.raises(DimensionError,
+                           match=r"^d3: operators are 5-dimensional, d1's are 4-dimensional$"):
+            ControllerModel({D3: wide.dofs[D1], D1: narrow.dofs[D1]})
+
+    @pytest.mark.parametrize("stored", [3, 5])
+    def test_stored_channel_count_must_match_the_prototypes(self, tmp_path, stored):
+        doc = model_to_dict(random_model(np.random.default_rng(2), n_channels=4, dofs=(D1, D3)))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc | {"n_channels": stored}))
+        with pytest.raises(ModelFileError,
+                           match=rf": n_channels is {stored}, the prototypes have 4$"):
+            load_model(path)
 
 
 class TestPersistence:

@@ -181,7 +181,7 @@ def reference_train(samples, n_channels, dofs=None):
             theta_pos_max=max(s.angle for s in pos),
             theta_neg_max=max(s.angle for s in neg),
         )
-    return ControllerModel(dofs=trained, n_channels=n_channels, decode_config=DecodeConfig())
+    return ControllerModel(dofs=trained, decode_config=DecodeConfig())
 
 
 @contextlib.contextmanager
