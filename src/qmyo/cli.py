@@ -101,7 +101,7 @@ def _read_config(path) -> tuple[dict, dict]:
     """Typed settings of a flat ``key = value`` file, and the line of each."""
     settings, lines = {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(undecodable(path, exc)) from None
@@ -216,21 +216,21 @@ def _cmd_synth(parser: _Parser, args) -> int:
     dofs, channels = settings.dofs() or settings.get("dofs"), settings.get("channels")
     low, high = settings.get("angle_min"), settings.get("angle_max")
     blocks, windows = settings.get("blocks"), settings.get("windows")
+    build = {"masking": synthetic.default_mixing_model,
+             "orthogonal": synthetic.orthogonal_mixing_model}[settings.get("geometry")]
+    try:  # the geometry's own rule for how many channels its DOFs need
+        model = build(n_channels=channels, dofs=dofs, noise_sigma=settings.get("noise_sigma"),
+                      seed=settings.get("seed"))
+    except ValueError as exc:
+        settings.require(False, str(exc), "channels", "dofs")
     for ok, message, *names in [
         (len(dofs) > 1, "needs two or more distinct DOFs", "dofs"),
-        (channels >= 4 * len(dofs),
-         f"{channels} channels cannot host {2 * len(dofs)} disjoint dominant pairs",
-         "channels", "dofs"),
         (low < high, f"angle_min {low!r} is not below angle_max {high!r}",
          "angle_min", "angle_max"),
         (blocks <= windows, f"cannot spread {windows} windows over {blocks} blocks",
          "blocks", "windows"),
     ]:
         settings.require(ok, message, *names)
-    build = {"masking": synthetic.default_mixing_model,
-             "orthogonal": synthetic.orthogonal_mixing_model}[settings.get("geometry")]
-    model = build(n_channels=channels, dofs=dofs, noise_sigma=settings.get("noise_sigma"),
-                  seed=settings.get("seed"))
     table = synthetic.generate_training_table(model, settings.get("per_action"), (low, high))
     train_ds = datasets.from_training_table(table, source="synthetic")
     datasets.save_feature_dataset(train_ds, args.train_out)
@@ -285,10 +285,11 @@ def _cmd_decode(parser: _Parser, args) -> int:
     _check_paths(parser, args, ["model", "data", "raw", "config"], ["out"])
     settings = _Settings(parser, args)
     rate, window_ms = settings.get("sample_rate"), settings.get("window_ms")
-    length = window_ms * rate / 1000.0
-    settings.require(args.data is not None or 2 <= length < math.inf,
-                     f"a {window_ms} ms window spans {'under 2' if length < 2 else 'unbounded'} "
-                     f"samples at {rate} Hz", "window_ms", "sample_rate")
+    if args.raw is not None:
+        try:
+            features.window_length(window_ms, rate)
+        except ValueError as exc:
+            settings.require(False, str(exc), "window_ms", "sample_rate")
     model = _load_model(args, settings)
     windows = (datasets.load_feature_dataset(args.data).features if args.data
                else _mav_rows(args.raw, rate, window_ms))

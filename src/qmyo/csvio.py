@@ -74,7 +74,7 @@ def _read_fast(path, check_header, parsers):
         for n_lines, line in enumerate(chain([first], fh), 1):
             yield line
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header, first = fh.readline(), fh.readline()
             cells = [cell.strip() for cell in header.rstrip("\r\n").split(",")]
@@ -88,11 +88,7 @@ def _read_fast(path, check_header, parsers):
             rows = np.loadtxt(lines(first, fh), dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:  # also text that does not decode, which the csv reader reports
             return None
-    tails = [rows[f"tail{k}"].tolist() for k in range(n_tail)]
-    # a copy frees the record array before callers allocate what they keep; a hole
-    # left below that raised cli-pipeline's peak RSS by 3 MB in about half the runs
-    floats = rows["floats"].copy()
-    del rows
+    tails, floats = [rows[f"tail{k}"].tolist() for k in range(n_tail)], rows["floats"]
     if len(floats) != n_lines or any('"' in cell for column in tails for cell in set(column)):
         return None
     try:  # each distinct cell is parsed once
@@ -113,7 +109,7 @@ def _read_rows(path, check_header, parsers):
     say) raise DatasetParseError naming the line.
     """
     floats, tails, lines = [], [[] for _ in parsers], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             if (header := next(reader, None)) is None:

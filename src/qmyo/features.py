@@ -70,22 +70,22 @@ class FeatureVector:
         return self.values.shape[0]
 
 
+def window_length(window_ms: float, sample_rate: float) -> int:
+    """Whole samples in a window, floored; ValueError if under 2 or unboundedly many."""
+    if not 2 <= (length := window_ms * sample_rate / 1000.0) < np.inf:
+        span = "unbounded" if length >= 2 else "under 2"
+        raise ValueError(f"a {window_ms} ms window spans {span} samples at {sample_rate} Hz")
+    return int(length)
+
+
 def segment_windows(rec: EmgRecording, window_ms: float) -> np.ndarray:
     """Cut a recording into consecutive, non-overlapping windows: one
     (n_windows, window_len, n_channels) array, a view of C-ordered samples.
 
-    The window length is floored to whole samples and a trailing partial
+    The window length is :func:`window_length`'s, and a trailing partial
     window is dropped rather than padded.
     """
-    if not window_ms > 0:
-        raise ValueError(f"window_ms must be > 0, got {window_ms}")
-    if not 2 <= (length := window_ms * rec.sample_rate / 1000.0) < np.inf:
-        raise ValueError(
-            f"window of {window_ms} ms spans {length!r} samples at "
-            f"{rec.sample_rate} Hz; need at least 2 and finitely many"
-        )
-    window_len = int(length)
-    if rec.n_samples < window_len:
+    if rec.n_samples < (window_len := window_length(window_ms, rec.sample_rate)):
         raise EmptyInputError(
             f"recording has {rec.n_samples} samples, shorter than one "
             f"{window_len}-sample window"

@@ -520,7 +520,7 @@ def load_model(path) -> ControllerModel:
     """Read a model file; anything wrong with its contents raises
     :class:`ModelFileError` naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return model_from_dict(json.load(fh))
     except (ValueError, LookupError, TypeError, AttributeError, OverflowError, QmyoError) as exc:
         raise ModelFileError(f"{path}: {_reason(exc)}") from exc

@@ -1,6 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
 import argparse
+import codecs
 import copy
 import itertools
 import json
@@ -421,10 +422,19 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "argument --window-ms: invalid positive float value: '0'" in capsys.readouterr().err
 
-    def test_window_under_two_samples_is_data_error(self, tmp_path, capsys):
+    @staticmethod
+    def forbid_loads(monkeypatch):
+        """Make reading the model or the recording fail the test."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read a file before the window check")
+        monkeypatch.setattr("qmyo.operators.load_model", forbidden)
+        monkeypatch.setattr("qmyo.features.load_recording", forbidden)
+
+    def test_window_under_two_samples_is_data_error(self, tmp_path, monkeypatch, capsys):
         """A flag's window is a usage error; the same window from a config file is a data error."""
         raw_csv, cfg = tmp_path / "raw.csv", tmp_path / "settings.cfg"
         save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
+        self.forbid_loads(monkeypatch)
         argv = ["decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv"]
         message = "a 1.0 ms window spans under 2 samples at 1024.0 Hz"
         assert self.usage_error(capsys, argv + ["--window-ms", 1]) == (
@@ -439,10 +449,11 @@ class TestExitCodes:
          "a 1e+200 ms window spans unbounded samples at 1e+200 Hz"),
         (["--config", None], "a 1e+308 ms window spans unbounded samples at 1024.0 Hz"),
     ])
-    def test_unbounded_window_is_data_error(self, tmp_path, capsys, flags, message):
+    def test_unbounded_window_is_data_error(self, tmp_path, monkeypatch, capsys, flags, message):
         """Exit 2 naming the file line when a config file sets the window, else exit 1."""
         raw_csv, cfg = tmp_path / "raw.csv", tmp_path / "settings.cfg"
         save_recording(generate_raw_emg(orthogonal_mixing_model(seed=2), {D1: 25.0}, 0.1), raw_csv)
+        self.forbid_loads(monkeypatch)
         cfg.write_text("window_ms = 1e308\n")  # read where the flags name no file
         argv = ["decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", tmp_path / "d.csv",
                 *[cfg if flag is None else flag for flag in flags]]
@@ -577,6 +588,9 @@ class TestExitCodes:
             ("synth", ["--noise-sigma", -1],
              "argument --noise-sigma: invalid non-negative float value: '-1'"),
             ("synth", ["--seed", -1], "argument --seed: invalid non-negative int value: '-1'"),
+            pytest.param("synth", ["--geometry", "orthogonal", "--channels", 7],
+                         "argument --channels: 7 channels cannot host 4 disjoint pairs",
+                         id="synth-orthogonal-channels"),
         ],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, command, flags, message):
@@ -586,6 +600,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["dataset", "recording", "config"])
     def test_undecodable_byte_is_data_error(self, tmp_path, capsys, kind):
+        self.check_undecodable(tmp_path, capsys, kind, b"")
+
+    @pytest.mark.parametrize("kind", ["dataset", "recording", "config"])
+    def test_undecodable_byte_after_a_byte_order_mark_keeps_its_line(self, tmp_path, capsys, kind):
+        self.check_undecodable(tmp_path, capsys, kind, codecs.BOM_UTF8)
+
+    def check_undecodable(self, tmp_path, capsys, kind, prefix):
+        """A 0xff byte on one line of a ``kind`` input that starts with ``prefix``."""
         bad = tmp_path / "bad.txt"
         if kind == "dataset":
             text, bad_line = V1_TRAIN.read_bytes(), 5
@@ -602,7 +624,7 @@ class TestExitCodes:
             argv = self.argv("train", tmp_path, "--config", bad)
         lines = text.split(b"\n")
         lines[bad_line - 1] = lines[bad_line - 1].replace(b".", b"\xff", 1)
-        bad.write_bytes(b"\n".join(lines))
+        bad.write_bytes(prefix + b"\n".join(lines))
         line = self.data_error(capsys, argv)
         assert line == f"{bad}:{bad_line}: not utf-8 text (invalid start byte, byte 0xff)"
 
@@ -713,6 +735,8 @@ class TestExitCodes:
             ("evaluate", "block_vote = most", "must be one of majority, any, all, got most"),
             ("synth", "channels = 4", "4 channels cannot host 4 disjoint dominant pairs"),
             ("synth", "dofs = d1,d2,d3", "8 channels cannot host 6 disjoint dominant pairs"),
+            pytest.param("synth", "channels = 7\ngeometry = orthogonal",
+                         "7 channels cannot host 4 disjoint pairs", id="synth-orthogonal-channels"),
             ("synth", "dofs = d1,d2,d3,d3", "names a DOF more than once, got d1 d2 d3 d3"),
             ("synth", "angle_min = 50", "angle_min 50.0 is not below angle_max 40.0"),
             ("synth", "windows = 20", "cannot spread 20 windows over 55 blocks"),
@@ -1504,3 +1528,38 @@ def test_constant_truth_on_a_trained_dof_names_the_dof(tmp_path, capsys):
     assert run("evaluate", "--test", files["test"], "--model", model_json) == 3
     assert capsys.readouterr().err == (
         "qmyo: model error: d2: true trajectory is constant; the performance index is undefined\n")
+
+
+@pytest.mark.parametrize("kind", ["config", "dataset", "quoted dataset", "recording", "model"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, capsys, kind):
+    """An input that starts with a UTF-8 byte order mark, as spreadsheet "CSV UTF-8"
+    exports and Notepad write, gives the plain file's outputs byte for byte. A quoted
+    header cell sends a dataset to the csv row reader."""
+    mixing = orthogonal_mixing_model(n_channels=4, dofs=(D1,))
+    recording = generate_raw_emg(mixing, {D1: 20.0}, 0.5, rng=np.random.default_rng(5))
+    argvs = [
+        ["train", "--data", "data.csv", "--out", "out/m.json", "--config", "settings.cfg"],
+        ["decode", "--model", "model.json", "--raw", "rec.csv", "--out", "out/raw.csv",
+         "--config", "settings.cfg"],
+        ["evaluate", "--test", "data.csv", "--model", "model.json", "--config", "settings.cfg",
+         "--report-out", "out/r.txt", "--csv-out", "out/r.csv", "--decode-out", "out/d.csv"],
+        ["inspect-model", "--model", "model.json"],
+    ]
+    runs = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        work = tmp_path / f"bom{len(prefix)}"
+        (work / "out").mkdir(parents=True)
+        save_recording(recording, work / "rec.csv")
+        (work / "settings.cfg").write_text("rest_threshold = 0.01\n")
+        quote = b'"ch1"' if kind == "quoted dataset" else b"ch1"
+        (work / "data.csv").write_bytes(V1_TRAIN.read_bytes().replace(b"ch1", quote, 1))
+        (work / "model.json").write_bytes(V3_MODEL.read_bytes())
+        given = work / {"config": "settings.cfg", "dataset": "data.csv", "recording": "rec.csv",
+                        "model": "model.json", "quoted dataset": "data.csv"}[kind]
+        given.write_bytes(prefix + given.read_bytes())
+        monkeypatch.chdir(work)
+        assert [run(*argv) for argv in argvs] == [0] * len(argvs)
+        out, err = capsys.readouterr()
+        runs.append((out, err, {path.name: path.read_bytes() for path in (work / "out").iterdir()}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][2]) == ["d.csv", "m.json", "r.csv", "r.txt", "raw.csv"]

@@ -1,5 +1,7 @@
 """Windowing, the MAV feature and raw recording files."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qmyo.features import (
     mav,
     save_recording,
     segment_windows,
+    window_length,
 )
 from qmyo.operators import DOFS
 from qmyo.synthetic import default_mixing_model, generate_raw_emg
@@ -22,6 +25,24 @@ from qmyo.synthetic import default_mixing_model, generate_raw_emg
 
 def recording(n_samples, n_channels=1, rate=1024.0, fill=0.0):
     return EmgRecording(np.full((n_samples, n_channels), fill), rate)
+
+
+class TestWindowLength:
+    @pytest.mark.parametrize("window_ms, rate, length",
+                             [(100.0, 1024.0, 102), (50.5, 1024.0, 51), (2.0, 1000.0, 2)])
+    def test_floored_to_whole_samples(self, window_ms, rate, length):
+        assert window_length(window_ms, rate) == length
+
+    def test_segment_windows_cuts_windows_of_that_length(self):
+        windows = segment_windows(recording(1024, rate=1024.0), 50.5)
+        assert windows.shape == (1024 // 51, 51, 1)
+
+    @pytest.mark.parametrize("window_ms, rate, span", [
+        (1.999, 1000.0, "under 2"), (1.0, 1024.0, "under 2"), (1e308, 1024.0, "unbounded")])
+    def test_rejected_windows_name_their_span(self, window_ms, rate, span):
+        message = f"a {window_ms} ms window spans {span} samples at {rate} Hz"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            window_length(window_ms, rate)
 
 
 class TestSegmentWindows:
@@ -53,12 +74,14 @@ class TestSegmentWindows:
 
     @pytest.mark.parametrize("window_ms, rate", [(1e308, 1024.0), (1e200, 1e200), (np.inf, 1.0)])
     def test_unbounded_window_rejected(self, window_ms, rate):
-        with pytest.raises(ValueError, match="samples at .* Hz; need at least 2 and finitely many$"):
+        message = f"a {window_ms} ms window spans unbounded samples at {rate} Hz"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             segment_windows(recording(1024, rate=rate), window_ms)
 
     @pytest.mark.parametrize("window_ms", [0.0, -100.0, float("nan")])
     def test_non_positive_window_rejected(self, window_ms):
-        with pytest.raises(ValueError, match=f"^window_ms must be > 0, got {window_ms}$"):
+        message = f"a {window_ms} ms window spans under 2 samples at 1024.0 Hz"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             segment_windows(recording(1024), window_ms)
 
     @given(
@@ -255,6 +278,19 @@ class TestRecordingCsv:
         loaded = load_recording(path)
         np.testing.assert_array_equal(loaded.samples, rec.samples)
         assert loaded.sample_rate == 1024.0
+
+    @pytest.mark.parametrize("header", ["ch1,ch2,ch3,ch4", '"ch1",ch2,ch3,ch4'])
+    def test_loaded_samples_are_c_ordered(self, tmp_path, header):
+        """Both readers (a quote sends the file to the csv row reader) give C-ordered
+        samples, the layout on which each window's mav keeps np.mean's bits."""
+        rec = EmgRecording(np.random.default_rng(0).normal(size=(300, 4)), 1024.0)
+        path = tmp_path / "rec.csv"
+        save_recording(rec, path)
+        path.write_text(path.read_text().replace("ch1,ch2,ch3,ch4", header, 1))
+        loaded = load_recording(path)
+        assert loaded.samples.flags.c_contiguous
+        for window in segment_windows(loaded, 100.0):
+            assert mav(window).values.tobytes() == np.mean(np.abs(window), axis=0).tobytes()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "rec.csv"
