@@ -20,7 +20,7 @@ import numpy as np
 
 from . import datasets, experiment, features, operators, synthetic
 from .control import decode_batch
-from .errors import ConfigurationError, DataError, ModelError, undecodable
+from .errors import ConfigurationError, DataError, ModelError, undecodable, writing
 from .operators import DecodeConfig, Dof
 
 class _Parser(argparse.ArgumentParser):
@@ -263,23 +263,6 @@ def _cmd_train(parser: _Parser, args) -> int:
     return 0
 
 
-def _mav_rows(path, rate: float, window_ms: float) -> np.ndarray:
-    """(N, C) MAV feature rows of a recording's windows."""
-    rec = features.load_recording(path, sample_rate=rate)
-    try:
-        windows = features.segment_windows(rec, window_ms)
-    except DataError as exc:  # shorter than one window
-        raise DataError(f"{path}: {exc}") from None
-    rows = []
-    try:
-        with np.errstate(over="ignore"):  # a MAV past float range fails FeatureVector's check
-            for window in windows:
-                rows.append(features.mav(window).values)
-    except ValueError as exc:
-        raise DataError(f"{path}: window {len(rows)}: {exc}") from None
-    return np.stack(rows)
-
-
 def _cmd_decode(parser: _Parser, args) -> int:
     _reject_unread(parser, args, "data", "sample_rate", "window_ms")
     _check_paths(parser, args, ["model", "data", "raw", "config"], ["out"])
@@ -291,9 +274,20 @@ def _cmd_decode(parser: _Parser, args) -> int:
         except ValueError as exc:
             settings.require(False, str(exc), "window_ms", "sample_rate")
     model = _load_model(args, settings)
-    windows = (datasets.load_feature_dataset(args.data).features if args.data
-               else _mav_rows(args.raw, rate, window_ms))
-    decoded = decode_batch(windows, model)
+    if args.data:
+        windows = datasets.load_feature_dataset(args.data).features
+    else:
+        rec = features.load_recording(args.raw, sample_rate=rate)
+        try:
+            stack = features.segment_windows(rec, window_ms)
+        except DataError as exc:  # shorter than one window
+            raise DataError(f"{args.raw}: {exc}") from None
+        with np.errstate(over="ignore"):  # a MAV past float range fails decode_batch's check
+            windows = features.mav_rows(stack)
+    try:
+        decoded = decode_batch(windows, model)
+    except ValueError as exc:  # only a raw window's MAV can fail: datasets are checked on load
+        raise DataError(f"{args.raw}: window {np.isfinite(windows).all(1).argmin()}: {exc}") from None
     datasets.save_decode_csv(decoded, model.sorted_dofs(), args.out)
     print(f"decoded {len(decoded)} windows -> {args.out}")
     return 0
@@ -320,11 +314,11 @@ def _cmd_evaluate(parser: _Parser, args) -> int:
         report = experiment.run_experiment(cfg, train_ds, test_ds)
     text = experiment.render_report_text(report)
     if args.report_out:
-        with open(args.report_out, "w") as fh:
+        with writing(args.report_out) as fh:
             fh.write(text)
     print(text, end="")
     if args.csv_out:
-        with open(args.csv_out, "w") as fh:
+        with writing(args.csv_out) as fh:
             fh.write(experiment.render_report_csv(report))
     if args.decode_out:
         datasets.save_decode_csv(report.results[-1].decoded, report.dofs, args.decode_out)
@@ -347,7 +341,7 @@ def _cmd_learning_curve(parser: _Parser, args) -> int:
     ]
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with writing(args.out) as fh:
             fh.write(text)
     print(text, end="")
     return 0
@@ -454,8 +448,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"qmyo: file not found: {exc.filename}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a directory or unwritable path given as a file
-        print(f"qmyo: {exc.strerror}: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a directory or unwritable path given as a file, or a full disk
+        print(f"qmyo: {exc.strerror}: {exc.filename or '<stdout>'}", file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DatasetParseError, DatasetSchemaError, undecodable
+from .errors import DatasetParseError, DatasetSchemaError, undecodable, writing
 
 LINE_END = "\r\n"  # csv.writer's terminator
 _BLOCK = 1024  # rows joined at a time, which bounds a write's memory
@@ -25,7 +25,7 @@ def write_rows(path, header: list[str], columns) -> None:
     Each block of rows is one cell list, filled a column at a time and joined in one call."""
     n, k = len(columns[0]), len(columns)
     row = [None, ","] * (k - 1) + [None, LINE_END]  # a value slot, then its separator
-    with open(path, "w", newline="") as fh:
+    with writing(path, newline="") as fh:
         fh.write(",".join(header) + LINE_END)
         for start in range(0, n, _BLOCK):
             cells = row * min(_BLOCK, n - start)

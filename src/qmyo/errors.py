@@ -5,6 +5,8 @@ insufficient input data, exit code 2) and ``ModelError`` (numeric or model
 problems, exit code 3).
 """
 
+from contextlib import contextmanager
+
 
 class QmyoError(Exception):
     """Base class for all package errors."""
@@ -72,3 +74,14 @@ def undecodable(path, exc: UnicodeDecodeError) -> str:
         line = len(data[:whole.start + 1].splitlines())
         return f"{path}:{line}: not {whole.encoding} text ({whole.reason}, byte {data[whole.start]:#04x})"
     return f"{path}: not {exc.encoding} text ({exc.reason})"
+
+
+@contextmanager
+def writing(path, newline=None):
+    """``open(path, "w")`` whose failed write or close names ``path``, as a failed open does."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:  # a write's error names no file
+        exc.filename = path
+        raise

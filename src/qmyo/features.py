@@ -1,8 +1,8 @@
 """Consecutive-window segmentation of raw multi-channel EMG and its mean
 absolute value (MAV) feature.
 
-:func:`mav` takes a window shaped (n_samples, n_channels) and returns
-one value per channel wrapped in a :class:`FeatureVector`.
+:func:`mav_rows` takes a stack of (n_samples, n_channels) windows and
+returns one value per channel for each; :func:`mav` wraps one window's.
 """
 
 import enum
@@ -94,17 +94,22 @@ def segment_windows(rec: EmgRecording, window_ms: float) -> np.ndarray:
     return rec.samples[: n * window_len].reshape(n, window_len, rec.n_channels)
 
 
+def mav_rows(windows: np.ndarray) -> np.ndarray:
+    """Mean absolute value per channel of each window in an (..., n_samples, n_channels) stack,
+    to the bits of each window alone: ``np.mean``'s on C-ordered windows of two or more channels
+    (1-channel and F-ordered ones, which ``np.mean`` sums pairwise, may differ in the last bits).
+    A column whose sum leaves float range reads inf."""
+    total = np.einsum("...ij->...j", np.abs(windows))  # no numpy call per sample row
+    total /= windows.shape[-2]
+    return total
+
+
 def mav(window: np.ndarray) -> FeatureVector:
-    """Mean absolute value per channel of an (n_samples, n_channels) window: ``np.mean``'s
-    bits on C-ordered windows of two or more channels, as :func:`segment_windows` yields.
-    1-channel and F-ordered windows, which ``np.mean`` sums pairwise, may differ in the last bits.
-    """
+    """One (n_samples, n_channels) window's :func:`mav_rows` row, checked as a FeatureVector."""
     w = np.asarray(window, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise EmptyInputError("window must be a non-empty 2-D array")
-    total = np.einsum("ij->j", np.abs(w))  # one inner-loop call, not one per row
-    total /= w.shape[0]
-    return FeatureVector(total, FeatureKind.MAV)
+    return FeatureVector(mav_rows(w), FeatureKind.MAV)
 
 
 def _channel_header(n_channels: int) -> list[str]:

@@ -26,6 +26,7 @@ from .errors import (
     InsufficientTrainingError,
     ModelFileError,
     QmyoError,
+    writing,
 )
 from .features import FeatureKind, FeatureVector
 from .state import QuantumState, encode_rows, inner_product
@@ -511,7 +512,7 @@ def model_from_dict(doc: dict) -> ControllerModel:
 
 
 def save_model(model: ControllerModel, path) -> None:
-    with open(path, "w") as fh:
+    with writing(path) as fh:
         json.dump(model_to_dict(model), fh, indent=1)
         fh.write("\n")
 

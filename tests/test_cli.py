@@ -502,20 +502,21 @@ class TestExitCodes:
         assert err[0].startswith(f"qmyo: data error: {raw_csv}:41: samples must be finite")
 
     def test_raw_window_whose_mav_overflows_is_data_error(self, tmp_path, capsys):
-        """Finite samples can sum past float range; the window's MAV is then
-        refused as a data error that names it, without an overflow warning."""
-        raw_csv = tmp_path / "raw.csv"
-        samples = np.full((3 * 102, 4), 0.5)  # three 102-sample windows at the defaults
-        samples[102:204] = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
-        raw_csv.write_text("ch1,ch2,ch3,ch4\n"
-                           + "".join(",".join(map(repr, row)) + "\n" for row in samples.tolist()))
-        out_csv = tmp_path / "d.csv"
-        assert run("decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", out_csv) == 2
-        assert capsys.readouterr().err == (
-            f"qmyo: data error: {raw_csv}: window 1: "
-            "feature values must be finite and non-negative\n"
-        )
-        assert not out_csv.exists()
+        """Finite samples can sum past float range; the first such window's MAV is
+        then refused as a data error that names it, without an overflow warning."""
+        raw_csv, out_csv = tmp_path / "raw.csv", tmp_path / "d.csv"
+        for bad in [(1,), (1, 2)]:  # windows whose samples overflow
+            samples = np.full((3 * 102, 4), 0.5)  # three 102-sample windows at the defaults
+            for k in bad:
+                samples[102 * k:102 * (k + 1)] = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
+            raw_csv.write_text("ch1,ch2,ch3,ch4\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in samples.tolist()))
+            assert run("decode", "--model", V3_MODEL, "--raw", raw_csv, "--out", out_csv) == 2
+            assert capsys.readouterr().err == (
+                f"qmyo: data error: {raw_csv}: window 1: "
+                "feature values must be finite and non-negative\n"
+            ), bad
+            assert not out_csv.exists()
 
     def test_raw_recording_shorter_than_one_window_names_the_file(self, tmp_path, capsys):
         raw_csv = tmp_path / "raw.csv"
@@ -1410,6 +1411,38 @@ def test_three_dof_synth_train_evaluate(tmp_path, capsys):
     assert run("evaluate", "--test", test_csv, "--model", model_json) == 0
     out = capsys.readouterr().out
     assert "dofs: d1,d2,d3" in out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, stdout", [
+    (["synth", "--train-out", "/dev/full", "--test-out", "test.csv",
+      "--per-action", 5, "--blocks", 3, "--windows", 12], None),
+    (["synth", "--train-out", "train.csv", "--test-out", "/dev/full",
+      "--per-action", 5, "--blocks", 3, "--windows", 12], None),
+    (["train", "--data", V1_TRAIN, "--out", "/dev/full"], None),
+    (["decode", "--model", V3_MODEL, "--data", V1_TRAIN, "--out", "/dev/full"], None),
+    (["evaluate", "--test", V1_TRAIN, "--model", V3_MODEL, "--report-out", "/dev/full"], None),
+    (["evaluate", "--test", V1_TRAIN, "--model", V3_MODEL, "--csv-out", "/dev/full"], None),
+    (["evaluate", "--test", V1_TRAIN, "--model", V3_MODEL, "--decode-out", "/dev/full"], None),
+    (["learning-curve", "--data", "rows.csv", "--sizes", 8, 16, "--out", "/dev/full"], None),
+    (["inspect-model", "--model", V3_MODEL], "/dev/full"),
+    (["learning-curve", "--data", "rows.csv", "--sizes", *range(8, 400)], "/dev/full"),
+], ids=["synth-train-out", "synth-test-out", "train-out", "decode-out", "evaluate-report-out",
+        "evaluate-csv-out", "evaluate-decode-out", "learning-curve-out", "stdout",
+        "stdout-past-its-buffer"])
+def test_failed_write_names_its_output(tmp_path, argv, stdout):
+    """A write that fails after its file opened, as on a full disk, exits 1 with one
+    line that names the output: its path, or <stdout> for the printed text. The
+    last case prints more than one buffer's worth before stdout is flushed."""
+    table = generate_training_table(orthogonal_mixing_model(seed=5), 100)
+    save_feature_dataset(from_training_table(table), tmp_path / "rows.csv")
+    src = str(Path(__file__).parents[1] / "src")
+    with open(stdout or os.devnull, "w") as out:
+        proc = subprocess.run([sys.executable, "-m", "qmyo", *map(str, argv)], stdout=out,
+                              stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src})
+    name = "<stdout>" if stdout else "/dev/full"
+    assert (proc.returncode, proc.stderr) == (1, f"qmyo: No space left on device: {name}\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -15,6 +15,7 @@ from qmyo.features import (
     FeatureVector,
     load_recording,
     mav,
+    mav_rows,
     save_recording,
     segment_windows,
     window_length,
@@ -210,6 +211,37 @@ class TestMavBits:
         assert len(windows) == 20 and windows[0].flags.c_contiguous
         for w in windows:
             assert mav(w).values.tobytes() == np.mean(np.abs(w), axis=0).tobytes()
+
+    # signed zeros, subnormals and samples whose column sums can leave float range
+    EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                8.98e307, -1.7e308, 1.7976931348623157e308]
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 3, 16, 128])
+    @pytest.mark.parametrize("window_len", [2, 3, 51, 102, 1000])
+    @given(seed=st.integers(0, 2**32 - 1), n_windows=st.integers(1, 3),
+           share=st.sampled_from([0.0, 0.01, 0.3]), row_fill=st.sampled_from(EXTREMES))
+    @settings(max_examples=6, deadline=None)
+    def test_stack_rows_equal_each_window_alone_bit_for_bit(
+            self, n_channels, window_len, seed, n_windows, share, row_fill):
+        """mav_rows over segment_windows' stack gives each window the bits mav gives
+        it alone; a window whose sum leaves float range reads inf, which mav refuses."""
+        rng = np.random.default_rng(seed)
+        shape = (n_windows * window_len, n_channels)
+        samples = rng.lognormal(sigma=4.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        extreme = rng.random(shape) < share
+        samples[extreme] = rng.choice(self.EXTREMES, size=extreme.sum())
+        samples[rng.integers(shape[0])] = row_fill
+        stack = segment_windows(EmgRecording(samples, 1000.0), float(window_len))
+        with np.errstate(over="ignore"):
+            rows = mav_rows(stack)
+            assert rows.shape == (n_windows, n_channels)
+            for window, row in zip(stack, rows):
+                assert row.tobytes() == mav_rows(window).tobytes()
+                if np.isfinite(row).all():
+                    assert row.tobytes() == mav(window).values.tobytes()
+                else:
+                    with pytest.raises(ValueError, match="must be finite and non-negative"):
+                        mav(window)
 
     @given(w=window_values(1, 40))
     @settings(max_examples=200)
